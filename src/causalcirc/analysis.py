@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .circuit import Circuit, UnitDelay, VarDelay, is_contractive
-from .domain import BOT, CapError, Signature, check_enumerable
+from .domain import BOT, CapError, Signature, SignatureError, check_enumerable
 from .engine import PrefixTrace, random_trace, simulate
 from .gates import KIND_STRICT, KIND_WIRING
 
@@ -174,8 +174,9 @@ def check_equiv(
     inputs counts.  The circuits must share both port signatures.
     """
     if c1.in_ports != c2.in_ports or c1.out_ports != c2.out_ports:
-        raise CapError(
-            "circuits have different port signatures; nothing to compare"
+        raise SignatureError(
+            f"circuits have different port signatures: {c1.in_ports!r} -> "
+            f"{c1.out_ports!r} vs {c2.in_ports!r} -> {c2.out_ports!r}"
         )
     if strategy == "exhaustive":
         space = _trace_space(c1.in_ports, horizon, concrete=False)

@@ -133,9 +133,8 @@ class Circuit:
         return any(isinstance(n, (UnitDelay, VarDelay)) for n in self.nodes)
 
     def __hash__(self) -> int:
-        # The engine looks circuits up in a cache once per tick; hashing the
-        # whole node tree each time dominates small simulations, so the hash
-        # is computed once and stashed on the instance.
+        # Hashing the whole node tree is costly for large circuits, so the
+        # hash is computed once and stashed on the instance.
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash(
@@ -205,36 +204,47 @@ def _check_sink(c: Circuit, where: str, src: Source, want: BaseType, out: list) 
         )
 
 
+def _find_cycle(edges: list[list[int]]) -> list[int] | None:
+    """A cycle of a directed graph as a closed vertex path, or None.
+
+    Depth-first from each unvisited vertex in index order, following edges
+    in list order; the first edge back into the current path closes the
+    cycle.  Iterative, so path length is not bounded by the call stack.
+    """
+    color = [0] * len(edges)  # 0 unvisited, 1 on the path, 2 done
+    for root in range(len(edges)):
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [root]
+        nexts = [0]  # per path vertex, the next edge to follow
+        while path:
+            v = path[-1]
+            k = nexts[-1]
+            if k == len(edges[v]):
+                color[v] = 2
+                path.pop()
+                nexts.pop()
+                continue
+            nexts[-1] = k + 1
+            w = edges[v][k]
+            if color[w] == 1:
+                return path[path.index(w):] + [w]
+            if color[w] == 0:
+                color[w] = 1
+                path.append(w)
+                nexts.append(0)
+    return None
+
+
 def _node_cycle(c: Circuit) -> list[int] | None:
     """A cycle in the node graph with feedback wires cut, or None."""
-    edges: dict[int, list[int]] = {i: [] for i in range(len(c.nodes))}
+    edges: list[list[int]] = [[] for _ in c.nodes]
     for i, ins in enumerate(c.node_inputs):
         for src in ins:
             if isinstance(src, SrcNode) and _source_ok(c, src):
                 edges[i].append(src.node)
-    color = {}
-    stack_path: list[int] = []
-
-    def visit(v: int) -> list[int] | None:
-        color[v] = 1
-        stack_path.append(v)
-        for w in edges[v]:
-            if color.get(w, 0) == 1:
-                return stack_path[stack_path.index(w):] + [w]
-            if color.get(w, 0) == 0:
-                cyc = visit(w)
-                if cyc is not None:
-                    return cyc
-        stack_path.pop()
-        color[v] = 2
-        return None
-
-    for v in range(len(c.nodes)):
-        if color.get(v, 0) == 0:
-            cyc = visit(v)
-            if cyc is not None:
-                return cyc
-    return None
+    return _find_cycle(edges)
 
 
 def validate(c: Circuit) -> list[Diagnostic]:
@@ -438,7 +448,6 @@ def delay_free_cycle(c: Circuit) -> list[str] | None:
     input edges that are cut by a qualifying delay.
     """
     n = len(c.nodes)
-    n_vert = n + len(c.loops)
 
     def src_vert(src: Source) -> int | None:
         if isinstance(src, SrcNode):
@@ -447,7 +456,7 @@ def delay_free_cycle(c: Circuit) -> list[str] | None:
             return n + src.index
         return None
 
-    edges: dict[int, list[int]] = {v: [] for v in range(n_vert)}
+    edges: list[list[int]] = [[] for _ in range(n + len(c.loops))]
     for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs)):
         for p, src in enumerate(ins):
             if _cuts_cycle(node, p):
@@ -465,29 +474,8 @@ def delay_free_cycle(c: Circuit) -> list[str] | None:
             return f"node {v} ({node_label(c.nodes[v])})"
         return f"feedback wire {v - n}"
 
-    color: dict[int, int] = {}
-    path: list[int] = []
-
-    def visit(v: int) -> list[int] | None:
-        color[v] = 1
-        path.append(v)
-        for w in edges[v]:
-            if color.get(w, 0) == 1:
-                return path[path.index(w):] + [w]
-            if color.get(w, 0) == 0:
-                cyc = visit(w)
-                if cyc is not None:
-                    return cyc
-        path.pop()
-        color[v] = 2
-        return None
-
-    for v in range(n_vert):
-        if color.get(v, 0) == 0:
-            cyc = visit(v)
-            if cyc is not None:
-                return [label(v) for v in cyc]
-    return None
+    cyc = _find_cycle(edges)
+    return None if cyc is None else [label(v) for v in cyc]
 
 
 def is_contractive(c: Circuit) -> bool:

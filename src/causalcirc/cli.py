@@ -123,7 +123,10 @@ def cmd_laws(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    results = laws.run_laws(cfg)
+    try:
+        results = laws.run_laws(cfg)
+    except CapError as e:
+        raise _Usage(f"{e}; pass a larger --budget") from None
     failed = None
     if args.json:
         out = []
@@ -267,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laws", help="sweep the fixed-point and trace laws")
     p.add_argument("--budget", type=int, default=10**6,
-                   help="enumeration scan budget per function space")
+                   help="steps allowed for building one function space")
     p.add_argument("--cap", type=int, default=60_000,
-                   help="exhaustive pair cap; larger combos are sampled")
+                   help="largest space (or product of two) swept exhaustively; "
+                   "larger combos are sampled uniformly")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .circuit import Circuit, UnitDelay, VarDelay, check_valid
 from .comb import Propagator
@@ -72,9 +71,15 @@ class SimState:
     t: int = 0
 
 
-@lru_cache(maxsize=256)
 def _propagator(c: Circuit) -> Propagator:
-    return Propagator(check_valid(c))
+    # Compiled once per instance and stashed on it, like ``Circuit._hash``.
+    # A cache keyed on equality would hand one circuit's plan to another:
+    # gates built from Python callables compare equal whatever they compute.
+    prop = c.__dict__.get("_plan")
+    if prop is None:
+        prop = Propagator(check_valid(c))
+        object.__setattr__(c, "_plan", prop)
+    return prop
 
 
 def initial_state(c: Circuit) -> SimState:

@@ -1,9 +1,10 @@
 """Equational checks for the parameterized fixed point and the trace it induces.
 
 Each law is swept over every combination of single-wire signatures drawn
-from a configurable base list, with the function spaces enumerated
-exhaustively when small enough and sampled (seeded, not uniform) otherwise.
-The fixed-point operator itself is injectable so the suite can demonstrate
+from a configurable base list.  A function space is swept exhaustively when
+its exact size (for pairs, the product of the two sizes) is at most
+``pair_budget``, and by ``samples`` uniform random draws otherwise.  The
+fixed-point operator itself is injectable so the suite can demonstrate
 that a broken operator is caught; all laws are checked through whatever
 operator the config carries.
 
@@ -18,12 +19,17 @@ Laws covered:
 
 from __future__ import annotations
 
+import itertools
 import random
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .domain import (
     BOOL,
+    BOT,
+    BaseType,
     CapError,
     MonotoneFn,
     Signature,
@@ -36,106 +42,296 @@ from .domain import (
 
 Mu = Callable[[MonotoneFn, int], MonotoneFn]
 
+_BUDGET = 10**6  # default steps for building one function space
 
-def enumerate_monotone(
-    dom: Signature, cod: Signature, budget: int = 10**6
-) -> Iterator[MonotoneFn]:
-    """All monotone functions dom -> cod, backtracking over a linear extension.
+# -- function spaces ---------------------------------------------------------
+#
+# The order on a product of lifted wires is pointwise, so
+# Mon(D, C1 x ... x Ck) is the product of the single-wire spaces Mon(D, Ci).
+# A monotone map from D into one lifted flat wire is an up-set U of D (the
+# points it sends above bottom) plus one atom for each connected component
+# of U, since comparable points of U must agree.  Points of D are numbered
+# in ``Signature.tuples`` order and sets of points are bitmasks; that order
+# refines the pointwise one, so every point lies above lower-numbered points
+# only.  What is memoized depends only on the number of atoms of each wire.
 
-    Domain tuples are visited in lexicographic order with bottom first,
-    which refines the pointwise order, so a candidate row only needs to
-    dominate rows already placed.  ``budget`` caps the number of candidate
-    rows scanned, successful or not; past it a CapError is raised.
+
+@dataclass(frozen=True)
+class _Poset:
+    """The pointwise order of a lifted domain: bit j of ``below[i]`` is set
+    when point j lies strictly below point i, and likewise for ``above``."""
+
+    below: tuple[int, ...]
+    above: tuple[int, ...]
+
+
+def _shape(s: Signature) -> tuple[int, ...]:
+    return tuple(len(b.values) for b in s.wires)
+
+
+@lru_cache(maxsize=None)
+def _poset(shape: tuple[int, ...]) -> _Poset:
+    points = list(itertools.product(*[range(k + 1) for k in shape]))
+    below = [0] * len(points)
+    above = [0] * len(points)
+    for i, hi in enumerate(points):
+        for j in range(i):
+            if all(x == 0 or x == y for x, y in zip(points[j], hi)):
+                below[i] |= 1 << j
+                above[j] |= 1 << i
+    return _Poset(tuple(below), tuple(above))
+
+
+@lru_cache(maxsize=None)
+def _points(s: Signature) -> tuple:
+    return tuple(s.tuples())
+
+
+class _Budget:
+    """Steps left for building one function space; running out raises CapError."""
+
+    __slots__ = ("left", "budget", "dom", "cod")
+
+    def __init__(self, budget: int, dom: Signature, cod: Signature) -> None:
+        self.left = self.budget = budget
+        self.dom, self.cod = dom, cod
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise CapError(
+                f"budget of {self.budget} steps exceeded building "
+                f"{self.dom!r} -> {self.cod!r}"
+            )
+
+
+def _join(comps: tuple[int, ...], i: int, up: int) -> tuple[int, ...]:
+    """Components after point i joins an up-set holding every point above it."""
+    merged = 1 << i
+    rest = []
+    for c in comps:
+        if c & up:
+            merged |= c
+        else:
+            rest.append(c)
+    rest.append(merged)
+    return tuple(rest)
+
+
+# Up-sets of each domain shape, grouped by their number of components.
+_UPSETS: dict[tuple[int, ...], tuple] = {}
+# Size of Mon(D, one lifted wire), by (domain shape, atoms of the wire).
+_WIRE_COUNTS: dict[tuple[tuple[int, ...], int], int] = {}
+
+
+def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
+    """Every up-set of the domain as a bitmask, in one array per component count.
+
+    Points are decided from the top down, so a point may join only when all
+    points above it already have; every branch then ends in an up-set.
     """
-    dom_tuples = list(dom.tuples())
-    cod_tuples = list(cod.tuples())
-    n = len(dom_tuples)
-    below = [
-        [
-            j
-            for j in range(i)
-            if dom_tuples[j] != dom_tuples[i] and tuple_leq(dom_tuples[j], dom_tuples[i])
-        ]
-        for i in range(n)
-    ]
-    scanned = 0
-    assign: list = [None] * n
-    choice = [0] * n
+    got = _UPSETS.get(shape)
+    if got is not None:
+        return got
+    above = _poset(shape).above
+    groups: list[list[int]] = []
+    stack = [(len(above) - 1, 0, ())]
+    while stack:
+        i, u, comps = stack.pop()
+        if i < 0:
+            groups.extend([] for _ in range(len(comps) + 1 - len(groups)))
+            groups[len(comps)].append(u)
+            continue
+        budget.spend()
+        stack.append((i - 1, u, comps))
+        up = above[i]
+        if u & up == up:
+            stack.append((i - 1, u | 1 << i, _join(comps, i, up)))
+    code = "I" if len(above) <= 32 else "Q" if len(above) <= 64 else None
+    got = tuple(array(code, g) if code else tuple(g) for g in groups)
+    _UPSETS[shape] = got
+    return got
+
+
+def _wire_count(shape: tuple[int, ...], atoms: int, budget: _Budget) -> int:
+    """|Mon(D, C)| for one lifted wire C: the sum over up-sets U of atoms^components(U)."""
+    key = (shape, atoms)
+    n = _WIRE_COUNTS.get(key)
+    if n is None:
+        groups = _upsets(shape, budget)
+        n = _WIRE_COUNTS[key] = sum(len(g) * atoms**k for k, g in enumerate(groups))
+    return n
+
+
+def count_monotone(dom: Signature, cod: Signature, budget: int = _BUDGET) -> int:
+    """Exact size of Mon(dom, cod), as a product of single-wire counts.
+
+    ``budget`` caps the steps spent listing the up-sets of ``dom`` the first
+    time that domain shape is counted; past it a CapError names the space.
+    """
+    b = _Budget(budget, dom, cod)
+    shape = _shape(dom)
+    n = 1
+    for base in cod:
+        n *= _wire_count(shape, len(base.values), b)
+    return n
+
+
+def _wire_maps(shape: tuple[int, ...], base: BaseType, budget: _Budget) -> Iterator[tuple]:
+    """Every monotone map from the domain into one lifted wire, as a value tuple.
+
+    Rows are filled in point order, each with bottom or an atom; a row lying
+    above a row that holds an atom must hold the same atom.  Maps come out in
+    lexicographic order of their rows, bottom before the atoms.
+    """
+    below = _poset(shape).below
+    n = len(below)
+    lifted = base.lifted
+    atoms = range(1, len(lifted))
+    free = tuple(range(len(lifted)))
+    holders = [0] * len(lifted)  # rows holding each atom, as a bitmask
+    val = [0] * n
+    opts = [free] * n
+    pos = [0] * n
     i = 0
-    while True:
+    while i >= 0:
         if i == n:
-            table = dict(zip(dom_tuples, assign))
-            yield MonotoneFn(dom, cod, table.__getitem__, "", table)
+            yield tuple([lifted[v] for v in val])
             i -= 1
             continue
-        advanced = False
-        ci = choice[i]
-        bel = below[i]
-        while ci < len(cod_tuples):
-            scanned += 1
-            if scanned > budget:
-                raise CapError(
-                    f"enumeration budget of {budget} candidate rows exceeded at "
-                    f"{dom!r} -> {cod!r}"
-                )
-            c = cod_tuples[ci]
-            ci += 1
-            if all(tuple_leq(assign[j], c) for j in bel):
-                assign[i] = c
-                choice[i] = ci
-                i += 1
-                if i < n:
-                    choice[i] = 0
-                advanced = True
-                break
-        if not advanced:
-            choice[i] = 0
+        v = val[i]
+        if v:
+            holders[v] ^= 1 << i
+            val[i] = 0
+        k = pos[i]
+        if k == len(opts[i]):
             i -= 1
-            if i < 0:
-                return
+            continue
+        budget.spend()
+        v = val[i] = opts[i][k]
+        pos[i] = k + 1
+        if v:
+            holders[v] |= 1 << i
+        i += 1
+        if i < n:
+            bel = below[i]
+            forced = [a for a in atoms if holders[a] & bel]
+            # two atoms below the row leave it no value: a dead end
+            opts[i] = free if not forced else (forced[0],) if len(forced) == 1 else ()
+            pos[i] = 0
 
 
-def count_monotone(dom: Signature, cod: Signature, budget: int = 10**6) -> int:
-    return sum(1 for _ in enumerate_monotone(dom, cod, budget))
+def _product(cols: list[Iterator[tuple]]) -> Iterator[tuple]:
+    """itertools.product, but each factor is pulled only as far as needed.
+
+    The last factor varies fastest; inner factors are kept from their first
+    walk and replayed after it.
+    """
+    seen: list[list] = [[] for _ in cols]
+    done = [False] * len(cols)
+
+    def walk(d: int) -> Iterator[tuple]:
+        if done[d]:
+            yield from seen[d]
+            return
+        for x in cols[d]:
+            if d:
+                seen[d].append(x)
+            yield x
+        done[d] = True
+
+    def rows(d: int, prefix: tuple) -> Iterator[tuple]:
+        if d == len(cols):
+            yield prefix
+            return
+        for x in walk(d):
+            yield from rows(d + 1, prefix + (x,))
+
+    return rows(0, ())
 
 
-def random_monotone(
-    dom: Signature, cod: Signature, rng: random.Random, max_restarts: int = 10000
-) -> MonotoneFn:
-    """One random monotone function; restarts on dead ends, seeded by ``rng``."""
-    dom_tuples = list(dom.tuples())
-    cod_tuples = list(cod.tuples())
-    below = [
-        [
-            j
-            for j in range(i)
-            if dom_tuples[j] != dom_tuples[i] and tuple_leq(dom_tuples[j], dom_tuples[i])
-        ]
-        for i in range(len(dom_tuples))
-    ]
-    for _ in range(max_restarts):
-        assign: list = []
-        for i in range(len(dom_tuples)):
-            cands = [
-                c
-                for c in cod_tuples
-                if all(tuple_leq(assign[j], c) for j in below[i])
-            ]
-            if not cands:
-                break
-            assign.append(rng.choice(cands))
-        else:
-            table = dict(zip(dom_tuples, assign))
-            return MonotoneFn(dom, cod, table.__getitem__, "", table)
-    raise CapError(f"no monotone sample for {dom!r} -> {cod!r} after {max_restarts} tries")
+def _from_columns(dom: Signature, cod: Signature, cols) -> MonotoneFn:
+    points = _points(dom)
+    rows = zip(*cols) if cols else itertools.repeat((), len(points))
+    table = dict(zip(points, rows))
+    return MonotoneFn(dom, cod, table.__getitem__, "", table)
+
+
+def enumerate_monotone(
+    dom: Signature, cod: Signature, budget: int = _BUDGET
+) -> Iterator[MonotoneFn]:
+    """All monotone functions dom -> cod, lazily, one codomain wire at a time.
+
+    The space is the product of the single-wire spaces, with the last wire
+    varying fastest; a single-wire space lists its maps in lexicographic
+    order of their rows.  Nothing is built ahead of what is consumed.
+    ``budget`` caps the work: one step per row value placed while listing a
+    wire's maps and one per function assembled; past it a CapError names
+    the space.
+    """
+    b = _Budget(budget, dom, cod)
+    shape = _shape(dom)
+    for cols in _product([_wire_maps(shape, base, b) for base in cod]):
+        b.spend()
+        yield _from_columns(dom, cod, cols)
+
+
+def _draw_wire(shape: tuple[int, ...], base: BaseType, r: int, budget: _Budget) -> list:
+    """The r-th map into one lifted wire, ranked by up-set, then by atoms.
+
+    Up-sets with k components carry atoms^k maps each; the rank picks the
+    up-set and, in base ``atoms`` digits, one atom per component.
+    """
+    m = len(base.values)
+    for k, group in enumerate(_upsets(shape, budget)):
+        w = len(group) * m**k
+        if r < w:
+            break
+        r -= w
+    u, digits = divmod(r, m**k)
+    u = group[u]
+    above = _poset(shape).above
+    comps: tuple[int, ...] = ()
+    for i in range(len(above) - 1, -1, -1):
+        if u >> i & 1:
+            comps = _join(comps, i, above[i])
+    col = [BOT] * len(above)
+    for c in comps:
+        digits, a = divmod(digits, m)
+        while c:
+            low = c & -c
+            col[low.bit_length() - 1] = base.values[a]
+            c ^= low
+    return col
+
+
+def random_monotone(dom: Signature, cod: Signature, rng: random.Random) -> MonotoneFn:
+    """A uniformly random monotone function dom -> cod, seeded by ``rng``.
+
+    Each codomain wire is one uniform draw from its single-wire space: an
+    up-set chosen with weight atoms^components, then one atom per component.
+    """
+    b = _Budget(_BUDGET, dom, cod)
+    shape = _shape(dom)
+    cols = []
+    for base in cod:
+        r = rng.randrange(_wire_count(shape, len(base.values), b))
+        cols.append(_draw_wire(shape, base, r, b))
+    return _from_columns(dom, cod, cols)
 
 
 @dataclass(frozen=True)
 class LawConfig:
-    """Sweep parameters; ``mu`` is the fixed-point operator under test."""
+    """Sweep parameters; ``mu`` is the fixed-point operator under test.
+
+    ``budget`` caps the steps spent building any one function space (see
+    ``count_monotone`` and ``enumerate_monotone``); a sweep that runs out
+    raises CapError.  ``pair_budget`` is the largest space, or product of
+    two spaces for laws over pairs, that is swept exhaustively.
+    """
 
     bases: tuple = (UNIT, BOOL)
-    budget: int = 10**6
+    budget: int = _BUDGET
     pair_budget: int = 60_000
     samples: int = 200
     seed: int = 0
@@ -184,22 +380,19 @@ def _rng_for(cfg: LawConfig, law: str, combo: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{law}:{combo}")
 
 
-def _try_list(dom: Signature, cod: Signature, cfg: LawConfig) -> list | None:
-    """Materialize a function space, or None when it exceeds the budgets."""
-    out: list = []
-    try:
-        for f in enumerate_monotone(dom, cod, cfg.budget):
-            out.append(f)
-            if len(out) > cfg.pair_budget:
-                return None
-    except CapError:
-        return None
-    return out
-
-
 def _table_str(f: MonotoneFn) -> str:
     rows = f.table if f.table is not None else f.tabulate()
     return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in rows.items()) + "}"
+
+
+def _run_case(check: Callable[..., str | None], *fns: MonotoneFn) -> str | None:
+    """One case of a law; an exception raised in it, typically by the
+    operator under test, fails the case instead of ending the sweep."""
+    try:
+        return check(*fns)
+    except Exception as e:
+        tables = ", ".join(f"{n}={_table_str(h)}" for n, h in zip("fg", fns))
+        return f"raised {type(e).__name__}: {e} for {tables}"
 
 
 def _sweep_fns(
@@ -211,20 +404,18 @@ def _sweep_fns(
     check: Callable[[MonotoneFn], str | None],
 ) -> ComboResult:
     """Apply a per-function check across one function space."""
-    fns = _try_list(dom, cod, cfg)
-    if fns is None:
-        rng = _rng_for(cfg, law, combo)
-        fns = [random_monotone(dom, cod, rng) for _ in range(cfg.samples)]
-        mode = "sampled"
+    n = count_monotone(dom, cod, cfg.budget)
+    if n <= cfg.pair_budget:
+        mode, fns = "exhaustive", enumerate_monotone(dom, cod, cfg.budget)
     else:
-        mode = "exhaustive"
+        rng = _rng_for(cfg, law, combo)
+        n = cfg.samples
+        mode, fns = "sampled", (random_monotone(dom, cod, rng) for _ in range(n))
     for f in fns:
-        detail = check(f)
+        detail = _run_case(check, f)
         if detail is not None:
-            return ComboResult(
-                combo, mode, len(fns), Counterexample(law, combo, detail)
-            )
-    return ComboResult(combo, mode, len(fns))
+            return ComboResult(combo, mode, n, Counterexample(law, combo, detail))
+    return ComboResult(combo, mode, n)
 
 
 def _sweep_pairs(
@@ -238,18 +429,15 @@ def _sweep_pairs(
     check: Callable[[MonotoneFn, MonotoneFn], str | None],
 ) -> ComboResult:
     """Apply a check across pairs drawn from two function spaces."""
-    fns1 = _try_list(dom1, cod1, cfg)
-    fns2 = _try_list(dom2, cod2, cfg) if fns1 is not None else None
-    if (
-        fns1 is not None
-        and fns2 is not None
-        and len(fns1) * len(fns2) <= cfg.pair_budget
-    ):
+    n1 = count_monotone(dom1, cod1, cfg.budget)
+    n2 = count_monotone(dom2, cod2, cfg.budget)
+    if n1 * n2 <= cfg.pair_budget:
+        fns2 = list(enumerate_monotone(dom2, cod2, cfg.budget))
         cases = 0
-        for f in fns1:
+        for f in enumerate_monotone(dom1, cod1, cfg.budget):
             for g in fns2:
                 cases += 1
-                detail = check(f, g)
+                detail = _run_case(check, f, g)
                 if detail is not None:
                     return ComboResult(
                         combo, "exhaustive", cases, Counterexample(law, combo, detail)
@@ -259,7 +447,7 @@ def _sweep_pairs(
     for i in range(cfg.samples):
         f = random_monotone(dom1, cod1, rng)
         g = random_monotone(dom2, cod2, rng)
-        detail = check(f, g)
+        detail = _run_case(check, f, g)
         if detail is not None:
             return ComboResult(
                 combo, "sampled", i + 1, Counterexample(law, combo, detail)

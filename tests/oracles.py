@@ -42,6 +42,35 @@ def brute_is_monotone(f: MonotoneFn) -> bool:
     )
 
 
+def backtrack_monotone(dom: Signature, cod: Signature):
+    """Every monotone function dom -> cod as a table, by backtracking.
+
+    Domain tuples are visited in lexicographic order with bottom first,
+    which refines the pointwise order, so a candidate row only needs to
+    dominate rows already placed; candidates are tried in ``cod.tuples``
+    order, so tables come out in lexicographic order of their rows.
+    """
+    dom_tuples = list(dom.tuples())
+    cod_tuples = list(cod.tuples())
+    n = len(dom_tuples)
+    below = [
+        [j for j in range(i) if tuple_leq(dom_tuples[j], dom_tuples[i])]
+        for i in range(n)
+    ]
+    assign: list = [None] * n
+
+    def fill(i: int):
+        if i == n:
+            yield dict(zip(dom_tuples, assign))
+            return
+        for c in cod_tuples:
+            if all(tuple_leq(assign[j], c) for j in below[i]):
+                assign[i] = c
+                yield from fill(i + 1)
+
+    return fill(0)
+
+
 def all_functions(dom: Signature, cod: Signature):
     """Every function dom -> cod as a table, monotone or not."""
     keys = list(dom.tuples())

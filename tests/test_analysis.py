@@ -9,7 +9,7 @@ from causalcirc.analysis import (
     totality_guarantee,
 )
 from causalcirc.circuit import from_gate, trace_loop
-from causalcirc.domain import BOT, CapError
+from causalcirc.domain import BOT, CapError, SignatureError
 from causalcirc.engine import simulate
 from causalcirc.gates import por
 from causalcirc.netlist import parse_netlist
@@ -130,7 +130,7 @@ def test_different_inits_give_a_minimal_witness():
 
 
 def test_equiv_requires_matching_ports():
-    with pytest.raises(CapError):
+    with pytest.raises(SignatureError):
         check_equiv(
             load("circuits/por_gate.net"),
             load("circuits/unit_delay.net"),

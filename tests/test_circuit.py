@@ -279,3 +279,19 @@ def test_bot_dumps_as_null():
     )
     doc = json.loads(dump_json(c))
     assert doc["nodes"][0]["init"] is None
+
+
+def test_a_deep_chain_listed_against_its_dependencies_validates():
+    # Node i reads node i + 1 and the last node reads the input, so a
+    # depth-first walk from node 0 runs the whole chain.
+    n = 3000
+    g = not_gate()
+    c = Circuit(
+        in_ports=sig(BOOL),
+        out_ports=sig(BOOL),
+        nodes=(g,) * n,
+        node_inputs=tuple((SrcNode(i + 1, 0),) for i in range(n - 1)) + ((SrcIn(0),),),
+        outputs=(SrcNode(0, 0),),
+    )
+    assert check_valid(c) is c
+    assert is_contractive(c)

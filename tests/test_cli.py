@@ -154,7 +154,22 @@ def test_laws_json(capsys):
     assert all(entry["passed"] for entry in doc)
 
 
+def test_laws_budget_too_small_for_a_space_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "laws", "--budget", "30", "--cap", "400")
+    assert code == 2
+    assert out == ""
+    assert "sig(unit, bool) -> sig(bool)" in err and "--budget" in err
+
+
 # -- equiv ----------------------------------------------------------------
+
+
+def test_equiv_of_different_port_signatures_gives_no_sampling_hint(capsys):
+    code, out, err = run(capsys, "equiv", POR_GATE, TOGGLE, "--horizon", "3")
+    assert code == 2
+    assert out == ""
+    assert "different port signatures" in err
+    assert "--samples" not in err
 
 
 def test_equiv_accepts_the_diagonal_pair(capsys):

@@ -23,7 +23,8 @@ from causalcirc.engine import (
     simulate,
     step,
 )
-from causalcirc.gates import const_gate, not_gate, por
+from causalcirc.analysis import check_equiv
+from causalcirc.gates import const_gate, not_gate, por, strict_lift
 from causalcirc.netlist import parse_netlist
 from causalcirc.random_circuits import GenConfig, random_circuit
 
@@ -210,3 +211,21 @@ def test_outputs_rise_with_inputs(seed):
     c = random_circuit(rng, GenConfig(max_nodes=5))
     ins = random_trace(rng, c.in_ports, 6, p_bot=0.1)
     assert check_causality(c, ins, rng=random.Random(seed ^ 1))
+
+
+# -- compiled plans -------------------------------------------------------
+
+
+def test_equal_looking_gates_with_different_functions_simulate_apart():
+    # Gates built from Python callables compare equal when name, kind and
+    # signatures agree, so a plan cache keyed on equality would share one
+    # compiled circuit between them.
+    b = sig(BOOL)
+    ident = from_gate(strict_lift("f", b, b, lambda t: t))
+    negate = from_gate(strict_lift("f", b, b, lambda t: (1 - t[0],)))
+    tr = PrefixTrace(b, ((0,), (1,)))
+    assert simulate(ident, tr).rows == ((0,), (1,))
+    assert simulate(negate, tr).rows == ((1,), (0,))
+    rep = check_equiv(ident, negate, horizon=1)
+    assert not rep.equivalent
+    assert rep.witness is not None and rep.witness.tick == 0

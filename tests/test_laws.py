@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -50,6 +52,26 @@ def test_known_monotone_counts():
     assert count_monotone(B, B) == 11
     assert count_monotone(sig(UNIT, UNIT), U) == 6
     assert count_monotone(BB, B) == 197
+    assert count_monotone(sig(BOOL, BOOL, BOOL), B) == 129615
+
+
+SMALL_SIGS = [sig(*ws) for k in range(3) for ws in itertools.product((UNIT, BOOL), repeat=k)]
+
+
+def _rows(table: dict) -> tuple:
+    return tuple(table.values())
+
+
+@pytest.mark.parametrize("dom", SMALL_SIGS, ids=repr)
+def test_enumeration_and_count_agree_with_the_backtracking_oracle(dom):
+    for cod in SMALL_SIGS:
+        want = [_rows(t) for t in oracles.backtrack_monotone(dom, cod)]
+        got = [_rows(f.table) for f in enumerate_monotone(dom, cod)]
+        assert count_monotone(dom, cod) == len(want) == len(got)
+        if len(cod) == 1:
+            assert got == want  # single-wire spaces keep the oracle's order
+        else:
+            assert sorted(got, key=repr) == sorted(want, key=repr)
 
 
 def test_enumeration_agrees_with_the_brute_filter():
@@ -88,6 +110,30 @@ def test_random_monotone_samples_are_monotone(seed):
     f = random_monotone(dom, cod, rng)
     assert oracles.brute_is_monotone(f)
     assert set(f.table) == set(dom.tuples())
+
+
+def test_random_monotone_is_uniform_on_a_small_space():
+    # 11,000 draws over the 11 maps B -> B: each map is expected 1,000
+    # times with a standard deviation of about 30; allow 5 of those.
+    rng = random.Random(5)
+    tally = Counter(
+        _rows(random_monotone(B, B, rng).table) for _ in range(11_000)
+    )
+    assert set(tally) == {_rows(f.table) for f in enumerate_monotone(B, B)}
+    assert all(abs(n - 1000) <= 150 for n in tally.values()), tally
+
+
+def test_random_monotone_draws_once_per_codomain_wire():
+    # A draw costs one randrange per codomain wire and never restarts, so a
+    # second generator that only makes those calls stays in step.
+    b3 = sig(BOOL, BOOL, BOOL)
+    rng, shadow = random.Random(9), random.Random(9)
+    for _ in range(50):
+        f = random_monotone(b3, b3, rng)
+        assert oracles.brute_is_monotone(f)
+        for _ in range(3):
+            shadow.randrange(129615)
+    assert rng.random() == shadow.random()
 
 
 # -- the healthy sweep ----------------------------------------------------
@@ -162,6 +208,17 @@ def test_non_least_mu_counterexample_is_minimal_in_enumeration_order():
     res = check_local_fixpoint(LawConfig(mu=mu_greatest, pair_budget=400))
     cx = res.first_counterexample()
     assert str(dict(first_bad.table)) in cx.detail
+
+
+def test_an_operator_that_raises_fails_the_case_not_the_sweep():
+    def mu_crashing(f: MonotoneFn, split: int) -> MonotoneFn:
+        raise RuntimeError("no fixed point here")
+
+    res = check_bekic(LawConfig(mu=mu_crashing, pair_budget=400, samples=5))
+    assert [cr.cases for cr in res.combos] == [1] * len(res.combos)
+    cx = res.first_counterexample()
+    assert "raised RuntimeError: no fixed point here for f={" in cx.detail
+    assert ", g={" in cx.detail
 
 
 def mu_one_step(f: MonotoneFn, split: int) -> MonotoneFn:

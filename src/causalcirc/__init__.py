@@ -40,7 +40,6 @@ from .domain import (
 )
 from .gates import (
     GateDef,
-    GateRegistry,
     add_gate,
     and_gate,
     const_gate,
@@ -60,7 +59,6 @@ from .gates import (
     strict_lift_table,
     swap_gate,
     table_gate,
-    wiring_gates,
     xor_gate,
 )
 from .circuit import (

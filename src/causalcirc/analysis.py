@@ -2,23 +2,44 @@
 sufficient condition for totality.
 
 Totality here means: every bottom-free input trace up to the horizon yields
-a bottom-free output trace.  Causality makes full-length traces enough to
-check; any shorter run is a prefix of one.  Equivalence compares two
-circuits on every input trace, undefined cells included.  Both checks run
-exhaustively when the trace space fits the budget and seeded-random
-otherwise, and both report a minimal witness under the enumeration order
-(first failing trace, then earliest tick, then lowest port index).
+a bottom-free output trace.  Equivalence compares two circuits on every
+input trace, undefined cells included.  Both checks run exhaustively when
+the trace space fits the budget and seeded-random otherwise.
+
+A circuit's outputs through tick t depend only on its inputs through tick t,
+so the exhaustive path never re-runs a trace from tick 0.  It walks the tree
+of input prefixes depth first, stepping each prefix once from the state its
+parent left: at most b + b² + … + bᴴ ticks for b rows per tick, instead of
+H·bᴴ.  Rows are tried in ``concrete_tuples``/``tuples`` order, so the walk
+meets traces in their lexicographic order, and it stops at the first prefix
+whose newest output row is bad (for equivalence, the circuits step in
+lockstep).  That prefix is the witness, with its lowest bad port: the same
+minimal witness as scanning full traces in order (first failing trace,
+then earliest tick, then lowest port).  Ticks after the failing one are
+never run, so a trace that would raise later still yields its witness.
+
+Each check also memoizes one tick of each circuit instance, keyed on the
+committed delay histories and the input row.  The key leaves out the tick
+number t, and that is exact: the histories fix everything a tick reads of
+t (see ``_stepper``).  The random strategy runs every sampled trace
+through the same memo.  A memo lives for one check and one circuit
+instance, never longer, and is never shared between circuits that merely
+compare equal.
+
+``cases`` counts full traces in enumeration order up to and including the
+first failing one, so a passing exhaustive check reports all bᴴ of them
+(1 at horizon 0); a random check counts samples drawn.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
+from . import engine
 from .circuit import Circuit, UnitDelay, VarDelay, is_contractive
 from .domain import BOT, CapError, Signature, SignatureError, check_enumerable
-from .engine import PrefixTrace, random_trace, simulate
+from .engine import PrefixTrace, SimState, random_trace
 from .gates import KIND_STRICT, KIND_WIRING
 
 
@@ -91,25 +112,110 @@ def _trace_space(s: Signature, horizon: int, concrete: bool) -> int:
     return per_row**horizon
 
 
-def _iter_traces(s: Signature, horizon: int, concrete: bool):
-    rows = list(s.concrete_tuples() if concrete else s.tuples())
-    for combo in itertools.product(rows, repeat=horizon):
-        yield PrefixTrace(s, combo)
+def _stepper(c: Circuit):
+    """One tick of ``c`` as ``(histories, t, row) -> (next histories, outputs)``.
+
+    Memoized on ``(histories, row)``.  Leaving out t is exact, because the
+    committed histories fix everything a tick reads of t: a unit delay's
+    history is empty iff t = 0, and a ``vardelay``'s history has length
+    min(t, d_max), so an amount d in d_min..d_max exceeds t iff it exceeds
+    that length.  The memo belongs to this one circuit instance and dies
+    with the returned function.
+    """
+    memo: dict = {}
+
+    def advance(histories, t: int, row):
+        key = (histories, row)
+        hit = memo.get(key)
+        if hit is None:
+            state, outs = engine.step(SimState(c, histories, t), row)
+            hit = memo[key] = (state.histories, outs)
+        return hit
+
+    return advance
 
 
-def _first_bot(trace: PrefixTrace) -> tuple[int, int] | None:
-    for t, row in enumerate(trace.rows):
-        for p, x in enumerate(row):
-            if x is BOT:
-                return (t, p)
+def _undefined_port(outs) -> int | None:
+    for p, x in enumerate(outs[0]):
+        if x is BOT:
+            return p
     return None
 
 
-def _witness(tr: PrefixTrace, bad: tuple[int, int]) -> Witness:
+def _mismatched_port(outs) -> int | None:
+    for p, (x, y) in enumerate(zip(*outs)):
+        if x is not y and x != y:
+            return p
+    return None
+
+
+def _explore(circuits, rows: list, horizon: int, bad_port):
+    """Depth-first walk over input prefixes, stepping ``circuits`` in lockstep.
+
+    ``bad_port`` maps the circuits' newest output rows to a failing port or
+    None.  Returns ``(cases, failure)``, where failure is None or
+    ``(prefix rows, port, newest output rows)`` for the first bad prefix.
+    """
+    steppers = [_stepper(c) for c in circuits]
+    # initial_state validates each circuit, so an invalid one is refused
+    # even at horizon 0.
+    start = tuple(engine.initial_state(c).histories for c in circuits)
+    b = len(rows)
+    if horizon == 0:
+        return 1, None
+    path: list[int] = []  # row index per tick of the current prefix
+    states = [start]  # histories of every circuit after each prefix tick
+    i = 0
+    while True:
+        t = len(path)
+        if i == b:
+            if not path:
+                return b**horizon, None
+            i = path.pop() + 1
+            states.pop()
+            continue
+        row = rows[i]
+        stepped = [adv(h, t, row) for adv, h in zip(steppers, states[-1])]
+        outs = [o for _, o in stepped]
+        port = bad_port(outs)
+        if port is not None:
+            path.append(i)
+            # 1 + the lexicographic index of the prefix's first full trace.
+            cases = 1 + sum(j * b ** (horizon - 1 - k) for k, j in enumerate(path))
+            return cases, (tuple(rows[j] for j in path), port, outs)
+        if t + 1 < horizon:
+            path.append(i)
+            states.append(tuple(h for h, _ in stepped))
+            i = 0
+        else:
+            i += 1
+
+
+def _sample(circuits, traces, bad_port):
+    """Run each trace tick by tick through one memo per circuit.
+
+    Returns ``(cases, failure)`` like ``_explore``; cases counts the traces
+    run, and the failure's prefix is the trace cut at its first bad tick.
+    """
+    steppers = [_stepper(c) for c in circuits]
+    cases = 0
+    for rows in traces:
+        cases += 1
+        hists = [engine.initial_state(c).histories for c in circuits]
+        for t, row in enumerate(rows):
+            stepped = [adv(h, t, row) for adv, h in zip(steppers, hists)]
+            outs = [o for _, o in stepped]
+            port = bad_port(outs)
+            if port is not None:
+                return cases, (rows[: t + 1], port, outs)
+            hists = [h for h, _ in stepped]
+    return cases, None
+
+
+def _witness(s: Signature, prefix: tuple, port: int) -> Witness:
     # Outputs through tick t depend only on inputs through tick t, so the
-    # reported trace is cut there.
-    t, p = bad
-    return Witness(tr.prefix(t + 1), t, p)
+    # reported trace ends at the failing tick.
+    return Witness(PrefixTrace(s, prefix), len(prefix) - 1, port)
 
 
 def check_totality(
@@ -128,34 +234,23 @@ def check_totality(
                 f"{space} input traces exceed the budget of {max_cases}; "
                 "use the random strategy"
             )
-        cases = 0
-        for tr in _iter_traces(c.in_ports, horizon, concrete=True):
-            cases += 1
-            bad = _first_bot(simulate(c, tr, horizon))
-            if bad is not None:
-                return TotalityReport(
-                    False, horizon, strategy, cases, _witness(tr, bad)
-                )
-        return TotalityReport(True, horizon, strategy, cases)
-    if strategy == "random":
+        rows = list(c.in_ports.concrete_tuples())
+        cases, bad = _explore([c], rows, horizon, _undefined_port)
+    elif strategy == "random":
         rng = random.Random(seed)
-        for i in range(samples):
-            tr = random_trace(rng, c.in_ports, horizon, p_bot=0.0)
-            bad = _first_bot(simulate(c, tr, horizon))
-            if bad is not None:
-                return TotalityReport(
-                    False, horizon, strategy, i + 1, _witness(tr, bad)
-                )
-        return TotalityReport(True, horizon, strategy, samples)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _first_mismatch(a: PrefixTrace, b: PrefixTrace) -> tuple[int, int] | None:
-    for t, (r1, r2) in enumerate(zip(a.rows, b.rows)):
-        for p, (x, y) in enumerate(zip(r1, r2)):
-            if x is not y and x != y:
-                return (t, p)
-    return None
+        traces = (
+            random_trace(rng, c.in_ports, horizon, p_bot=0.0).rows
+            for _ in range(samples)
+        )
+        cases, bad = _sample([c], traces, _undefined_port)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if bad is None:
+        return TotalityReport(True, horizon, strategy, cases)
+    prefix, port, _ = bad
+    return TotalityReport(
+        False, horizon, strategy, cases, _witness(c.in_ports, prefix, port)
+    )
 
 
 def check_equiv(
@@ -185,35 +280,22 @@ def check_equiv(
                 f"{space} input traces exceed the budget of {max_cases}; "
                 "use the random strategy"
             )
-        it = _iter_traces(c1.in_ports, horizon, concrete=False)
-        total = None
+        rows = list(c1.in_ports.tuples())
+        cases, bad = _explore([c1, c2], rows, horizon, _mismatched_port)
     elif strategy == "random":
         rng = random.Random(seed)
-        it = (
-            random_trace(rng, c1.in_ports, horizon, p_bot=p_bot)
+        traces = (
+            random_trace(rng, c1.in_ports, horizon, p_bot=p_bot).rows
             for _ in range(samples)
         )
-        total = samples
+        cases, bad = _sample([c1, c2], traces, _mismatched_port)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    cases = 0
-    for tr in it:
-        cases += 1
-        o1 = simulate(c1, tr, horizon)
-        o2 = simulate(c2, tr, horizon)
-        bad = _first_mismatch(o1, o2)
-        if bad is not None:
-            t, p = bad
-            return EquivReport(
-                False,
-                horizon,
-                strategy,
-                cases,
-                _witness(tr, bad),
-                o1.rows[t],
-                o2.rows[t],
-            )
-    return EquivReport(True, horizon, strategy, cases if total is None else total)
+    if bad is None:
+        return EquivReport(True, horizon, strategy, cases)
+    prefix, port, (left, right) = bad
+    witness = _witness(c1.in_ports, prefix, port)
+    return EquivReport(False, horizon, strategy, cases, witness, left, right)
 
 
 def _gate_bot_free_total(gate) -> bool:

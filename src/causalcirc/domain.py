@@ -314,27 +314,6 @@ def is_monotone(f: MonotoneFn, cap: EnumCap = DEFAULT_CAP) -> bool:
     return find_monotonicity_violation(f, cap) is None
 
 
-def spot_check_monotone(f: MonotoneFn, samples: int = 1000, seed: int = 0) -> None:
-    """Randomized monotonicity probe for functions too large to enumerate.
-
-    Draws random comparable pairs by lowering random coordinates of a random
-    tuple to bottom.  Raises SignatureError on a violation.
-    """
-    import random
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        hi = tuple(rng.choice(b.values) for b in f.dom.wires)
-        mid = tuple(x if rng.random() < 0.5 else BOT for x in hi)
-        lo = tuple(x if rng.random() < 0.5 else BOT for x in mid)
-        for a, b in ((lo, mid), (mid, hi)):
-            if not tuple_leq(f.fn(a), f.fn(b)):
-                raise SignatureError(
-                    f"function {f.name!r} is not monotone: {a!r} <= {b!r} "
-                    f"but {f.fn(a)!r} !<= {f.fn(b)!r}"
-                )
-
-
 def kleene_bound(s: Signature) -> int:
     """Certified stabilization cap for Kleene iteration: one step per wire, plus one.
 

@@ -10,25 +10,20 @@ what lets a feedback loop through them settle on a non-bottom value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .domain import (
     BOOL,
     BOT,
-    Atom,
     BaseType,
-    CapError,
-    DEFAULT_CAP,
-    EnumCap,
     LValue,
     MonotoneFn,
     Signature,
     SignatureError,
     WireTuple,
-    find_monotonicity_violation,
     is_int_range,
     sig,
-    spot_check_monotone,
 )
 
 # How the gate's function was obtained; printing and equality depend on it.
@@ -42,8 +37,10 @@ class GateDef:
     """A named, reusable monotone function with printing metadata.
 
     ``concrete_table`` is the bottom-free graph for strict gates built from
-    rows.  Equality is structural: name, kind, signatures, and tables; the
-    wrapped callable itself is not compared.
+    rows.  Equality compares name, kind, signatures and tables; a gate with
+    neither table is only equal to one wrapping the very same callable.
+    Builtin constructors are memoized so that equal requests (a netlist
+    round trip, say) get the same gate back.
     """
 
     name: str
@@ -70,6 +67,11 @@ class GateDef:
             and self.cod == other.cod
             and self.fn.table == other.fn.table
             and self.concrete_table == other.concrete_table
+            and (
+                self.fn.table is not None
+                or self.concrete_table is not None
+                or self.fn.fn is other.fn.fn
+            )
         )
 
     def __hash__(self) -> int:
@@ -158,44 +160,57 @@ def _pand(x: LValue, y: LValue) -> LValue:
     return BOT
 
 
+@cache
 def por() -> GateDef:
     """Parallel or: non-strict in either input."""
     f = MonotoneFn(sig(BOOL, BOOL), sig(BOOL), lambda t: (_por(t[0], t[1]),), "por")
     return GateDef("por", f, KIND_TABLE, builtin=True)
 
 
+@cache
 def pand() -> GateDef:
     """Parallel and: non-strict dual of por."""
     f = MonotoneFn(sig(BOOL, BOOL), sig(BOOL), lambda t: (_pand(t[0], t[1]),), "pand")
     return GateDef("pand", f, KIND_TABLE, builtin=True)
 
 
+@cache
 def not_gate() -> GateDef:
     return strict_lift("not", sig(BOOL), sig(BOOL), lambda t: (1 - t[0],))
 
 
+@cache
 def and_gate() -> GateDef:
     return strict_lift("and", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] & t[1],))
 
 
+@cache
 def or_gate() -> GateDef:
     return strict_lift("or", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] | t[1],))
 
 
+@cache
 def xor_gate() -> GateDef:
     return strict_lift("xor", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] ^ t[1],))
 
 
+@cache
 def nand_gate() -> GateDef:
     return strict_lift("nand", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] & t[1]),))
 
 
+@cache
 def nor_gate() -> GateDef:
     return strict_lift("nor", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] | t[1]),))
 
 
 def mux_gate(base: BaseType = BOOL) -> GateDef:
     """Strict select: (sel, a, b) -> a when sel is 1, b when sel is 0."""
+    return _mux_gate(base)
+
+
+@cache
+def _mux_gate(base: BaseType, /) -> GateDef:
     return strict_lift(
         "mux",
         sig(BOOL, base, base),
@@ -204,7 +219,8 @@ def mux_gate(base: BaseType = BOOL) -> GateDef:
     )
 
 
-def add_gate(base: BaseType) -> GateDef:
+@cache
+def add_gate(base: BaseType, /) -> GateDef:
     """Wrapping addition on an integer-range base type."""
     if not is_int_range(base):
         raise SignatureError(f"add needs an integer range, got {base.name!r}")
@@ -218,14 +234,16 @@ def add_gate(base: BaseType) -> GateDef:
     )
 
 
-def eq_gate(base: BaseType) -> GateDef:
+@cache
+def eq_gate(base: BaseType, /) -> GateDef:
     """Strict equality test, boolean output."""
     return strict_lift(
         "eq", sig(base, base), sig(BOOL), lambda t: (1 if t[0] == t[1] else 0,)
     )
 
 
-def lt_gate(base: BaseType) -> GateDef:
+@cache
+def lt_gate(base: BaseType, /) -> GateDef:
     if not all(isinstance(a, int) for a in base.values):
         raise SignatureError(f"lt needs integer values, got {base.name!r}")
     return strict_lift(
@@ -233,13 +251,15 @@ def lt_gate(base: BaseType) -> GateDef:
     )
 
 
-def identity_gate(base: BaseType) -> GateDef:
+@cache
+def identity_gate(base: BaseType, /) -> GateDef:
     return GateDef(
         "id", MonotoneFn(sig(base), sig(base), lambda t: t, "id"), KIND_WIRING
     )
 
 
-def dup_gate(base: BaseType) -> GateDef:
+@cache
+def dup_gate(base: BaseType, /) -> GateDef:
     """Fanout: one wire in, the same value on two wires out."""
     return GateDef(
         "dup",
@@ -248,14 +268,16 @@ def dup_gate(base: BaseType) -> GateDef:
     )
 
 
-def sink_gate(base: BaseType) -> GateDef:
+@cache
+def sink_gate(base: BaseType, /) -> GateDef:
     """Discard: one wire in, nothing out."""
     return GateDef(
         "sink", MonotoneFn(sig(base), sig(), lambda t: (), "sink"), KIND_WIRING
     )
 
 
-def swap_gate(b1: BaseType, b2: BaseType) -> GateDef:
+@cache
+def swap_gate(b1: BaseType, b2: BaseType, /) -> GateDef:
     return GateDef(
         "swap",
         MonotoneFn(sig(b1, b2), sig(b2, b1), lambda t: (t[1], t[0]), "swap"),
@@ -271,52 +293,3 @@ def const_gate(base: BaseType, value: LValue) -> GateDef:
     f = MonotoneFn(sig(), sig(base), lambda t: (value,), f"const:{label}")
     f.table = {(): (value,)}
     return GateDef("const", f, KIND_WIRING)
-
-
-def wiring_gates(base: BaseType) -> dict[str, GateDef]:
-    """The plumbing gates over one base type, constants included."""
-    out = {
-        "id": identity_gate(base),
-        "dup": dup_gate(base),
-        "sink": sink_gate(base),
-        "swap": swap_gate(base, base),
-    }
-    for v in base.values:
-        out[f"const:{v}"] = const_gate(base, v)
-    return out
-
-
-class GateRegistry:
-    """Name-to-gate map with a monotonicity check at registration.
-
-    Reads are plain dict lookups and safe to share across threads once the
-    single-threaded setup phase is over.
-    """
-
-    def __init__(self) -> None:
-        self._gates: dict[str, GateDef] = {}
-
-    def register(self, gate: GateDef, cap: EnumCap = DEFAULT_CAP) -> GateDef:
-        if gate.name in self._gates:
-            raise SignatureError(f"gate {gate.name!r} is already registered")
-        try:
-            bad = find_monotonicity_violation(gate.fn, cap)
-        except CapError:
-            spot_check_monotone(gate.fn)
-            bad = None
-        if bad is not None:
-            raise SignatureError(f"gate {gate.name!r} is not monotone at {bad!r}")
-        self._gates[gate.name] = gate
-        return gate
-
-    def get(self, name: str) -> GateDef:
-        try:
-            return self._gates[name]
-        except KeyError:
-            raise SignatureError(f"no gate named {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._gates
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._gates))

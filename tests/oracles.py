@@ -6,9 +6,12 @@ no iteration tricks, so a disagreement points at the optimised code.
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
-from causalcirc import MonotoneFn, Signature, tuple_leq
+from causalcirc import BOT, CapError, MonotoneFn, Signature, tuple_leq
+from causalcirc.analysis import EquivReport, TotalityReport, Witness
+from causalcirc.engine import PrefixTrace, random_trace, simulate
 
 
 def brute_fixed_points(f: MonotoneFn) -> list[tuple]:
@@ -92,3 +95,103 @@ def brute_trace(f: MonotoneFn, k: int) -> dict[tuple, tuple]:
         assert x0 is not None, "a monotone loop must close"
         out[a] = f.fn(a + x0)[: len(f.cod) - k]
     return out
+
+
+# -- bounded checks, one full trace at a time ----------------------------
+
+
+def _iter_traces(s: Signature, horizon: int, concrete: bool):
+    rows = list(s.concrete_tuples() if concrete else s.tuples())
+    for combo in product(rows, repeat=horizon):
+        yield PrefixTrace(s, combo)
+
+
+def _first_bot(trace: PrefixTrace) -> tuple[int, int] | None:
+    for t, row in enumerate(trace.rows):
+        for p, x in enumerate(row):
+            if x is BOT:
+                return (t, p)
+    return None
+
+
+def _first_mismatch(a: PrefixTrace, b: PrefixTrace) -> tuple[int, int] | None:
+    for t, (r1, r2) in enumerate(zip(a.rows, b.rows)):
+        for p, (x, y) in enumerate(zip(r1, r2)):
+            if x is not y and x != y:
+                return (t, p)
+    return None
+
+
+def _witness(tr: PrefixTrace, bad: tuple[int, int]) -> Witness:
+    t, p = bad
+    return Witness(tr.prefix(t + 1), t, p)
+
+
+def trace_by_trace_totality(
+    c, horizon, strategy="exhaustive", samples=1000, seed=0, max_cases=200_000
+) -> TotalityReport:
+    """``check_totality`` by simulating every trace in full from tick 0."""
+    if strategy == "exhaustive":
+        space = c.in_ports.concrete_count() ** horizon
+        if space > max_cases:
+            raise CapError(f"{space} input traces exceed the budget of {max_cases}")
+        cases = 0
+        for tr in _iter_traces(c.in_ports, horizon, concrete=True):
+            cases += 1
+            bad = _first_bot(simulate(c, tr, horizon))
+            if bad is not None:
+                return TotalityReport(
+                    False, horizon, strategy, cases, _witness(tr, bad)
+                )
+        return TotalityReport(True, horizon, strategy, cases)
+    rng = random.Random(seed)
+    for i in range(samples):
+        tr = random_trace(rng, c.in_ports, horizon, p_bot=0.0)
+        bad = _first_bot(simulate(c, tr, horizon))
+        if bad is not None:
+            return TotalityReport(False, horizon, strategy, i + 1, _witness(tr, bad))
+    return TotalityReport(True, horizon, strategy, samples)
+
+
+def trace_by_trace_equiv(
+    c1,
+    c2,
+    horizon,
+    strategy="exhaustive",
+    samples=1000,
+    seed=0,
+    max_cases=200_000,
+    p_bot=0.25,
+) -> EquivReport:
+    """``check_equiv`` by simulating both circuits on every trace in full."""
+    if strategy == "exhaustive":
+        space = c1.in_ports.count() ** horizon
+        if space > max_cases:
+            raise CapError(f"{space} input traces exceed the budget of {max_cases}")
+        it = _iter_traces(c1.in_ports, horizon, concrete=False)
+        total = None
+    else:
+        rng = random.Random(seed)
+        it = (
+            random_trace(rng, c1.in_ports, horizon, p_bot=p_bot)
+            for _ in range(samples)
+        )
+        total = samples
+    cases = 0
+    for tr in it:
+        cases += 1
+        o1 = simulate(c1, tr, horizon)
+        o2 = simulate(c2, tr, horizon)
+        bad = _first_mismatch(o1, o2)
+        if bad is not None:
+            t, _ = bad
+            return EquivReport(
+                False,
+                horizon,
+                strategy,
+                cases,
+                _witness(tr, bad),
+                o1.rows[t],
+                o2.rows[t],
+            )
+    return EquivReport(True, horizon, strategy, cases if total is None else total)

@@ -3,17 +3,32 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from causalcirc import engine
 from causalcirc.analysis import (
     check_equiv,
     check_totality,
     totality_guarantee,
 )
-from causalcirc.circuit import from_gate, trace_loop
-from causalcirc.domain import BOT, CapError, SignatureError
+from causalcirc.circuit import (
+    Circuit,
+    SrcIn,
+    SrcNode,
+    UnitDelay,
+    VarDelay,
+    from_gate,
+    trace_loop,
+)
+from causalcirc.domain import BOOL, BOT, CapError, MonotoneFn, SignatureError, sig
 from causalcirc.engine import simulate
-from causalcirc.gates import por
+from causalcirc.gates import KIND_STRICT, GateDef, por, strict_lift
 from causalcirc.netlist import parse_netlist
-from causalcirc.random_circuits import GenConfig, random_contractive_circuit
+from causalcirc.random_circuits import (
+    GenConfig,
+    random_circuit,
+    random_contractive_circuit,
+)
+
+import oracles
 
 
 def load(path: str):
@@ -154,3 +169,141 @@ def test_equiv_sees_through_gate_rearrangement():
         horizon=3,
     )
     assert rep.equivalent
+
+
+# -- prefix walk and per-check memo -----------------------------------------
+
+
+def _report_or_cap(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except CapError:  # both sides must refuse the same spaces
+        return "over budget"
+
+
+def _corpus():
+    rng = random.Random(2024)
+    cfg = GenConfig(max_inputs=2, max_nodes=6, p_vardelay=0.3)
+    pool = [random_circuit(rng, cfg) for _ in range(40)]
+    pool.append(load("circuits/wobble.net"))
+    pool.append(load("circuits/bot_delay.net"))
+    return pool
+
+
+def test_prefix_walk_matches_the_trace_by_trace_checks():
+    pool = _corpus()
+    delays = [n for c in pool for n in c.nodes if isinstance(n, (UnitDelay, VarDelay))]
+    assert any(isinstance(n, VarDelay) for n in delays)
+    assert any(n.init is BOT for n in delays)
+    verdicts = set()
+    for i, c in enumerate(pool):
+        for h in range(5):
+            for kw in ({}, {"strategy": "random", "samples": 15, "seed": i}):
+                got = _report_or_cap(check_totality, c, h, **kw)
+                want = _report_or_cap(oracles.trace_by_trace_totality, c, h, **kw)
+                assert got == want, (i, h, kw)
+                verdicts.add(got.total)
+    by_ports: dict = {}
+    for c in pool:
+        by_ports.setdefault((c.in_ports, c.out_ports), []).append(c)
+    for cs in by_ports.values():
+        for a, b in zip(cs, cs[1:] + cs[:1]):
+            for h in range(5):
+                for kw in (
+                    {"max_cases": 1000},
+                    {"strategy": "random", "samples": 15, "seed": h},
+                ):
+                    got = _report_or_cap(check_equiv, a, b, h, **kw)
+                    want = _report_or_cap(oracles.trace_by_trace_equiv, a, b, h, **kw)
+                    assert got == want, (h, kw)
+                    if got != "over budget":
+                        verdicts.add(("equiv", got.equivalent))
+    assert verdicts == {True, False, ("equiv", True), ("equiv", False)}
+
+
+def _count_steps(monkeypatch):
+    calls = []
+    real = engine.step
+
+    def counting(state, row):
+        calls.append(state.t)
+        return real(state, row)
+
+    monkeypatch.setattr(engine, "step", counting)
+    return calls
+
+
+def test_exhaustive_checks_step_each_prefix_at_most_once(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    rng = random.Random(3)
+    cfg = GenConfig(max_inputs=2, max_nodes=6, bot_free_inits=True)
+    checked = 0
+    for _ in range(20):
+        c = random_contractive_circuit(rng, cfg)
+        if not totality_guarantee(c):
+            continue
+        b = c.in_ports.concrete_count()
+        for h in range(5):
+            calls.clear()
+            rep = check_totality(c, h)
+            assert rep.total and rep.cases == b**h
+            assert len(calls) <= sum(b**k for k in range(1, h + 1))
+        checked += 1
+    assert checked >= 5
+    calls.clear()
+    rep = check_equiv(load("circuits/diag_left.net"), load("circuits/diag_right.net"), 4)
+    assert rep.equivalent
+    assert len(calls) <= 2 * sum(3**k for k in range(1, 5))
+
+
+def test_equal_comparing_circuits_never_share_a_memo():
+    b = sig(BOOL)
+    # Equality trusts a gate's table, so these two compare equal while
+    # computing different things.
+    table = {(0,): (0,), (1,): (1,)}
+
+    def gate(fn):
+        return GateDef("f", MonotoneFn(b, b, fn, "f"), KIND_STRICT, False, table)
+
+    ident = from_gate(gate(lambda t: t))
+    negate = from_gate(gate(lambda t: (BOT,) if t[0] is BOT else (1 - t[0],)))
+    assert ident == negate and hash(ident) == hash(negate)
+    rep = check_equiv(ident, negate, horizon=2)
+    assert not rep.equivalent
+    # First failing trace in order: undefined, then 0.
+    assert rep.witness.inputs.rows == ((BOT,), (0,))
+    assert (rep.left, rep.right, rep.cases) == ((0,), (1,), 2)
+    assert rep == oracles.trace_by_trace_equiv(ident, negate, 2)
+    assert not check_equiv(ident, negate, 2, strategy="random", samples=20).equivalent
+    # One check after another: the second must not reuse the first's memo.
+    ref = from_gate(strict_lift("g", b, b, lambda t: t))
+    assert check_equiv(ident, ref, horizon=2).equivalent
+    assert not check_equiv(negate, ref, horizon=2).equivalent
+
+
+def test_a_failure_is_reported_even_if_a_later_tick_would_raise():
+    b = sig(BOOL)
+
+    def boom(t):
+        if t[0] == 0:
+            raise ValueError("boom")
+        return t
+
+    # y0 is undefined at tick 0; y1 raises at tick 1 after a 0 input.
+    c = Circuit(
+        in_ports=b,
+        out_ports=sig(BOOL, BOOL),
+        nodes=(
+            UnitDelay(BOOL, BOT),
+            UnitDelay(BOOL, 1),
+            strict_lift("boom", b, b, boom),
+        ),
+        node_inputs=((SrcIn(0),), (SrcIn(0),), (SrcNode(1, 0),)),
+        outputs=(SrcNode(0, 0), SrcNode(2, 0)),
+    )
+    with pytest.raises(ValueError):
+        oracles.trace_by_trace_totality(c, 2)
+    rep = check_totality(c, 2)
+    assert not rep.total
+    assert (rep.cases, rep.witness.tick, rep.witness.port) == (1, 0, 0)
+    assert rep.witness.inputs.rows == ((0,),)

@@ -27,7 +27,6 @@ from causalcirc.domain import (
     local_lfp,
     product_height_bound,
     sig,
-    spot_check_monotone,
     trace,
     tuple_leq,
     up_set,
@@ -167,19 +166,6 @@ def test_find_monotonicity_violation_reports_a_pair():
     assert not tuple_leq(bad.fn(lo), bad.fn(hi))
     assert not is_monotone(bad)
     assert is_monotone(por().fn)
-
-
-def test_spot_check_accepts_monotone_functions():
-    rng = random.Random(7)
-    for _ in range(20):
-        f = random_monotone(BB, B, rng)
-        spot_check_monotone(f, samples=200, seed=3)
-
-
-def test_spot_check_catches_a_blatant_violation():
-    bad = MonotoneFn(B, B, lambda t: (1,) if t[0] is BOT else (0,))
-    with pytest.raises(SignatureError):
-        spot_check_monotone(bad, samples=500, seed=1)
 
 
 def test_apply_checks_both_ends():

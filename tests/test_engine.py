@@ -217,9 +217,9 @@ def test_outputs_rise_with_inputs(seed):
 
 
 def test_equal_looking_gates_with_different_functions_simulate_apart():
-    # Gates built from Python callables compare equal when name, kind and
-    # signatures agree, so a plan cache keyed on equality would share one
-    # compiled circuit between them.
+    # Same name, kind and signatures, different callables: a plan cache
+    # that matched gates by their metadata would share one compiled
+    # circuit between them.
     b = sig(BOOL)
     ident = from_gate(strict_lift("f", b, b, lambda t: t))
     negate = from_gate(strict_lift("f", b, b, lambda t: (1 - t[0],)))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from causalcirc.circuit import from_gate
 from causalcirc.domain import (
     BOOL,
     BOT,
@@ -14,7 +15,6 @@ from causalcirc.domain import (
     sig,
 )
 from causalcirc.gates import (
-    GateRegistry,
     add_gate,
     and_gate,
     const_gate,
@@ -34,7 +34,6 @@ from causalcirc.gates import (
     strict_lift_table,
     swap_gate,
     table_gate,
-    wiring_gates,
     xor_gate,
 )
 
@@ -151,12 +150,6 @@ def test_const_gate():
         const_gate(BOOL, 2)
 
 
-def test_wiring_gates_map_covers_constants():
-    gs = wiring_gates(BOOL)
-    assert set(gs) == {"id", "dup", "sink", "swap", "const:0", "const:1"}
-    assert gs["const:1"].fn.apply(()) == (1,)
-
-
 # -- table gates ----------------------------------------------------------
 
 
@@ -184,7 +177,7 @@ def test_table_gate_requires_all_lifted_rows():
         table_gate("partial", B, B, rows)
 
 
-# -- equality and registry ------------------------------------------------
+# -- equality -------------------------------------------------------------
 
 
 def test_gate_equality_is_structural():
@@ -197,28 +190,18 @@ def test_gate_equality_is_structural():
     )
 
 
-def test_registry_round_trip_and_duplicates():
-    reg = GateRegistry()
-    reg.register(por())
-    reg.register(pand())
-    assert reg.get("por") == por()
-    assert "por" in reg
-    assert {"por", "pand"} <= set(reg.names())
-    with pytest.raises(SignatureError):
-        reg.register(por())
-    with pytest.raises(SignatureError):
-        reg.get("missing")
+def test_gates_without_a_table_compare_their_callables():
+    ident = strict_lift("f", B, B, lambda t: t)
+    negate = strict_lift("f", B, B, lambda t: (1 - t[0],))
+    assert ident != negate
+    assert from_gate(ident) != from_gate(negate)
+    assert ident == ident
+    # Builtins are memoized, so rebuilding one gives the same gate back.
+    assert not_gate() is not_gate()
+    assert mux_gate() is mux_gate(BOOL)
+    assert identity_gate(BOOL) == identity_gate(BOOL)
+    assert swap_gate(BOOL, UNIT) != swap_gate(UNIT, BOOL)
 
-
-def test_registry_rejects_non_monotone_gates():
-    from causalcirc.domain import MonotoneFn
-    from causalcirc.gates import GateDef, KIND_TABLE
-
-    bad_fn = MonotoneFn(B, B, lambda t: (1,) if t[0] is BOT else (0,))
-    bad = GateDef("bad", bad_fn, KIND_TABLE, builtin=False)
-    reg = GateRegistry()
-    with pytest.raises(SignatureError):
-        reg.register(bad)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -1,0 +1,39 @@
+"""Smoke tests: each script in scripts/ runs to completion at a small size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv: str) -> subprocess.CompletedProcess:
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scripts/demo_sim.py", "--ticks", "3"),
+        ("scripts/totality_survey.py", "--count", "3", "--horizon", "3"),
+        ("scripts/law_sweep.py", "--cap", "200", "--samples", "20"),
+    ],
+    ids=["demo_sim", "totality_survey", "law_sweep"],
+)
+def test_script_runs(argv):
+    proc = run_script(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert "SOUNDNESS VIOLATED" not in proc.stdout

@@ -7,7 +7,8 @@ The package splits into a small stack:
   forms;
 * ``gates``: strict lifts, the parallel or/and pair, wiring gates;
 * ``circuit``: the structural IR, builders, validation, contractivity;
-* ``comb``: delay-free evaluation by whole-vector iteration;
+* ``comb``: compiled wiring and delay-free evaluation, both settled by
+  whole-vector iteration;
 * ``engine``: tick-by-tick simulation with per-tick fixed points;
 * ``analysis``: bounded totality and equivalence checks;
 * ``laws``: equational sweeps for the fixed-point operator;

@@ -212,6 +212,15 @@ def _sample(circuits, traces, bad_port):
     return cases, None
 
 
+def _check_bounds(horizon: int, strategy: str, samples: int) -> None:
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
+    if strategy == "random" and samples < 1:
+        raise ValueError(
+            f"the random strategy needs at least 1 sample, got {samples}"
+        )
+
+
 def _witness(s: Signature, prefix: tuple, port: int) -> Witness:
     # Outputs through tick t depend only on inputs through tick t, so the
     # reported trace ends at the failing tick.
@@ -226,7 +235,12 @@ def check_totality(
     seed: int = 0,
     max_cases: int = 200_000,
 ) -> TotalityReport:
-    """Do bottom-free input traces stay bottom-free through the circuit?"""
+    """Do bottom-free input traces stay bottom-free through the circuit?
+
+    A negative horizon, or fewer than one sample for the random strategy,
+    raises ValueError.
+    """
+    _check_bounds(horizon, strategy, samples)
     if strategy == "exhaustive":
         space = _trace_space(c.in_ports, horizon, concrete=True)
         if space > max_cases:
@@ -266,13 +280,15 @@ def check_equiv(
     """Do two circuits emit identical output traces up to the horizon?
 
     Inputs range over lifted tuples, so disagreement on partially undefined
-    inputs counts.  The circuits must share both port signatures.
+    inputs counts.  The circuits must share both port signatures.  The
+    horizon and sample count are bounded as for ``check_totality``.
     """
     if c1.in_ports != c2.in_ports or c1.out_ports != c2.out_ports:
         raise SignatureError(
             f"circuits have different port signatures: {c1.in_ports!r} -> "
             f"{c1.out_ports!r} vs {c2.in_ports!r} -> {c2.out_ports!r}"
         )
+    _check_bounds(horizon, strategy, samples)
     if strategy == "exhaustive":
         space = _trace_space(c1.in_ports, horizon, concrete=False)
         if space > max_cases:

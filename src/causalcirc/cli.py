@@ -117,12 +117,15 @@ def cmd_canon(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    cfg = laws.LawConfig(
-        budget=args.budget,
-        pair_budget=args.cap,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    try:
+        cfg = laws.LawConfig(
+            budget=args.budget,
+            pair_budget=args.cap,
+            samples=args.samples,
+            seed=args.seed,
+        )
+    except ValueError as e:
+        raise _Usage(str(e)) from None
     try:
         results = laws.run_laws(cfg)
     except CapError as e:
@@ -170,21 +173,24 @@ def cmd_laws(args) -> int:
     return 0
 
 
+def _strategy(args) -> dict:
+    """The check's strategy keywords: random with ``--samples N``, else exhaustive."""
+    if args.samples is None:
+        return {"strategy": "exhaustive"}
+    return {"strategy": "random", "samples": args.samples}
+
+
 def cmd_equiv(args) -> int:
     c1 = _load_circuit(args.file1)
     c2 = _load_circuit(args.file2)
-    strategy = "random" if args.samples is not None else "exhaustive"
     try:
         rep = analysis.check_equiv(
-            c1,
-            c2,
-            args.horizon,
-            strategy=strategy,
-            samples=args.samples or 1000,
-            seed=args.seed,
+            c1, c2, args.horizon, seed=args.seed, **_strategy(args)
         )
     except CapError as e:
         raise _Usage(f"{e}; pass --samples N") from None
+    except ValueError as e:
+        raise _Usage(str(e)) from None
     if args.json:
         print(json.dumps(rep.to_json(), indent=2))
         return 0 if rep.equivalent else 1
@@ -206,17 +212,14 @@ def cmd_equiv(args) -> int:
 
 def cmd_totality(args) -> int:
     c = _load_circuit(args.file)
-    strategy = "random" if args.samples is not None else "exhaustive"
     try:
         rep = analysis.check_totality(
-            c,
-            args.horizon,
-            strategy=strategy,
-            samples=args.samples or 1000,
-            seed=args.seed,
+            c, args.horizon, seed=args.seed, **_strategy(args)
         )
     except CapError as e:
         raise _Usage(f"{e}; pass --samples N") from None
+    except ValueError as e:
+        raise _Usage(str(e)) from None
     if args.json:
         out = rep.to_json()
         out["guaranteed"] = analysis.totality_guarantee(c)

@@ -1,11 +1,11 @@
 """Delay-free evaluation: the whole wire vector is iterated to a fixed point.
 
 The wire vector lists every node output port, then every feedback wire.
-One propagation step recomputes all of them simultaneously from the previous
-vector, so the step function is monotone and the iteration from all-bottom
-reaches the least fixed point within (wire count)+1 steps.  Acyclic circuits
-without feedback wires take a topological fast path; the fixed-point path is
-kept as the reference and the two must agree.
+Compiling a circuit resolves every source a node input, feedback wire or
+output port reads to one slot of the flat tuple ``inputs + vector``.  One
+propagation step (a sweep) recomputes all wires simultaneously from the
+previous vector, so the step function is monotone and ``domain``'s Kleene
+loop reaches the least fixed point within (wire count)+1 sweeps.
 """
 
 from __future__ import annotations
@@ -15,23 +15,13 @@ from typing import Callable
 from .circuit import (
     Circuit,
     SrcIn,
-    SrcLoop,
     SrcNode,
     UnitDelay,
     VarDelay,
     check_valid,
     node_out_sig,
 )
-from .domain import (
-    BOT,
-    DivergenceError,
-    MonotoneFn,
-    SignatureError,
-    WireTuple,
-)
-
-# A reader takes (inputs, vector) and returns one wire value.
-Reader = Callable[[WireTuple, tuple], "object"]
+from .domain import BOT, MonotoneFn, SignatureError, WireTuple, _kleene
 
 
 class Propagator:
@@ -43,134 +33,83 @@ class Propagator:
     """
 
     def __init__(self, c: Circuit):
-        self.circuit = c
         base = []
-        w = 0
+        w = len(c.in_ports)
         for node in c.nodes:
             base.append(w)
             w += len(node_out_sig(node))
-        self.node_base = base
-        self.loop_base = w
-        self.n_wires = w + len(c.loops)
+        loop_base = w
 
-        def reader(src) -> Reader:
+        def slot(src) -> int:
             if isinstance(src, SrcIn):
-                i = src.index
-                return lambda ins, vec: ins[i]
+                return src.index
             if isinstance(src, SrcNode):
-                j = base[src.node] + src.port
-                return lambda ins, vec: vec[j]
-            j = self.loop_base + src.index
-            return lambda ins, vec: vec[j]
+                return base[src.node] + src.port
+            return loop_base + src.index
 
-        # Per node: (kind tag, arg readers, gate fn or None).
-        self.plan: list[tuple[bool, tuple[Reader, ...], Callable | None]] = []
-        for node, ins in zip(c.nodes, c.node_inputs):
-            rs = tuple(reader(s) for s in ins)
+        self.n_wires = w - len(c.in_ports) + len(c.loops)
+        self.bot = (BOT,) * self.n_wires
+        # Per node: (kind tag, argument slots, gate fn or None); per delay
+        # node: its index and the slot of its s input.
+        self.plan: list[tuple[bool, tuple[int, ...], Callable | None]] = []
+        self.delay_slots: list[tuple[int, int]] = []
+        for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs)):
+            slots = tuple(slot(s) for s in ins)
             if isinstance(node, (UnitDelay, VarDelay)):
-                self.plan.append((True, rs, None))
+                self.plan.append((True, slots, None))
+                self.delay_slots.append((i, slots[0]))
             else:
-                self.plan.append((False, rs, node.fn.fn))
-        self.loop_readers = tuple(reader(lw.src) for lw in c.loops)
-        self.output_readers = tuple(reader(s) for s in c.outputs)
-        self.delay_nodes = tuple(
-            i
-            for i, node in enumerate(c.nodes)
-            if isinstance(node, (UnitDelay, VarDelay))
-        )
+                self.plan.append((False, slots, node.fn.fn))
+        self.loop_slots = tuple(slot(lw.src) for lw in c.loops)
+        self.out_slots = tuple(slot(s) for s in c.outputs)
 
-    def read(self, src, inputs: WireTuple, vec: tuple):
-        if isinstance(src, SrcIn):
-            return inputs[src.index]
-        if isinstance(src, SrcNode):
-            return vec[self.node_base[src.node] + src.port]
-        return vec[self.loop_base + src.index]
-
-    def sweep(self, inputs: WireTuple, vec: tuple, delay_out=None) -> tuple:
-        """One simultaneous recomputation of the whole wire vector."""
+    def sweep(self, t: tuple, delay_out=None) -> tuple:
+        """One simultaneous recomputation of the wire vector from ``t``,
+        which is the inputs followed by the previous vector."""
         out = []
-        for i, (is_delay, rs, fn) in enumerate(self.plan):
-            args = tuple(r(inputs, vec) for r in rs)
+        for i, (is_delay, slots, fn) in enumerate(self.plan):
+            args = tuple([t[j] for j in slots])
             if is_delay:
                 out.append(delay_out(i, args))
             else:
                 out.extend(fn(args))
-        for r in self.loop_readers:
-            out.append(r(inputs, vec))
+        out.extend([t[j] for j in self.loop_slots])
         return tuple(out)
 
     def solve(self, inputs: WireTuple, delay_out=None) -> tuple:
-        """Least fixed point of the wire vector for one input tuple."""
-        vec = (BOT,) * self.n_wires
-        for _ in range(self.n_wires + 1):
-            nxt = self.sweep(inputs, vec, delay_out)
-            if nxt == vec:
-                return vec
-            vec = nxt
-        raise DivergenceError(
-            f"wire vector did not settle within {self.n_wires + 1} sweeps; "
-            "a gate in this circuit is not monotone"
+        """``inputs`` followed by the least fixed point of the wire vector."""
+        sweep = self.sweep
+        settle = _kleene(
+            lambda t: sweep(t, delay_out), self.bot, "a gate in this circuit"
         )
+        return inputs + settle(inputs)
 
-    def outputs(self, inputs: WireTuple, vec: tuple) -> WireTuple:
-        return tuple(r(inputs, vec) for r in self.output_readers)
-
-    def topo_order(self) -> list[int] | None:
-        """Node order with sources first; None when feedback wires exist."""
-        c = self.circuit
-        if c.loops:
-            return None
-        deps: list[set[int]] = []
-        for ins in c.node_inputs:
-            deps.append({s.node for s in ins if isinstance(s, SrcNode)})
-        order: list[int] = []
-        done: set[int] = set()
-        ready = [i for i, d in enumerate(deps) if not d]
-        while ready:
-            i = ready.pop()
-            order.append(i)
-            done.add(i)
-            ready.extend(
-                j
-                for j, d in enumerate(deps)
-                if j not in done and j not in ready and d <= done
-            )
-        if len(order) != len(c.nodes):
-            return None
-        return order
-
-    def eval_topo(self, order: list[int], inputs: WireTuple) -> tuple:
-        """Single-pass evaluation along a topological order (delay-free only)."""
-        vec: list = [BOT] * self.n_wires
-        for i in order:
-            _, rs, fn = self.plan[i]
-            args = tuple(r(inputs, vec) for r in rs)
-            b = self.node_base[i]
-            for p, v in enumerate(fn(args)):
-                vec[b + p] = v
-        return tuple(vec)
+    def outputs(self, settled: tuple) -> WireTuple:
+        return tuple([settled[j] for j in self.out_slots])
 
 
-def denote(c: Circuit, strategy: str = "auto") -> MonotoneFn:
-    """The monotone function a delay-free circuit computes.
+def propagator(c: Circuit) -> Propagator:
+    """The validated, compiled wiring of ``c``, built once per instance.
 
-    ``strategy`` is "auto" (topological when possible), "fixpoint" (always
-    iterate; the reference semantics), or "topo" (fail if cyclic).
+    The plan is stashed on the instance, like ``Circuit._hash``.  A cache
+    keyed on equality would hand one circuit's plan to another: gates built
+    from Python callables compare equal whatever they compute.
     """
-    check_valid(c)
+    prop = c.__dict__.get("_plan")
+    if prop is None:
+        prop = Propagator(check_valid(c))
+        object.__setattr__(c, "_plan", prop)
+    return prop
+
+
+def denote(c: Circuit) -> MonotoneFn:
+    """The monotone function a delay-free circuit computes."""
+    prop = propagator(c)
     if c.has_delays():
         raise SignatureError("circuit contains delay nodes; simulate it instead")
-    prop = Propagator(c)
-    order = prop.topo_order() if strategy in ("auto", "topo") else None
-    if strategy == "topo" and order is None:
-        raise SignatureError("circuit has feedback wires; no topological order")
 
-    if order is not None:
-        def fn(t: WireTuple) -> WireTuple:
-            return prop.outputs(t, prop.eval_topo(order, t))
-    else:
-        def fn(t: WireTuple) -> WireTuple:
-            return prop.outputs(t, prop.solve(t))
+    def fn(t: WireTuple) -> WireTuple:
+        return prop.outputs(prop.solve(t))
 
     return MonotoneFn(c.in_ports, c.out_ports, fn, "denote")
 

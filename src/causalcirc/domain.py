@@ -331,33 +331,54 @@ def product_height_bound(s: Signature) -> int:
     return 2 ** len(s)
 
 
+def _kleene(fn: Callable[[WireTuple], WireTuple], bot: WireTuple, name: str):
+    """The least fixed point of ``x -> fn(a + x)`` as a function of ``a``.
+
+    This is the package's one Kleene loop: ``lfp``, ``kleene_steps``,
+    ``local_lfp``, ``trace`` and the circuit solver in ``comb`` all run it.
+    Iteration starts from ``bot`` and stops at the first repeated iterate;
+    ``len(bot) + 1`` steps always suffice for a monotone ``fn`` (see
+    ``kleene_bound``), so running out raises DivergenceError.  ``fn`` is
+    called directly, never through a wrapper per step: the law sweeps run
+    this loop for well over a hundred thousand solves each.
+    """
+    bound = len(bot) + 1
+
+    def solve(a: WireTuple) -> WireTuple:
+        x = bot
+        for _ in range(bound):
+            nxt = fn(a + x)
+            if nxt == x:
+                return x
+            x = nxt
+        at = f" at context {a!r}" if a else ""
+        raise DivergenceError(
+            f"no fixed point within {bound} iterations{at}; {name} is not monotone"
+        )
+
+    return solve
+
+
 def lfp(f: MonotoneFn) -> WireTuple:
     """Least fixed point of an endofunction, by iteration from all-bottom."""
     if f.dom != f.cod:
         raise SignatureError(f"lfp needs dom = cod, got {f.dom!r} -> {f.cod!r}")
-    t = f.dom.bottom()
-    for _ in range(len(f.dom) + 1):
-        nxt = f.fn(t)
-        if nxt == t:
-            return t
-        t = nxt
-    raise DivergenceError(
-        f"no fixed point within {len(f.dom) + 1} iterations; "
-        f"{f.name or 'the function'} is not monotone"
-    )
+    return _kleene(f.fn, f.dom.bottom(), f.name or "the function")(())
 
 
 def kleene_steps(f: MonotoneFn) -> int:
     """Index of the first repeated Kleene iterate (0 when bottom is already fixed)."""
     if f.dom != f.cod:
         raise SignatureError(f"kleene_steps needs dom = cod, got {f.dom!r} -> {f.cod!r}")
-    t = f.dom.bottom()
-    for i in range(len(f.dom) + 1):
-        nxt = f.fn(t)
-        if nxt == t:
-            return i
-        t = nxt
-    raise DivergenceError("iteration did not stabilize within its certified bound")
+    steps = 0
+
+    def counted(t: WireTuple) -> WireTuple:
+        nonlocal steps
+        steps += 1
+        return f.fn(t)
+
+    _kleene(counted, f.dom.bottom(), f.name or "the function")(())
+    return steps - 1
 
 
 def local_lfp(f: MonotoneFn, split: int) -> MonotoneFn:
@@ -369,62 +390,37 @@ def local_lfp(f: MonotoneFn, split: int) -> MonotoneFn:
     """
     if not 0 <= split <= len(f.dom):
         raise SignatureError(f"split index {split} out of range for {f.dom!r}")
-    ctx = f.dom[:split]
     loop = f.dom[split:]
     if loop != f.cod:
         raise SignatureError(
             f"loop part {loop!r} does not match codomain {f.cod!r}"
         )
-    bound = len(loop) + 1
-    bot = loop.bottom()
-    fn = f.fn
-
-    def solve(a: WireTuple) -> WireTuple:
-        x = bot
-        for _ in range(bound):
-            nxt = fn(a + x)
-            if nxt == x:
-                return x
-            x = nxt
-        raise DivergenceError(
-            f"no fixed point within {bound} iterations at context {a!r}; "
-            f"{f.name or 'the function'} is not monotone"
-        )
-
-    return MonotoneFn(ctx, f.cod, solve, f"mu({f.name})")
+    solve = _kleene(f.fn, loop.bottom(), f.name or "the function")
+    return MonotoneFn(f.dom[:split], f.cod, solve, f"mu({f.name})")
 
 
-def trace(f: MonotoneFn, k: int) -> MonotoneFn:
-    """Close the last k wires of f into a feedback loop.
+Mu: TypeAlias = Callable[[MonotoneFn, int], MonotoneFn]
 
-    ``f`` maps passthrough+loop wires to output+loop wires; the loop wires are
-    solved to their least fixed point per input, and the result maps the
-    passthrough wires to the output wires.
+
+def trace(f: MonotoneFn, k: int, mu: Mu) -> MonotoneFn:
+    """Close the last k wires of f into a feedback loop, solved by ``mu``.
+
+    ``f`` maps passthrough+loop wires to output+loop wires.  The loop wires
+    settle at ``mu`` of the loop projection of ``f``, and one more
+    application of ``f`` gives the outputs.  With ``mu = local_lfp`` that is
+    the least fixed point per input; the law sweeps pass the operator under
+    test instead.
     """
-    if not 0 <= k <= min(len(f.dom), len(f.cod)):
+    n_in, n_out = len(f.dom) - k, len(f.cod) - k
+    if k < 0 or n_in < 0 or n_out < 0:
         raise SignatureError(f"cannot trace {k} wires of {f.dom!r} -> {f.cod!r}")
-    n_in = len(f.dom) - k
-    n_out = len(f.cod) - k
-    if f.dom[n_in:] != f.cod[n_out:]:
-        raise SignatureError(
-            f"looped wires disagree: {f.dom[n_in:]!r} vs {f.cod[n_out:]!r}"
-        )
     loop = f.dom[n_in:]
-    bound = len(loop) + 1
-    bot = loop.bottom()
-    fn = f.fn
-
-    def traced(a: WireTuple) -> WireTuple:
-        x = bot
-        for _ in range(bound):
-            out = fn(a + x)
-            nxt = out[n_out:]
-            if nxt == x:
-                return out[:n_out]
-            x = nxt
-        raise DivergenceError(
-            f"loop did not settle within {bound} iterations at input {a!r}; "
-            f"{f.name or 'the function'} is not monotone"
+    if loop.wires != f.cod.wires[n_out:]:
+        raise SignatureError(
+            f"looped wires disagree: {loop!r} vs {f.cod[n_out:]!r}"
         )
-
-    return MonotoneFn(f.dom[:n_in], f.cod[:n_out], traced, f"trace({f.name},{k})")
+    fn = f.fn
+    m = mu(MonotoneFn(f.dom, loop, lambda t: fn(t)[n_out:], f.name), n_in).fn
+    # Left unnamed: the law sweeps build tens of thousands of traces per
+    # run, and formatting a name for each shows up in their time.
+    return MonotoneFn(f.dom[:n_in], f.cod[:n_out], lambda a: fn(a + m(a))[:n_out])

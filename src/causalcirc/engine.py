@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuit import Circuit, UnitDelay, VarDelay, check_valid
-from .comb import Propagator
+from .circuit import Circuit, UnitDelay, VarDelay
+from .comb import propagator
 from .domain import (
     BOT,
     LValue,
@@ -71,19 +71,8 @@ class SimState:
     t: int = 0
 
 
-def _propagator(c: Circuit) -> Propagator:
-    # Compiled once per instance and stashed on it, like ``Circuit._hash``.
-    # A cache keyed on equality would hand one circuit's plan to another:
-    # gates built from Python callables compare equal whatever they compute.
-    prop = c.__dict__.get("_plan")
-    if prop is None:
-        prop = Propagator(check_valid(c))
-        object.__setattr__(c, "_plan", prop)
-    return prop
-
-
 def initial_state(c: Circuit) -> SimState:
-    _propagator(c)
+    propagator(c)
     return SimState(c, ((),) * len(c.nodes), 0)
 
 
@@ -120,7 +109,7 @@ def delay_step(
 def step(state: SimState, inputs: WireTuple) -> tuple[SimState, WireTuple]:
     """Run one tick: settle the wire vector, emit outputs, commit history."""
     c = state.circuit
-    prop = _propagator(c)
+    prop = propagator(c)
     c.in_ports.check(inputs)
     histories = state.histories
     t = state.t
@@ -132,17 +121,14 @@ def step(state: SimState, inputs: WireTuple) -> tuple[SimState, WireTuple]:
             return delay_step(node, args[0], None, histories[i], t)
         return delay_step(node, args[0], args[1], histories[i], t)
 
-    vec = prop.solve(inputs, delay_out)
-    outs = prop.outputs(inputs, vec)
-
+    settled = prop.solve(inputs, delay_out)
     new_hist = list(histories)
-    for i in prop.delay_nodes:
+    for i, j in prop.delay_slots:
         node = nodes[i]
         cap = 1 if isinstance(node, UnitDelay) else node.d_max
-        s_now = prop.read(c.node_inputs[i][0], inputs, vec)
         if cap > 0:
-            new_hist[i] = (histories[i] + (s_now,))[-cap:]
-    return SimState(c, tuple(new_hist), t + 1), outs
+            new_hist[i] = (histories[i] + (settled[j],))[-cap:]
+    return SimState(c, tuple(new_hist), t + 1), prop.outputs(settled)
 
 
 def simulate(c: Circuit, inputs: PrefixTrace, ticks: int | None = None) -> PrefixTrace:
@@ -153,6 +139,8 @@ def simulate(c: Circuit, inputs: PrefixTrace, ticks: int | None = None) -> Prefi
         )
     if ticks is None:
         ticks = len(inputs)
+    if ticks < 0:
+        raise SignatureError(f"ticks must be at least 0, got {ticks}")
     if len(inputs) < ticks:
         raise SignatureError(
             f"input trace has {len(inputs)} ticks, {ticks} requested"

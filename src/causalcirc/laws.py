@@ -32,15 +32,15 @@ from .domain import (
     BaseType,
     CapError,
     MonotoneFn,
+    Mu,
     Signature,
     UNIT,
     find_monotonicity_violation,
     local_lfp,
     sig,
+    trace,
     tuple_leq,
 )
-
-Mu = Callable[[MonotoneFn, int], MonotoneFn]
 
 _BUDGET = 10**6  # default steps for building one function space
 
@@ -327,7 +327,8 @@ class LawConfig:
     ``budget`` caps the steps spent building any one function space (see
     ``count_monotone`` and ``enumerate_monotone``); a sweep that runs out
     raises CapError.  ``pair_budget`` is the largest space, or product of
-    two spaces for laws over pairs, that is swept exhaustively.
+    two spaces for laws over pairs, that is swept exhaustively; larger
+    ones are sampled ``samples`` times, which must be at least 1.
     """
 
     bases: tuple = (UNIT, BOOL)
@@ -336,6 +337,10 @@ class LawConfig:
     samples: int = 200
     seed: int = 0
     mu: Mu = local_lfp
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -630,17 +635,6 @@ def check_bekic(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, tuple(combos))
 
 
-def _trace_mu(f: MonotoneFn, k: int, mu: Mu) -> MonotoneFn:
-    """Trace built from the injected fixed-point operator."""
-    na = len(f.dom) - k
-    n_out = len(f.cod) - k
-    proj = MonotoneFn(f.dom, f.dom[na:], lambda t: f.fn(t)[n_out:])
-    m = mu(proj, na)
-    return MonotoneFn(
-        f.dom[:na], f.cod[:n_out], lambda a: f.fn(a + m.fn(a))[:n_out]
-    )
-
-
 def _tables_differ(h1: MonotoneFn, h2: MonotoneFn) -> str | None:
     for t in h1.dom.tuples():
         v1, v2 = h1.fn(t), h2.fn(t)
@@ -657,7 +651,7 @@ def check_yanking(cfg: LawConfig = LawConfig()) -> SweepResult:
         combo = f"X={x_base.name}"
         x_sig = sig(x_base)
         swap = MonotoneFn(x_sig + x_sig, x_sig + x_sig, lambda t: (t[1], t[0]))
-        traced = _trace_mu(swap, 1, cfg.mu)
+        traced = trace(swap, 1, cfg.mu)
         bad = _tables_differ(traced, MonotoneFn.identity(x_sig))
         cx = None if bad is None else Counterexample(law, combo, bad)
         combos.append(ComboResult(combo, "exhaustive", len(x_base.lifted), cx))
@@ -674,7 +668,7 @@ def check_vanishing(cfg: LawConfig = LawConfig()) -> SweepResult:
             a_sig, b_sig = sig(a_base), sig(b_base)
 
             def check(f: MonotoneFn) -> str | None:
-                return _tables_differ(_trace_mu(f, 0, cfg.mu), f)
+                return _tables_differ(trace(f, 0, cfg.mu), f)
 
             combos.append(_sweep_fns(law, combo, a_sig, b_sig, cfg, check))
     for a_base in cfg.bases:
@@ -686,9 +680,9 @@ def check_vanishing(cfg: LawConfig = LawConfig()) -> SweepResult:
                 y_sig = sig(y_base)
 
                 def check(f: MonotoneFn) -> str | None:
-                    both = _trace_mu(f, 2, cfg.mu)
-                    inner = _trace_mu(f, 1, cfg.mu)
-                    outer = _trace_mu(inner, 1, cfg.mu)
+                    both = trace(f, 2, cfg.mu)
+                    inner = trace(f, 1, cfg.mu)
+                    outer = trace(inner, 1, cfg.mu)
                     return _tables_differ(both, outer)
 
                 combos.append(
@@ -741,7 +735,7 @@ def check_sliding(cfg: LawConfig = LawConfig()) -> SweepResult:
                             lambda t: f.fn(t[:na] + g.fn(t[na:])),
                         )
                         bad = _tables_differ(
-                            _trace_mu(post, 1, cfg.mu), _trace_mu(pre, 1, cfg.mu)
+                            trace(post, 1, cfg.mu), trace(pre, 1, cfg.mu)
                         )
                         if bad is not None:
                             return (
@@ -793,8 +787,8 @@ def check_superposing(cfg: LawConfig = LawConfig()) -> SweepResult:
                             c_sig + b_sig + x_sig,
                             lambda t: t[:nc] + f.fn(t[nc:]),
                         )
-                        lhs = _trace_mu(widened, 1, cfg.mu)
-                        traced = _trace_mu(f, 1, cfg.mu)
+                        lhs = trace(widened, 1, cfg.mu)
+                        traced = trace(f, 1, cfg.mu)
                         rhs = MonotoneFn(
                             c_sig + a_sig,
                             c_sig + b_sig,

@@ -11,6 +11,7 @@ from itertools import product
 
 from causalcirc import BOT, CapError, MonotoneFn, Signature, tuple_leq
 from causalcirc.analysis import EquivReport, TotalityReport, Witness
+from causalcirc.circuit import SrcIn, SrcNode, UnitDelay, VarDelay, node_out_sig
 from causalcirc.engine import PrefixTrace, random_trace, simulate
 
 
@@ -95,6 +96,96 @@ def brute_trace(f: MonotoneFn, k: int) -> dict[tuple, tuple]:
         assert x0 is not None, "a monotone loop must close"
         out[a] = f.fn(a + x0)[: len(f.cod) - k]
     return out
+
+
+# -- circuits, straight from the wiring -----------------------------------
+
+
+def topo_eval(c, inputs: tuple) -> tuple:
+    """Outputs of a delay-free circuit without feedback wires, in one pass.
+
+    Each node is evaluated once, after the nodes it reads, by following
+    ``c.node_inputs`` back from the outputs.
+    """
+    if c.has_delays():
+        raise ValueError("topological evaluation needs a delay-free circuit")
+    if c.loops:
+        raise ValueError("topological evaluation cannot follow feedback loops")
+    done: dict[int, tuple] = {}
+
+    def value(src):
+        if isinstance(src, SrcIn):
+            return inputs[src.index]
+        if src.node not in done:
+            args = tuple(value(s) for s in c.node_inputs[src.node])
+            done[src.node] = c.nodes[src.node].fn.fn(args)
+        return done[src.node][src.port]
+
+    return tuple(value(s) for s in c.outputs)
+
+
+def wire_layout(c):
+    """Position of each node output port, then each feedback wire, in a
+    wire vector, and the base type of every position."""
+    first, types = [], []
+    for node in c.nodes:
+        first.append(len(types))
+        types.extend(node_out_sig(node))
+    types.extend(lw.base for lw in c.loops)
+    return first, types
+
+
+def _read(c, first, src, inputs, wires):
+    if isinstance(src, SrcIn):
+        return inputs[src.index]
+    if isinstance(src, SrcNode):
+        return wires[first[src.node] + src.port]
+    return wires[len(wires) - len(c.loops) + src.index]
+
+
+def tick_lfp(c, past: list, inputs: tuple) -> tuple:
+    """The settled wire vector of one tick, by scanning every wire vector.
+
+    ``past`` holds ``(inputs, wires)`` of every earlier tick, oldest first.
+    A unit delay reads its input one tick back (its init at tick 0); a
+    variable delay reads d ticks back (its init while the run is younger
+    than d), passes its current input at d = 0 and is undefined at an
+    undefined d.  Every wire vector the map fixes is listed and the least
+    one returned.
+    """
+    first, types = wire_layout(c)
+
+    def wire_map(wires):
+        out = []
+        for node, ins in zip(c.nodes, c.node_inputs):
+            args = tuple(_read(c, first, s, inputs, wires) for s in ins)
+            if isinstance(node, UnitDelay):
+                back = _read(c, first, ins[0], *past[-1]) if past else node.init
+                out.append(back)
+            elif isinstance(node, VarDelay):
+                d = args[1]
+                if d is BOT:
+                    out.append(BOT)
+                elif d == 0:
+                    out.append(args[0])
+                elif d > len(past):
+                    out.append(node.init)
+                else:
+                    out.append(_read(c, first, ins[0], *past[-d]))
+            else:
+                out.extend(node.fn.fn(args))
+        out.extend(_read(c, first, lw.src, inputs, wires) for lw in c.loops)
+        return tuple(out)
+
+    fixed = [w for w in product(*[b.lifted for b in types]) if wire_map(w) == w]
+    least = least_of(fixed)
+    assert least is not None, "a monotone tick must have a least fixed point"
+    return least
+
+
+def tick_outputs(c, inputs: tuple, wires: tuple) -> tuple:
+    first, _ = wire_layout(c)
+    return tuple(_read(c, first, s, inputs, wires) for s in c.outputs)
 
 
 # -- bounded checks, one full trace at a time ----------------------------

@@ -81,6 +81,28 @@ def test_exhaustive_totality_respects_its_budget():
     assert rep.cases == 50
 
 
+def test_checks_reject_a_negative_horizon():
+    c = load("circuits/por_gate.net")
+    for strategy in ("exhaustive", "random"):
+        with pytest.raises(ValueError, match="horizon"):
+            check_totality(c, horizon=-1, strategy=strategy)
+        with pytest.raises(ValueError, match="horizon"):
+            check_equiv(c, c, horizon=-1, strategy=strategy)
+    with pytest.raises(ValueError, match="horizon"):
+        check_totality(load("circuits/bot_delay.net"), horizon=-1)
+
+
+def test_random_checks_need_a_sample():
+    c = load("circuits/por_gate.net")
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="sample"):
+            check_totality(c, horizon=2, strategy="random", samples=n)
+        with pytest.raises(ValueError, match="sample"):
+            check_equiv(c, c, horizon=2, strategy="random", samples=n)
+    # The exhaustive strategy draws no samples, so it ignores the count.
+    assert check_totality(c, horizon=1, samples=0).total
+
+
 def test_random_totality_is_deterministic_per_seed():
     c = load("circuits/wobble.net")
     a = check_totality(c, horizon=6, strategy="random", samples=40, seed=9)

@@ -286,3 +286,37 @@ def test_exclusive_strategy_flags(capsys):
         "5",
     )
     assert code == 2
+
+
+def usage_error(capsys, *argv) -> str:
+    """Run argv, demand exit 2 with no output and one ``error:`` line."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_negative_horizons_are_usage_errors(capsys):
+    assert "horizon" in usage_error(capsys, "totality", POR_GATE, "--horizon", "-1")
+    assert "horizon" in usage_error(capsys, "totality", BOT_DELAY, "--horizon", "-1")
+    assert "horizon" in usage_error(
+        capsys, "equiv", POR_GATE, POR_GATE, "--horizon", "-1"
+    )
+
+
+def test_too_few_samples_are_usage_errors(capsys):
+    for n in ("0", "-5"):
+        assert "sample" in usage_error(
+            capsys, "totality", POR_GATE, "--horizon", "2", "--samples", n
+        )
+        assert "sample" in usage_error(
+            capsys, "equiv", POR_GATE, POR_GATE, "--horizon", "2", "--samples", n
+        )
+        assert "samples" in usage_error(capsys, "laws", "--samples", n)
+
+
+def test_negative_ticks_are_a_usage_error(capsys):
+    assert "ticks" in usage_error(capsys, "sim", TOGGLE, "--ticks", "-1")
+    assert "ticks" in usage_error(
+        capsys, "sim", POR_GATE, "--ticks", "-1", "--pad-bot"
+    )

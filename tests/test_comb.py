@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from causalcirc.circuit import UnitDelay, from_gate, trace_loop
-from causalcirc.comb import Propagator, denote, eval_comb
-from causalcirc.domain import BOOL, BOT, SignatureError, sig, trace
+from causalcirc.comb import Propagator, denote, eval_comb, propagator
+from causalcirc.domain import BOOL, BOT, SignatureError, local_lfp, sig, trace
 from causalcirc.gates import not_gate, por
 from causalcirc.random_circuits import GenConfig, random_delay_free_circuit
 
@@ -37,31 +37,66 @@ def test_denote_refuses_stateful_circuits():
 
 
 def test_fixpoint_and_topo_strategies_agree_without_loops():
+    # denote always solves for the least fixed point; on loop-free circuits
+    # that must equal a one-pass topological evaluation.
     rng = random.Random(5)
     cfg = GenConfig(max_inputs=2, max_nodes=5, max_outputs=2)
+    checked = 0
     for _ in range(40):
         c = random_delay_free_circuit(rng, cfg)
         if c.loops:
             continue
-        f1 = denote(c, strategy="fixpoint")
-        f2 = denote(c, strategy="topo")
+        f = denote(c)
         for x in c.in_ports.tuples():
-            assert f1.apply(x) == f2.apply(x)
+            assert f.apply(x) == oracles.topo_eval(c, x)
+        checked += 1
+    assert checked >= 10
 
 
 def test_topo_strategy_refuses_loops():
     c = trace_loop(from_gate(por()), 1)
-    with pytest.raises(SignatureError):
-        denote(c, strategy="topo")
-    denote(c, strategy="fixpoint")
+    with pytest.raises(ValueError, match="feedback"):
+        oracles.topo_eval(c, (1,))
+    denote(c)
+    rng = random.Random(7)
+    cfg = GenConfig(max_inputs=2, max_nodes=5, max_loops=2, max_outputs=2)
+    refused = 0
+    for _ in range(40):
+        c = random_delay_free_circuit(rng, cfg)
+        if not c.loops:
+            continue
+        with pytest.raises(ValueError, match="feedback"):
+            oracles.topo_eval(c, next(iter(c.in_ports.tuples())))
+        denote(c)
+        refused += 1
+    assert refused >= 10
 
-
-def test_solver_settles_within_the_wire_bound():
-    c = trace_loop(from_gate(por()), 1)
-    prop = Propagator(c)
+def test_solver_settles_within_the_wire_bound(monkeypatch):
     # Jacobi sweeps recompute every wire at once; the vector rises at most
     # once per wire, so n_wires + 1 sweeps always suffice.
-    assert prop.n_wires + 1 >= 2
+    sweeps = []
+    real = Propagator.sweep
+
+    def counted(self, t, delay_out=None):
+        sweeps[-1] += 1
+        return real(self, t, delay_out)
+
+    monkeypatch.setattr(Propagator, "sweep", counted)
+    rng = random.Random(12)
+    cfg = GenConfig(max_inputs=2, max_nodes=6, max_loops=2, max_outputs=2)
+    most = tight = 0
+    for _ in range(60):
+        c = random_delay_free_circuit(rng, cfg)
+        if not c.loops:
+            continue
+        prop = propagator(c)
+        for x in c.in_ports.tuples():
+            sweeps.append(0)
+            prop.solve(x)
+            assert 1 <= sweeps[-1] <= prop.n_wires + 1
+            most = max(most, sweeps[-1])
+            tight += sweeps[-1] == prop.n_wires + 1
+    assert most >= 3 and tight  # the bound is reached, not just respected
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -76,7 +111,7 @@ def test_denote_commutes_with_loop_closure(seed):
         return
     closed = trace_loop(c, k)
     lhs = denote(closed)
-    rhs = trace(denote(c), k)
+    rhs = trace(denote(c), k, local_lfp)
     for x in closed.in_ports.tuples():
         assert lhs.apply(x) == rhs.apply(x)
 

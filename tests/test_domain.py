@@ -283,14 +283,14 @@ def test_local_lfp_is_monotone_in_the_parameter():
 
 def test_trace_yanking_gives_the_identity():
     swap = MonotoneFn(BB, BB, lambda t: (t[1], t[0]))
-    yanked = trace(swap, 1)
+    yanked = trace(swap, 1, local_lfp)
     for x in B.tuples():
         assert yanked.apply(x) == x
 
 
 def test_trace_of_zero_wires_is_the_same_function():
     f = por().fn
-    t0 = trace(f, 0)
+    t0 = trace(f, 0, local_lfp)
     for x in BB.tuples():
         assert t0.apply(x) == f.apply(x)
 
@@ -300,7 +300,7 @@ def test_trace_feeds_the_loop_value_back():
     f = MonotoneFn(
         BB, BB, lambda t: por().fn(t) + por().fn(t)
     )
-    tr = trace(f, 1)
+    tr = trace(f, 1, local_lfp)
     assert tr.apply((1,)) == (1,)
     assert tr.apply((0,)) == (BOT,)
     assert tr.apply((BOT,)) == (BOT,)
@@ -312,7 +312,7 @@ def test_trace_matches_the_scan_oracle(seed, k):
     dom = sig(*[BOOL] * (1 + k))
     cod = sig(*[BOOL] * (1 + k))
     f = random_monotone(dom, cod, rng)
-    got = trace(f, k)
+    got = trace(f, k, local_lfp)
     want = oracles.brute_trace(f, k)
     for a in sig(BOOL).tuples():
         assert got.apply(a) == want[a]

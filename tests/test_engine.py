@@ -28,6 +28,8 @@ from causalcirc.gates import const_gate, not_gate, por, strict_lift
 from causalcirc.netlist import parse_netlist
 from causalcirc.random_circuits import GenConfig, random_circuit
 
+import oracles
+
 
 def load(path: str) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
@@ -143,6 +145,12 @@ def test_simulate_needs_enough_input():
         simulate(c, ins, ticks=3)
 
 
+def test_simulate_rejects_negative_ticks():
+    c = load("circuits/toggle.net")
+    with pytest.raises(SignatureError, match="ticks"):
+        simulate(c, bot_trace(sig(), 3), ticks=-1)
+
+
 def test_bot_init_delay_emits_bot_then_recovers():
     c = load("circuits/bot_delay.net")
     out = simulate(c, bot_trace(sig(), 3))
@@ -229,3 +237,25 @@ def test_equal_looking_gates_with_different_functions_simulate_apart():
     rep = check_equiv(ident, negate, horizon=1)
     assert not rep.equivalent
     assert rep.witness is not None and rep.witness.tick == 0
+
+
+def test_step_settles_each_tick_at_the_brute_force_fixed_point():
+    rng = random.Random(21)
+    cfg = GenConfig(max_inputs=2, max_nodes=4, max_loops=2, p_vardelay=0.4)
+    checked = vardelays = bot_inits = 0
+    while checked < 60:
+        c = random_circuit(rng, cfg)
+        _, wires = oracles.wire_layout(c)
+        if len(wires) > 6:
+            continue
+        checked += 1
+        vardelays += any(isinstance(n, VarDelay) for n in c.nodes)
+        bot_inits += any(getattr(n, "init", 0) is BOT for n in c.nodes)
+        tr = random_trace(rng, c.in_ports, 5, p_bot=0.25)
+        state, past = initial_state(c), []
+        for row in tr.rows:
+            state, outs = step(state, row)
+            settled = oracles.tick_lfp(c, past, row)
+            assert outs == oracles.tick_outputs(c, row, settled)
+            past.append((row, settled))
+    assert vardelays >= 10 and bot_inits >= 10

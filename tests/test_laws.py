@@ -14,6 +14,7 @@ from causalcirc.domain import (
     lfp,
     local_lfp,
     sig,
+    trace,
     tuple_leq,
 )
 from causalcirc.laws import (
@@ -30,7 +31,6 @@ from causalcirc.laws import (
     enumerate_monotone,
     random_monotone,
     run_laws,
-    _trace_mu,
 )
 
 import oracles
@@ -163,6 +163,12 @@ def test_sweeps_record_their_mode():
     assert "sampled" in modes  # the all-bool combo does not
 
 
+def test_config_needs_at_least_one_sample():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            LawConfig(samples=n)
+
+
 def test_sweep_is_deterministic_for_a_seed():
     a = check_dinaturality(SMALL)
     b = check_dinaturality(SMALL)
@@ -257,7 +263,7 @@ def bad_trace_first(f: MonotoneFn, k: int):
 
 def test_wrong_projection_breaks_yanking():
     swap = MonotoneFn(BB, BB, lambda t: (t[1], t[0]))
-    good = _trace_mu(swap, 1, local_lfp)
+    good = trace(swap, 1, local_lfp)
     assert all(good.fn(x) == x for x in B.tuples())
     bad = bad_trace_first(swap, 1)
     assert any(bad.fn(x) != x for x in B.tuples())
@@ -270,7 +276,7 @@ def test_wrong_projection_breaks_yanking():
 def test_trace_mu_equals_the_scan_oracle(seed):
     rng = random.Random(seed)
     f = random_monotone(BB, BB, rng)
-    got = _trace_mu(f, 1, local_lfp)
+    got = trace(f, 1, local_lfp)
     want = oracles.brute_trace(f, 1)
     for a in B.tuples():
         assert got.fn(a) == want[a]

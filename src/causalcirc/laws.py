@@ -23,7 +23,7 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from .domain import (
@@ -328,7 +328,8 @@ class LawConfig:
     ``count_monotone`` and ``enumerate_monotone``); a sweep that runs out
     raises CapError.  ``pair_budget`` is the largest space, or product of
     two spaces for laws over pairs, that is swept exhaustively; larger
-    ones are sampled ``samples`` times, which must be at least 1.
+    ones are sampled ``samples`` times, which must be at least 1.  Neither
+    budget may be negative.
     """
 
     bases: tuple = (UNIT, BOOL)
@@ -341,6 +342,12 @@ class LawConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.budget < 0:
+            raise ValueError(f"budget must not be negative, got {self.budget}")
+        if self.pair_budget < 0:
+            raise ValueError(
+                f"pair_budget must not be negative, got {self.pair_budget}"
+            )
 
 
 @dataclass(frozen=True)
@@ -400,239 +407,168 @@ def _run_case(check: Callable[..., str | None], *fns: MonotoneFn) -> str | None:
         return f"raised {type(e).__name__}: {e} for {tables}"
 
 
-def _sweep_fns(
+def _sweep(
     law: str,
     combo: str,
-    dom: Signature,
-    cod: Signature,
+    spaces: list[tuple[Signature, Signature]],
     cfg: LawConfig,
-    check: Callable[[MonotoneFn], str | None],
+    check: Callable[..., str | None],
 ) -> ComboResult:
-    """Apply a per-function check across one function space."""
-    n = count_monotone(dom, cod, cfg.budget)
+    """Apply a check across one function space, or pairs drawn from two.
+
+    The spaces are swept exhaustively, the first varying slowest, when the
+    product of their sizes is at most ``pair_budget``; otherwise each of
+    ``samples`` cases draws one function per space, in order.  ``cases``
+    counts the cases run, up to and including the first counterexample.
+    """
+    n = 1
+    for dom, cod in spaces:
+        n *= count_monotone(dom, cod, cfg.budget)
     if n <= cfg.pair_budget:
-        mode, fns = "exhaustive", enumerate_monotone(dom, cod, cfg.budget)
+        mode = "exhaustive"
+        draws = _product([enumerate_monotone(d, c, cfg.budget) for d, c in spaces])
     else:
-        rng = _rng_for(cfg, law, combo)
-        n = cfg.samples
-        mode, fns = "sampled", (random_monotone(dom, cod, rng) for _ in range(n))
-    for f in fns:
-        detail = _run_case(check, f)
+        mode, rng = "sampled", _rng_for(cfg, law, combo)
+        draws = (
+            [random_monotone(d, c, rng) for d, c in spaces] for _ in range(cfg.samples)
+        )
+    cases = 0
+    for fns in draws:
+        cases += 1
+        detail = _run_case(check, *fns)
         if detail is not None:
-            return ComboResult(combo, mode, n, Counterexample(law, combo, detail))
-    return ComboResult(combo, mode, n)
+            return ComboResult(combo, mode, cases, Counterexample(law, combo, detail))
+    return ComboResult(combo, mode, cases)
 
 
-def _sweep_pairs(
+def _combos(
     law: str,
-    combo: str,
-    dom1: Signature,
-    cod1: Signature,
-    dom2: Signature,
-    cod2: Signature,
     cfg: LawConfig,
-    check: Callable[[MonotoneFn, MonotoneFn], str | None],
-) -> ComboResult:
-    """Apply a check across pairs drawn from two function spaces."""
-    n1 = count_monotone(dom1, cod1, cfg.budget)
-    n2 = count_monotone(dom2, cod2, cfg.budget)
-    if n1 * n2 <= cfg.pair_budget:
-        fns2 = list(enumerate_monotone(dom2, cod2, cfg.budget))
-        cases = 0
-        for f in enumerate_monotone(dom1, cod1, cfg.budget):
-            for g in fns2:
-                cases += 1
-                detail = _run_case(check, f, g)
-                if detail is not None:
-                    return ComboResult(
-                        combo, "exhaustive", cases, Counterexample(law, combo, detail)
-                    )
-        return ComboResult(combo, "exhaustive", cases)
-    rng = _rng_for(cfg, law, combo)
-    for i in range(cfg.samples):
-        f = random_monotone(dom1, cod1, rng)
-        g = random_monotone(dom2, cod2, rng)
-        detail = _run_case(check, f, g)
-        if detail is not None:
-            return ComboResult(
-                combo, "sampled", i + 1, Counterexample(law, combo, detail)
+    names: str,
+    spaces: Callable[..., list[tuple[Signature, Signature]]],
+    check: Callable[..., str | None],
+    suffix: str = "",
+) -> tuple[ComboResult, ...]:
+    """Sweep a law once per choice of a base for each named wire.
+
+    Combos are named ``A=...,X=...`` plus ``suffix``, the first name varying
+    slowest; ``spaces`` and ``check`` get one signature per name, and
+    ``check`` gets ``cfg`` before them and the drawn functions after.
+    """
+    out = []
+    for bases in itertools.product(cfg.bases, repeat=len(names)):
+        combo = ",".join(f"{n}={b.name}" for n, b in zip(names, bases)) + suffix
+        sigs = [sig(b) for b in bases]
+        out.append(_sweep(law, combo, spaces(*sigs), cfg, partial(check, cfg, *sigs)))
+    return tuple(out)
+
+
+def _fixpoint(cfg: LawConfig, a_sig, x_sig, f: MonotoneFn) -> str | None:
+    muf = cfg.mu(f, len(a_sig))
+    for a in a_sig.tuples():
+        x = muf.fn(a)
+        if f.fn(a + x) != x:
+            return (
+                f"mu value {x!r} at context {a!r} is not fixed "
+                f"for f={_table_str(f)}"
             )
-    return ComboResult(combo, "sampled", cfg.samples)
+        for x2 in x_sig.tuples():
+            if f.fn(a + x2) == x2 and not tuple_leq(x, x2):
+                return (
+                    f"mu value {x!r} at context {a!r} is not below "
+                    f"fixed point {x2!r} for f={_table_str(f)}"
+                )
+    bad = find_monotonicity_violation(muf)
+    if bad is not None:
+        return f"mu(f) is not monotone at {bad!r} for f={_table_str(f)}"
+    return None
 
 
 def check_local_fixpoint(cfg: LawConfig = LawConfig()) -> SweepResult:
     """mu(f)(a) is a fixed point of f(a, -), below every other one, and monotone."""
     law = "fixpoint"
-    combos = []
-    for a_base in cfg.bases:
-        for x_base in cfg.bases:
-            combo = f"A={a_base.name},X={x_base.name}"
-            a_sig, x_sig = sig(a_base), sig(x_base)
+    combos = _combos(law, cfg, "AX", lambda a, x: [(a + x, x)], _fixpoint)
+    return SweepResult(law, combos)
 
-            def check(f: MonotoneFn, a_sig=a_sig, x_sig=x_sig) -> str | None:
-                muf = cfg.mu(f, len(a_sig))
-                for a in a_sig.tuples():
-                    x = muf.fn(a)
-                    if f.fn(a + x) != x:
-                        return (
-                            f"mu value {x!r} at context {a!r} is not fixed "
-                            f"for f={_table_str(f)}"
-                        )
-                    for x2 in x_sig.tuples():
-                        if f.fn(a + x2) == x2 and not tuple_leq(x, x2):
-                            return (
-                                f"mu value {x!r} at context {a!r} is not below "
-                                f"fixed point {x2!r} for f={_table_str(f)}"
-                            )
-                bad = find_monotonicity_violation(muf)
-                if bad is not None:
-                    return f"mu(f) is not monotone at {bad!r} for f={_table_str(f)}"
-                return None
 
-            combos.append(_sweep_fns(law, combo, a_sig + x_sig, x_sig, cfg, check))
-    return SweepResult(law, tuple(combos))
+def _naturality(cfg: LawConfig, a_sig, x_sig, b_sig, f, g) -> str | None:
+    nb = len(b_sig)
+    reindexed = MonotoneFn(
+        b_sig + x_sig, x_sig, lambda t: f.fn(g.fn(t[:nb]) + t[nb:])
+    )
+    lhs = cfg.mu(reindexed, nb)
+    muf = cfg.mu(f, len(a_sig))
+    for b in b_sig.tuples():
+        left = lhs.fn(b)
+        right = muf.fn(g.fn(b))
+        if left != right:
+            return (
+                f"at {b!r}: {left!r} vs {right!r} for "
+                f"f={_table_str(f)}, g={_table_str(g)}"
+            )
+    return None
 
 
 def check_naturality_param(cfg: LawConfig = LawConfig()) -> SweepResult:
     """Reindexing the context first equals taking mu first: mu(f . (g x id)) = mu(f) . g."""
     law = "naturality-param"
-    combos = []
-    for a_base in cfg.bases:
-        for x_base in cfg.bases:
-            for b_base in cfg.bases:
-                combo = f"A={a_base.name},X={x_base.name},B={b_base.name}"
-                a_sig, x_sig, b_sig = sig(a_base), sig(x_base), sig(b_base)
-                nb = len(b_sig)
+    spaces = lambda a, x, b: [(a + x, x), (b, a)]
+    combos = _combos(law, cfg, "AXB", spaces, _naturality)
+    return SweepResult(law, combos)
 
-                def check(
-                    f: MonotoneFn,
-                    g: MonotoneFn,
-                    a_sig=a_sig,
-                    x_sig=x_sig,
-                    b_sig=b_sig,
-                    nb=nb,
-                ) -> str | None:
-                    reindexed = MonotoneFn(
-                        b_sig + x_sig,
-                        x_sig,
-                        lambda t: f.fn(g.fn(t[:nb]) + t[nb:]),
-                    )
-                    lhs = cfg.mu(reindexed, nb)
-                    muf = cfg.mu(f, len(a_sig))
-                    for b in b_sig.tuples():
-                        left = lhs.fn(b)
-                        right = muf.fn(g.fn(b))
-                        if left != right:
-                            return (
-                                f"at {b!r}: {left!r} vs {right!r} for "
-                                f"f={_table_str(f)}, g={_table_str(g)}"
-                            )
-                    return None
 
-                combos.append(
-                    _sweep_pairs(
-                        law, combo, a_sig + x_sig, x_sig, b_sig, a_sig, cfg, check
-                    )
-                )
-    return SweepResult(law, tuple(combos))
+def _dinaturality(cfg: LawConfig, a_sig, x_sig, y_sig, f, g) -> str | None:
+    na = len(a_sig)
+    after = MonotoneFn(a_sig + x_sig, x_sig, lambda t: g.fn(f.fn(t)))
+    before = MonotoneFn(a_sig + y_sig, y_sig, lambda t: f.fn(t[:na] + g.fn(t[na:])))
+    mu_after = cfg.mu(after, na)
+    mu_before = cfg.mu(before, na)
+    for a in a_sig.tuples():
+        left = mu_after.fn(a)
+        right = g.fn(mu_before.fn(a))
+        if left != right:
+            return (
+                f"at {a!r}: {left!r} vs {right!r} for "
+                f"f={_table_str(f)}, g={_table_str(g)}"
+            )
+    return None
 
 
 def check_dinaturality(cfg: LawConfig = LawConfig()) -> SweepResult:
     """mu of g . f equals g applied to mu of f . (id x g)."""
     law = "dinaturality"
-    combos = []
-    for a_base in cfg.bases:
-        for x_base in cfg.bases:
-            for y_base in cfg.bases:
-                combo = f"A={a_base.name},X={x_base.name},Y={y_base.name}"
-                a_sig, x_sig, y_sig = sig(a_base), sig(x_base), sig(y_base)
-                na = len(a_sig)
+    spaces = lambda a, x, y: [(a + x, y), (y, x)]
+    combos = _combos(law, cfg, "AXY", spaces, _dinaturality)
+    return SweepResult(law, combos)
 
-                def check(
-                    f: MonotoneFn,
-                    g: MonotoneFn,
-                    a_sig=a_sig,
-                    x_sig=x_sig,
-                    y_sig=y_sig,
-                    na=na,
-                ) -> str | None:
-                    after = MonotoneFn(
-                        a_sig + x_sig, x_sig, lambda t: g.fn(f.fn(t))
-                    )
-                    before = MonotoneFn(
-                        a_sig + y_sig,
-                        y_sig,
-                        lambda t: f.fn(t[:na] + g.fn(t[na:])),
-                    )
-                    mu_after = cfg.mu(after, na)
-                    mu_before = cfg.mu(before, na)
-                    for a in a_sig.tuples():
-                        left = mu_after.fn(a)
-                        right = g.fn(mu_before.fn(a))
-                        if left != right:
-                            return (
-                                f"at {a!r}: {left!r} vs {right!r} for "
-                                f"f={_table_str(f)}, g={_table_str(g)}"
-                            )
-                    return None
 
-                combos.append(
-                    _sweep_pairs(
-                        law, combo, a_sig + x_sig, y_sig, y_sig, x_sig, cfg, check
-                    )
-                )
-    return SweepResult(law, tuple(combos))
+def _bekic(cfg: LawConfig, a_sig, x_sig, y_sig, f, g) -> str | None:
+    na, nx = len(a_sig), len(x_sig)
+    both = MonotoneFn(
+        a_sig + x_sig + y_sig, x_sig + y_sig, lambda t: f.fn(t) + g.fn(t)
+    )
+    mu_both = cfg.mu(both, na)
+    mu_g = cfg.mu(g, na + nx)
+    inner = MonotoneFn(a_sig + x_sig, x_sig, lambda t: f.fn(t + mu_g.fn(t)))
+    mu_inner = cfg.mu(inner, na)
+    for a in a_sig.tuples():
+        x = mu_inner.fn(a)
+        y = mu_g.fn(a + x)
+        left = mu_both.fn(a)
+        if left != x + y:
+            return (
+                f"at {a!r}: simultaneous {left!r} vs nested "
+                f"{(x + y)!r} for f={_table_str(f)}, g={_table_str(g)}"
+            )
+    return None
 
 
 def check_bekic(cfg: LawConfig = LawConfig()) -> SweepResult:
     """A simultaneous fixed point of a pair equals the nested one."""
     law = "bekic"
-    combos = []
-    for a_base in cfg.bases:
-        for x_base in cfg.bases:
-            for y_base in cfg.bases:
-                combo = f"A={a_base.name},X={x_base.name},Y={y_base.name}"
-                a_sig, x_sig, y_sig = sig(a_base), sig(x_base), sig(y_base)
-                na, nx = len(a_sig), len(x_sig)
-
-                def check(
-                    f: MonotoneFn,
-                    g: MonotoneFn,
-                    a_sig=a_sig,
-                    x_sig=x_sig,
-                    y_sig=y_sig,
-                    na=na,
-                    nx=nx,
-                ) -> str | None:
-                    both = MonotoneFn(
-                        a_sig + x_sig + y_sig,
-                        x_sig + y_sig,
-                        lambda t: f.fn(t) + g.fn(t),
-                    )
-                    mu_both = cfg.mu(both, na)
-                    mu_g = cfg.mu(g, na + nx)
-                    inner = MonotoneFn(
-                        a_sig + x_sig,
-                        x_sig,
-                        lambda t: f.fn(t + mu_g.fn(t)),
-                    )
-                    mu_inner = cfg.mu(inner, na)
-                    for a in a_sig.tuples():
-                        x = mu_inner.fn(a)
-                        y = mu_g.fn(a + x)
-                        left = mu_both.fn(a)
-                        if left != x + y:
-                            return (
-                                f"at {a!r}: simultaneous {left!r} vs nested "
-                                f"{(x + y)!r} for f={_table_str(f)}, g={_table_str(g)}"
-                            )
-                    return None
-
-                dom = a_sig + x_sig + y_sig
-                combos.append(
-                    _sweep_pairs(law, combo, dom, x_sig, dom, y_sig, cfg, check)
-                )
-    return SweepResult(law, tuple(combos))
+    spaces = lambda a, x, y: [(a + x + y, x), (a + x + y, y)]
+    combos = _combos(law, cfg, "AXY", spaces, _bekic)
+    return SweepResult(law, combos)
 
 
 def _tables_differ(h1: MonotoneFn, h2: MonotoneFn) -> str | None:
@@ -643,168 +579,89 @@ def _tables_differ(h1: MonotoneFn, h2: MonotoneFn) -> str | None:
     return None
 
 
+def _yanking(cfg: LawConfig, x_sig, swap: MonotoneFn) -> str | None:
+    return _tables_differ(trace(swap, 1, cfg.mu), MonotoneFn.identity(x_sig))
+
+
 def check_yanking(cfg: LawConfig = LawConfig()) -> SweepResult:
-    """Tracing a bare swap is the identity."""
+    """Tracing a bare swap is the identity; a combo counts the points it checks."""
     law = "yanking"
     combos = []
     for x_base in cfg.bases:
         combo = f"X={x_base.name}"
         x_sig = sig(x_base)
         swap = MonotoneFn(x_sig + x_sig, x_sig + x_sig, lambda t: (t[1], t[0]))
-        traced = trace(swap, 1, cfg.mu)
-        bad = _tables_differ(traced, MonotoneFn.identity(x_sig))
+        bad = _run_case(partial(_yanking, cfg, x_sig), swap)
         cx = None if bad is None else Counterexample(law, combo, bad)
         combos.append(ComboResult(combo, "exhaustive", len(x_base.lifted), cx))
     return SweepResult(law, tuple(combos))
 
 
+def _vanishing_zero(cfg: LawConfig, a_sig, b_sig, f: MonotoneFn) -> str | None:
+    return _tables_differ(trace(f, 0, cfg.mu), f)
+
+
+def _vanishing_nested(cfg: LawConfig, a_sig, x_sig, y_sig, f) -> str | None:
+    both = trace(f, 2, cfg.mu)
+    outer = trace(trace(f, 1, cfg.mu), 1, cfg.mu)
+    return _tables_differ(both, outer)
+
+
 def check_vanishing(cfg: LawConfig = LawConfig()) -> SweepResult:
     """Tracing zero wires changes nothing; tracing two equals tracing one twice."""
     law = "vanishing"
-    combos = []
-    for a_base in cfg.bases:
-        for b_base in cfg.bases:
-            combo = f"A={a_base.name},B={b_base.name},k=0"
-            a_sig, b_sig = sig(a_base), sig(b_base)
+    zero = _combos(law, cfg, "AB", lambda a, b: [(a, b)], _vanishing_zero, ",k=0")
+    spaces = lambda a, x, y: [(a + x + y, a + x + y)]
+    nested = _combos(law, cfg, "AXY", spaces, _vanishing_nested, ",nested")
+    return SweepResult(law, zero + nested)
 
-            def check(f: MonotoneFn) -> str | None:
-                return _tables_differ(trace(f, 0, cfg.mu), f)
 
-            combos.append(_sweep_fns(law, combo, a_sig, b_sig, cfg, check))
-    for a_base in cfg.bases:
-        for x_base in cfg.bases:
-            for y_base in cfg.bases:
-                combo = f"A={a_base.name},X={x_base.name},Y={y_base.name},nested"
-                a_sig = sig(a_base)
-                x_sig = sig(x_base)
-                y_sig = sig(y_base)
-
-                def check(f: MonotoneFn) -> str | None:
-                    both = trace(f, 2, cfg.mu)
-                    inner = trace(f, 1, cfg.mu)
-                    outer = trace(inner, 1, cfg.mu)
-                    return _tables_differ(both, outer)
-
-                combos.append(
-                    _sweep_fns(
-                        law,
-                        combo,
-                        a_sig + x_sig + y_sig,
-                        a_sig + x_sig + y_sig,
-                        cfg,
-                        check,
-                    )
-                )
-    return SweepResult(law, tuple(combos))
+def _sliding(cfg: LawConfig, a_sig, b_sig, x_sig, y_sig, f, g) -> str | None:
+    na, nb = len(a_sig), len(b_sig)
+    post = MonotoneFn(
+        a_sig + x_sig,
+        b_sig + x_sig,
+        lambda t: (lambda o: o[:nb] + g.fn(o[nb:]))(f.fn(t)),
+    )
+    pre = MonotoneFn(
+        a_sig + y_sig, b_sig + y_sig, lambda t: f.fn(t[:na] + g.fn(t[na:]))
+    )
+    bad = _tables_differ(trace(post, 1, cfg.mu), trace(pre, 1, cfg.mu))
+    if bad is not None:
+        return f"{bad} for f={_table_str(f)}, g={_table_str(g)}"
+    return None
 
 
 def check_sliding(cfg: LawConfig = LawConfig()) -> SweepResult:
     """A map on the looped wire slides around the loop: post-g equals pre-g."""
     law = "sliding"
-    combos = []
-    for a_base in cfg.bases:
-        for b_base in cfg.bases:
-            for x_base in cfg.bases:
-                for y_base in cfg.bases:
-                    combo = (
-                        f"A={a_base.name},B={b_base.name},"
-                        f"X={x_base.name},Y={y_base.name}"
-                    )
-                    a_sig, b_sig = sig(a_base), sig(b_base)
-                    x_sig, y_sig = sig(x_base), sig(y_base)
-                    na, nb = len(a_sig), len(b_sig)
+    spaces = lambda a, b, x, y: [(a + x, b + y), (y, x)]
+    combos = _combos(law, cfg, "ABXY", spaces, _sliding)
+    return SweepResult(law, combos)
 
-                    def check(
-                        f: MonotoneFn,
-                        g: MonotoneFn,
-                        a_sig=a_sig,
-                        b_sig=b_sig,
-                        x_sig=x_sig,
-                        y_sig=y_sig,
-                        na=na,
-                        nb=nb,
-                    ) -> str | None:
-                        post = MonotoneFn(
-                            a_sig + x_sig,
-                            b_sig + x_sig,
-                            lambda t: (lambda o: o[:nb] + g.fn(o[nb:]))(f.fn(t)),
-                        )
-                        pre = MonotoneFn(
-                            a_sig + y_sig,
-                            b_sig + y_sig,
-                            lambda t: f.fn(t[:na] + g.fn(t[na:])),
-                        )
-                        bad = _tables_differ(
-                            trace(post, 1, cfg.mu), trace(pre, 1, cfg.mu)
-                        )
-                        if bad is not None:
-                            return (
-                                f"{bad} for f={_table_str(f)}, g={_table_str(g)}"
-                            )
-                        return None
 
-                    combos.append(
-                        _sweep_pairs(
-                            law,
-                            combo,
-                            a_sig + x_sig,
-                            b_sig + y_sig,
-                            y_sig,
-                            x_sig,
-                            cfg,
-                            check,
-                        )
-                    )
-    return SweepResult(law, tuple(combos))
+def _superposing(cfg: LawConfig, c_sig, a_sig, b_sig, x_sig, f) -> str | None:
+    nc = len(c_sig)
+    widened = MonotoneFn(
+        c_sig + a_sig + x_sig, c_sig + b_sig + x_sig, lambda t: t[:nc] + f.fn(t[nc:])
+    )
+    lhs = trace(widened, 1, cfg.mu)
+    traced = trace(f, 1, cfg.mu)
+    rhs = MonotoneFn(
+        c_sig + a_sig, c_sig + b_sig, lambda t: t[:nc] + traced.fn(t[nc:])
+    )
+    bad = _tables_differ(lhs, rhs)
+    if bad is not None:
+        return f"{bad} for f={_table_str(f)}"
+    return None
 
 
 def check_superposing(cfg: LawConfig = LawConfig()) -> SweepResult:
     """An untouched side wire commutes with tracing."""
     law = "superposing"
-    combos = []
-    for c_base in cfg.bases:
-        for a_base in cfg.bases:
-            for b_base in cfg.bases:
-                for x_base in cfg.bases:
-                    combo = (
-                        f"C={c_base.name},A={a_base.name},"
-                        f"B={b_base.name},X={x_base.name}"
-                    )
-                    c_sig, a_sig = sig(c_base), sig(a_base)
-                    b_sig, x_sig = sig(b_base), sig(x_base)
-                    nc = len(c_sig)
-
-                    def check(
-                        f: MonotoneFn,
-                        c_sig=c_sig,
-                        a_sig=a_sig,
-                        b_sig=b_sig,
-                        x_sig=x_sig,
-                        nc=nc,
-                    ) -> str | None:
-                        widened = MonotoneFn(
-                            c_sig + a_sig + x_sig,
-                            c_sig + b_sig + x_sig,
-                            lambda t: t[:nc] + f.fn(t[nc:]),
-                        )
-                        lhs = trace(widened, 1, cfg.mu)
-                        traced = trace(f, 1, cfg.mu)
-                        rhs = MonotoneFn(
-                            c_sig + a_sig,
-                            c_sig + b_sig,
-                            lambda t: t[:nc] + traced.fn(t[nc:]),
-                        )
-                        bad = _tables_differ(lhs, rhs)
-                        if bad is not None:
-                            return f"{bad} for f={_table_str(f)}"
-                        return None
-
-                    combos.append(
-                        _sweep_fns(
-                            law, combo, a_sig + x_sig, b_sig + x_sig, cfg, check
-                        )
-                    )
-    return SweepResult(law, tuple(combos))
+    spaces = lambda c, a, b, x: [(a + x, b + x)]
+    combos = _combos(law, cfg, "CABX", spaces, _superposing)
+    return SweepResult(law, combos)
 
 
 def check_trace_axioms(cfg: LawConfig = LawConfig()) -> list[SweepResult]:

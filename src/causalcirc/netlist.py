@@ -802,27 +802,7 @@ class _Parser:
         for i, (a, b) in enumerate(zip(args, built)):
             want = gate.dom[i]
             if b is None:
-                if a[0] == "lit":
-                    tok = a[1]
-                    if tok.kind == "BOT":
-                        srcs.append(self.literal_source(BOT, want)[0])
-                        continue
-                    v = int(tok.text)
-                    if v not in want.values:
-                        raise _Sem(
-                            tok, f"{v} is not a value of type {want.name!r}"
-                        )
-                    srcs.append(self.literal_source(v, want)[0])
-                else:
-                    tok = a[1]
-                    if tok.text in want.values:
-                        srcs.append(self.literal_source(tok.text, want)[0])
-                    else:
-                        raise _Sem(
-                            tok,
-                            f"unknown wire {tok.text!r} "
-                            "(forward references need a loop wire)",
-                        )
+                srcs.append(self.build_expr(a, want)[0])
             else:
                 src, got = b
                 if got != want:

@@ -206,12 +206,17 @@ def test_equational_laws_hold_and_expose_a_wrong_mu():
     )
     caught = [r.law for r in mutant if not r.passed]
     elapsed = time.perf_counter() - t0
+    modes = [cr.mode for r in results for cr in r.combos]
+    split = (
+        f"{modes.count('exhaustive')} exhaustive / "
+        f"{modes.count('sampled')} sampled combos"
+    )
     _report(
         "both naturality laws, the pairing law, and yanking hold "
-        "exhaustively; a non-least mu is caught",
+        f"exhaustively ({split}); a non-least mu is caught",
         all_pass and core_exhaustive and caught and elapsed < BUDGET_S,
         f"all_pass={all_pass} core_exhaustive={core_exhaustive} "
-        f"caught_by={caught} in {elapsed:.1f}s",
+        f"{split} caught_by={caught} in {elapsed:.1f}s",
     )
 
 

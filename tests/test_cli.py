@@ -315,6 +315,12 @@ def test_too_few_samples_are_usage_errors(capsys):
         assert "samples" in usage_error(capsys, "laws", "--samples", n)
 
 
+def test_negative_law_budgets_are_usage_errors(capsys):
+    for flag, field in (("--budget", "budget"), ("--cap", "pair_budget")):
+        err = usage_error(capsys, "laws", flag, "-1")
+        assert err.startswith(f"error: {field} must not be negative")
+
+
 def test_negative_ticks_are_a_usage_error(capsys):
     assert "ticks" in usage_error(capsys, "sim", TOGGLE, "--ticks", "-1")
     assert "ticks" in usage_error(

@@ -169,6 +169,13 @@ def test_config_needs_at_least_one_sample():
             LawConfig(samples=n)
 
 
+def test_config_rejects_negative_budgets():
+    for field in ("budget", "pair_budget"):
+        with pytest.raises(ValueError, match=f"^{field} must not be negative"):
+            LawConfig(**{field: -1})
+        LawConfig(**{field: 0})
+
+
 def test_sweep_is_deterministic_for_a_seed():
     a = check_dinaturality(SMALL)
     b = check_dinaturality(SMALL)
@@ -225,6 +232,12 @@ def test_an_operator_that_raises_fails_the_case_not_the_sweep():
     cx = res.first_counterexample()
     assert "raised RuntimeError: no fixed point here for f={" in cx.detail
     assert ", g={" in cx.detail
+    # Every law, yanking included, reports the raise instead of ending the run.
+    results = run_laws(LawConfig(mu=mu_crashing, pair_budget=400, samples=5))
+    for res in results:
+        cx = res.first_counterexample()
+        assert cx is not None, res.law
+        assert "raised RuntimeError: no fixed point here" in cx.detail, res.law
 
 
 def mu_one_step(f: MonotoneFn, split: int) -> MonotoneFn:

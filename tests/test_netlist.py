@@ -194,6 +194,42 @@ def test_multiple_errors_are_collected():
     assert 4 in lines and 5 in lines
 
 
+BUMP = """type temp = { lo, mid, hi }
+gate bump(p0: temp) -> (temp) strict {
+  (lo) -> (mid)
+  (mid) -> (hi)
+  (hi) -> (hi)
+}
+"""
+
+
+def test_literal_gate_arguments_take_the_gate_signature():
+    # Literal and atom arguments are typed by the gate they feed: bot and
+    # an atom of the argument's type build, anything else is pinned here.
+    diags = errors_of(
+        BUMP + "circuit main {\n"
+        "  out y: bool, z: bool, w: temp, v: bool, u: bool\n"
+        "  y = not(2)\n"
+        "  z = por(bot, 3)\n"
+        "  w = bump(mid)\n"
+        "  v = not(nope)\n"
+        "  u = not(lo)\n"
+        "}\n"
+    )
+    unknown = "(forward references need a loop wire)"
+    assert [d for d in diags if "never assigned" not in d[2]] == [
+        (9, 11, "2 is not a value of type 'bool'"),
+        (10, 16, "3 is not a value of type 'bool'"),
+        (12, 11, f"unknown wire 'nope' {unknown}"),
+        (13, 11, f"unknown wire 'lo' {unknown}"),
+    ]
+    c = parse_netlist(
+        BUMP + "circuit main {\n  out z: bool, w: temp\n"
+        "  z = por(bot, 1)\n  w = bump(mid)\n}\n"
+    )
+    assert simulate(c, bot_trace(sig(), 1)).rows == ((1, "hi"),)
+
+
 def test_syntax_error_reports_position_and_aborts():
     with pytest.raises(NetlistError) as exc:
         parse_netlist("circuit main {\n  in a: bool\n  out y bool\n}\n")

@@ -37,3 +37,11 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert "SOUNDNESS VIOLATED" not in proc.stdout
+
+
+def test_law_sweep_catches_the_mutant():
+    proc = run_script(
+        "scripts/law_sweep.py", "--cap", "200", "--samples", "20", "--mutant"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" in proc.stdout

@@ -3,13 +3,15 @@
 Subcommands: check (parse and validate), sim (run a netlist over a stream),
 laws (equational sweeps), equiv (compare two netlists), totality (bounded
 totality check).  Exit codes: 0 success, 1 a checked property failed and a
-witness was printed, 2 usage, parse, or format errors.
+witness was printed, 2 usage, parse, or format errors, 141 stdout was
+closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import analysis, laws
@@ -325,4 +327,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away, as in `causalcirc laws --json | head`.
+        # Output still buffered goes to devnull, so that the flush at exit
+        # does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, what a shell reports for a closed pipe
+    sys.exit(code)

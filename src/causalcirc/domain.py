@@ -388,15 +388,16 @@ def local_lfp(f: MonotoneFn, split: int) -> MonotoneFn:
     to the loop part.  The result maps the context to the least fixed point of
     the loop part, and is itself monotone.
     """
-    if not 0 <= split <= len(f.dom):
+    wires = f.dom.wires
+    if not 0 <= split <= len(wires):
         raise SignatureError(f"split index {split} out of range for {f.dom!r}")
-    loop = f.dom[split:]
-    if loop != f.cod:
+    loop = wires[split:]
+    if loop != f.cod.wires:
         raise SignatureError(
-            f"loop part {loop!r} does not match codomain {f.cod!r}"
+            f"loop part {Signature(loop)!r} does not match codomain {f.cod!r}"
         )
-    solve = _kleene(f.fn, loop.bottom(), f.name or "the function")
-    return MonotoneFn(f.dom[:split], f.cod, solve, f"mu({f.name})")
+    solve = _kleene(f.fn, (BOT,) * len(loop), f.name or "the function")
+    return MonotoneFn(Signature(wires[:split]), f.cod, solve, f"mu({f.name})")
 
 
 Mu: TypeAlias = Callable[[MonotoneFn, int], MonotoneFn]
@@ -421,6 +422,6 @@ def trace(f: MonotoneFn, k: int, mu: Mu) -> MonotoneFn:
         )
     fn = f.fn
     m = mu(MonotoneFn(f.dom, loop, lambda t: fn(t)[n_out:], f.name), n_in).fn
-    # Left unnamed: the law sweeps build tens of thousands of traces per
-    # run, and formatting a name for each shows up in their time.
+    # Left unnamed, so that building a trace formats no string; a
+    # DivergenceError then calls it "the function".
     return MonotoneFn(f.dom[:n_in], f.cod[:n_out], lambda a: fn(a + m(a))[:n_out])

@@ -8,6 +8,15 @@ fixed-point operator itself is injectable so the suite can demonstrate
 that a broken operator is caught; all laws are checked through whatever
 operator the config carries.
 
+Each law is a factory, run once per combo, that lists the points of the
+signatures involved and splits each point into its context and loop
+parts.  It returns the check of one case, which builds every side of the
+law as a table straight from the drawn functions' tables and compares the
+sides point by point.  Every fixed point still comes from ``cfg.mu``,
+called on a ``MonotoneFn`` that reads such a table, so a wrong operator
+is caught as before; ``domain.trace`` is the definition the tables unfold,
+and the tests check the two against each other.
+
 Laws covered:
 
 * local fixed point: mu(f)(a) is a fixed point, the least one, and monotone in a;
@@ -23,7 +32,7 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .domain import (
@@ -35,11 +44,10 @@ from .domain import (
     Mu,
     Signature,
     UNIT,
-    find_monotonicity_violation,
     local_lfp,
     sig,
-    trace,
     tuple_leq,
+    up_set,
 )
 
 _BUDGET = 10**6  # default steps for building one function space
@@ -118,29 +126,37 @@ def _join(comps: tuple[int, ...], i: int, up: int) -> tuple[int, ...]:
     return tuple(rest)
 
 
-# Up-sets of each domain shape, grouped by their number of components.
+# Up-sets of each domain shape with their components, by component count.
 _UPSETS: dict[tuple[int, ...], tuple] = {}
 # Size of Mon(D, one lifted wire), by (domain shape, atoms of the wire).
 _WIRE_COUNTS: dict[tuple[tuple[int, ...], int], int] = {}
 
 
 def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
-    """Every up-set of the domain as a bitmask, in one array per component count.
+    """Every up-set of the domain and its components, by component count.
 
-    Points are decided from the top down, so a point may join only when all
-    points above it already have; every branch then ends in an up-set.
+    Entry k is a pair of flat arrays: the up-sets with k components, as
+    bitmasks, and their components, k slots per up-set, so that up-set u
+    owns slots ``u*k`` to ``u*k + k - 1``.  Points are decided from the top
+    down, so a point may join only when all points above it already have;
+    every branch then ends in an up-set.
     """
     got = _UPSETS.get(shape)
     if got is not None:
         return got
     above = _poset(shape).above
     groups: list[list[int]] = []
+    parts: list[list[int]] = []
     stack = [(len(above) - 1, 0, ())]
     while stack:
         i, u, comps = stack.pop()
         if i < 0:
-            groups.extend([] for _ in range(len(comps) + 1 - len(groups)))
-            groups[len(comps)].append(u)
+            k = len(comps)
+            while len(groups) <= k:
+                groups.append([])
+                parts.append([])
+            groups[k].append(u)
+            parts[k].extend(comps)
             continue
         budget.spend()
         stack.append((i - 1, u, comps))
@@ -148,7 +164,10 @@ def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
         if u & up == up:
             stack.append((i - 1, u | 1 << i, _join(comps, i, up)))
     code = "I" if len(above) <= 32 else "Q" if len(above) <= 64 else None
-    got = tuple(array(code, g) if code else tuple(g) for g in groups)
+    got = tuple(
+        (array(code, g), array(code, p)) if code else (tuple(g), tuple(p))
+        for g, p in zip(groups, parts)
+    )
     _UPSETS[shape] = got
     return got
 
@@ -159,7 +178,9 @@ def _wire_count(shape: tuple[int, ...], atoms: int, budget: _Budget) -> int:
     n = _WIRE_COUNTS.get(key)
     if n is None:
         groups = _upsets(shape, budget)
-        n = _WIRE_COUNTS[key] = sum(len(g) * atoms**k for k, g in enumerate(groups))
+        n = _WIRE_COUNTS[key] = sum(
+            len(ups) * atoms**k for k, (ups, _) in enumerate(groups)
+        )
     return n
 
 
@@ -283,20 +304,14 @@ def _draw_wire(shape: tuple[int, ...], base: BaseType, r: int, budget: _Budget) 
     up-set and, in base ``atoms`` digits, one atom per component.
     """
     m = len(base.values)
-    for k, group in enumerate(_upsets(shape, budget)):
-        w = len(group) * m**k
+    for k, (ups, comps) in enumerate(_upsets(shape, budget)):
+        w = len(ups) * m**k
         if r < w:
             break
         r -= w
     u, digits = divmod(r, m**k)
-    u = group[u]
-    above = _poset(shape).above
-    comps: tuple[int, ...] = ()
-    for i in range(len(above) - 1, -1, -1):
-        if u >> i & 1:
-            comps = _join(comps, i, above[i])
-    col = [BOT] * len(above)
-    for c in comps:
+    col = [BOT] * len(_poset(shape).above)
+    for c in comps[u * k : u * k + k]:
         digits, a = divmod(digits, m)
         while c:
             low = c & -c
@@ -397,14 +412,18 @@ def _table_str(f: MonotoneFn) -> str:
     return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in rows.items()) + "}"
 
 
+def _tables(*fns: MonotoneFn) -> str:
+    """The drawn functions of a case, as a counterexample names them."""
+    return ", ".join(f"{n}={_table_str(h)}" for n, h in zip("fg", fns))
+
+
 def _run_case(check: Callable[..., str | None], *fns: MonotoneFn) -> str | None:
     """One case of a law; an exception raised in it, typically by the
     operator under test, fails the case instead of ending the sweep."""
     try:
         return check(*fns)
     except Exception as e:
-        tables = ", ".join(f"{n}={_table_str(h)}" for n, h in zip("fg", fns))
-        return f"raised {type(e).__name__}: {e} for {tables}"
+        return f"raised {type(e).__name__}: {e} for {_tables(*fns)}"
 
 
 def _sweep(
@@ -446,42 +465,67 @@ def _combos(
     cfg: LawConfig,
     names: str,
     spaces: Callable[..., list[tuple[Signature, Signature]]],
-    check: Callable[..., str | None],
+    make: Callable[..., Callable[..., str | None]],
     suffix: str = "",
 ) -> tuple[ComboResult, ...]:
     """Sweep a law once per choice of a base for each named wire.
 
     Combos are named ``A=...,X=...`` plus ``suffix``, the first name varying
-    slowest; ``spaces`` and ``check`` get one signature per name, and
-    ``check`` gets ``cfg`` before them and the drawn functions after.
+    slowest.  ``spaces`` gets one signature per name; ``make`` gets ``cfg``
+    and the same signatures, once per combo, and returns the law's check of
+    one case, which takes the drawn functions.
     """
     out = []
     for bases in itertools.product(cfg.bases, repeat=len(names)):
         combo = ",".join(f"{n}={b.name}" for n, b in zip(names, bases)) + suffix
         sigs = [sig(b) for b in bases]
-        out.append(_sweep(law, combo, spaces(*sigs), cfg, partial(check, cfg, *sigs)))
+        out.append(_sweep(law, combo, spaces(*sigs), cfg, make(cfg, *sigs)))
     return tuple(out)
 
 
-def _fixpoint(cfg: LawConfig, a_sig, x_sig, f: MonotoneFn) -> str | None:
-    muf = cfg.mu(f, len(a_sig))
-    for a in a_sig.tuples():
-        x = muf.fn(a)
-        if f.fn(a + x) != x:
-            return (
-                f"mu value {x!r} at context {a!r} is not fixed "
-                f"for f={_table_str(f)}"
-            )
-        for x2 in x_sig.tuples():
-            if f.fn(a + x2) == x2 and not tuple_leq(x, x2):
-                return (
-                    f"mu value {x!r} at context {a!r} is not below "
-                    f"fixed point {x2!r} for f={_table_str(f)}"
-                )
-    bad = find_monotonicity_violation(muf)
-    if bad is not None:
-        return f"mu(f) is not monotone at {bad!r} for f={_table_str(f)}"
-    return None
+# -- the laws: one factory per law, run once per combo -------------------------
+
+
+def _fn(dom: Signature, cod: Signature, table: dict) -> MonotoneFn:
+    return MonotoneFn(dom, cod, table.__getitem__, "", table)
+
+
+def _fixpoint(cfg: LawConfig, a_sig, x_sig):
+    na = len(a_sig)
+    a_pts = _points(a_sig)
+    rows = [(a, [(a + x, x) for x in _points(x_sig)]) for a in a_pts]
+    index = {a: i for i, a in enumerate(a_pts)}
+    # every pair of contexts lo < hi, as indices, in the order
+    # find_monotonicity_violation visits them
+    pairs = [
+        (i, index[hi])
+        for i, a in enumerate(a_pts)
+        for hi in up_set(a, a_sig)
+        if hi != a
+    ]
+
+    def case(f: MonotoneFn) -> str | None:
+        tbl = f.table
+        muf = cfg.mu(f, na).fn
+        vals = []
+        for a, row in rows:
+            x = muf(a)
+            if tbl[a + x] != x:
+                return f"mu value {x!r} at context {a!r} is not fixed for {_tables(f)}"
+            for key, x2 in row:
+                if tbl[key] == x2 and not tuple_leq(x, x2):
+                    return (
+                        f"mu value {x!r} at context {a!r} is not below "
+                        f"fixed point {x2!r} for {_tables(f)}"
+                    )
+            vals.append(x)
+        for i, j in pairs:
+            if not tuple_leq(vals[i], vals[j]):
+                bad = (a_pts[i], a_pts[j])
+                return f"mu(f) is not monotone at {bad!r} for {_tables(f)}"
+        return None
+
+    return case
 
 
 def check_local_fixpoint(cfg: LawConfig = LawConfig()) -> SweepResult:
@@ -491,22 +535,25 @@ def check_local_fixpoint(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _naturality(cfg: LawConfig, a_sig, x_sig, b_sig, f, g) -> str | None:
-    nb = len(b_sig)
-    reindexed = MonotoneFn(
-        b_sig + x_sig, x_sig, lambda t: f.fn(g.fn(t[:nb]) + t[nb:])
-    )
-    lhs = cfg.mu(reindexed, nb)
-    muf = cfg.mu(f, len(a_sig))
-    for b in b_sig.tuples():
-        left = lhs.fn(b)
-        right = muf.fn(g.fn(b))
-        if left != right:
-            return (
-                f"at {b!r}: {left!r} vs {right!r} for "
-                f"f={_table_str(f)}, g={_table_str(g)}"
-            )
-    return None
+def _naturality(cfg: LawConfig, a_sig, x_sig, b_sig):
+    na, nb = len(a_sig), len(b_sig)
+    bx = b_sig + x_sig
+    keys = [(t, t[:nb], t[nb:]) for t in _points(bx)]
+    b_pts = _points(b_sig)
+
+    def case(f: MonotoneFn, g: MonotoneFn) -> str | None:
+        ft, gt = f.table, g.table
+        reindexed = {t: ft[gt[b] + x] for t, b, x in keys}
+        lhs = cfg.mu(_fn(bx, x_sig, reindexed), nb).fn
+        muf = cfg.mu(f, na).fn
+        for b in b_pts:
+            left = lhs(b)
+            right = muf(gt[b])
+            if left != right:
+                return f"at {b!r}: {left!r} vs {right!r} for {_tables(f, g)}"
+        return None
+
+    return case
 
 
 def check_naturality_param(cfg: LawConfig = LawConfig()) -> SweepResult:
@@ -517,21 +564,27 @@ def check_naturality_param(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _dinaturality(cfg: LawConfig, a_sig, x_sig, y_sig, f, g) -> str | None:
+def _dinaturality(cfg: LawConfig, a_sig, x_sig, y_sig):
     na = len(a_sig)
-    after = MonotoneFn(a_sig + x_sig, x_sig, lambda t: g.fn(f.fn(t)))
-    before = MonotoneFn(a_sig + y_sig, y_sig, lambda t: f.fn(t[:na] + g.fn(t[na:])))
-    mu_after = cfg.mu(after, na)
-    mu_before = cfg.mu(before, na)
-    for a in a_sig.tuples():
-        left = mu_after.fn(a)
-        right = g.fn(mu_before.fn(a))
-        if left != right:
-            return (
-                f"at {a!r}: {left!r} vs {right!r} for "
-                f"f={_table_str(f)}, g={_table_str(g)}"
-            )
-    return None
+    ax, ay = a_sig + x_sig, a_sig + y_sig
+    ax_pts = _points(ax)
+    ay_keys = [(t, t[:na], t[na:]) for t in _points(ay)]
+    a_pts = _points(a_sig)
+
+    def case(f: MonotoneFn, g: MonotoneFn) -> str | None:
+        ft, gt = f.table, g.table
+        after = {t: gt[ft[t]] for t in ax_pts}
+        before = {t: ft[a + gt[y]] for t, a, y in ay_keys}
+        mu_after = cfg.mu(_fn(ax, x_sig, after), na).fn
+        mu_before = cfg.mu(_fn(ay, y_sig, before), na).fn
+        for a in a_pts:
+            left = mu_after(a)
+            right = gt[mu_before(a)]
+            if left != right:
+                return f"at {a!r}: {left!r} vs {right!r} for {_tables(f, g)}"
+        return None
+
+    return case
 
 
 def check_dinaturality(cfg: LawConfig = LawConfig()) -> SweepResult:
@@ -542,25 +595,31 @@ def check_dinaturality(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _bekic(cfg: LawConfig, a_sig, x_sig, y_sig, f, g) -> str | None:
+def _bekic(cfg: LawConfig, a_sig, x_sig, y_sig):
     na, nx = len(a_sig), len(x_sig)
-    both = MonotoneFn(
-        a_sig + x_sig + y_sig, x_sig + y_sig, lambda t: f.fn(t) + g.fn(t)
-    )
-    mu_both = cfg.mu(both, na)
-    mu_g = cfg.mu(g, na + nx)
-    inner = MonotoneFn(a_sig + x_sig, x_sig, lambda t: f.fn(t + mu_g.fn(t)))
-    mu_inner = cfg.mu(inner, na)
-    for a in a_sig.tuples():
-        x = mu_inner.fn(a)
-        y = mu_g.fn(a + x)
-        left = mu_both.fn(a)
-        if left != x + y:
-            return (
-                f"at {a!r}: simultaneous {left!r} vs nested "
-                f"{(x + y)!r} for f={_table_str(f)}, g={_table_str(g)}"
-            )
-    return None
+    ax, axy, xy = a_sig + x_sig, a_sig + x_sig + y_sig, x_sig + y_sig
+    ax_pts, axy_pts, a_pts = _points(ax), _points(axy), _points(a_sig)
+
+    def case(f: MonotoneFn, g: MonotoneFn) -> str | None:
+        ft, gt = f.table, g.table
+        both = {t: ft[t] + gt[t] for t in axy_pts}
+        mu_both = cfg.mu(_fn(axy, xy, both), na).fn
+        mu_g = cfg.mu(g, na + nx).fn
+        mg = {t: mu_g(t) for t in ax_pts}
+        inner = {t: ft[t + y] for t, y in mg.items()}
+        mu_inner = cfg.mu(_fn(ax, x_sig, inner), na).fn
+        for a in a_pts:
+            x = mu_inner(a)
+            y = mg[a + x]
+            left = mu_both(a)
+            if left != x + y:
+                return (
+                    f"at {a!r}: simultaneous {left!r} vs nested {(x + y)!r} "
+                    f"for {_tables(f, g)}"
+                )
+        return None
+
+    return case
 
 
 def check_bekic(cfg: LawConfig = LawConfig()) -> SweepResult:
@@ -571,16 +630,21 @@ def check_bekic(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _tables_differ(h1: MonotoneFn, h2: MonotoneFn) -> str | None:
-    for t in h1.dom.tuples():
-        v1, v2 = h1.fn(t), h2.fn(t)
-        if v1 != v2:
-            return f"at {t!r}: {v1!r} vs {v2!r}"
-    return None
+def _yanking(cfg: LawConfig, x_sig):
+    xx = x_sig + x_sig
+    loop = {t: t[:1] for t in _points(xx)}  # the looped output of the swap
+    x_pts = _points(x_sig)
 
+    def case(swap: MonotoneFn) -> str | None:
+        tbl = swap.table
+        m = cfg.mu(_fn(xx, x_sig, loop), 1).fn
+        for a in x_pts:
+            out = tbl[a + m(a)][:1]
+            if out != a:
+                return f"at {a!r}: {out!r} vs {a!r}"
+        return None
 
-def _yanking(cfg: LawConfig, x_sig, swap: MonotoneFn) -> str | None:
-    return _tables_differ(trace(swap, 1, cfg.mu), MonotoneFn.identity(x_sig))
+    return case
 
 
 def check_yanking(cfg: LawConfig = LawConfig()) -> SweepResult:
@@ -590,21 +654,50 @@ def check_yanking(cfg: LawConfig = LawConfig()) -> SweepResult:
     for x_base in cfg.bases:
         combo = f"X={x_base.name}"
         x_sig = sig(x_base)
-        swap = MonotoneFn(x_sig + x_sig, x_sig + x_sig, lambda t: (t[1], t[0]))
-        bad = _run_case(partial(_yanking, cfg, x_sig), swap)
+        xx = x_sig + x_sig
+        swap = _fn(xx, xx, {t: (t[1], t[0]) for t in _points(xx)})
+        bad = _run_case(_yanking(cfg, x_sig), swap)
         cx = None if bad is None else Counterexample(law, combo, bad)
         combos.append(ComboResult(combo, "exhaustive", len(x_base.lifted), cx))
     return SweepResult(law, tuple(combos))
 
 
-def _vanishing_zero(cfg: LawConfig, a_sig, b_sig, f: MonotoneFn) -> str | None:
-    return _tables_differ(trace(f, 0, cfg.mu), f)
+def _vanishing_zero(cfg: LawConfig, a_sig, b_sig):
+    na, nb = len(a_sig), len(b_sig)
+    a_pts = _points(a_sig)
+    loop = {a: () for a in a_pts}  # no wire is looped
+
+    def case(f: MonotoneFn) -> str | None:
+        tbl = f.table
+        m = cfg.mu(_fn(a_sig, sig(), loop), na).fn
+        for a in a_pts:
+            traced, plain = tbl[a + m(a)][:nb], tbl[a]
+            if traced != plain:
+                return f"at {a!r}: {traced!r} vs {plain!r}"
+        return None
+
+    return case
 
 
-def _vanishing_nested(cfg: LawConfig, a_sig, x_sig, y_sig, f) -> str | None:
-    both = trace(f, 2, cfg.mu)
-    outer = trace(trace(f, 1, cfg.mu), 1, cfg.mu)
-    return _tables_differ(both, outer)
+def _vanishing_nested(cfg: LawConfig, a_sig, x_sig, y_sig):
+    na, nax = len(a_sig), len(a_sig) + len(x_sig)
+    ax, axy, xy = a_sig + x_sig, a_sig + x_sig + y_sig, x_sig + y_sig
+    ax_pts, axy_pts, a_pts = _points(ax), _points(axy), _points(a_sig)
+
+    def case(f: MonotoneFn) -> str | None:
+        tbl = f.table
+        m_both = cfg.mu(_fn(axy, xy, {t: tbl[t][na:] for t in axy_pts}), na).fn
+        m_y = cfg.mu(_fn(axy, y_sig, {t: tbl[t][nax:] for t in axy_pts}), nax).fn
+        inner = {t: tbl[t + m_y(t)][:nax] for t in ax_pts}  # f with Y traced
+        m_x = cfg.mu(_fn(ax, x_sig, {t: o[na:] for t, o in inner.items()}), na).fn
+        for a in a_pts:
+            both = tbl[a + m_both(a)][:na]
+            outer = inner[a + m_x(a)][:na]
+            if both != outer:
+                return f"at {a!r}: {both!r} vs {outer!r}"
+        return None
+
+    return case
 
 
 def check_vanishing(cfg: LawConfig = LawConfig()) -> SweepResult:
@@ -616,20 +709,28 @@ def check_vanishing(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, zero + nested)
 
 
-def _sliding(cfg: LawConfig, a_sig, b_sig, x_sig, y_sig, f, g) -> str | None:
+def _sliding(cfg: LawConfig, a_sig, b_sig, x_sig, y_sig):
     na, nb = len(a_sig), len(b_sig)
-    post = MonotoneFn(
-        a_sig + x_sig,
-        b_sig + x_sig,
-        lambda t: (lambda o: o[:nb] + g.fn(o[nb:]))(f.fn(t)),
-    )
-    pre = MonotoneFn(
-        a_sig + y_sig, b_sig + y_sig, lambda t: f.fn(t[:na] + g.fn(t[na:]))
-    )
-    bad = _tables_differ(trace(post, 1, cfg.mu), trace(pre, 1, cfg.mu))
-    if bad is not None:
-        return f"{bad} for f={_table_str(f)}, g={_table_str(g)}"
-    return None
+    ax, ay = a_sig + x_sig, a_sig + y_sig
+    ax_pts = _points(ax)
+    ay_keys = [(t, t[:na], t[na:]) for t in _points(ay)]
+    a_pts = _points(a_sig)
+
+    def case(f: MonotoneFn, g: MonotoneFn) -> str | None:
+        ft, gt = f.table, g.table
+        # the loop parts of g after f, and of f after g on the looped input
+        post = {t: gt[ft[t][nb:]] for t in ax_pts}
+        pre = {t: ft[a + gt[y]][nb:] for t, a, y in ay_keys}
+        m_post = cfg.mu(_fn(ax, x_sig, post), na).fn
+        m_pre = cfg.mu(_fn(ay, y_sig, pre), na).fn
+        for a in a_pts:
+            left = ft[a + m_post(a)][:nb]
+            right = ft[a + gt[m_pre(a)]][:nb]
+            if left != right:
+                return f"at {a!r}: {left!r} vs {right!r} for {_tables(f, g)}"
+        return None
+
+    return case
 
 
 def check_sliding(cfg: LawConfig = LawConfig()) -> SweepResult:
@@ -640,20 +741,29 @@ def check_sliding(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _superposing(cfg: LawConfig, c_sig, a_sig, b_sig, x_sig, f) -> str | None:
-    nc = len(c_sig)
-    widened = MonotoneFn(
-        c_sig + a_sig + x_sig, c_sig + b_sig + x_sig, lambda t: t[:nc] + f.fn(t[nc:])
-    )
-    lhs = trace(widened, 1, cfg.mu)
-    traced = trace(f, 1, cfg.mu)
-    rhs = MonotoneFn(
-        c_sig + a_sig, c_sig + b_sig, lambda t: t[:nc] + traced.fn(t[nc:])
-    )
-    bad = _tables_differ(lhs, rhs)
-    if bad is not None:
-        return f"{bad} for f={_table_str(f)}"
-    return None
+def _superposing(cfg: LawConfig, c_sig, a_sig, b_sig, x_sig):
+    nc, na, nb = len(c_sig), len(a_sig), len(b_sig)
+    ax, cax = a_sig + x_sig, c_sig + a_sig + x_sig
+    ax_pts = _points(ax)
+    cax_keys = [(t, t[nc:]) for t in _points(cax)]
+    ca_keys = [(t, t[:nc], t[nc:]) for t in _points(c_sig + a_sig)]
+    a_pts = _points(a_sig)
+
+    def case(f: MonotoneFn) -> str | None:
+        tbl = f.table
+        loop = {t: tbl[t][nb:] for t in ax_pts}
+        widened = {t: loop[t_ax] for t, t_ax in cax_keys}  # C passes by
+        m_wide = cfg.mu(_fn(cax, x_sig, widened), nc + na).fn
+        m = cfg.mu(_fn(ax, x_sig, loop), na).fn
+        traced = {a: tbl[a + m(a)][:nb] for a in a_pts}
+        for t, c, a in ca_keys:
+            left = c + tbl[a + m_wide(t)][:nb]
+            right = c + traced[a]
+            if left != right:
+                return f"at {t!r}: {left!r} vs {right!r} for {_tables(f)}"
+        return None
+
+    return case
 
 
 def check_superposing(cfg: LawConfig = LawConfig()) -> SweepResult:

@@ -171,6 +171,27 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
+def _run(step):
+    """Drive a build generator and every step it yields.
+
+    The open steps are kept on an explicit stack, so nesting depth is
+    limited by memory only; the steps run in the order recursion would run
+    them.  An exception leaves the remaining steps unfinished.
+    """
+    stack = [step]
+    value = None
+    while stack:
+        try:
+            nested = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(nested)
+            value = None
+    return value
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
@@ -556,7 +577,7 @@ class _Parser:
                 return
             if self.peek(1).kind in ("(", "["):
                 ast = self.expr_ast()
-                self.build_call(ast)
+                _run(self.build_call(ast))
                 return
         raise NetlistError(
             [(tok.line, tok.col, f"expected a statement, found {tok.text!r}")]
@@ -593,7 +614,7 @@ class _Parser:
         if ast[0] != "call":
             tok = name_toks[0]
             raise _Sem(tok, "tuple assignment needs a gate call on the right")
-        idx, out_sig = self.build_call(ast)
+        idx, out_sig = _run(self.build_call(ast))
         if len(out_sig) != len(name_toks):
             raise _Sem(
                 name_toks[0],
@@ -608,7 +629,7 @@ class _Parser:
             j = self.loop_names[name]
             if j in self.loop_srcs:
                 raise _Sem(name_tok, f"feedback wire {name!r} is closed twice")
-            src, base = self.build_expr(ast, self.loops[j])
+            src, base = _run(self.build_expr(ast, self.loops[j]))
             if base != self.loops[j]:
                 raise _Sem(
                     name_tok,
@@ -621,7 +642,7 @@ class _Parser:
             i = self.out_names.index(name)
             if i in self.out_srcs:
                 raise _Sem(name_tok, f"output {name!r} is assigned twice")
-            src, base = self.build_expr(ast, self.out_ports[i])
+            src, base = _run(self.build_expr(ast, self.out_ports[i]))
             if base != self.out_ports[i]:
                 raise _Sem(
                     name_tok,
@@ -631,7 +652,7 @@ class _Parser:
             self.env[name] = (src, base)
             return
         fresh = self.fresh_name(name_tok, "wire")
-        self.env[fresh] = self.build_expr(ast, None)
+        self.env[fresh] = _run(self.build_expr(ast, None))
 
     def bind_source(self, name_tok: Token, src, base: BaseType) -> None:
         name = name_tok.text
@@ -659,22 +680,51 @@ class _Parser:
     # AST shapes: ("call", name_tok, ann_tok | None, [arg asts], {kw: tok-or-ast})
     #             ("ref", tok)   wire or enum atom, decided at build time
     #             ("lit", tok)   INT or bot
+    #
+    # Expressions nest without bound, so parsing and building them must not
+    # recurse in Python.  expr_ast keeps its open calls on a stack.
+    # build_expr, build_call, build_delay and build_vardelay are generators
+    # that yield each nested expression to be built, and ``_run`` sends
+    # back its source; one expression's own steps chain by ``yield from``.
+    # Leaves, the bulk of every netlist, are built by plain calls.
 
     def expr_ast(self):
+        """One expression.  Calls whose arguments are still being read wait
+        on an explicit stack, innermost last."""
+        open_calls: list[tuple] = []
+        while True:
+            if self.peek().kind == "IDENT" and self.peek(1).kind in ("(", "["):
+                call = self.call_head()
+                if self.call_args(call[4], first=True):
+                    open_calls.append(call)
+                    continue
+                ast = call
+            else:
+                ast = self.leaf_ast()
+            # ast is complete: it is the next argument of the innermost open call
+            while open_calls:
+                call = open_calls[-1]
+                call[3].append(ast)
+                if self.call_args(call[4], first=False):
+                    break
+                ast = open_calls.pop()
+            else:
+                return ast
+
+    def leaf_ast(self):
         tok = self.peek()
         if tok.kind in ("INT", "BOT"):
             self.advance()
             return ("lit", tok)
         if tok.kind == "IDENT":
-            if self.peek(1).kind in ("(", "["):
-                return self.call_ast()
             self.advance()
             return ("ref", tok)
         raise NetlistError(
             [(tok.line, tok.col, f"expected an expression, found {tok.text!r}")]
         )
 
-    def call_ast(self):
+    def call_head(self):
+        """A call up to its "(", with its argument list and keywords empty."""
         name_tok = self.advance()
         ann_tok = None
         if self.peek().kind == "[":
@@ -682,46 +732,49 @@ class _Parser:
             ann_tok = self.expect("IDENT", "a type name")
             self.expect("]")
         self.expect("(")
-        args = []
-        kwargs: dict[str, object] = {}
-        kw_toks: dict[str, Token] = {}
-        if self.peek().kind != ")":
-            while True:
-                if (
-                    self.peek().kind == "IDENT"
-                    and self.peek(1).kind == "="
-                ):
-                    kw_tok = self.advance()
-                    self.advance()
-                    val_tok = self.peek()
-                    if val_tok.kind not in ("INT", "BOT", "IDENT"):
-                        raise NetlistError(
-                            [
-                                (
-                                    val_tok.line,
-                                    val_tok.col,
-                                    f"expected a value, found {val_tok.text!r}",
-                                )
-                            ]
+        return ("call", name_tok, ann_tok, [], {})
+
+    def call_args(self, kwargs: dict, first: bool) -> bool:
+        """Read a call's arguments up to its next positional one.
+
+        ``first`` is set at the start of the list, and clear after an
+        argument.  Keyword arguments met on the way go into ``kwargs``.
+        True when a positional argument follows; False once the closing
+        parenthesis is read.
+        """
+        if first and self.peek().kind == ")":
+            self.advance()
+            return False
+        while True:
+            if not first:
+                if self.peek().kind != ",":
+                    self.expect(")")
+                    return False
+                self.advance()
+            first = False
+            if self.peek().kind != "IDENT" or self.peek(1).kind != "=":
+                return True
+            kw_tok = self.advance()
+            self.advance()
+            val_tok = self.peek()
+            if val_tok.kind not in ("INT", "BOT", "IDENT"):
+                raise NetlistError(
+                    [
+                        (
+                            val_tok.line,
+                            val_tok.col,
+                            f"expected a value, found {val_tok.text!r}",
                         )
-                    self.advance()
-                    if kw_tok.text in kwargs:
-                        raise _Sem(kw_tok, f"argument {kw_tok.text!r} repeated")
-                    kwargs[kw_tok.text] = val_tok
-                    kw_toks[kw_tok.text] = kw_tok
-                else:
-                    args.append(self.expr_ast())
-                if self.peek().kind == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect(")")
-        return ("call", name_tok, ann_tok, args, kwargs)
+                    ]
+                )
+            self.advance()
+            if kw_tok.text in kwargs:
+                raise _Sem(kw_tok, f"argument {kw_tok.text!r} repeated")
+            kwargs[kw_tok.text] = val_tok
 
     def build_expr(self, ast, expected: BaseType | None):
-        kind = ast[0]
-        if kind == "call":
-            idx, out_sig = self.build_call(ast)
+        if ast[0] == "call":
+            idx, out_sig = yield from self.build_call(ast)
             if len(out_sig) != 1:
                 raise _Sem(
                     ast[1],
@@ -729,7 +782,10 @@ class _Parser:
                     "use tuple assignment",
                 )
             return (SrcNode(idx, 0), out_sig[0])
-        if kind == "ref":
+        return self.build_leaf(ast, expected)
+
+    def build_leaf(self, ast, expected: BaseType | None):
+        if ast[0] == "ref":
             tok = ast[1]
             hit = self.lookup(tok.text)
             if hit is not None:
@@ -776,9 +832,9 @@ class _Parser:
             if ann is None:
                 raise _Sem(ann_tok, f"unknown type {ann_tok.text!r}")
         if name == "delay":
-            return self.build_delay(name_tok, args, kwargs)
+            return (yield from self.build_delay(name_tok, args, kwargs))
         if name == "vardelay":
-            return self.build_vardelay(name_tok, args, kwargs)
+            return (yield from self.build_vardelay(name_tok, args, kwargs))
         if name == "const":
             return self.build_const(name_tok, ann, args, kwargs)
         if kwargs:
@@ -788,10 +844,10 @@ class _Parser:
         # gate's signature.
         built: list = []
         for a in args:
-            if a[0] == "lit" or (a[0] == "ref" and self.lookup(a[1].text) is None):
-                built.append(None)
-            else:
-                built.append(self.build_expr(a, None))
+            if a[0] == "call":
+                built.append((yield self.build_expr(a, None)))
+            else:  # None for a literal or an atom
+                built.append(self.lookup(a[1].text) if a[0] == "ref" else None)
         gate = self.resolve_gate(name_tok, ann, args, built)
         if len(args) != len(gate.dom):
             raise _Sem(
@@ -802,7 +858,7 @@ class _Parser:
         for i, (a, b) in enumerate(zip(args, built)):
             want = gate.dom[i]
             if b is None:
-                srcs.append(self.build_expr(a, want)[0])
+                srcs.append(self.build_leaf(a, want)[0])
             else:
                 src, got = b
                 if got != want:
@@ -924,7 +980,7 @@ class _Parser:
             raise _Sem(name_tok, f"delay takes no {sorted(extra)[0]!r} argument")
         if len(args) != 1:
             raise _Sem(name_tok, "delay takes one wire argument")
-        src, base = self.build_expr(args[0], None)
+        src, base = yield self.build_expr(args[0], None)
         init = self.kw_value(kwargs, "init", base, BOT)
         self.nodes.append(UnitDelay(base, init))
         self.node_inputs.append((src,))
@@ -940,8 +996,8 @@ class _Parser:
         d_max = self.kw_int(name_tok, kwargs, "max")
         if not 0 <= d_min <= d_max:
             raise _Sem(name_tok, f"bad delay range {d_min}..{d_max}")
-        src_s, base = self.build_expr(args[0], None)
-        src_d, d_base = self.build_expr(args[1], int_range(d_min, d_max))
+        src_s, base = yield self.build_expr(args[0], None)
+        src_d, d_base = yield self.build_expr(args[1], int_range(d_min, d_max))
         if d_base.values != tuple(range(d_min, d_max + 1)):
             raise _Sem(
                 name_tok,

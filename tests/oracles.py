@@ -7,9 +7,19 @@ no iteration tricks, so a disagreement points at the optimised code.
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import product
 
 from causalcirc import BOT, CapError, MonotoneFn, Signature, tuple_leq
+from causalcirc.domain import find_monotonicity_violation, sig, trace
+from causalcirc.laws import (
+    ComboResult,
+    Counterexample,
+    SweepResult,
+    _combos,
+    _run_case,
+    _table_str,
+)
 from causalcirc.analysis import EquivReport, TotalityReport, Witness
 from causalcirc.circuit import SrcIn, SrcNode, UnitDelay, VarDelay, node_out_sig
 from causalcirc.engine import PrefixTrace, random_trace, simulate
@@ -96,6 +106,181 @@ def brute_trace(f: MonotoneFn, k: int) -> dict[tuple, tuple]:
         assert x0 is not None, "a monotone loop must close"
         out[a] = f.fn(a + x0)[: len(f.cod) - k]
     return out
+
+
+# -- the law checks as lambda chains through domain.trace -----------------
+#
+# Each case builds every side of its law as a MonotoneFn whose ``fn`` chains
+# the drawn functions with lambdas and closes loops with ``domain.trace``,
+# the definition the table checks in ``laws`` unfold.
+
+
+def _tables_differ(h1: MonotoneFn, h2: MonotoneFn) -> str | None:
+    for t in h1.dom.tuples():
+        v1, v2 = h1.fn(t), h2.fn(t)
+        if v1 != v2:
+            return f"at {t!r}: {v1!r} vs {v2!r}"
+    return None
+
+
+def _fixpoint(cfg, a_sig, x_sig, f):
+    muf = cfg.mu(f, len(a_sig))
+    for a in a_sig.tuples():
+        x = muf.fn(a)
+        if f.fn(a + x) != x:
+            return (
+                f"mu value {x!r} at context {a!r} is not fixed "
+                f"for f={_table_str(f)}"
+            )
+        for x2 in x_sig.tuples():
+            if f.fn(a + x2) == x2 and not tuple_leq(x, x2):
+                return (
+                    f"mu value {x!r} at context {a!r} is not below "
+                    f"fixed point {x2!r} for f={_table_str(f)}"
+                )
+    bad = find_monotonicity_violation(muf)
+    if bad is not None:
+        return f"mu(f) is not monotone at {bad!r} for f={_table_str(f)}"
+    return None
+
+
+def _naturality(cfg, a_sig, x_sig, b_sig, f, g):
+    nb = len(b_sig)
+    reindexed = MonotoneFn(
+        b_sig + x_sig, x_sig, lambda t: f.fn(g.fn(t[:nb]) + t[nb:])
+    )
+    lhs = cfg.mu(reindexed, nb)
+    muf = cfg.mu(f, len(a_sig))
+    for b in b_sig.tuples():
+        left = lhs.fn(b)
+        right = muf.fn(g.fn(b))
+        if left != right:
+            return (
+                f"at {b!r}: {left!r} vs {right!r} for "
+                f"f={_table_str(f)}, g={_table_str(g)}"
+            )
+    return None
+
+
+def _dinaturality(cfg, a_sig, x_sig, y_sig, f, g):
+    na = len(a_sig)
+    after = MonotoneFn(a_sig + x_sig, x_sig, lambda t: g.fn(f.fn(t)))
+    before = MonotoneFn(a_sig + y_sig, y_sig, lambda t: f.fn(t[:na] + g.fn(t[na:])))
+    mu_after = cfg.mu(after, na)
+    mu_before = cfg.mu(before, na)
+    for a in a_sig.tuples():
+        left = mu_after.fn(a)
+        right = g.fn(mu_before.fn(a))
+        if left != right:
+            return (
+                f"at {a!r}: {left!r} vs {right!r} for "
+                f"f={_table_str(f)}, g={_table_str(g)}"
+            )
+    return None
+
+
+def _bekic(cfg, a_sig, x_sig, y_sig, f, g):
+    na, nx = len(a_sig), len(x_sig)
+    both = MonotoneFn(
+        a_sig + x_sig + y_sig, x_sig + y_sig, lambda t: f.fn(t) + g.fn(t)
+    )
+    mu_both = cfg.mu(both, na)
+    mu_g = cfg.mu(g, na + nx)
+    inner = MonotoneFn(a_sig + x_sig, x_sig, lambda t: f.fn(t + mu_g.fn(t)))
+    mu_inner = cfg.mu(inner, na)
+    for a in a_sig.tuples():
+        x = mu_inner.fn(a)
+        y = mu_g.fn(a + x)
+        left = mu_both.fn(a)
+        if left != x + y:
+            return (
+                f"at {a!r}: simultaneous {left!r} vs nested "
+                f"{(x + y)!r} for f={_table_str(f)}, g={_table_str(g)}"
+            )
+    return None
+
+
+def _yanking(cfg, x_sig, swap):
+    return _tables_differ(trace(swap, 1, cfg.mu), MonotoneFn.identity(x_sig))
+
+
+def _vanishing_zero(cfg, a_sig, b_sig, f):
+    return _tables_differ(trace(f, 0, cfg.mu), f)
+
+
+def _vanishing_nested(cfg, a_sig, x_sig, y_sig, f):
+    both = trace(f, 2, cfg.mu)
+    outer = trace(trace(f, 1, cfg.mu), 1, cfg.mu)
+    return _tables_differ(both, outer)
+
+
+def _sliding(cfg, a_sig, b_sig, x_sig, y_sig, f, g):
+    na, nb = len(a_sig), len(b_sig)
+    post = MonotoneFn(
+        a_sig + x_sig,
+        b_sig + x_sig,
+        lambda t: (lambda o: o[:nb] + g.fn(o[nb:]))(f.fn(t)),
+    )
+    pre = MonotoneFn(
+        a_sig + y_sig, b_sig + y_sig, lambda t: f.fn(t[:na] + g.fn(t[na:]))
+    )
+    bad = _tables_differ(trace(post, 1, cfg.mu), trace(pre, 1, cfg.mu))
+    if bad is not None:
+        return f"{bad} for f={_table_str(f)}, g={_table_str(g)}"
+    return None
+
+
+def _superposing(cfg, c_sig, a_sig, b_sig, x_sig, f):
+    nc = len(c_sig)
+    widened = MonotoneFn(
+        c_sig + a_sig + x_sig, c_sig + b_sig + x_sig, lambda t: t[:nc] + f.fn(t[nc:])
+    )
+    lhs = trace(widened, 1, cfg.mu)
+    traced = trace(f, 1, cfg.mu)
+    rhs = MonotoneFn(
+        c_sig + a_sig, c_sig + b_sig, lambda t: t[:nc] + traced.fn(t[nc:])
+    )
+    bad = _tables_differ(lhs, rhs)
+    if bad is not None:
+        return f"{bad} for f={_table_str(f)}"
+    return None
+
+
+def trace_chain_laws(cfg) -> list[SweepResult]:
+    """``run_laws`` with every case checked by the chains above.
+
+    Combos, modes and drawn functions come from the package's sweep driver,
+    so the results must equal ``run_laws(cfg)`` exactly.
+    """
+
+    def law(name, *families):
+        combos = ()
+        for names, spaces, check, *suffix in families:
+            make = lambda cfg, *sigs, check=check: partial(check, cfg, *sigs)
+            combos += _combos(name, cfg, names, spaces, make, *suffix)
+        return SweepResult(name, combos)
+
+    yanking = []
+    for x_base in cfg.bases:
+        combo, x_sig = f"X={x_base.name}", sig(x_base)
+        swap = MonotoneFn(x_sig + x_sig, x_sig + x_sig, lambda t: (t[1], t[0]))
+        bad = _run_case(partial(_yanking, cfg, x_sig), swap)
+        cx = None if bad is None else Counterexample("yanking", combo, bad)
+        yanking.append(ComboResult(combo, "exhaustive", len(x_base.lifted), cx))
+    return [
+        law("fixpoint", ("AX", lambda a, x: [(a + x, x)], _fixpoint)),
+        law("naturality-param", ("AXB", lambda a, x, b: [(a + x, x), (b, a)], _naturality)),
+        law("dinaturality", ("AXY", lambda a, x, y: [(a + x, y), (y, x)], _dinaturality)),
+        law("bekic", ("AXY", lambda a, x, y: [(a + x + y, x), (a + x + y, y)], _bekic)),
+        SweepResult("yanking", tuple(yanking)),
+        law(
+            "vanishing",
+            ("AB", lambda a, b: [(a, b)], _vanishing_zero, ",k=0"),
+            ("AXY", lambda a, x, y: [(a + x + y, a + x + y)], _vanishing_nested, ",nested"),
+        ),
+        law("sliding", ("ABXY", lambda a, b, x, y: [(a + x, b + y), (y, x)], _sliding)),
+        law("superposing", ("CABX", lambda c, a, b, x: [(a + x, b + x)], _superposing)),
+    ]
 
 
 # -- circuits, straight from the wiring -----------------------------------

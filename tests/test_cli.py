@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +330,26 @@ def test_negative_ticks_are_a_usage_error(capsys):
     assert "ticks" in usage_error(
         capsys, "sim", POR_GATE, "--ticks", "-1", "--pad-bot"
     )
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # The pipe has no reader from the start, so the first write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    argv = ["laws", "--cap", "400", "--samples", "10", "--json"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "causalcirc", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -31,6 +32,11 @@ from causalcirc.laws import (
     enumerate_monotone,
     random_monotone,
     run_laws,
+    _Budget,
+    _join,
+    _poset,
+    _shape,
+    _upsets,
 )
 
 import oracles
@@ -121,6 +127,31 @@ def test_random_monotone_is_uniform_on_a_small_space():
     )
     assert set(tally) == {_rows(f.table) for f in enumerate_monotone(B, B)}
     assert all(abs(n - 1000) <= 150 for n in tally.values()), tally
+
+
+def _rejoin(shape, u: int) -> tuple:
+    above = _poset(shape).above
+    comps: tuple = ()
+    for i in range(len(above) - 1, -1, -1):
+        if u >> i & 1:
+            comps = _join(comps, i, above[i])
+    return comps
+
+
+@pytest.mark.parametrize("dom, sample", [(BB, None), (sig(BOOL, BOOL, BOOL), 400)])
+def test_stored_components_match_a_rejoin(dom, sample):
+    # Sampling reads each up-set's components from the arrays _upsets
+    # fills; they must be what joining its points from the top gives.
+    shape = _shape(dom)
+    groups = _upsets(shape, _Budget(10**6, dom, U))
+    for k, (ups, comps) in enumerate(groups):
+        assert len(comps) == k * len(ups)
+    slots = [(k, i) for k, (ups, _) in enumerate(groups) for i in range(len(ups))]
+    if sample is not None:
+        slots = random.Random(1).sample(slots, sample)
+    for k, i in slots:
+        ups, comps = groups[k]
+        assert tuple(comps[i * k : i * k + k]) == _rejoin(shape, ups[i])
 
 
 def test_random_monotone_draws_once_per_codomain_wire():
@@ -223,10 +254,11 @@ def test_non_least_mu_counterexample_is_minimal_in_enumeration_order():
     assert str(dict(first_bad.table)) in cx.detail
 
 
-def test_an_operator_that_raises_fails_the_case_not_the_sweep():
-    def mu_crashing(f: MonotoneFn, split: int) -> MonotoneFn:
-        raise RuntimeError("no fixed point here")
+def mu_crashing(f: MonotoneFn, split: int) -> MonotoneFn:
+    raise RuntimeError("no fixed point here")
 
+
+def test_an_operator_that_raises_fails_the_case_not_the_sweep():
     res = check_bekic(LawConfig(mu=mu_crashing, pair_budget=400, samples=5))
     assert [cr.cases for cr in res.combos] == [1] * len(res.combos)
     cx = res.first_counterexample()
@@ -258,6 +290,19 @@ def test_one_step_mu_is_caught_by_bekic():
     # second step, and the pairing law notices.
     res = check_bekic(LawConfig(mu=mu_one_step, pair_budget=400, samples=25))
     assert not res.passed
+
+
+# -- the table checks against the lambda chains through trace ------------
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [local_lfp, mu_greatest, mu_one_step, mu_crashing],
+    ids=lambda mu: mu.__name__,
+)
+def test_table_checks_agree_with_the_trace_chains(mu):
+    cfg = dataclasses.replace(SMALL, mu=mu)
+    assert run_laws(cfg) == oracles.trace_chain_laws(cfg)
 
 
 # -- mutation: trace wired to the wrong projection ------------------------

@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from causalcirc.circuit import UnitDelay, VarDelay
+from causalcirc.circuit import UnitDelay, VarDelay, validate
 from causalcirc.domain import BOOL, BOT, SignatureError, sig
-from causalcirc.engine import bot_trace, simulate
+from causalcirc.engine import PrefixTrace, bot_trace, simulate
 from causalcirc.gates import por
 from causalcirc.netlist import (
     NetlistError,
@@ -347,6 +347,28 @@ def test_print_is_deterministic_and_round_trips_the_corpus():
         c2 = parse_netlist(text1)
         assert c2 == c, path
         assert print_netlist(c2) == text1, path
+
+
+def test_deeply_nested_expressions_parse_simulate_and_round_trip():
+    # 5,000 nested calls: recursion per nesting level would overflow the
+    # interpreter's stack long before this depth.
+    pairs = 2500
+    text = (
+        "circuit main {\n  in a: bool\n  out y: bool\n  y = "
+        + "not(por(1, " * pairs
+        + "a"
+        + "))" * pairs
+        + "\n}\n"
+    )
+    c = parse_netlist(text)
+    assert validate(c) == []
+    assert len(c.nodes) == 3 * pairs  # a const, a por and a not per pair
+    out = simulate(c, PrefixTrace(sig(BOOL), ((0,), (1,), (BOT,))))
+    assert [r[0] for r in out.rows] == [0, 0, 0]  # not(por(1, _)) is 0
+    printed = print_netlist(c)
+    c2 = parse_netlist(printed)
+    assert c2 == c
+    assert print_netlist(c2) == printed
 
 
 def test_printed_por_loop_still_outputs_one():

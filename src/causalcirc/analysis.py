@@ -107,11 +107,6 @@ class EquivReport:
         return out
 
 
-def _trace_space(s: Signature, horizon: int, concrete: bool) -> int:
-    per_row = s.concrete_count() if concrete else s.count()
-    return per_row**horizon
-
-
 def _stepper(c: Circuit):
     """One tick of ``c`` as ``(histories, t, row) -> (next histories, outputs)``.
 
@@ -212,13 +207,40 @@ def _sample(circuits, traces, bad_port):
     return cases, None
 
 
-def _check_bounds(horizon: int, strategy: str, samples: int) -> None:
+def _bounded(
+    circuits, bad_port, horizon, strategy, samples, seed, max_cases, concrete, p_bot
+):
+    """Run one bounded check over the first circuit's input signature.
+
+    The exhaustive strategy walks every trace, of concrete rows only when
+    ``concrete`` is set, and refuses a space over ``max_cases`` before it
+    lists a row.  The random strategy runs ``samples`` seeded traces with
+    ``p_bot`` undefined cells.  Returns ``(cases, failure)`` as ``_explore``
+    does.
+    """
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
     if strategy == "random" and samples < 1:
         raise ValueError(
             f"the random strategy needs at least 1 sample, got {samples}"
         )
+    s = circuits[0].in_ports
+    if strategy == "exhaustive":
+        space = (s.concrete_count() if concrete else s.count()) ** horizon
+        if space > max_cases:
+            raise CapError(
+                f"{space} input traces exceed the budget of {max_cases}; "
+                "use the random strategy"
+            )
+        rows = list(s.concrete_tuples() if concrete else s.tuples())
+        return _explore(circuits, rows, horizon, bad_port)
+    if strategy == "random":
+        rng = random.Random(seed)
+        traces = (
+            random_trace(rng, s, horizon, p_bot=p_bot).rows for _ in range(samples)
+        )
+        return _sample(circuits, traces, bad_port)
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def _witness(s: Signature, prefix: tuple, port: int) -> Witness:
@@ -240,25 +262,10 @@ def check_totality(
     A negative horizon, or fewer than one sample for the random strategy,
     raises ValueError.
     """
-    _check_bounds(horizon, strategy, samples)
-    if strategy == "exhaustive":
-        space = _trace_space(c.in_ports, horizon, concrete=True)
-        if space > max_cases:
-            raise CapError(
-                f"{space} input traces exceed the budget of {max_cases}; "
-                "use the random strategy"
-            )
-        rows = list(c.in_ports.concrete_tuples())
-        cases, bad = _explore([c], rows, horizon, _undefined_port)
-    elif strategy == "random":
-        rng = random.Random(seed)
-        traces = (
-            random_trace(rng, c.in_ports, horizon, p_bot=0.0).rows
-            for _ in range(samples)
-        )
-        cases, bad = _sample([c], traces, _undefined_port)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    cases, bad = _bounded(
+        [c], _undefined_port, horizon, strategy, samples, seed, max_cases,
+        concrete=True, p_bot=0.0,
+    )
     if bad is None:
         return TotalityReport(True, horizon, strategy, cases)
     prefix, port, _ = bad
@@ -288,25 +295,10 @@ def check_equiv(
             f"circuits have different port signatures: {c1.in_ports!r} -> "
             f"{c1.out_ports!r} vs {c2.in_ports!r} -> {c2.out_ports!r}"
         )
-    _check_bounds(horizon, strategy, samples)
-    if strategy == "exhaustive":
-        space = _trace_space(c1.in_ports, horizon, concrete=False)
-        if space > max_cases:
-            raise CapError(
-                f"{space} input traces exceed the budget of {max_cases}; "
-                "use the random strategy"
-            )
-        rows = list(c1.in_ports.tuples())
-        cases, bad = _explore([c1, c2], rows, horizon, _mismatched_port)
-    elif strategy == "random":
-        rng = random.Random(seed)
-        traces = (
-            random_trace(rng, c1.in_ports, horizon, p_bot=p_bot).rows
-            for _ in range(samples)
-        )
-        cases, bad = _sample([c1, c2], traces, _mismatched_port)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    cases, bad = _bounded(
+        [c1, c2], _mismatched_port, horizon, strategy, samples, seed, max_cases,
+        concrete=False, p_bot=p_bot,
+    )
     if bad is None:
         return EquivReport(True, horizon, strategy, cases)
     prefix, port, (left, right) = bad

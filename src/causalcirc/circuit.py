@@ -102,6 +102,18 @@ def node_out_sig(node: Node) -> Signature:
     return node.cod
 
 
+def base_types(c: Circuit):
+    """Every base type ``c`` uses, with repeats: ports, feedback wires, then
+    each node's inputs and outputs in node order."""
+    yield from c.in_ports
+    yield from c.out_ports
+    for lw in c.loops:
+        yield lw.base
+    for node in c.nodes:
+        yield from node_in_sig(node)
+        yield from node_out_sig(node)
+
+
 def node_label(node: Node) -> str:
     if isinstance(node, UnitDelay):
         return "delay"
@@ -530,14 +542,7 @@ def _node_json(node: Node) -> dict:
 
 def to_json(c: Circuit) -> dict:
     """Deterministic structural dump; equal circuits dump equal dicts."""
-    types: dict[str, tuple] = {}
-    for b in list(c.in_ports) + list(c.out_ports):
-        types[b.name] = b.values
-    for lw in c.loops:
-        types[lw.base.name] = lw.base.values
-    for node in c.nodes:
-        for b in list(node_in_sig(node)) + list(node_out_sig(node)):
-            types[b.name] = b.values
+    types = {b.name: b.values for b in base_types(c)}
     return {
         "types": {k: list(v) for k, v in sorted(types.items())},
         "in": [

@@ -3,7 +3,7 @@
 Subcommands: check (parse and validate), sim (run a netlist over a stream),
 laws (equational sweeps), equiv (compare two netlists), totality (bounded
 totality check).  Exit codes: 0 success, 1 a checked property failed and a
-witness was printed, 2 usage, parse, or format errors, 141 stdout was
+witness was printed, 2 usage, parse, format, or file errors, 141 stdout was
 closed before the output was written.
 """
 
@@ -34,12 +34,27 @@ class _Usage(Exception):
     pass
 
 
-def _load_circuit(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise _Usage(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise _Usage(f"cannot read {path}: not UTF-8 text ({e.reason} "
+                     f"at byte {e.start})") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _Usage(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _load_circuit(path: str):
+    text = _read_text(path)
     try:
         return parse_netlist(text)
     except NetlistError as e:
@@ -58,11 +73,7 @@ def _read_input_trace(args, c) -> PrefixTrace:
         raise _Usage(
             "the circuit has input ports; provide --in FILE or --pad-bot"
         )
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise _Usage(f"cannot read {args.input}: {e.strerror or e}") from None
+    text = _read_text(args.input)
     try:
         tr = read_stream(text, c.in_ports, in_port_names(c))
     except StreamFormatError as e:
@@ -105,8 +116,7 @@ def cmd_sim(args) -> int:
         raise _Usage(str(e)) from None
     text = write_stream(out, out_port_names(c))
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

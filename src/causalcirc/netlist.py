@@ -28,6 +28,7 @@ from .circuit import (
     SrcLoop,
     UnitDelay,
     VarDelay,
+    base_types,
     check_valid,
     in_port_names,
     node_out_sig,
@@ -96,17 +97,38 @@ class Token:
     col: int
 
 
+def _at(tok: Token, msg: str) -> NetlistError:
+    """A syntax error at ``tok``; it ends the parse."""
+    return NetlistError([(tok.line, tok.col, msg)])
+
+
 _PUNCT = set("(){}[],:=")
+_DIGITS = set("0123456789")  # not str.isdigit, which also takes '²' and '٣'
 
 KEYWORDS = {
     "type", "gate", "circuit", "strict", "in", "out", "loop", "int",
     "delay", "vardelay", "init", "min", "max", "bot",
 }
 
-BUILTIN_GATES = {
-    "not", "and", "or", "xor", "nand", "nor", "mux", "por", "pand",
-    "add", "eq", "lt", "id", "dup", "sink", "swap", "const",
+# Builtin gates by name: the constructor, and for each base type it takes
+# the argument positions whose wire type is used, in order, before the
+# ``name[type]`` annotation.  ``const``, ``delay`` and ``vardelay`` read
+# literals and keywords and are built apart.
+_BUILTINS = {
+    "not": (not_gate, ()), "and": (and_gate, ()), "or": (or_gate, ()),
+    "xor": (xor_gate, ()), "nand": (nand_gate, ()), "nor": (nor_gate, ()),
+    "por": (por, ()), "pand": (pand, ()),
+    "mux": (mux_gate, ((1, 2),)),
+    "add": (add_gate, ((0, 1),)),
+    "eq": (eq_gate, ((0, 1),)),
+    "lt": (lt_gate, ((0, 1),)),
+    "id": (identity_gate, ((0,),)),
+    "dup": (dup_gate, ((0,),)),
+    "sink": (sink_gate, ((0,),)),
+    "swap": (swap_gate, ((0,), (1,))),
 }
+
+BUILTIN_GATES = {*_BUILTINS, "const"}
 
 RESERVED = KEYWORDS | BUILTIN_GATES
 
@@ -143,9 +165,9 @@ def tokenize(text: str) -> list[Token]:
                 col += 2
                 continue
             raise NetlistError([(line, col, "stray '.'")])
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("INT", text[i:j], line, start_col))
             col += j - i
@@ -171,8 +193,27 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
+def _literal(tok: Token, base: BaseType | None) -> LValue:
+    """The value a literal token names: an integer, a name or ``bot``.
+
+    With ``base`` the value must be one of base's.  Without, the token lists
+    an atom of a type being declared, so ``bot`` is not a value there.
+    """
+    if tok.kind == "BOT" and base is not None:
+        return BOT
+    if tok.kind == "INT":
+        v: LValue = int(tok.text)
+    elif tok.kind == "IDENT":
+        v = tok.text
+    else:
+        raise _at(tok, f"expected a value, found {tok.text!r}")
+    if base is not None and v not in base.values:
+        raise _Sem(tok, f"{v!r} is not a value of type {base.name!r}")
+    return v
+
+
 def _run(step):
-    """Drive a build generator and every step it yields.
+    """Drive a parse or build generator and every step it yields.
 
     The open steps are kept on an explicit stack, so nesting depth is
     limited by memory only; the steps run in the order recursion would run
@@ -228,22 +269,29 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             shown = repr(tok.text) if tok.kind != "EOF" else "end of file"
-            raise NetlistError(
-                [(tok.line, tok.col, f"expected {what or kind}, found {shown}")]
-            )
+            raise _at(tok, f"expected {what or kind}, found {shown}")
         return self.advance()
 
     def keyword(self, word: str) -> Token:
         tok = self.peek()
         if tok.kind != "IDENT" or tok.text != word:
-            raise NetlistError(
-                [(tok.line, tok.col, f"expected {word!r}, found {tok.text!r}")]
-            )
+            raise _at(tok, f"expected {word!r}, found {tok.text!r}")
         return self.advance()
 
     def at_word(self, word: str) -> bool:
         tok = self.peek()
         return tok.kind == "IDENT" and tok.text == word
+
+    def comma_list(self, item, closer: str | None = None) -> list:
+        """``item()``, repeated while a comma follows.  With ``closer``, the
+        list is empty when that token comes first; it is left unread."""
+        items = []
+        if self.peek().kind != closer:
+            items.append(item())
+            while self.peek().kind == ",":
+                self.advance()
+                items.append(item())
+        return items
 
     # -- names and types -------------------------------------------------
 
@@ -262,28 +310,19 @@ class _Parser:
             raise _Sem(tok, f"unknown type {tok.text!r}")
         return base
 
-    def cell_value(self, base: BaseType, allow_bot: bool) -> LValue:
-        """A literal cell: an integer, an enum atom, or `bot`."""
-        tok = self.peek()
-        if tok.kind == "BOT":
-            self.advance()
-            if not allow_bot:
-                raise _Sem(tok, "'bot' is not allowed here")
-            return BOT
-        if tok.kind == "INT":
-            self.advance()
-            v = int(tok.text)
-            if v not in base.values:
-                raise _Sem(tok, f"{v} is not a value of type {base.name!r}")
-            return v
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text not in base.values:
-                raise _Sem(tok, f"{tok.text!r} is not a value of type {base.name!r}")
-            return tok.text
-        raise NetlistError(
-            [(tok.line, tok.col, f"expected a value, found {tok.text!r}")]
-        )
+    def typeref_or_none(self) -> BaseType | None:
+        """A type name; an unknown one is recorded and read as None."""
+        try:
+            return self.typeref()
+        except _Sem as e:
+            self.errors.append(e.pos)
+            return None
+
+    def typed_name(self, what: str, typeref) -> tuple[Token, BaseType | None]:
+        """``name: type``, the type read by ``typeref``."""
+        name_tok = self.expect("IDENT", what)
+        self.expect(":")
+        return name_tok, typeref()
 
     # -- top level -------------------------------------------------------
 
@@ -299,25 +338,14 @@ class _Parser:
                 self.gate_decl()
             elif self.at_word("circuit"):
                 if circuit is not None:
-                    raise NetlistError(
-                        [(tok.line, tok.col, "only one circuit per file")]
-                    )
+                    raise _at(tok, "only one circuit per file")
                 circuit = self.circuit_decl()
             else:
-                raise NetlistError(
-                    [
-                        (
-                            tok.line,
-                            tok.col,
-                            f"expected type, gate, or circuit, found {tok.text!r}",
-                        )
-                    ]
-                )
+                raise _at(tok, f"expected type, gate, or circuit, found {tok.text!r}")
         if self.errors:
             raise NetlistError(self.errors)
         if circuit is None:
-            last = self.peek()
-            raise NetlistError([(last.line, last.col, "no circuit block in file")])
+            raise _at(self.peek(), "no circuit block in file")
         return circuit
 
     def type_decl(self) -> None:
@@ -341,23 +369,7 @@ class _Parser:
                 self.types[name] = BaseType(name, tuple(range(lo, hi + 1)))
                 return
             self.expect("{", "'int' or '{'")
-            atoms: list = []
-            while True:
-                tok = self.peek()
-                if tok.kind == "INT":
-                    self.advance()
-                    atoms.append(int(tok.text))
-                elif tok.kind == "IDENT":
-                    self.advance()
-                    atoms.append(tok.text)
-                else:
-                    raise NetlistError(
-                        [(tok.line, tok.col, f"expected a value, found {tok.text!r}")]
-                    )
-                if self.peek().kind == ",":
-                    self.advance()
-                    continue
-                break
+            atoms = self.comma_list(lambda: _literal(self.advance(), None))
             self.expect("}")
             if len(set(atoms)) != len(atoms):
                 raise _Sem(name_tok, f"type {name!r} repeats a value")
@@ -369,36 +381,13 @@ class _Parser:
         self.keyword("gate")
         name_tok = self.expect("IDENT", "a gate name")
         self.expect("(")
-        params: list[tuple[Token, BaseType | None]] = []
-        if self.peek().kind != ")":
-            while True:
-                p_tok = self.expect("IDENT", "a parameter name")
-                self.expect(":")
-                try:
-                    base = self.typeref()
-                except _Sem as e:
-                    self.errors.append(e.pos)
-                    base = None
-                params.append((p_tok, base))
-                if self.peek().kind == ",":
-                    self.advance()
-                    continue
-                break
+        params = self.comma_list(
+            lambda: self.typed_name("a parameter name", self.typeref_or_none), ")"
+        )
         self.expect(")")
         self.expect("->")
         self.expect("(")
-        outs: list[BaseType | None] = []
-        if self.peek().kind != ")":
-            while True:
-                try:
-                    outs.append(self.typeref())
-                except _Sem as e:
-                    self.errors.append(e.pos)
-                    outs.append(None)
-                if self.peek().kind == ",":
-                    self.advance()
-                    continue
-                break
+        outs = self.comma_list(self.typeref_or_none, ")")
         self.expect(")")
         strict = False
         if self.at_word("strict"):
@@ -415,11 +404,11 @@ class _Parser:
         while self.peek().kind == "(":
             row_tok = self.advance()
             try:
-                ins = self.row_cells(dom, ")", allow_bot=not strict)
+                ins = self.row_cells(dom, allow_bot=not strict)
                 self.expect(")")
                 self.expect("->")
                 self.expect("(")
-                outs_row = self.row_cells(cod, ")", allow_bot=not strict)
+                outs_row = self.row_cells(cod, allow_bot=not strict)
                 self.expect(")")
                 if dom_ok:
                     if ins in rows:
@@ -455,19 +444,20 @@ class _Parser:
             raise _Sem(tok, f"gate {name!r} is already declared")
         return name
 
-    def row_cells(self, s: Signature | None, closer: str, allow_bot: bool):
-        cells = []
-        if self.peek().kind != closer:
-            while True:
-                if s is not None and len(cells) < len(s):
-                    cells.append(self.cell_value(s[len(cells)], allow_bot))
-                else:
-                    tok = self.advance()  # skip; arity error reported below
-                    cells.append(None)
-                if self.peek().kind == ",":
-                    self.advance()
-                    continue
-                break
+    def row_cells(self, s: Signature | None, allow_bot: bool):
+        """One side of a table row, up to its ")"."""
+        bases = iter(s.wires if s is not None else ())
+
+        def cell():
+            base = next(bases, None)
+            tok = self.advance()
+            if base is None:
+                return None  # skipped; the arity error is reported below
+            if tok.kind == "BOT" and not allow_bot:
+                raise _Sem(tok, "'bot' is not allowed here")
+            return _literal(tok, base)
+
+        cells = self.comma_list(cell, ")")
         if s is not None and len(cells) != len(s):
             tok = self.peek()
             raise _Sem(tok, f"row has {len(cells)} cells, gate needs {len(s)}")
@@ -542,75 +532,56 @@ class _Parser:
         return c
 
     def statement(self) -> None:
-        if self.at_word("in") and self.peek(1).kind == "IDENT" and self.peek(2).kind == ":":
-            self.advance()
-            for name_tok, base in self.port_list():
-                name = self.fresh_name(name_tok, "port")
-                self.env[name] = (SrcIn(len(self.in_ports)), base)
-                self.in_ports.append(base)
-                self.in_names.append(name)
-            return
-        if self.at_word("out") and self.peek(1).kind == "IDENT" and self.peek(2).kind == ":":
-            self.advance()
-            for name_tok, base in self.port_list():
-                name = self.fresh_name(name_tok, "port")
-                self.out_ports.append(base)
-                self.out_names.append(name)
-            return
-        if self.at_word("loop") and self.peek(1).kind == "IDENT" and self.peek(2).kind == ":":
-            self.advance()
-            name_tok = self.expect("IDENT", "a wire name")
-            self.expect(":")
-            base = self.typeref()
-            name = self.fresh_name(name_tok, "feedback wire")
-            self.loop_names[name] = len(self.loops)
-            self.loops.append(base)
-            self.loop_toks.append(name_tok)
-            return
+        if self.peek(1).kind == "IDENT" and self.peek(2).kind == ":":
+            if self.at_word("in") or self.at_word("out"):
+                is_in = self.advance().text == "in"
+                ports = self.comma_list(
+                    lambda: self.typed_name("a port name", self.typeref)
+                )
+                for name_tok, base in ports:
+                    name = self.fresh_name(name_tok, "port")
+                    if is_in:
+                        self.env[name] = (SrcIn(len(self.in_ports)), base)
+                        self.in_ports.append(base)
+                        self.in_names.append(name)
+                    else:
+                        self.out_ports.append(base)
+                        self.out_names.append(name)
+                return
+            if self.at_word("loop"):
+                self.advance()
+                name_tok, base = self.typed_name("a wire name", self.typeref)
+                name = self.fresh_name(name_tok, "feedback wire")
+                self.loop_names[name] = len(self.loops)
+                self.loops.append(base)
+                self.loop_toks.append(name_tok)
+                return
         tok = self.peek()
         if tok.kind == "(":
             self.tuple_assignment()
             return
         if tok.kind == "IDENT":
             if self.peek(1).kind == "=":
-                self.assignment()
-                return
-            if self.peek(1).kind in ("(", "["):
-                ast = self.expr_ast()
-                _run(self.build_call(ast))
-                return
-        raise NetlistError(
-            [(tok.line, tok.col, f"expected a statement, found {tok.text!r}")]
-        )
-
-    def port_list(self) -> list[tuple[Token, BaseType]]:
-        out = []
-        while True:
-            name_tok = self.expect("IDENT", "a port name")
-            self.expect(":")
-            base = self.typeref()
-            out.append((name_tok, base))
-            if self.peek().kind == "," :
+                name_tok = self.advance()
                 self.advance()
-                continue
-            break
-        return out
-
-    def assignment(self) -> None:
-        name_tok = self.advance()
-        self.expect("=")
-        ast = self.expr_ast()
-        self.bind(name_tok, ast)
+                ast = _run(self.expr_ast())
+                self.bind(
+                    name_tok,
+                    lambda want: _run(self.build_expr(ast, want)),
+                    "is {}, got {}",
+                )
+                return
+            if self.at_call():
+                _run(self.build_call(_run(self.expr_ast())))
+                return
+        raise _at(tok, f"expected a statement, found {tok.text!r}")
 
     def tuple_assignment(self) -> None:
         self.expect("(")
-        name_toks = [self.expect("IDENT", "a wire name")]
-        while self.peek().kind == ",":
-            self.advance()
-            name_toks.append(self.expect("IDENT", "a wire name"))
+        name_toks = self.comma_list(lambda: self.expect("IDENT", "a wire name"))
         self.expect(")")
         self.expect("=")
-        ast = self.expr_ast()
+        ast = _run(self.expr_ast())
         if ast[0] != "call":
             tok = name_toks[0]
             raise _Sem(tok, "tuple assignment needs a gate call on the right")
@@ -621,95 +592,89 @@ class _Parser:
                 f"{len(name_toks)} names for {len(out_sig)} outputs",
             )
         for p, tok in enumerate(name_toks):
-            self.bind_source(tok, SrcNode(idx, p), out_sig[p])
+            src = (SrcNode(idx, p), out_sig[p])
+            self.bind(tok, lambda want: src, "type mismatch")
 
-    def bind(self, name_tok: Token, ast) -> None:
+    def bind(self, name_tok: Token, build, mismatch: str) -> None:
+        """Give a name its source: close a feedback wire, assign an output
+        or define a fresh wire.
+
+        ``build(want)`` returns ``(source, base)`` and runs only once the
+        name is free; ``want`` is the type the name needs, None for a fresh
+        wire.  ``mismatch`` phrases a wrong type, formatted with the needed
+        and the given type names.
+        """
         name = name_tok.text
         if name in self.loop_names:
-            j = self.loop_names[name]
-            if j in self.loop_srcs:
-                raise _Sem(name_tok, f"feedback wire {name!r} is closed twice")
-            src, base = _run(self.build_expr(ast, self.loops[j]))
-            if base != self.loops[j]:
-                raise _Sem(
-                    name_tok,
-                    f"feedback wire {name!r} is {self.loops[j].name}, "
-                    f"got {base.name}",
-                )
-            self.loop_srcs[j] = src
+            slot = self.loop_names[name]
+            srcs, want = self.loop_srcs, self.loops[slot]
+            what, again = f"feedback wire {name!r}", "closed twice"
+        elif name in self.out_names:
+            slot = self.out_names.index(name)
+            srcs, want = self.out_srcs, self.out_ports[slot]
+            what, again = f"output {name!r}", "assigned twice"
+        else:
+            name = self.fresh_name(name_tok, "wire")
+            self.env[name] = build(None)
             return
-        if name in self.out_names:
-            i = self.out_names.index(name)
-            if i in self.out_srcs:
-                raise _Sem(name_tok, f"output {name!r} is assigned twice")
-            src, base = _run(self.build_expr(ast, self.out_ports[i]))
-            if base != self.out_ports[i]:
-                raise _Sem(
-                    name_tok,
-                    f"output {name!r} is {self.out_ports[i].name}, got {base.name}",
-                )
-            self.out_srcs[i] = src
+        if slot in srcs:
+            raise _Sem(name_tok, f"{what} is {again}")
+        src, base = build(want)
+        if base != want:
+            raise _Sem(name_tok, f"{what} " + mismatch.format(want.name, base.name))
+        srcs[slot] = src
+        if srcs is self.out_srcs:
             self.env[name] = (src, base)
-            return
-        fresh = self.fresh_name(name_tok, "wire")
-        self.env[fresh] = _run(self.build_expr(ast, None))
-
-    def bind_source(self, name_tok: Token, src, base: BaseType) -> None:
-        name = name_tok.text
-        if name in self.loop_names:
-            j = self.loop_names[name]
-            if j in self.loop_srcs:
-                raise _Sem(name_tok, f"feedback wire {name!r} is closed twice")
-            if base != self.loops[j]:
-                raise _Sem(name_tok, f"feedback wire {name!r} type mismatch")
-            self.loop_srcs[j] = src
-            return
-        if name in self.out_names:
-            i = self.out_names.index(name)
-            if i in self.out_srcs:
-                raise _Sem(name_tok, f"output {name!r} is assigned twice")
-            if base != self.out_ports[i]:
-                raise _Sem(name_tok, f"output {name!r} type mismatch")
-            self.out_srcs[i] = src
-            self.env[name] = (src, base)
-            return
-        fresh = self.fresh_name(name_tok, "wire")
-        self.env[fresh] = (src, base)
 
     # -- expressions -----------------------------------------------------
-    # AST shapes: ("call", name_tok, ann_tok | None, [arg asts], {kw: tok-or-ast})
+    # AST shapes: ("call", name_tok, ann_tok | None, [arg asts], {kw: tok})
     #             ("ref", tok)   wire or enum atom, decided at build time
     #             ("lit", tok)   INT or bot
     #
     # Expressions nest without bound, so parsing and building them must not
-    # recurse in Python.  expr_ast keeps its open calls on a stack.
-    # build_expr, build_call, build_delay and build_vardelay are generators
-    # that yield each nested expression to be built, and ``_run`` sends
-    # back its source; one expression's own steps chain by ``yield from``.
-    # Leaves, the bulk of every netlist, are built by plain calls.
+    # recurse in Python.  expr_ast, build_expr, build_call, build_delay and
+    # build_vardelay are generators that yield each nested call to be read
+    # or built, and ``_run``, the one explicit stack, sends back its AST or
+    # source; one expression's own steps chain by ``yield from``.  Leaves,
+    # the bulk of every netlist, are read and built by plain calls.
+
+    def at_call(self) -> bool:
+        return self.peek().kind == "IDENT" and self.peek(1).kind in ("(", "[")
 
     def expr_ast(self):
-        """One expression.  Calls whose arguments are still being read wait
-        on an explicit stack, innermost last."""
-        open_calls: list[tuple] = []
+        """One expression; each argument that is a call is yielded."""
+        if not self.at_call():
+            return self.leaf_ast()
+        name_tok = self.advance()
+        ann_tok = None
+        if self.peek().kind == "[":
+            self.advance()
+            ann_tok = self.expect("IDENT", "a type name")
+            self.expect("]")
+        self.expect("(")
+        args: list = []
+        kwargs: dict = {}
+        if self.peek().kind == ")":
+            self.advance()
+            return ("call", name_tok, ann_tok, args, kwargs)
         while True:
-            if self.peek().kind == "IDENT" and self.peek(1).kind in ("(", "["):
-                call = self.call_head()
-                if self.call_args(call[4], first=True):
-                    open_calls.append(call)
-                    continue
-                ast = call
+            if self.peek().kind == "IDENT" and self.peek(1).kind == "=":
+                kw_tok = self.advance()
+                self.advance()
+                val_tok = self.advance()
+                if val_tok.kind != "BOT":
+                    _literal(val_tok, None)  # any literal; typed when built
+                if kw_tok.text in kwargs:
+                    raise _Sem(kw_tok, f"argument {kw_tok.text!r} repeated")
+                kwargs[kw_tok.text] = val_tok
+            elif self.at_call():
+                args.append((yield self.expr_ast()))
             else:
-                ast = self.leaf_ast()
-            # ast is complete: it is the next argument of the innermost open call
-            while open_calls:
-                call = open_calls[-1]
-                call[3].append(ast)
-                if self.call_args(call[4], first=False):
-                    break
-                ast = open_calls.pop()
-            else:
-                return ast
+                args.append(self.leaf_ast())
+            if self.peek().kind != ",":
+                self.expect(")")
+                return ("call", name_tok, ann_tok, args, kwargs)
+            self.advance()
 
     def leaf_ast(self):
         tok = self.peek()
@@ -719,58 +684,7 @@ class _Parser:
         if tok.kind == "IDENT":
             self.advance()
             return ("ref", tok)
-        raise NetlistError(
-            [(tok.line, tok.col, f"expected an expression, found {tok.text!r}")]
-        )
-
-    def call_head(self):
-        """A call up to its "(", with its argument list and keywords empty."""
-        name_tok = self.advance()
-        ann_tok = None
-        if self.peek().kind == "[":
-            self.advance()
-            ann_tok = self.expect("IDENT", "a type name")
-            self.expect("]")
-        self.expect("(")
-        return ("call", name_tok, ann_tok, [], {})
-
-    def call_args(self, kwargs: dict, first: bool) -> bool:
-        """Read a call's arguments up to its next positional one.
-
-        ``first`` is set at the start of the list, and clear after an
-        argument.  Keyword arguments met on the way go into ``kwargs``.
-        True when a positional argument follows; False once the closing
-        parenthesis is read.
-        """
-        if first and self.peek().kind == ")":
-            self.advance()
-            return False
-        while True:
-            if not first:
-                if self.peek().kind != ",":
-                    self.expect(")")
-                    return False
-                self.advance()
-            first = False
-            if self.peek().kind != "IDENT" or self.peek(1).kind != "=":
-                return True
-            kw_tok = self.advance()
-            self.advance()
-            val_tok = self.peek()
-            if val_tok.kind not in ("INT", "BOT", "IDENT"):
-                raise NetlistError(
-                    [
-                        (
-                            val_tok.line,
-                            val_tok.col,
-                            f"expected a value, found {val_tok.text!r}",
-                        )
-                    ]
-                )
-            self.advance()
-            if kw_tok.text in kwargs:
-                raise _Sem(kw_tok, f"argument {kw_tok.text!r} repeated")
-            kwargs[kw_tok.text] = val_tok
+        raise _at(tok, f"expected an expression, found {tok.text!r}")
 
     def build_expr(self, ast, expected: BaseType | None):
         if ast[0] == "call":
@@ -785,8 +699,8 @@ class _Parser:
         return self.build_leaf(ast, expected)
 
     def build_leaf(self, ast, expected: BaseType | None):
+        tok = ast[1]
         if ast[0] == "ref":
-            tok = ast[1]
             hit = self.lookup(tok.text)
             if hit is not None:
                 return hit
@@ -796,17 +710,11 @@ class _Parser:
                 tok,
                 f"unknown wire {tok.text!r} (forward references need a loop wire)",
             )
-        tok = ast[1]
         if expected is None:
             raise _Sem(
                 tok, "cannot infer the type of a bare literal; use const[type](...)"
             )
-        if tok.kind == "BOT":
-            return self.literal_source(BOT, expected)
-        v = int(tok.text)
-        if v not in expected.values:
-            raise _Sem(tok, f"{v} is not a value of type {expected.name!r}")
-        return self.literal_source(v, expected)
+        return self.literal_source(_literal(tok, expected), expected)
 
     def lookup(self, name: str):
         if name in self.env:
@@ -816,10 +724,13 @@ class _Parser:
             return (SrcLoop(j), self.loops[j])
         return None
 
+    def add_node(self, node, srcs: tuple) -> int:
+        self.nodes.append(node)
+        self.node_inputs.append(srcs)
+        return len(self.nodes) - 1
+
     def literal_source(self, value, base: BaseType):
-        self.nodes.append(const_gate(base, value))
-        self.node_inputs.append(())
-        return (SrcNode(len(self.nodes) - 1, 0), base)
+        return (SrcNode(self.add_node(const_gate(base, value), ()), 0), base)
 
     # -- calls -----------------------------------------------------------
 
@@ -848,7 +759,7 @@ class _Parser:
                 built.append((yield self.build_expr(a, None)))
             else:  # None for a literal or an atom
                 built.append(self.lookup(a[1].text) if a[0] == "ref" else None)
-        gate = self.resolve_gate(name_tok, ann, args, built)
+        gate = self.resolve_gate(name_tok, ann, built)
         if len(args) != len(gate.dom):
             raise _Sem(
                 name_tok,
@@ -868,67 +779,33 @@ class _Parser:
                         f"got {got.name}",
                     )
                 srcs.append(src)
-        self.nodes.append(gate)
-        self.node_inputs.append(tuple(srcs))
-        return (len(self.nodes) - 1, gate.cod)
+        return (self.add_node(gate, tuple(srcs)), gate.cod)
 
-    def resolve_gate(self, name_tok: Token, ann, args, built) -> GateDef:
+    def resolve_gate(self, name_tok: Token, ann, built) -> GateDef:
         name = name_tok.text
         if name in self.gates:
             return self.gates[name]
-
-        def arg_type(i: int) -> BaseType | None:
-            if 0 <= i < len(built) and built[i] is not None:
-                return built[i][1]
-            return None
-
-        def infer(*slots: int) -> BaseType:
-            for i in slots:
-                t = arg_type(i)
-                if t is not None:
-                    return t
-            if ann is not None:
-                return ann
-            raise _Sem(
-                name_tok,
-                f"cannot infer the type of {name!r}; annotate as {name}[type](...)",
+        if name not in _BUILTINS:
+            raise _Sem(name_tok, f"unknown gate {name!r}")
+        make, params = _BUILTINS[name]
+        types = []
+        for slots in params:
+            found = (
+                built[i][1] for i in slots if i < len(built) and built[i] is not None
             )
-
-        fixed = {
-            "not": not_gate, "and": and_gate, "or": or_gate, "xor": xor_gate,
-            "nand": nand_gate, "nor": nor_gate, "por": por, "pand": pand,
-        }
-        if name in fixed:
-            return fixed[name]()
-        if name == "mux":
-            return mux_gate(infer(1, 2))
-        if name == "add":
-            base = infer(0, 1)
-            try:
-                return add_gate(base)
-            except SignatureError as e:
-                raise _Sem(name_tok, str(e)) from None
-        if name == "eq":
-            return eq_gate(infer(0, 1))
-        if name == "lt":
-            base = infer(0, 1)
-            try:
-                return lt_gate(base)
-            except SignatureError as e:
-                raise _Sem(name_tok, str(e)) from None
-        if name == "id":
-            return identity_gate(infer(0))
-        if name == "dup":
-            return dup_gate(infer(0))
-        if name == "sink":
-            return sink_gate(infer(0))
-        if name == "swap":
-            t1 = arg_type(0) or ann
-            t2 = arg_type(1) or ann
-            if t1 is None or t2 is None:
-                raise _Sem(name_tok, "cannot infer the types of 'swap'")
-            return swap_gate(t1, t2)
-        raise _Sem(name_tok, f"unknown gate {name!r}")
+            base = next(found, ann)
+            if base is None:
+                if len(params) > 1:
+                    raise _Sem(name_tok, f"cannot infer the types of {name!r}")
+                raise _Sem(
+                    name_tok,
+                    f"cannot infer the type of {name!r}; annotate as {name}[type](...)",
+                )
+            types.append(base)
+        try:
+            return make(*types)
+        except SignatureError as e:
+            raise _Sem(name_tok, str(e)) from None
 
     def build_const(self, name_tok: Token, ann, args, kwargs):
         if kwargs:
@@ -938,33 +815,8 @@ class _Parser:
             raise _Sem(name_tok, "const needs a type: const[type](value)")
         if len(args) != 1 or args[0][0] == "call":
             raise _Sem(name_tok, "const takes exactly one literal value")
-        tok = args[0][1]
-        if tok.kind == "INT":
-            v: LValue = int(tok.text)
-        elif tok.kind == "BOT":
-            v = BOT
-        else:
-            v = tok.text
-        if v is not BOT and v not in ann.values:
-            raise _Sem(tok, f"{v!r} is not a value of type {ann.name!r}")
-        gate = const_gate(ann, v)
-        self.nodes.append(gate)
-        self.node_inputs.append(())
-        return (len(self.nodes) - 1, gate.cod)
-
-    def kw_value(self, kwargs, key: str, base: BaseType, default: LValue):
-        tok = kwargs.get(key)
-        if tok is None:
-            return default
-        if tok.kind == "BOT":
-            return BOT
-        if tok.kind == "INT":
-            v = int(tok.text)
-        else:
-            v = tok.text
-        if v not in base.values:
-            raise _Sem(tok, f"{v!r} is not a value of type {base.name!r}")
-        return v
+        gate = const_gate(ann, _literal(args[0][1], ann))
+        return (self.add_node(gate, ()), gate.cod)
 
     def kw_int(self, name_tok: Token, kwargs, key: str) -> int:
         tok = kwargs.get(key)
@@ -981,10 +833,8 @@ class _Parser:
         if len(args) != 1:
             raise _Sem(name_tok, "delay takes one wire argument")
         src, base = yield self.build_expr(args[0], None)
-        init = self.kw_value(kwargs, "init", base, BOT)
-        self.nodes.append(UnitDelay(base, init))
-        self.node_inputs.append((src,))
-        return (len(self.nodes) - 1, sig(base))
+        init = _literal(kwargs["init"], base) if "init" in kwargs else BOT
+        return (self.add_node(UnitDelay(base, init), (src,)), sig(base))
 
     def build_vardelay(self, name_tok: Token, args, kwargs):
         extra = set(kwargs) - {"init", "min", "max"}
@@ -1004,10 +854,9 @@ class _Parser:
                 f"the delay wire has type {d_base.name!r}; its values must be "
                 f"exactly {d_min}..{d_max}",
             )
-        init = self.kw_value(kwargs, "init", base, BOT)
-        self.nodes.append(VarDelay(base, d_min, d_max, init, d_base))
-        self.node_inputs.append((src_s, src_d))
-        return (len(self.nodes) - 1, sig(base))
+        init = _literal(kwargs["init"], base) if "init" in kwargs else BOT
+        node = VarDelay(base, d_min, d_max, init, d_base)
+        return (self.add_node(node, (src_s, src_d)), sig(base))
 
 
 def parse_netlist(text: str) -> Circuit:
@@ -1072,32 +921,13 @@ def _gate_decl(gate: GateDef) -> list[str]:
 
 def _collect_types(c: Circuit) -> dict[str, BaseType]:
     found: dict[str, BaseType] = {}
-
-    def add(b: BaseType) -> None:
+    for b in base_types(c):
         old = found.get(b.name)
         if old is not None and old != b:
             raise SignatureError(
                 f"two base types share the name {b.name!r}; cannot print"
             )
         found[b.name] = b
-
-    for b in c.in_ports:
-        add(b)
-    for b in c.out_ports:
-        add(b)
-    for lw in c.loops:
-        add(lw.base)
-    for node in c.nodes:
-        if isinstance(node, UnitDelay):
-            add(node.base)
-        elif isinstance(node, VarDelay):
-            add(node.base)
-            add(node.d_base)
-        else:
-            for b in node.dom:
-                add(b)
-            for b in node.cod:
-                add(b)
     return found
 
 

@@ -51,6 +51,15 @@ def test_check_missing_file(capsys):
     assert "error" in err
 
 
+def test_check_of_a_file_that_is_not_utf8(capsys, tmp_path):
+    p = tmp_path / "latin1.net"
+    p.write_bytes("# caf\xe9\n".encode("latin-1") + Path(TOGGLE).read_bytes())
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {p}: not UTF-8")
+    assert err.count("\n") == 1
+
+
 # -- sim ------------------------------------------------------------------
 
 
@@ -103,6 +112,23 @@ def test_sim_writes_a_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert dest.read_text() == "y\n1\n0\n1\n0\n"
+
+
+def test_sim_input_stream_that_is_not_utf8(capsys, tmp_path):
+    p = tmp_path / "in.txt"
+    p.write_bytes(b"\xff\n")
+    code, out, err = run(capsys, "sim", POR_GATE, "--ticks", "1", "--in", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {p}: not UTF-8")
+    assert err.count("\n") == 1
+
+
+def test_sim_to_an_unwritable_output(capsys, tmp_path):
+    for target in (tmp_path, tmp_path / "no" / "out.txt"):
+        code, out, err = run(capsys, "sim", TOGGLE, "--ticks", "2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
 
 
 def test_sim_shorter_run_is_a_prefix(capsys):

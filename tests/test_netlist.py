@@ -230,6 +230,139 @@ def test_literal_gate_arguments_take_the_gate_signature():
     assert simulate(c, bot_trace(sig(), 1)).rows == ((1, "hi"),)
 
 
+def _main(stmts: str, decls: str = "") -> str:
+    return decls + f"circuit main {{\n  in x: bool\n  out y: bool\n{stmts}\n}}\n"
+
+
+ENUM = "type e = { p, q }\n"
+GATE = "gate g(a: bool) -> (bool) strict {\n  (0) -> (%s)\n  (1) -> (0)\n}\n"
+NEVER = (1, 9, "output 'y' is never assigned")
+
+DIAGNOSTICS = {
+    # every site that reads a literal
+    "row cell": (_main("  y = g(x)", GATE % 2), [
+        (2, 11, "2 is not a value of type 'bool'"), (2, 12, "expected }, found ')'"),
+    ]),
+    "strict row cell": (_main("  y = g(x)", GATE % "bot"), [
+        (2, 11, "'bot' is not allowed here"), (2, 14, "expected }, found ')'"),
+    ]),
+    "init": (_main("  y = delay(x, init=3)"), [
+        (4, 21, "3 is not a value of type 'bool'"), NEVER,
+    ]),
+    "keyword value": (_main("  y = delay(x, init=()"), [
+        (4, 21, "expected a value, found '('"),
+    ]),
+    "const": (_main("  y = const[bool](2)"), [
+        (4, 19, "2 is not a value of type 'bool'"), NEVER,
+    ]),
+    "argument": (_main("  y = and(x, 5)"), [
+        (4, 14, "5 is not a value of type 'bool'"), NEVER,
+    ]),
+    "enum atom": (_main("  y = x", "type t = { a, bot }\n"), [
+        (1, 15, "expected a value, found 'bot'"),
+    ]),
+    # every comma-separated list, empty and with a dangling comma
+    "no atoms": (_main("  y = x", "type t = { }\n"), [
+        (1, 12, "expected a value, found '}'"),
+    ]),
+    "atoms, dangling": (_main("  y = x", "type t = { a, }\n"), [
+        (1, 15, "expected a value, found '}'"),
+    ]),
+    "no params": (_main("  y = x", "gate g() -> (bool) {\n  (1) -> (1)\n}\n"), [
+        (2, 5, "row has 1 cells, gate needs 0"), (2, 5, "expected }, found ')'"),
+    ]),
+    "params, dangling": (_main("  y = x", "gate g(a: bool,) -> (bool) {\n}\n"), [
+        (1, 16, "expected a parameter name, found ')'"),
+    ]),
+    "no outputs": (_main("  y = x", "gate g(a: bool) -> () {\n  (0) -> (1)\n}\n"), [
+        (2, 12, "row has 1 cells, gate needs 0"), (2, 12, "expected }, found ')'"),
+    ]),
+    "outputs, dangling": (_main("  y = x", "gate g(a: bool) -> (bool,) {\n}\n"), [
+        (1, 26, "expected a type name, found ')'"),
+    ]),
+    "no cells": (_main("  y = x", "gate g(a: bool) -> (bool) {\n  () -> (1)\n}\n"), [
+        (2, 4, "row has 0 cells, gate needs 1"), (2, 4, "expected }, found ')'"),
+    ]),
+    "cells, dangling": (_main("  y = x", "gate g(a: bool) -> (bool) {\n  (0,) -> (1)\n}\n"), [
+        (2, 8, "row has 2 cells, gate needs 1"),
+    ]),
+    "no ports": (_main("  in\n  y = x"), [
+        (4, 3, "expected a statement, found 'in'"),
+    ]),
+    "ports, dangling": ("circuit main {\n  in x: bool,\n  out y: bool\n  y = x\n}\n", [
+        (3, 7, "expected :, found 'y'"),
+    ]),
+    "no names": (_main("  () = dup(x)\n  y = x"), [
+        (4, 4, "expected a wire name, found ')'"),
+    ]),
+    "names, dangling": (_main("  (a, ) = dup(x)\n  y = x"), [
+        (4, 7, "expected a wire name, found ')'"),
+    ]),
+    # both phrasings of a type mismatch
+    "output type": (ENUM + _main("  y = not(x)").replace("y: bool", "y: e"), [
+        (5, 3, "output 'y' is e, got bool"), (2, 9, "output 'y' is never assigned"),
+    ]),
+    "feedback type": (_main("  loop w: e\n  w = not(x)\n  y = x", ENUM), [
+        (6, 3, "feedback wire 'w' is e, got bool"),
+        (5, 8, "feedback wire 'w' is never closed"),
+    ]),
+    "output type, tuple": (ENUM + _main("  (y, z) = dup(x)").replace("y: bool", "y: e"), [
+        (5, 4, "output 'y' type mismatch"), (2, 9, "output 'y' is never assigned"),
+    ]),
+    "feedback type, tuple": (_main("  loop w: e\n  (w, z) = dup(x)\n  y = x", ENUM), [
+        (6, 4, "feedback wire 'w' type mismatch"),
+        (5, 8, "feedback wire 'w' is never closed"),
+    ]),
+    # names bound twice
+    "closed twice": (_main("  loop w: bool\n  w = x\n  w = not(x)\n  y = w"), [
+        (6, 3, "feedback wire 'w' is closed twice"),
+    ]),
+    "closed twice, tuple": (_main("  loop w: bool\n  w = not(x)\n  (w, z) = dup(x)\n  y = w"), [
+        (6, 4, "feedback wire 'w' is closed twice"),
+    ]),
+    "assigned twice": (_main("  y = x\n  y = not(x)"), [
+        (5, 3, "output 'y' is assigned twice"),
+    ]),
+    "assigned twice, tuple": (_main("  y = not(x)\n  (y, z) = dup(x)"), [
+        (5, 4, "output 'y' is assigned twice"),
+    ]),
+    "in use": (_main("  x = not(x)\n  y = x"), [(4, 3, "'x' is already in use")]),
+    "in use, port": ("circuit main {\n  in x: bool, x: bool\n  out y: bool\n  y = x\n}\n", [
+        (2, 15, "'x' is already in use"),
+    ]),
+    "in use, tuple": (_main("  (x, z) = dup(x)\n  y = x"), [
+        (4, 4, "'x' is already in use"),
+    ]),
+    # builtin gates whose types cannot be inferred or do not fit
+    "swap types": (_main("  (a, b) = swap(x, 0)\n  (c, d) = swap(0, 1)\n  y = x"), [
+        (4, 12, "cannot infer the types of 'swap'"),
+        (5, 12, "cannot infer the types of 'swap'"),
+    ]),
+    "mux type": (_main("  y = mux(x, 0, 1)"), [
+        (4, 7, "cannot infer the type of 'mux'; annotate as mux[type](...)"), NEVER,
+    ]),
+    "lt on atoms": (_main("  z = lt[e](p, q)\n  y = x", ENUM), [
+        (5, 7, "lt needs integer values, got 'e'"),
+    ]),
+}
+
+
+@pytest.mark.parametrize(
+    "text, diags", list(DIAGNOSTICS.values()), ids=list(DIAGNOSTICS)
+)
+def test_diagnostics_are_pinned(text, diags):
+    assert list(errors_of(text)) == diags
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"], ids=["superscript", "arabic-indic"])
+def test_non_ascii_digits_are_unexpected_characters(digit):
+    # str.isdigit accepts both; int() refuses '²' and reads '٣' as 3.
+    for init, col in ((digit, 21), (f"1{digit}", 22), (f"-{digit}", 21)):
+        text = _main(f"  y = delay(x, init={init})")
+        shown = "-" if init[0] == "-" else digit
+        assert errors_of(text) == ((4, col, f"unexpected character {shown!r}"),)
+
+
 def test_syntax_error_reports_position_and_aborts():
     with pytest.raises(NetlistError) as exc:
         parse_netlist("circuit main {\n  in a: bool\n  out y bool\n}\n")

@@ -45,3 +45,10 @@ def test_law_sweep_catches_the_mutant():
     )
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" in proc.stdout
+
+
+def test_netlist_fuzz_raises_only_netlist_errors():
+    proc = run_script("scripts/netlist_fuzz.py", "--count", "300", "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert ", 0 other" in proc.stdout
+    assert proc.stdout.count("sha256 ") == 2

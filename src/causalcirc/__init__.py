@@ -6,10 +6,11 @@ The package splits into a small stack:
   functions, and the bounded Kleene fixed point with its local and traced
   forms;
 * ``gates``: strict lifts, the parallel or/and pair, wiring gates;
-* ``circuit``: the structural IR, builders, validation, contractivity;
-* ``comb``: compiled wiring and delay-free evaluation, both settled by
-  whole-vector iteration;
-* ``engine``: tick-by-tick simulation with per-tick fixed points;
+* ``circuit``: the structural IR, builders, validation, contractivity, and
+  the delay nodes, each a gate of the tick built from its committed history;
+* ``comb``: compiled wiring that settles one tick by whole-vector
+  iteration, gates and delays alike, and delay-free evaluation;
+* ``engine``: tick-by-tick simulation that commits delay histories;
 * ``analysis``: bounded totality and equivalence checks;
 * ``laws``: equational sweeps for the fixed-point operator;
 * ``netlist`` and ``streams``: the text formats;
@@ -22,7 +23,6 @@ from .domain import (
     BaseType,
     CapError,
     DivergenceError,
-    EnumCap,
     MonotoneFn,
     Signature,
     SignatureError,
@@ -88,7 +88,6 @@ from .engine import (
     SimState,
     bot_trace,
     check_causality,
-    delay_step,
     initial_state,
     random_trace,
     simulate,

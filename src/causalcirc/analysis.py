@@ -19,12 +19,10 @@ then earliest tick, then lowest port).  Ticks after the failing one are
 never run, so a trace that would raise later still yields its witness.
 
 Each check also memoizes one tick of each circuit instance, keyed on the
-committed delay histories and the input row.  The key leaves out the tick
-number t, and that is exact: the histories fix everything a tick reads of
-t (see ``_stepper``).  The random strategy runs every sampled trace
-through the same memo.  A memo lives for one check and one circuit
-instance, never longer, and is never shared between circuits that merely
-compare equal.
+committed delay histories and the input row, which are all a tick reads.
+The random strategy runs every sampled trace through the same memo.  A
+memo lives for one check and one circuit instance, never longer, and is
+never shared between circuits that merely compare equal.
 
 ``cases`` counts full traces in enumeration order up to and including the
 first failing one, so a passing exhaustive check reports all bᴴ of them
@@ -108,22 +106,19 @@ class EquivReport:
 
 
 def _stepper(c: Circuit):
-    """One tick of ``c`` as ``(histories, t, row) -> (next histories, outputs)``.
+    """One tick of ``c`` as ``(histories, row) -> (next histories, outputs)``.
 
-    Memoized on ``(histories, row)``.  Leaving out t is exact, because the
-    committed histories fix everything a tick reads of t: a unit delay's
-    history is empty iff t = 0, and a ``vardelay``'s history has length
-    min(t, d_max), so an amount d in d_min..d_max exceeds t iff it exceeds
-    that length.  The memo belongs to this one circuit instance and dies
-    with the returned function.
+    Memoized on ``(histories, row)``, exactly what ``engine.step`` reads;
+    the memo belongs to this one circuit instance and dies with the
+    returned function.
     """
     memo: dict = {}
 
-    def advance(histories, t: int, row):
+    def advance(histories, row):
         key = (histories, row)
         hit = memo.get(key)
         if hit is None:
-            state, outs = engine.step(SimState(c, histories, t), row)
+            state, outs = engine.step(SimState(c, histories), row)
             hit = memo[key] = (state.histories, outs)
         return hit
 
@@ -162,7 +157,6 @@ def _explore(circuits, rows: list, horizon: int, bad_port):
     states = [start]  # histories of every circuit after each prefix tick
     i = 0
     while True:
-        t = len(path)
         if i == b:
             if not path:
                 return b**horizon, None
@@ -170,7 +164,7 @@ def _explore(circuits, rows: list, horizon: int, bad_port):
             states.pop()
             continue
         row = rows[i]
-        stepped = [adv(h, t, row) for adv, h in zip(steppers, states[-1])]
+        stepped = [adv(h, row) for adv, h in zip(steppers, states[-1])]
         outs = [o for _, o in stepped]
         port = bad_port(outs)
         if port is not None:
@@ -178,7 +172,7 @@ def _explore(circuits, rows: list, horizon: int, bad_port):
             # 1 + the lexicographic index of the prefix's first full trace.
             cases = 1 + sum(j * b ** (horizon - 1 - k) for k, j in enumerate(path))
             return cases, (tuple(rows[j] for j in path), port, outs)
-        if t + 1 < horizon:
+        if len(path) + 1 < horizon:
             path.append(i)
             states.append(tuple(h for h, _ in stepped))
             i = 0
@@ -198,7 +192,7 @@ def _sample(circuits, traces, bad_port):
         cases += 1
         hists = [engine.initial_state(c).histories for c in circuits]
         for t, row in enumerate(rows):
-            stepped = [adv(h, t, row) for adv, h in zip(steppers, hists)]
+            stepped = [adv(h, row) for adv, h in zip(steppers, hists)]
             outs = [o for _, o in stepped]
             port = bad_port(outs)
             if port is not None:

@@ -4,8 +4,10 @@ A circuit is a bipartite wiring: every node input, feedback wire, and output
 port names its source, which is either a circuit input, a node output port,
 or a feedback wire.  Feedback wires are the only legal way to close a cycle;
 ``validate`` rejects any cycle in the node graph that is not routed through
-one.  Delay nodes are inert here and only mean something to the sequential
-engine; ``comb.denote`` refuses circuits that contain them.
+one.  Every node, gate or delay, gives its gate function for one tick
+through ``tick(history)``; a delay's comes from the ``depth`` latest values
+the engine committed for it, never from the tick number.  ``comb.denote``
+refuses circuits that contain delays.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import TypeAlias
 
 from .domain import BOT, BaseType, LValue, Signature, SignatureError, int_range
-from .gates import GateDef
+from .gates import GateDef, TickFn
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,34 @@ Source: TypeAlias = "SrcIn | SrcNode | SrcLoop"
 
 @dataclass(frozen=True)
 class UnitDelay:
-    """One-tick delay: emits ``init`` at tick 0, then last tick's input."""
+    """One-tick delay: emits ``init`` at tick 0, then last tick's input.
+
+    Like a gate it has ``dom``, ``cod`` and ``name``; ``tick(history)`` is
+    its gate function for one tick, given the ``depth`` latest committed
+    values of its input.
+    """
 
     base: BaseType
     init: LValue = BOT
 
+    name = "delay"
+    depth = 1
+
     def __post_init__(self) -> None:
         self.base.check_member(self.init)
+
+    @property
+    def dom(self) -> Signature:
+        return Signature((self.base,))
+
+    cod = dom
+
+    def reads_history(self, port: int) -> bool:
+        return True
+
+    def tick(self, history: tuple[LValue, ...]) -> TickFn:
+        out = (history[-1] if history else self.init,)
+        return lambda args: out
 
 
 @dataclass(frozen=True)
@@ -70,6 +93,8 @@ class VarDelay:
     init: LValue = BOT
     d_base: BaseType | None = None
 
+    name = "vardelay"
+
     def __post_init__(self) -> None:
         if not 0 <= self.d_min <= self.d_max:
             raise SignatureError(
@@ -84,22 +109,43 @@ class VarDelay:
                 f"{self.d_min}..{self.d_max}"
             )
 
+    @property
+    def dom(self) -> Signature:
+        return Signature((self.base, self.d_base))
+
+    @property
+    def cod(self) -> Signature:
+        return Signature((self.base,))
+
+    @property
+    def depth(self) -> int:
+        return self.d_max
+
+    def reads_history(self, port: int) -> bool:
+        # The chosen amount is needed this tick, so the d port never does.
+        return port == 0 and self.d_min >= 1
+
+    def tick(self, history: tuple[LValue, ...]) -> TickFn:
+        """An undefined d yields an undefined output; d = 0 passes s through;
+        d = k >= 1 reads k ticks back, or ``init`` when the run is younger."""
+        n = len(history)
+
+        def fn(args):
+            s, d = args
+            if d is BOT:
+                return (BOT,)
+            if not isinstance(d, int) or not self.d_min <= d <= self.d_max:
+                raise SignatureError(
+                    f"delay amount {d!r} outside {self.d_min}..{self.d_max}"
+                )
+            if d == 0:
+                return (s,)
+            return (self.init if d > n else history[-d],)
+
+        return fn
+
 
 Node: TypeAlias = "GateDef | UnitDelay | VarDelay"
-
-
-def node_in_sig(node: Node) -> Signature:
-    if isinstance(node, UnitDelay):
-        return Signature((node.base,))
-    if isinstance(node, VarDelay):
-        return Signature((node.base, node.d_base))
-    return node.dom
-
-
-def node_out_sig(node: Node) -> Signature:
-    if isinstance(node, (UnitDelay, VarDelay)):
-        return Signature((node.base,))
-    return node.cod
 
 
 def base_types(c: Circuit):
@@ -110,16 +156,8 @@ def base_types(c: Circuit):
     for lw in c.loops:
         yield lw.base
     for node in c.nodes:
-        yield from node_in_sig(node)
-        yield from node_out_sig(node)
-
-
-def node_label(node: Node) -> str:
-    if isinstance(node, UnitDelay):
-        return "delay"
-    if isinstance(node, VarDelay):
-        return "vardelay"
-    return node.name
+        yield from node.dom
+        yield from node.cod
 
 
 @dataclass(frozen=True)
@@ -182,7 +220,7 @@ def source_type(c: Circuit, src: Source) -> BaseType:
         return c.in_ports[src.index]
     if isinstance(src, SrcLoop):
         return c.loops[src.index].base
-    return node_out_sig(c.nodes[src.node])[src.port]
+    return c.nodes[src.node].cod[src.port]
 
 
 def _source_ok(c: Circuit, src: Source) -> bool:
@@ -192,7 +230,7 @@ def _source_ok(c: Circuit, src: Source) -> bool:
         return 0 <= src.index < len(c.loops)
     return (
         0 <= src.node < len(c.nodes)
-        and 0 <= src.port < len(node_out_sig(c.nodes[src.node]))
+        and 0 <= src.port < len(c.nodes[src.node].cod)
     )
 
 
@@ -249,14 +287,41 @@ def _find_cycle(edges: list[list[int]]) -> list[int] | None:
     return None
 
 
-def _node_cycle(c: Circuit) -> list[int] | None:
-    """A cycle in the node graph with feedback wires cut, or None."""
-    edges: list[list[int]] = [[] for _ in c.nodes]
-    for i, ins in enumerate(c.node_inputs):
-        for src in ins:
-            if isinstance(src, SrcNode) and _source_ok(c, src):
-                edges[i].append(src.node)
-    return _find_cycle(edges)
+def _wiring_cycle(c: Circuit, cut_history: bool) -> list[str] | None:
+    """A cycle of the wiring graph, as vertex labels, or None.
+
+    Vertices are nodes and feedback wires; edges run from each node input
+    and feedback wire to its source.  With ``cut_history`` (contractivity)
+    the node inputs that read committed history are cut; without it
+    (validation) the feedback wires are.
+    """
+    n = len(c.nodes)
+
+    def src_vert(src: Source) -> int | None:
+        if isinstance(src, SrcNode):
+            return src.node
+        if isinstance(src, SrcLoop) and cut_history:
+            return n + src.index
+        return None
+
+    edges: list[list[int]] = [[] for _ in range(n + len(c.loops))]
+    for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs)):
+        for p, src in enumerate(ins):
+            v = src_vert(src)
+            if v is not None and not (cut_history and node.reads_history(p)):
+                edges[i].append(v)
+    for j, lw in enumerate(c.loops):
+        v = src_vert(lw.src)
+        if v is not None:
+            edges[n + j].append(v)
+
+    def label(v: int) -> str:
+        if v < n:
+            return f"node {v} ({c.nodes[v].name})"
+        return f"feedback wire {v - n}"
+
+    cyc = _find_cycle(edges)
+    return None if cyc is None else [label(v) for v in cyc]
 
 
 def validate(c: Circuit) -> list[Diagnostic]:
@@ -271,8 +336,8 @@ def validate(c: Circuit) -> list[Diagnostic]:
         )
         return out
     for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs)):
-        want = node_in_sig(node)
-        where = f"node {i} ({node_label(node)})"
+        want = node.dom
+        where = f"node {i} ({node.name})"
         if len(ins) != len(want):
             out.append(
                 Diagnostic(where, f"has {len(ins)} inputs, needs {len(want)}")
@@ -297,13 +362,12 @@ def validate(c: Circuit) -> list[Diagnostic]:
     if c.out_names is not None and len(c.out_names) != len(c.out_ports):
         out.append(Diagnostic("circuit", "output name list does not match ports"))
     if not out:
-        cyc = _node_cycle(c)
+        cyc = _wiring_cycle(c, cut_history=False)
         if cyc is not None:
-            names = " -> ".join(f"node {i} ({node_label(c.nodes[i])})" for i in cyc)
             out.append(
                 Diagnostic(
                     "circuit",
-                    f"cycle not routed through a feedback wire: {names}",
+                    "cycle not routed through a feedback wire: " + " -> ".join(cyc),
                 )
             )
     return out
@@ -439,55 +503,13 @@ def trace_loop(c: Circuit, k: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Contractivity: every cycle must pass a delay that is guaranteed to look
-# only at committed history.  A unit delay qualifies; a variable delay
-# qualifies through its s port when its minimum delay is at least 1.  The
-# d port never qualifies: the chosen delay amount is needed this tick.
-
-
-def _cuts_cycle(node: Node, port: int) -> bool:
-    if isinstance(node, UnitDelay):
-        return True
-    if isinstance(node, VarDelay):
-        return port == 0 and node.d_min >= 1
-    return False
+# Contractivity: every cycle must pass a delay input that is guaranteed to
+# look only at committed history (``reads_history``).
 
 
 def delay_free_cycle(c: Circuit) -> list[str] | None:
-    """A cycle avoiding all delaying edges, as vertex labels, or None.
-
-    Vertices are nodes and feedback wires; edges follow wiring except node
-    input edges that are cut by a qualifying delay.
-    """
-    n = len(c.nodes)
-
-    def src_vert(src: Source) -> int | None:
-        if isinstance(src, SrcNode):
-            return src.node
-        if isinstance(src, SrcLoop):
-            return n + src.index
-        return None
-
-    edges: list[list[int]] = [[] for _ in range(n + len(c.loops))]
-    for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs)):
-        for p, src in enumerate(ins):
-            if _cuts_cycle(node, p):
-                continue
-            v = src_vert(src)
-            if v is not None:
-                edges[i].append(v)
-    for j, lw in enumerate(c.loops):
-        v = src_vert(lw.src)
-        if v is not None:
-            edges[n + j].append(v)
-
-    def label(v: int) -> str:
-        if v < n:
-            return f"node {v} ({node_label(c.nodes[v])})"
-        return f"feedback wire {v - n}"
-
-    cyc = _find_cycle(edges)
-    return None if cyc is None else [label(v) for v in cyc]
+    """A cycle avoiding all history-reading edges, as vertex labels, or None."""
+    return _wiring_cycle(c, cut_history=True)
 
 
 def is_contractive(c: Circuit) -> bool:

@@ -1,35 +1,27 @@
-"""Delay-free evaluation: the whole wire vector is iterated to a fixed point.
+"""Settling one tick: the whole wire vector is iterated to a fixed point.
 
 The wire vector lists every node output port, then every feedback wire.
 Compiling a circuit resolves every source a node input, feedback wire or
 output port reads to one slot of the flat tuple ``inputs + vector``.  One
 propagation step (a sweep) recomputes all wires simultaneously from the
-previous vector, so the step function is monotone and ``domain``'s Kleene
-loop reaches the least fixed point within (wire count)+1 sweeps.
+previous vector, applying each node's function for the tick, gate or delay
+alike, so the step function is monotone and ``domain``'s Kleene loop
+reaches the least fixed point within (wire count)+1 sweeps.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from .circuit import (
-    Circuit,
-    SrcIn,
-    SrcNode,
-    UnitDelay,
-    VarDelay,
-    check_valid,
-    node_out_sig,
-)
+from .circuit import Circuit, SrcIn, SrcNode, check_valid
 from .domain import BOT, MonotoneFn, SignatureError, WireTuple, _kleene
+from .gates import TickFn
 
 
 class Propagator:
     """Precompiled wiring of one circuit for repeated propagation.
 
-    Delay nodes are dispatched through a caller-supplied ``delay_out``
-    callback so that the sequential engine can close over its history; the
-    combinational evaluator passes none and refuses circuits with delays.
+    The plan is ``(slots, fn)`` per node: where its arguments sit, and its
+    function for a tick with no history yet.  ``stateful`` lists the nodes
+    that keep history; the engine swaps in their functions for each tick.
     """
 
     def __init__(self, c: Circuit):
@@ -37,7 +29,7 @@ class Propagator:
         w = len(c.in_ports)
         for node in c.nodes:
             base.append(w)
-            w += len(node_out_sig(node))
+            w += len(node.cod)
         loop_base = w
 
         def slot(src) -> int:
@@ -49,39 +41,28 @@ class Propagator:
 
         self.n_wires = w - len(c.in_ports) + len(c.loops)
         self.bot = (BOT,) * self.n_wires
-        # Per node: (kind tag, argument slots, gate fn or None); per delay
-        # node: its index and the slot of its s input.
-        self.plan: list[tuple[bool, tuple[int, ...], Callable | None]] = []
-        self.delay_slots: list[tuple[int, int]] = []
-        for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs)):
-            slots = tuple(slot(s) for s in ins)
-            if isinstance(node, (UnitDelay, VarDelay)):
-                self.plan.append((True, slots, None))
-                self.delay_slots.append((i, slots[0]))
-            else:
-                self.plan.append((False, slots, node.fn.fn))
+        self.slots = [tuple(slot(s) for s in ins) for ins in c.node_inputs]
+        self.fns: list[TickFn] = [node.tick(()) for node in c.nodes]
+        self.stateful = tuple(i for i, node in enumerate(c.nodes) if node.depth)
         self.loop_slots = tuple(slot(lw.src) for lw in c.loops)
         self.out_slots = tuple(slot(s) for s in c.outputs)
 
-    def sweep(self, t: tuple, delay_out=None) -> tuple:
+    def sweep(self, t: tuple, fns: list[TickFn]) -> tuple:
         """One simultaneous recomputation of the wire vector from ``t``,
         which is the inputs followed by the previous vector."""
         out = []
-        for i, (is_delay, slots, fn) in enumerate(self.plan):
-            args = tuple([t[j] for j in slots])
-            if is_delay:
-                out.append(delay_out(i, args))
-            else:
-                out.extend(fn(args))
+        for slots, fn in zip(self.slots, fns):
+            out.extend(fn(tuple([t[j] for j in slots])))
         out.extend([t[j] for j in self.loop_slots])
         return tuple(out)
 
-    def solve(self, inputs: WireTuple, delay_out=None) -> tuple:
-        """``inputs`` followed by the least fixed point of the wire vector."""
+    def solve(self, inputs: WireTuple, fns: list[TickFn] | None = None) -> tuple:
+        """``inputs`` followed by the least fixed point of the wire vector,
+        with ``fns`` (by default the no-history plan) as the node functions."""
+        if fns is None:
+            fns = self.fns
         sweep = self.sweep
-        settle = _kleene(
-            lambda t: sweep(t, delay_out), self.bot, "a gate in this circuit"
-        )
+        settle = _kleene(lambda t: sweep(t, fns), self.bot, "a gate in this circuit")
         return inputs + settle(inputs)
 
     def outputs(self, settled: tuple) -> WireTuple:

@@ -168,24 +168,18 @@ def sig(*bases: BaseType) -> Signature:
     return Signature(tuple(bases))
 
 
-@dataclass(frozen=True)
-class EnumCap:
-    """Limits under which exhaustive enumeration is considered feasible."""
-
-    max_values: int = 8
-    max_wires: int = 4
+# Limits under which exhaustive enumeration is considered feasible.
+MAX_ENUM_VALUES = 8
+MAX_ENUM_WIRES = 4
 
 
-DEFAULT_CAP = EnumCap()
-
-
-def check_enumerable(s: Signature, cap: EnumCap = DEFAULT_CAP) -> None:
-    if len(s) > cap.max_wires:
-        raise CapError(f"{s!r} has {len(s)} wires, cap is {cap.max_wires}")
+def check_enumerable(s: Signature) -> None:
+    if len(s) > MAX_ENUM_WIRES:
+        raise CapError(f"{s!r} has {len(s)} wires, cap is {MAX_ENUM_WIRES}")
     for b in s.wires:
-        if len(b.values) > cap.max_values:
+        if len(b.values) > MAX_ENUM_VALUES:
             raise CapError(
-                f"base type {b.name!r} has {len(b.values)} values, cap is {cap.max_values}"
+                f"base type {b.name!r} has {len(b.values)} values, cap is {MAX_ENUM_VALUES}"
             )
 
 
@@ -245,21 +239,22 @@ class MonotoneFn:
                 raise SignatureError(f"table {name!r} is missing a row for {t!r}")
         if len(table) != dom.count():
             raise SignatureError(f"table {name!r} has rows outside its domain")
-        for t, out in table.items():
+        for out in table.values():
             cod.check(out)
-        for t, out in table.items():
-            for hi in up_set(t, dom):
-                if not tuple_leq(out, table[hi]):
-                    raise SignatureError(
-                        f"table {name!r} is not monotone: {t!r} <= {hi!r} "
-                        f"but {out!r} !<= {table[hi]!r}"
-                    )
-        return cls(dom, cod, table.__getitem__, name, table)
+        f = cls(dom, cod, table.__getitem__, name, table)
+        bad = find_monotonicity_violation(f)
+        if bad is not None:
+            t, hi = bad
+            raise SignatureError(
+                f"table {name!r} is not monotone: {t!r} <= {hi!r} "
+                f"but {table[t]!r} !<= {table[hi]!r}"
+            )
+        return f
 
-    def tabulate(self, cap: EnumCap = DEFAULT_CAP) -> dict[WireTuple, WireTuple]:
+    def tabulate(self) -> dict[WireTuple, WireTuple]:
         if self.table is not None:
             return self.table
-        check_enumerable(self.dom, cap)
+        check_enumerable(self.dom)
         return {t: self.fn(t) for t in self.dom.tuples()}
 
     def then(self, other: "MonotoneFn") -> "MonotoneFn":
@@ -296,12 +291,17 @@ def up_set(t: WireTuple, s: Signature) -> Iterator[WireTuple]:
     )
 
 
-def find_monotonicity_violation(
-    f: MonotoneFn, cap: EnumCap = DEFAULT_CAP
-) -> tuple[WireTuple, WireTuple] | None:
-    """First pair t1 <= t2 with f(t1) not <= f(t2), or None if monotone."""
-    check_enumerable(f.dom, cap)
-    for t1 in f.dom.tuples():
+def find_monotonicity_violation(f: MonotoneFn) -> tuple[WireTuple, WireTuple] | None:
+    """First pair t1 <= t2 with f(t1) not <= f(t2), or None if monotone.
+
+    A function with a table is scanned in its table's row order, whatever
+    the cap; any other is enumerated over its domain, within the cap.
+    """
+    points = f.table
+    if points is None:
+        check_enumerable(f.dom)
+        points = f.dom.tuples()
+    for t1 in points:
         out1 = f.fn(t1)
         for t2 in up_set(t1, f.dom):
             if not tuple_leq(out1, f.fn(t2)):
@@ -309,9 +309,10 @@ def find_monotonicity_violation(
     return None
 
 
-def is_monotone(f: MonotoneFn, cap: EnumCap = DEFAULT_CAP) -> bool:
-    """Exhaustive monotonicity check; raises CapError beyond the cap."""
-    return find_monotonicity_violation(f, cap) is None
+def is_monotone(f: MonotoneFn) -> bool:
+    """Exhaustive monotonicity check; raises CapError beyond the cap unless
+    ``f`` has a table."""
+    return find_monotonicity_violation(f) is None
 
 
 def kleene_bound(s: Signature) -> int:

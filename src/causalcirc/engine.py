@@ -1,10 +1,11 @@
 """Sequential simulation: one least fixed point per tick, history committed after.
 
 A run consumes a prefix trace (one input tuple per tick) and produces the
-output trace of the same length.  Within a tick, delay nodes with committed
-history behave as constants, so every combinational cycle that passes one is
-broken; a variable delay asked for 0 ticks of delay passes its current input
-through and stays inside the tick's fixed point.  Histories are committed
+output trace of the same length.  Within a tick, each delay node is the gate
+``node.tick(history)`` builds from its committed history: a unit delay is a
+constant, so every combinational cycle that passes one is broken, and a
+variable delay asked for 0 ticks of delay passes its current input through
+and stays inside the tick's fixed point.  Histories are committed
 only after the tick settles, which is what makes the semantics causal: the
 first n output rows depend only on the first n input rows.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuit import Circuit, UnitDelay, VarDelay
+from .circuit import Circuit
 from .comb import propagator
 from .domain import (
     BOT,
@@ -59,11 +60,12 @@ def bot_trace(signature: Signature, ticks: int) -> PrefixTrace:
 
 @dataclass(frozen=True)
 class SimState:
-    """Committed delay histories after some number of ticks.
+    """Committed delay histories after ``t`` ticks.
 
     ``histories[i]`` is the tuple of settled s-port values of node i, most
-    recent last, trimmed to what the node can ever read back (1 for a unit
-    delay, d_max for a variable delay); empty for non-delay nodes.
+    recent last, trimmed to the node's ``depth`` (1 for a unit delay, d_max
+    for a variable delay, 0 for a gate).  A tick is a function of the
+    histories and the input row alone; ``t`` only counts ticks.
     """
 
     circuit: Circuit
@@ -76,59 +78,22 @@ def initial_state(c: Circuit) -> SimState:
     return SimState(c, ((),) * len(c.nodes), 0)
 
 
-def delay_step(
-    node: UnitDelay | VarDelay,
-    current_s: LValue,
-    current_d: LValue,
-    history: tuple[LValue, ...],
-    t: int,
-) -> LValue:
-    """Output of a delay node during tick t, given committed history.
-
-    For a unit delay: the init value at tick 0, afterwards the previous
-    tick's input; the current input is never consulted.  For a variable
-    delay: an undefined d yields an undefined output; d = 0 passes
-    ``current_s`` through; d = k >= 1 reads k ticks back, falling back to
-    the init value when the run is younger than k.
-    """
-    if isinstance(node, UnitDelay):
-        return node.init if t == 0 else history[-1]
-    if current_d is BOT:
-        return BOT
-    if not isinstance(current_d, int) or not node.d_min <= current_d <= node.d_max:
-        raise SignatureError(
-            f"delay amount {current_d!r} outside {node.d_min}..{node.d_max}"
-        )
-    if current_d == 0:
-        return current_s
-    if current_d > t:
-        return node.init
-    return history[-current_d]
-
-
 def step(state: SimState, inputs: WireTuple) -> tuple[SimState, WireTuple]:
     """Run one tick: settle the wire vector, emit outputs, commit history."""
     c = state.circuit
     prop = propagator(c)
     c.in_ports.check(inputs)
     histories = state.histories
-    t = state.t
     nodes = c.nodes
-
-    def delay_out(i: int, args: WireTuple) -> LValue:
-        node = nodes[i]
-        if isinstance(node, UnitDelay):
-            return delay_step(node, args[0], None, histories[i], t)
-        return delay_step(node, args[0], args[1], histories[i], t)
-
-    settled = prop.solve(inputs, delay_out)
+    fns = list(prop.fns)
+    for i in prop.stateful:
+        fns[i] = nodes[i].tick(histories[i])
+    settled = prop.solve(inputs, fns)
     new_hist = list(histories)
-    for i, j in prop.delay_slots:
-        node = nodes[i]
-        cap = 1 if isinstance(node, UnitDelay) else node.d_max
-        if cap > 0:
-            new_hist[i] = (histories[i] + (settled[j],))[-cap:]
-    return SimState(c, tuple(new_hist), t + 1), prop.outputs(settled)
+    for i in prop.stateful:
+        s = settled[prop.slots[i][0]]
+        new_hist[i] = (histories[i] + (s,))[-nodes[i].depth:]
+    return SimState(c, tuple(new_hist), state.t + 1), prop.outputs(settled)
 
 
 def simulate(c: Circuit, inputs: PrefixTrace, ticks: int | None = None) -> PrefixTrace:

@@ -26,6 +26,10 @@ from .domain import (
     sig,
 )
 
+# A node's gate function for one tick: a gate's is its function, a delay's
+# is built from its committed history.
+TickFn = Callable[[WireTuple], WireTuple]
+
 # How the gate's function was obtained; printing and equality depend on it.
 KIND_STRICT = "strict-lift"
 KIND_TABLE = "primitive-table"
@@ -56,6 +60,15 @@ class GateDef:
     @property
     def cod(self) -> Signature:
         return self.fn.cod
+
+    # A gate keeps no history and reads none: every tick it is its function.
+    depth = 0
+
+    def reads_history(self, port: int) -> bool:
+        return False
+
+    def tick(self, history: tuple) -> TickFn:
+        return self.fn.fn
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GateDef):

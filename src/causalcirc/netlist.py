@@ -31,7 +31,6 @@ from .circuit import (
     base_types,
     check_valid,
     in_port_names,
-    node_out_sig,
     out_port_names,
     validate,
 )
@@ -464,22 +463,22 @@ class _Parser:
         return tuple(cells)
 
     def skip_to_row_end(self) -> None:
-        # Recover after a bad row: drop tokens to the closing paren of the
-        # output tuple or the end of the gate body.
+        # Recover after a bad row: drop tokens through the closing paren of
+        # the output tuple, or up to the end of the gate body.  The error
+        # may leave the reader inside either tuple, so a ")" never takes
+        # the depth below 0.
         depth = 0
         while True:
             tok = self.peek()
             if tok.kind == "EOF" or (depth == 0 and tok.kind == "}"):
                 return
+            self.advance()
             if tok.kind == "(":
                 depth += 1
             elif tok.kind == ")":
-                if depth == 0:
+                depth = max(depth - 1, 0)
+                if depth == 0 and self.peek().kind != "->":
                     return
-                depth -= 1
-            self.advance()
-            if depth == 0 and tok.kind == ")" and self.peek().kind != "->":
-                return
 
     # -- circuit body ----------------------------------------------------
 
@@ -964,7 +963,7 @@ def print_netlist(c: Circuit) -> str:
 
     node_names: list[tuple[str, ...]] = []
     for i, node in enumerate(c.nodes):
-        outs = node_out_sig(node)
+        outs = node.cod
         if len(outs) == 1:
             node_names.append((unique(f"n{i}"),))
         else:

@@ -22,7 +22,6 @@ from .circuit import (
     UnitDelay,
     VarDelay,
     check_valid,
-    node_out_sig,
 )
 from .domain import BOOL, BOT, BaseType, Signature, int_range
 from .engine import random_trace
@@ -44,7 +43,6 @@ class GenConfig:
     """Knobs for the generator; defaults make small boolean circuits."""
 
     max_inputs: int = 2
-    min_nodes: int = 1
     max_nodes: int = 5
     max_loops: int = 2
     max_outputs: int = 2
@@ -52,7 +50,6 @@ class GenConfig:
     p_vardelay: float = 0.1
     contractive_only: bool = False
     bot_free_inits: bool = False
-    name_ports: bool = True
 
 
 def _random_init(rng: random.Random, base: BaseType, cfg: GenConfig):
@@ -73,7 +70,7 @@ class _Builder:
         self.nodes.append(node)
         self.node_inputs.append(tuple(srcs))
         idx = len(self.nodes) - 1
-        for p, b in enumerate(node_out_sig(node)):
+        for p, b in enumerate(node.cod):
             self.avail.append((SrcNode(idx, p), b))
         return SrcNode(idx, 0)
 
@@ -128,7 +125,7 @@ def random_circuit(rng: random.Random, cfg: GenConfig = GenConfig()) -> Circuit:
     n_loops = rng.randint(0, cfg.max_loops)
     for j in range(n_loops):
         b.avail.append((SrcLoop(j), BOOL))
-    for _ in range(rng.randint(cfg.min_nodes, cfg.max_nodes)):
+    for _ in range(rng.randint(1, cfg.max_nodes)):
         b.grow()
     loops = []
     delays_allowed = cfg.p_delay > 0 or cfg.p_vardelay > 0
@@ -148,8 +145,8 @@ def random_circuit(rng: random.Random, cfg: GenConfig = GenConfig()) -> Circuit:
         node_inputs=tuple(b.node_inputs),
         outputs=outputs,
         loops=tuple(loops),
-        in_names=tuple(f"a{i}" for i in range(n_in)) if cfg.name_ports else None,
-        out_names=tuple(f"y{i}" for i in range(n_out)) if cfg.name_ports else None,
+        in_names=tuple(f"a{i}" for i in range(n_in)),
+        out_names=tuple(f"y{i}" for i in range(n_out)),
     )
     return check_valid(c)
 

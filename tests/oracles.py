@@ -21,7 +21,7 @@ from causalcirc.laws import (
     _table_str,
 )
 from causalcirc.analysis import EquivReport, TotalityReport, Witness
-from causalcirc.circuit import SrcIn, SrcNode, UnitDelay, VarDelay, node_out_sig
+from causalcirc.circuit import SrcIn, SrcNode, UnitDelay, VarDelay
 from causalcirc.engine import PrefixTrace, random_trace, simulate
 
 
@@ -315,7 +315,7 @@ def wire_layout(c):
     first, types = [], []
     for node in c.nodes:
         first.append(len(types))
-        types.extend(node_out_sig(node))
+        types.extend(node.cod)
     types.extend(lw.base for lw in c.loops)
     return first, types
 

@@ -18,7 +18,6 @@ from causalcirc.circuit import (
     identity_circuit,
     in_port_names,
     is_contractive,
-    node_out_sig,
     out_port_names,
     tensor,
     to_json,
@@ -235,7 +234,7 @@ def test_vardelay_validates_its_range():
         VarDelay(BOOL, -1, 1, 0)
     vd = VarDelay(BOOL, 0, 3, BOT)
     assert vd.d_base.values == (0, 1, 2, 3)
-    assert node_out_sig(vd) == sig(BOOL)
+    assert vd.cod == sig(BOOL)
 
 
 # -- structural dump ------------------------------------------------------

@@ -77,9 +77,9 @@ def test_solver_settles_within_the_wire_bound(monkeypatch):
     sweeps = []
     real = Propagator.sweep
 
-    def counted(self, t, delay_out=None):
+    def counted(self, t, fns):
         sweeps[-1] += 1
-        return real(self, t, delay_out)
+        return real(self, t, fns)
 
     monkeypatch.setattr(Propagator, "sweep", counted)
     rng = random.Random(12)

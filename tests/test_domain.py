@@ -10,7 +10,6 @@ from causalcirc.domain import (
     BaseType,
     CapError,
     DivergenceError,
-    EnumCap,
     MonotoneFn,
     Signature,
     SignatureError,
@@ -137,8 +136,7 @@ def test_signature_conformance():
 def test_enum_cap_guards_blowups():
     wide = sig(*([BOOL] * 6))
     with pytest.raises(CapError):
-        check_enumerable(wide, EnumCap(max_values=8, max_wires=4))
-    check_enumerable(wide, EnumCap(max_values=8, max_wires=8))
+        check_enumerable(wide)
 
 
 # -- monotone functions ---------------------------------------------------
@@ -153,8 +151,13 @@ def test_from_table_requires_full_coverage():
 
 def test_from_table_rejects_non_monotone_rows():
     rows = {(BOT,): (1,), (0,): (0,), (1,): (1,)}
-    with pytest.raises(SignatureError):
-        MonotoneFn.from_table(B, B, rows)
+    with pytest.raises(SignatureError) as exc:
+        MonotoneFn.from_table(B, B, rows, "f")
+    assert str(exc.value) == "table 'f' is not monotone: (_,) <= (0,) but (1,) !<= (0,)"
+    # A table is already enumerated, so the enumeration cap does not apply.
+    wide = sig(int_range(0, 9))
+    f = MonotoneFn.from_table(wide, wide, {t: t for t in wide.tuples()})
+    assert is_monotone(f)
 
 
 def test_find_monotonicity_violation_reports_a_pair():

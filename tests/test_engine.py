@@ -15,9 +15,9 @@ from causalcirc.circuit import (
 from causalcirc.domain import BOOL, BOT, SignatureError, int_range, sig
 from causalcirc.engine import (
     PrefixTrace,
+    SimState,
     bot_trace,
     check_causality,
-    delay_step,
     initial_state,
     random_trace,
     simulate,
@@ -66,29 +66,28 @@ def test_random_trace_respects_p_bot():
     assert not tr2.is_bot_free()
 
 
-# -- delay_step -----------------------------------------------------------
+# -- delay ticks ----------------------------------------------------------
 
 
 def test_unit_delay_step():
     d = UnitDelay(BOOL, 1)
-    assert delay_step(d, 0, None, (), 0) == 1
-    assert delay_step(d, 0, None, (0,), 1) == 0
-    assert delay_step(d, BOT, None, (1, 0), 2) == 0
+    assert d.tick(())((0,)) == (1,)
+    assert d.tick((0,))((0,)) == (0,)
+    assert d.tick((1, 0))((BOT,)) == (0,)
 
 
 def test_vardelay_step_depths():
     vd = VarDelay(BOOL, 0, 2, 1)
-    hist = (0, 1)  # most recent last
-    t = 2
-    assert delay_step(vd, 0, BOT, hist, t) is BOT
-    assert delay_step(vd, 0, 0, hist, t) == 0  # in-tick passthrough
-    assert delay_step(vd, BOT, 0, hist, t) is BOT
-    assert delay_step(vd, 0, 1, hist, t) == 1
-    assert delay_step(vd, 0, 2, hist, t) == 0
+    f = vd.tick((0, 1))  # most recent last
+    assert f((0, BOT)) == (BOT,)
+    assert f((0, 0)) == (0,)  # in-tick passthrough
+    assert f((BOT, 0)) == (BOT,)
+    assert f((0, 1)) == (1,)
+    assert f((0, 2)) == (0,)
     # Deeper than the history so far: the init value fills in.
-    assert delay_step(vd, 0, 2, (1,), 1) == 1
+    assert vd.tick((1,))((0, 2)) == (1,)
     with pytest.raises(SignatureError):
-        delay_step(vd, 0, 3, hist, t)
+        f((0, 3))
 
 
 # -- simulate -------------------------------------------------------------
@@ -194,6 +193,28 @@ def test_unit_delay_history_is_one_deep():
         i for i, n in enumerate(c.nodes) if isinstance(n, UnitDelay)
     )
     assert len(s.histories[delay_index]) == 1
+
+
+def test_a_tick_reads_no_clock():
+    # A tick is a function of the committed histories and the input row:
+    # stepping the same histories under any tick number gives the same
+    # outputs and histories; t only counts.
+    rng = random.Random(8)
+    cfg = GenConfig(max_nodes=8, p_vardelay=0.3)
+    undefined_inits = vardelays = 0
+    for _ in range(40):
+        c = random_circuit(rng, cfg)
+        undefined_inits += any(getattr(n, "init", 0) is BOT for n in c.nodes)
+        vardelays += any(isinstance(n, VarDelay) for n in c.nodes)
+        state = initial_state(c)
+        for k, row in enumerate(random_trace(rng, c.in_ports, 6, p_bot=0.2).rows):
+            nxt, out = step(state, row)
+            for t in (0, 1, k + 3, 50):
+                moved, moved_out = step(SimState(c, state.histories, t), row)
+                assert (moved.histories, moved_out) == (nxt.histories, out)
+                assert moved.t == t + 1
+            state = nxt
+    assert undefined_inits >= 10 and vardelays >= 10
 
 
 # -- causality ------------------------------------------------------------

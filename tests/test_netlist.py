@@ -237,14 +237,20 @@ def _main(stmts: str, decls: str = "") -> str:
 ENUM = "type e = { p, q }\n"
 GATE = "gate g(a: bool) -> (bool) strict {\n  (0) -> (%s)\n  (1) -> (0)\n}\n"
 NEVER = (1, 9, "output 'y' is never assigned")
+NEVER5 = (5, 9, "output 'y' is never assigned")  # after GATE
 
 DIAGNOSTICS = {
     # every site that reads a literal
     "row cell": (_main("  y = g(x)", GATE % 2), [
-        (2, 11, "2 is not a value of type 'bool'"), (2, 12, "expected }, found ')'"),
+        (2, 11, "2 is not a value of type 'bool'"), (8, 7, "unknown gate 'g'"), NEVER5,
     ]),
     "strict row cell": (_main("  y = g(x)", GATE % "bot"), [
-        (2, 11, "'bot' is not allowed here"), (2, 14, "expected }, found ')'"),
+        (2, 11, "'bot' is not allowed here"), (8, 7, "unknown gate 'g'"), NEVER5,
+    ]),
+    # a bad row is skipped and parsing goes on to the next row and beyond
+    "two bad rows": (_main("  y = not(zz)", (GATE % 2).replace("(1) ->", "(bot) ->")), [
+        (2, 11, "2 is not a value of type 'bool'"), (3, 4, "'bot' is not allowed here"),
+        (8, 11, "unknown wire 'zz' (forward references need a loop wire)"), NEVER5,
     ]),
     "init": (_main("  y = delay(x, init=3)"), [
         (4, 21, "3 is not a value of type 'bool'"), NEVER,
@@ -269,19 +275,19 @@ DIAGNOSTICS = {
         (1, 15, "expected a value, found '}'"),
     ]),
     "no params": (_main("  y = x", "gate g() -> (bool) {\n  (1) -> (1)\n}\n"), [
-        (2, 5, "row has 1 cells, gate needs 0"), (2, 5, "expected }, found ')'"),
+        (2, 5, "row has 1 cells, gate needs 0"),
     ]),
     "params, dangling": (_main("  y = x", "gate g(a: bool,) -> (bool) {\n}\n"), [
         (1, 16, "expected a parameter name, found ')'"),
     ]),
     "no outputs": (_main("  y = x", "gate g(a: bool) -> () {\n  (0) -> (1)\n}\n"), [
-        (2, 12, "row has 1 cells, gate needs 0"), (2, 12, "expected }, found ')'"),
+        (2, 12, "row has 1 cells, gate needs 0"),
     ]),
     "outputs, dangling": (_main("  y = x", "gate g(a: bool) -> (bool,) {\n}\n"), [
         (1, 26, "expected a type name, found ')'"),
     ]),
     "no cells": (_main("  y = x", "gate g(a: bool) -> (bool) {\n  () -> (1)\n}\n"), [
-        (2, 4, "row has 0 cells, gate needs 1"), (2, 4, "expected }, found ')'"),
+        (2, 4, "row has 0 cells, gate needs 1"),
     ]),
     "cells, dangling": (_main("  y = x", "gate g(a: bool) -> (bool) {\n  (0,) -> (1)\n}\n"), [
         (2, 8, "row has 2 cells, gate needs 1"),

@@ -124,6 +124,18 @@ class Signature:
     def __add__(self, other: "Signature") -> "Signature":
         return Signature(self.wires + other.wires)
 
+    def prefix(self, k: int) -> "Signature":
+        """The first k wires; built once per k, as ``local_lfp`` asks for the
+        same context of the same signature over and over."""
+        got = self._prefixes.get(k)
+        if got is None:
+            got = self._prefixes[k] = Signature(self.wires[:k])
+        return got
+
+    @cached_property
+    def _prefixes(self) -> dict[int, "Signature"]:
+        return {}
+
     def bottom(self) -> WireTuple:
         return (BOT,) * len(self.wires)
 
@@ -389,16 +401,16 @@ def local_lfp(f: MonotoneFn, split: int) -> MonotoneFn:
     to the loop part.  The result maps the context to the least fixed point of
     the loop part, and is itself monotone.
     """
-    wires = f.dom.wires
+    dom, cod = f.dom, f.cod
+    wires = dom.wires
     if not 0 <= split <= len(wires):
-        raise SignatureError(f"split index {split} out of range for {f.dom!r}")
-    loop = wires[split:]
-    if loop != f.cod.wires:
+        raise SignatureError(f"split index {split} out of range for {dom!r}")
+    if wires[split:] != cod.wires:
         raise SignatureError(
-            f"loop part {Signature(loop)!r} does not match codomain {f.cod!r}"
+            f"loop part {dom[split:]!r} does not match codomain {cod!r}"
         )
-    solve = _kleene(f.fn, (BOT,) * len(loop), f.name or "the function")
-    return MonotoneFn(Signature(wires[:split]), f.cod, solve, f"mu({f.name})")
+    solve = _kleene(f.fn, (BOT,) * (len(wires) - split), f.name or "the function")
+    return MonotoneFn(dom.prefix(split), cod, solve, f"mu({f.name})")
 
 
 Mu: TypeAlias = Callable[[MonotoneFn, int], MonotoneFn]

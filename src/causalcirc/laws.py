@@ -8,14 +8,18 @@ fixed-point operator itself is injectable so the suite can demonstrate
 that a broken operator is caught; all laws are checked through whatever
 operator the config carries.
 
-Each law is a factory, run once per combo, that lists the points of the
-signatures involved and splits each point into its context and loop
-parts.  It returns the check of one case, which builds every side of the
-law as a table straight from the drawn functions' tables and compares the
-sides point by point.  Every fixed point still comes from ``cfg.mu``,
-called on a ``MonotoneFn`` that reads such a table, so a wrong operator
-is caught as before; ``domain.trace`` is the definition the tables unfold,
-and the tests check the two against each other.
+Each law is a factory, run once per combo, that numbers the points of the
+signatures involved and prepares each function space once.  Drawn and
+enumerated functions come out as flat tables: tuples of codomain point
+numbers, one per domain point, numbered by mixed radix with the last wire
+fastest, as ``Signature.tuples`` lists them.  The factory returns the check
+of one case, which builds both sides of the law as flat tuples by index
+arithmetic on those tables and compares them with ``==``; only a mismatch
+is turned back into wire tuples for the counterexample.  Every fixed point
+still comes from ``cfg.mu``, called on a ``MonotoneFn`` over wire tuples
+built from a flat table, so a wrong operator is caught as before and does
+the same work; ``domain.trace`` is the definition the tables unfold, and
+the tests check the two against each other.
 
 Laws covered:
 
@@ -37,8 +41,6 @@ from typing import Callable, Iterator
 
 from .domain import (
     BOOL,
-    BOT,
-    BaseType,
     CapError,
     MonotoneFn,
     Mu,
@@ -46,7 +48,6 @@ from .domain import (
     UNIT,
     local_lfp,
     sig,
-    tuple_leq,
     up_set,
 )
 
@@ -90,9 +91,20 @@ def _poset(shape: tuple[int, ...]) -> _Poset:
     return _Poset(tuple(below), tuple(above))
 
 
+class _Points:
+    """The points of a signature, numbered in ``Signature.tuples`` order."""
+
+    __slots__ = ("sig", "points", "index")
+
+    def __init__(self, s: Signature) -> None:
+        self.sig = s
+        self.points = tuple(s.tuples())
+        self.index = {p: i for i, p in enumerate(self.points)}
+
+
 @lru_cache(maxsize=None)
-def _points(s: Signature) -> tuple:
-    return tuple(s.tuples())
+def _indexed(s: Signature) -> _Points:
+    return _Points(s)
 
 
 class _Budget:
@@ -128,8 +140,8 @@ def _join(comps: tuple[int, ...], i: int, up: int) -> tuple[int, ...]:
 
 # Up-sets of each domain shape with their components, by component count.
 _UPSETS: dict[tuple[int, ...], tuple] = {}
-# Size of Mon(D, one lifted wire), by (domain shape, atoms of the wire).
-_WIRE_COUNTS: dict[tuple[tuple[int, ...], int], int] = {}
+# How to rank Mon(D, one lifted wire), by (domain shape, atoms of the wire).
+_RANKS: dict[tuple[tuple[int, ...], int], tuple] = {}
 
 
 def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
@@ -172,16 +184,24 @@ def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
     return got
 
 
-def _wire_count(shape: tuple[int, ...], atoms: int, budget: _Budget) -> int:
-    """|Mon(D, C)| for one lifted wire C: the sum over up-sets U of atoms^components(U)."""
+def _ranks(shape: tuple[int, ...], atoms: int, budget: _Budget) -> tuple:
+    """|Mon(D, C)| for one lifted wire C, and how its maps are ranked.
+
+    The count is the sum over up-sets U of atoms^components(U).  Maps are
+    ranked by up-set, then by atoms: the up-sets with k components carry
+    atoms^k maps each, so each k that has up-sets comes as (its share of
+    the ranks, atoms^k, k, its components from ``_upsets``).
+    """
     key = (shape, atoms)
-    n = _WIRE_COUNTS.get(key)
-    if n is None:
-        groups = _upsets(shape, budget)
-        n = _WIRE_COUNTS[key] = sum(
-            len(ups) * atoms**k for k, (ups, _) in enumerate(groups)
-        )
-    return n
+    got = _RANKS.get(key)
+    if got is None:
+        groups = [
+            (len(ups) * atoms**k, atoms**k, k, comps)
+            for k, (ups, comps) in enumerate(_upsets(shape, budget))
+            if ups
+        ]
+        got = _RANKS[key] = (sum(g[0] for g in groups), tuple(groups))
+    return got
 
 
 def count_monotone(dom: Signature, cod: Signature, budget: int = _BUDGET) -> int:
@@ -194,30 +214,33 @@ def count_monotone(dom: Signature, cod: Signature, budget: int = _BUDGET) -> int
     shape = _shape(dom)
     n = 1
     for base in cod:
-        n *= _wire_count(shape, len(base.values), b)
+        n *= _ranks(shape, len(base.values), b)[0]
     return n
 
 
-def _wire_maps(shape: tuple[int, ...], base: BaseType, budget: _Budget) -> Iterator[tuple]:
-    """Every monotone map from the domain into one lifted wire, as a value tuple.
+def _wire_maps(
+    shape: tuple[int, ...], atoms: int, stride: int, budget: _Budget
+) -> Iterator[tuple[int, ...]]:
+    """Every monotone map from the domain into one lifted wire, as a flat part.
 
     Rows are filled in point order, each with bottom or an atom; a row lying
     above a row that holds an atom must hold the same atom.  Maps come out in
-    lexicographic order of their rows, bottom before the atoms.
+    lexicographic order of their rows, bottom before the atoms.  Each row is
+    its value's position in the lifted wire (bottom is 0) times ``stride``.
     """
     below = _poset(shape).below
     n = len(below)
-    lifted = base.lifted
-    atoms = range(1, len(lifted))
-    free = tuple(range(len(lifted)))
-    holders = [0] * len(lifted)  # rows holding each atom, as a bitmask
+    free = tuple(range(atoms + 1))
+    atom_ids = free[1:]
+    scale = tuple(v * stride for v in free)
+    holders = [0] * (atoms + 1)  # rows holding each atom, as a bitmask
     val = [0] * n
     opts = [free] * n
     pos = [0] * n
     i = 0
     while i >= 0:
         if i == n:
-            yield tuple([lifted[v] for v in val])
+            yield tuple(map(scale.__getitem__, val))
             i -= 1
             continue
         v = val[i]
@@ -236,51 +259,89 @@ def _wire_maps(shape: tuple[int, ...], base: BaseType, budget: _Budget) -> Itera
         i += 1
         if i < n:
             bel = below[i]
-            forced = [a for a in atoms if holders[a] & bel]
+            forced = [a for a in atom_ids if holders[a] & bel]
             # two atoms below the row leave it no value: a dead end
             opts[i] = free if not forced else (forced[0],) if len(forced) == 1 else ()
             pos[i] = 0
 
 
-def _product(cols: list[Iterator[tuple]]) -> Iterator[tuple]:
+def _product(cols: list[Iterator]) -> Iterator[tuple]:
     """itertools.product, but each factor is pulled only as far as needed.
 
     The last factor varies fastest; inner factors are kept from their first
     walk and replayed after it.
     """
+    if not cols:
+        return iter([()])
     seen: list[list] = [[] for _ in cols]
     done = [False] * len(cols)
+    last = len(cols) - 1
 
-    def walk(d: int) -> Iterator[tuple]:
+    def walk(d: int) -> Iterator:
         if done[d]:
-            yield from seen[d]
-            return
+            return iter(seen[d])
+        return record(d)
+
+    def record(d: int) -> Iterator:
         for x in cols[d]:
-            if d:
-                seen[d].append(x)
+            seen[d].append(x)
             yield x
         done[d] = True
 
     def rows(d: int, prefix: tuple) -> Iterator[tuple]:
-        if d == len(cols):
-            yield prefix
-            return
-        for x in walk(d):
-            yield from rows(d + 1, prefix + (x,))
+        for x in cols[0] if d == 0 else walk(d):
+            if d == last:
+                yield prefix + (x,)
+            else:
+                yield from rows(d + 1, prefix + (x,))
 
     return rows(0, ())
 
 
-def _from_columns(dom: Signature, cod: Signature, cols) -> MonotoneFn:
-    points = _points(dom)
-    rows = zip(*cols) if cols else itertools.repeat((), len(points))
-    table = dict(zip(points, rows))
-    return MonotoneFn(dom, cod, table.__getitem__, "", table)
+def _tabled(dom: _Points, cod: _Points, values) -> MonotoneFn:
+    """The function dom -> cod whose values, as wire tuples, come in the
+    order of dom's points."""
+    table = dict(zip(dom.points, values))
+    return MonotoneFn(dom.sig, cod.sig, table.__getitem__, "", table)
+
+
+class _Space:
+    """The function space dom -> cod, prepared once for many functions.
+
+    A function in it is a flat table: the tuple of the numbers of its
+    values among the points of ``cod``, one per point of ``dom`` in number
+    order.  A codomain wire's value adds its position in the lifted wire
+    times the wire's stride, the product of the sizes of the wires after
+    it.  ``wires`` holds (atoms, stride) per codomain wire, and ``ranks``
+    each wire's ``_ranks`` once a function has been drawn.
+    """
+
+    __slots__ = ("dom", "cod", "shape", "wires", "ranks")
+
+    def __init__(self, dom: Signature, cod: Signature) -> None:
+        self.dom, self.cod = _indexed(dom), _indexed(cod)
+        self.shape = _shape(dom)
+        wires, stride = [], 1
+        for base in reversed(cod.wires):
+            wires.append((len(base.values), stride))
+            stride *= len(base.lifted)
+        self.wires = wires[::-1]
+        self.ranks = None
+
+    def fn(self, flat: tuple[int, ...]) -> MonotoneFn:
+        """The function with this flat table, over wire tuples."""
+        return _tabled(self.dom, self.cod, map(self.cod.points.__getitem__, flat))
+
+    def table_str(self, flat: tuple[int, ...]) -> str:
+        values = self.cod.points
+        return "{" + ", ".join(
+            f"{p!r}: {values[j]!r}" for p, j in zip(self.dom.points, flat)
+        ) + "}"
 
 
 def enumerate_monotone(
-    dom: Signature, cod: Signature, budget: int = _BUDGET
-) -> Iterator[MonotoneFn]:
+    dom: Signature, cod: Signature, budget: int = _BUDGET, space: _Space | None = None
+) -> Iterator:
     """All monotone functions dom -> cod, lazily, one codomain wire at a time.
 
     The space is the product of the single-wire spaces, with the last wire
@@ -288,51 +349,50 @@ def enumerate_monotone(
     order of their rows.  Nothing is built ahead of what is consumed.
     ``budget`` caps the work: one step per row value placed while listing a
     wire's maps and one per function assembled; past it a CapError names
-    the space.
+    the space.  Given ``space``, the prepared space of dom -> cod, each
+    function comes out as its flat table; otherwise as a MonotoneFn.
     """
+    sp = space or _Space(dom, cod)
     b = _Budget(budget, dom, cod)
-    shape = _shape(dom)
-    for cols in _product([_wire_maps(shape, base, b) for base in cod]):
+    zero = (0,) * len(sp.dom.points)
+    cols = [_wire_maps(sp.shape, m, stride, b) for m, stride in sp.wires]
+    for parts in _product(cols):
         b.spend()
-        yield _from_columns(dom, cod, cols)
+        flat = parts[0] if len(parts) == 1 else tuple(map(sum, zip(zero, *parts)))
+        yield flat if space is not None else sp.fn(flat)
 
 
-def _draw_wire(shape: tuple[int, ...], base: BaseType, r: int, budget: _Budget) -> list:
-    """The r-th map into one lifted wire, ranked by up-set, then by atoms.
-
-    Up-sets with k components carry atoms^k maps each; the rank picks the
-    up-set and, in base ``atoms`` digits, one atom per component.
-    """
-    m = len(base.values)
-    for k, (ups, comps) in enumerate(_upsets(shape, budget)):
-        w = len(ups) * m**k
-        if r < w:
-            break
-        r -= w
-    u, digits = divmod(r, m**k)
-    col = [BOT] * len(_poset(shape).above)
-    for c in comps[u * k : u * k + k]:
-        digits, a = divmod(digits, m)
-        while c:
-            low = c & -c
-            col[low.bit_length() - 1] = base.values[a]
-            c ^= low
-    return col
-
-
-def random_monotone(dom: Signature, cod: Signature, rng: random.Random) -> MonotoneFn:
+def random_monotone(
+    dom: Signature, cod: Signature, rng: random.Random, space: _Space | None = None
+):
     """A uniformly random monotone function dom -> cod, seeded by ``rng``.
 
     Each codomain wire is one uniform draw from its single-wire space: an
-    up-set chosen with weight atoms^components, then one atom per component.
+    up-set chosen with weight atoms^components, then one atom per component,
+    each added to the flat table at the wire's stride.  Given ``space``, the
+    prepared space of dom -> cod, the function comes out as its flat table;
+    otherwise as a MonotoneFn.
     """
-    b = _Budget(_BUDGET, dom, cod)
-    shape = _shape(dom)
-    cols = []
-    for base in cod:
-        r = rng.randrange(_wire_count(shape, len(base.values), b))
-        cols.append(_draw_wire(shape, base, r, b))
-    return _from_columns(dom, cod, cols)
+    sp = space or _Space(dom, cod)
+    if sp.ranks is None:
+        b = _Budget(_BUDGET, dom, cod)
+        sp.ranks = [_ranks(sp.shape, m, b) for m, _ in sp.wires]
+    flat = [0] * len(sp.dom.points)
+    for (count, groups), (m, stride) in zip(sp.ranks, sp.wires):
+        r = rng.randrange(count)
+        for w, mk, k, comps in groups:
+            if r < w:
+                break
+            r -= w
+        u, digits = divmod(r, mk)
+        for c in comps[u * k : u * k + k]:
+            digits, a = divmod(digits, m)
+            v = (a + 1) * stride
+            while c:
+                low = c & -c
+                flat[low.bit_length() - 1] += v
+                c ^= low
+    return tuple(flat) if space is not None else sp.fn(flat)
 
 
 @dataclass(frozen=True)
@@ -407,29 +467,26 @@ def _rng_for(cfg: LawConfig, law: str, combo: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{law}:{combo}")
 
 
-def _table_str(f: MonotoneFn) -> str:
-    rows = f.table if f.table is not None else f.tabulate()
-    return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in rows.items()) + "}"
-
-
-def _tables(*fns: MonotoneFn) -> str:
+def _tables(spaces: list[_Space], fns) -> str:
     """The drawn functions of a case, as a counterexample names them."""
-    return ", ".join(f"{n}={_table_str(h)}" for n, h in zip("fg", fns))
+    return ", ".join(
+        f"{n}={sp.table_str(F)}" for n, sp, F in zip("fg", spaces, fns)
+    )
 
 
-def _run_case(check: Callable[..., str | None], *fns: MonotoneFn) -> str | None:
+def _run_case(check: Callable[..., str | None], spaces: list[_Space], fns) -> str | None:
     """One case of a law; an exception raised in it, typically by the
     operator under test, fails the case instead of ending the sweep."""
     try:
         return check(*fns)
     except Exception as e:
-        return f"raised {type(e).__name__}: {e} for {_tables(*fns)}"
+        return f"raised {type(e).__name__}: {e} for {_tables(spaces, fns)}"
 
 
 def _sweep(
     law: str,
     combo: str,
-    spaces: list[tuple[Signature, Signature]],
+    spaces: list[_Space],
     cfg: LawConfig,
     check: Callable[..., str | None],
 ) -> ComboResult:
@@ -441,20 +498,23 @@ def _sweep(
     counts the cases run, up to and including the first counterexample.
     """
     n = 1
-    for dom, cod in spaces:
-        n *= count_monotone(dom, cod, cfg.budget)
+    for sp in spaces:
+        n *= count_monotone(sp.dom.sig, sp.cod.sig, cfg.budget)
     if n <= cfg.pair_budget:
         mode = "exhaustive"
-        draws = _product([enumerate_monotone(d, c, cfg.budget) for d, c in spaces])
+        draws = _product(
+            [enumerate_monotone(sp.dom.sig, sp.cod.sig, cfg.budget, sp) for sp in spaces]
+        )
     else:
         mode, rng = "sampled", _rng_for(cfg, law, combo)
         draws = (
-            [random_monotone(d, c, rng) for d, c in spaces] for _ in range(cfg.samples)
+            [random_monotone(sp.dom.sig, sp.cod.sig, rng, sp) for sp in spaces]
+            for _ in range(cfg.samples)
         )
     cases = 0
     for fns in draws:
         cases += 1
-        detail = _run_case(check, *fns)
+        detail = _run_case(check, spaces, fns)
         if detail is not None:
             return ComboResult(combo, mode, cases, Counterexample(law, combo, detail))
     return ComboResult(combo, mode, cases)
@@ -471,58 +531,86 @@ def _combos(
     """Sweep a law once per choice of a base for each named wire.
 
     Combos are named ``A=...,X=...`` plus ``suffix``, the first name varying
-    slowest.  ``spaces`` gets one signature per name; ``make`` gets ``cfg``
-    and the same signatures, once per combo, and returns the law's check of
-    one case, which takes the drawn functions.
+    slowest.  ``spaces`` gets one signature per name; ``make`` gets ``cfg``,
+    the prepared spaces and the same signatures, once per combo, and
+    returns the law's check of one case, which takes the drawn functions'
+    flat tables.
     """
     out = []
     for bases in itertools.product(cfg.bases, repeat=len(names)):
         combo = ",".join(f"{n}={b.name}" for n, b in zip(names, bases)) + suffix
         sigs = [sig(b) for b in bases]
-        out.append(_sweep(law, combo, spaces(*sigs), cfg, make(cfg, *sigs)))
+        sps = [_Space(d, c) for d, c in spaces(*sigs)]
+        out.append(_sweep(law, combo, sps, cfg, make(cfg, sps, *sigs)))
     return tuple(out)
 
 
 # -- the laws: one factory per law, run once per combo -------------------------
+#
+# A case gets the drawn functions as flat tables.  The point (a, x) of
+# A + X is numbered ia * |X| + ix, so a value j in B + X has output part
+# j // |X| and loop part j % |X|, composing two functions is indexing one
+# table by the other, and a context wire that passes by repeats a table.
+# A factory tabulates, per combo, what each number stands for on the wires
+# it needs.  Every loop is solved by ``cfg.mu`` on a MonotoneFn over wire
+# tuples; where a law feeds a value of mu back into a table, it is numbered
+# through the loop's point index, which raises KeyError on a value outside
+# the loop's signature.  Both sides of a case are built whole, then
+# compared; only a mismatch is turned back into wire tuples.
 
 
-def _fn(dom: Signature, cod: Signature, table: dict) -> MonotoneFn:
-    return MonotoneFn(dom, cod, table.__getitem__, "", table)
+def _mu(cfg: LawConfig, dom: _Points, loop: _Points, values, split: int):
+    """The solve function ``cfg.mu`` gives for the loop map ``_tabled(dom,
+    loop, values)``, whose context is the first ``split`` wires of dom."""
+    return cfg.mu(_tabled(dom, loop, values), split).fn
 
 
-def _fixpoint(cfg: LawConfig, a_sig, x_sig):
-    na = len(a_sig)
-    a_pts = _points(a_sig)
-    rows = [(a, [(a + x, x) for x in _points(x_sig)]) for a in a_pts]
-    index = {a: i for i, a in enumerate(a_pts)}
-    # every pair of contexts lo < hi, as indices, in the order
+def _loop_parts(whole: _Points, loop: _Points) -> tuple:
+    """The loop part of each point of ``whole``, which ends in the loop's
+    wires, as a point of ``loop``."""
+    n = len(loop.points)
+    return tuple(loop.points[j % n] for j in range(len(whole.points)))
+
+
+def _first_diff(left: list, right: list) -> int:
+    return next(i for i, (l, r) in enumerate(zip(left, right)) if l != r)
+
+
+def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
+    (sp,) = spaces
+    A, X = _indexed(a_sig), _indexed(x_sig)
+    na, nx = len(a_sig), len(X.points)
+    up = [m | 1 << i for i, m in enumerate(_poset(_shape(x_sig)).above)]
+    # every pair of contexts lo < hi, as numbers, in the order
     # find_monotonicity_violation visits them
     pairs = [
-        (i, index[hi])
-        for i, a in enumerate(a_pts)
+        (i, A.index[hi])
+        for i, a in enumerate(A.points)
         for hi in up_set(a, a_sig)
         if hi != a
     ]
 
-    def case(f: MonotoneFn) -> str | None:
-        tbl = f.table
-        muf = cfg.mu(f, na).fn
-        vals = []
-        for a, row in rows:
-            x = muf(a)
-            if tbl[a + x] != x:
-                return f"mu value {x!r} at context {a!r} is not fixed for {_tables(f)}"
-            for key, x2 in row:
-                if tbl[key] == x2 and not tuple_leq(x, x2):
+    def case(F) -> str | None:
+        m = _mu(cfg, sp.dom, X, map(X.points.__getitem__, F), na)
+        vals = list(map(X.index.__getitem__, map(m, A.points)))
+        for ia, x in enumerate(vals):
+            row = F[ia * nx : ia * nx + nx]
+            if row[x] != x:
+                return (
+                    f"mu value {X.points[x]!r} at context {A.points[ia]!r} "
+                    f"is not fixed for {_tables(spaces, (F,))}"
+                )
+            for x2, y in enumerate(row):
+                if y == x2 and not up[x] >> x2 & 1:
                     return (
-                        f"mu value {x!r} at context {a!r} is not below "
-                        f"fixed point {x2!r} for {_tables(f)}"
+                        f"mu value {X.points[x]!r} at context {A.points[ia]!r} "
+                        f"is not below fixed point {X.points[x2]!r} "
+                        f"for {_tables(spaces, (F,))}"
                     )
-            vals.append(x)
         for i, j in pairs:
-            if not tuple_leq(vals[i], vals[j]):
-                bad = (a_pts[i], a_pts[j])
-                return f"mu(f) is not monotone at {bad!r} for {_tables(f)}"
+            if not up[vals[i]] >> vals[j] & 1:
+                bad = (A.points[i], A.points[j])
+                return f"mu(f) is not monotone at {bad!r} for {_tables(spaces, (F,))}"
         return None
 
     return case
@@ -535,22 +623,28 @@ def check_local_fixpoint(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _naturality(cfg: LawConfig, a_sig, x_sig, b_sig):
-    na, nb = len(a_sig), len(b_sig)
-    bx = b_sig + x_sig
-    keys = [(t, t[:nb], t[nb:]) for t in _points(bx)]
-    b_pts = _points(b_sig)
+def _naturality(cfg: LawConfig, spaces, a_sig, x_sig, b_sig):
+    f_sp, _ = spaces
+    A, X, B = _indexed(a_sig), _indexed(x_sig), _indexed(b_sig)
+    BX = _indexed(b_sig + x_sig)
+    na, nb, nx = len(a_sig), len(b_sig), len(X.points)
+    xs = range(nx)
+    a_pts, b_pts, x_pts = A.points, B.points, X.points
 
-    def case(f: MonotoneFn, g: MonotoneFn) -> str | None:
-        ft, gt = f.table, g.table
-        reindexed = {t: ft[gt[b] + x] for t, b, x in keys}
-        lhs = cfg.mu(_fn(bx, x_sig, reindexed), nb).fn
-        muf = cfg.mu(f, na).fn
-        for b in b_pts:
-            left = lhs(b)
-            right = muf(gt[b])
-            if left != right:
-                return f"at {b!r}: {left!r} vs {right!r} for {_tables(f, g)}"
+    def case(F, G) -> str | None:
+        vals = list(map(x_pts.__getitem__, F))
+        reindexed = [vals[g * nx + x] for g in G for x in xs]  # f . (g x id)
+        lhs = _mu(cfg, BX, X, reindexed, nb)
+        muf = _mu(cfg, f_sp.dom, X, vals, na)
+        # mu against mu: both sides stay as the operator gives them
+        left = list(map(lhs, b_pts))
+        right = list(map(muf, map(a_pts.__getitem__, G)))
+        if left != right:
+            i = _first_diff(left, right)
+            return (
+                f"at {b_pts[i]!r}: {left[i]!r} vs {right[i]!r} "
+                f"for {_tables(spaces, (F, G))}"
+            )
         return None
 
     return case
@@ -564,24 +658,29 @@ def check_naturality_param(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _dinaturality(cfg: LawConfig, a_sig, x_sig, y_sig):
-    na = len(a_sig)
-    ax, ay = a_sig + x_sig, a_sig + y_sig
-    ax_pts = _points(ax)
-    ay_keys = [(t, t[:na], t[na:]) for t in _points(ay)]
-    a_pts = _points(a_sig)
+def _dinaturality(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
+    f_sp, _ = spaces
+    A, X, Y = _indexed(a_sig), _indexed(x_sig), _indexed(y_sig)
+    AX, AY = f_sp.dom, _indexed(a_sig + y_sig)
+    na, nx = len(a_sig), len(X.points)
+    rows = range(0, len(A.points) * nx, nx)
+    a_pts, x_pts, y_pts = A.points, X.points, Y.points
 
-    def case(f: MonotoneFn, g: MonotoneFn) -> str | None:
-        ft, gt = f.table, g.table
-        after = {t: gt[ft[t]] for t in ax_pts}
-        before = {t: ft[a + gt[y]] for t, a, y in ay_keys}
-        mu_after = cfg.mu(_fn(ax, x_sig, after), na).fn
-        mu_before = cfg.mu(_fn(ay, y_sig, before), na).fn
-        for a in a_pts:
-            left = mu_after(a)
-            right = gt[mu_before(a)]
-            if left != right:
-                return f"at {a!r}: {left!r} vs {right!r} for {_tables(f, g)}"
+    def case(F, G) -> str | None:
+        g_vals = list(map(x_pts.__getitem__, G))
+        after = map(g_vals.__getitem__, F)  # g . f
+        before = [y_pts[F[r + x]] for r in rows for x in G]  # f . (id x g)
+        mu_after = _mu(cfg, AX, X, after, na)
+        mu_before = _mu(cfg, AY, Y, before, na)
+        left = list(map(mu_after, a_pts))
+        ys = map(Y.index.__getitem__, map(mu_before, a_pts))
+        right = list(map(g_vals.__getitem__, ys))
+        if left != right:
+            i = _first_diff(left, right)
+            return (
+                f"at {a_pts[i]!r}: {left[i]!r} vs {right[i]!r} "
+                f"for {_tables(spaces, (F, G))}"
+            )
         return None
 
     return case
@@ -595,28 +694,29 @@ def check_dinaturality(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _bekic(cfg: LawConfig, a_sig, x_sig, y_sig):
-    na, nx = len(a_sig), len(x_sig)
-    ax, axy, xy = a_sig + x_sig, a_sig + x_sig + y_sig, x_sig + y_sig
-    ax_pts, axy_pts, a_pts = _points(ax), _points(axy), _points(a_sig)
+def _bekic(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
+    f_sp, _ = spaces
+    A, X, Y = _indexed(a_sig), _indexed(x_sig), _indexed(y_sig)
+    AXY, AX, XY = f_sp.dom, _indexed(a_sig + x_sig), _indexed(x_sig + y_sig)
+    na, nx, ny = len(a_sig), len(X.points), len(Y.points)
+    rows = range(0, len(A.points) * nx, nx)
+    a_pts, x_pts, y_pts, xy_pts = A.points, X.points, Y.points, XY.points
 
-    def case(f: MonotoneFn, g: MonotoneFn) -> str | None:
-        ft, gt = f.table, g.table
-        both = {t: ft[t] + gt[t] for t in axy_pts}
-        mu_both = cfg.mu(_fn(axy, xy, both), na).fn
-        mu_g = cfg.mu(g, na + nx).fn
-        mg = {t: mu_g(t) for t in ax_pts}
-        inner = {t: ft[t + y] for t, y in mg.items()}
-        mu_inner = cfg.mu(_fn(ax, x_sig, inner), na).fn
-        for a in a_pts:
-            x = mu_inner(a)
-            y = mg[a + x]
-            left = mu_both(a)
-            if left != x + y:
-                return (
-                    f"at {a!r}: simultaneous {left!r} vs nested {(x + y)!r} "
-                    f"for {_tables(f, g)}"
-                )
+    def case(F, G) -> str | None:
+        mu_both = _mu(cfg, AXY, XY, [xy_pts[x * ny + y] for x, y in zip(F, G)], na)
+        mu_g = _mu(cfg, AXY, Y, map(y_pts.__getitem__, G), na + len(x_sig))
+        mg = list(map(Y.index.__getitem__, map(mu_g, AX.points)))
+        inner = [x_pts[F[t * ny + y]] for t, y in enumerate(mg)]  # f after mu of g
+        mu_inner = _mu(cfg, AX, X, inner, na)
+        xs = map(X.index.__getitem__, map(mu_inner, a_pts))
+        nested = [xy_pts[x * ny + mg[r + x]] for r, x in zip(rows, xs)]
+        left = list(map(mu_both, a_pts))
+        if left != nested:
+            i = _first_diff(left, nested)
+            return (
+                f"at {a_pts[i]!r}: simultaneous {left[i]!r} vs nested "
+                f"{nested[i]!r} for {_tables(spaces, (F, G))}"
+            )
         return None
 
     return case
@@ -631,17 +731,18 @@ def check_bekic(cfg: LawConfig = LawConfig()) -> SweepResult:
 
 
 def _yanking(cfg: LawConfig, x_sig):
-    xx = x_sig + x_sig
-    loop = {t: t[:1] for t in _points(xx)}  # the looped output of the swap
-    x_pts = _points(x_sig)
+    X, XX = _indexed(x_sig), _indexed(x_sig + x_sig)
+    nx = len(X.points)
+    loop = [t[:1] for t in XX.points]  # the looped output of the swap
+    ids = list(range(nx))
 
-    def case(swap: MonotoneFn) -> str | None:
-        tbl = swap.table
-        m = cfg.mu(_fn(xx, x_sig, loop), 1).fn
-        for a in x_pts:
-            out = tbl[a + m(a)][:1]
-            if out != a:
-                return f"at {a!r}: {out!r} vs {a!r}"
+    def case(swap) -> str | None:
+        m = _mu(cfg, XX, X, loop, 1)
+        xs = map(X.index.__getitem__, map(m, X.points))
+        out = [swap[a * nx + x] // nx for a, x in zip(ids, xs)]
+        if out != ids:
+            i = _first_diff(out, ids)
+            return f"at {X.points[i]!r}: {X.points[out[i]]!r} vs {X.points[i]!r}"
         return None
 
     return case
@@ -654,47 +755,59 @@ def check_yanking(cfg: LawConfig = LawConfig()) -> SweepResult:
     for x_base in cfg.bases:
         combo = f"X={x_base.name}"
         x_sig = sig(x_base)
-        xx = x_sig + x_sig
-        swap = _fn(xx, xx, {t: (t[1], t[0]) for t in _points(xx)})
-        bad = _run_case(_yanking(cfg, x_sig), swap)
+        n = len(x_base.lifted)
+        space = _Space(x_sig + x_sig, x_sig + x_sig)
+        swap = tuple(x * n + a for a in range(n) for x in range(n))
+        bad = _run_case(_yanking(cfg, x_sig), [space], (swap,))
         cx = None if bad is None else Counterexample(law, combo, bad)
-        combos.append(ComboResult(combo, "exhaustive", len(x_base.lifted), cx))
+        combos.append(ComboResult(combo, "exhaustive", n, cx))
     return SweepResult(law, tuple(combos))
 
 
-def _vanishing_zero(cfg: LawConfig, a_sig, b_sig):
-    na, nb = len(a_sig), len(b_sig)
-    a_pts = _points(a_sig)
-    loop = {a: () for a in a_pts}  # no wire is looped
+def _vanishing_zero(cfg: LawConfig, spaces, a_sig, b_sig):
+    (sp,) = spaces
+    A, B, Z = sp.dom, sp.cod, _indexed(sig())
+    loop = [()] * len(A.points)  # no wire is looped
 
-    def case(f: MonotoneFn) -> str | None:
-        tbl = f.table
-        m = cfg.mu(_fn(a_sig, sig(), loop), na).fn
-        for a in a_pts:
-            traced, plain = tbl[a + m(a)][:nb], tbl[a]
-            if traced != plain:
-                return f"at {a!r}: {traced!r} vs {plain!r}"
+    def case(F) -> str | None:
+        m = _mu(cfg, A, Z, loop, len(a_sig))
+        zs = map(Z.index.__getitem__, map(m, A.points))
+        traced = [F[a + z] for a, z in enumerate(zs)]  # A + Z is numbered as A
+        plain = list(F)
+        if traced != plain:
+            i = _first_diff(traced, plain)
+            b_pts = B.points
+            return f"at {A.points[i]!r}: {b_pts[traced[i]]!r} vs {b_pts[plain[i]]!r}"
         return None
 
     return case
 
 
-def _vanishing_nested(cfg: LawConfig, a_sig, x_sig, y_sig):
-    na, nax = len(a_sig), len(a_sig) + len(x_sig)
-    ax, axy, xy = a_sig + x_sig, a_sig + x_sig + y_sig, x_sig + y_sig
-    ax_pts, axy_pts, a_pts = _points(ax), _points(axy), _points(a_sig)
+def _vanishing_nested(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
+    (sp,) = spaces
+    AXY = sp.dom
+    A, X, Y = _indexed(a_sig), _indexed(x_sig), _indexed(y_sig)
+    AX, XY = _indexed(a_sig + x_sig), _indexed(x_sig + y_sig)
+    na, nx, ny = len(a_sig), len(X.points), len(Y.points)
+    nxy = nx * ny
+    xy_part, y_part = _loop_parts(sp.cod, XY), _loop_parts(sp.cod, Y)
+    x_part = _loop_parts(AX, X)
+    a_pts = A.points
 
-    def case(f: MonotoneFn) -> str | None:
-        tbl = f.table
-        m_both = cfg.mu(_fn(axy, xy, {t: tbl[t][na:] for t in axy_pts}), na).fn
-        m_y = cfg.mu(_fn(axy, y_sig, {t: tbl[t][nax:] for t in axy_pts}), nax).fn
-        inner = {t: tbl[t + m_y(t)][:nax] for t in ax_pts}  # f with Y traced
-        m_x = cfg.mu(_fn(ax, x_sig, {t: o[na:] for t, o in inner.items()}), na).fn
-        for a in a_pts:
-            both = tbl[a + m_both(a)][:na]
-            outer = inner[a + m_x(a)][:na]
-            if both != outer:
-                return f"at {a!r}: {both!r} vs {outer!r}"
+    def case(F) -> str | None:
+        m_both = _mu(cfg, AXY, XY, map(xy_part.__getitem__, F), na)
+        m_y = _mu(cfg, AXY, Y, map(y_part.__getitem__, F), na + len(x_sig))
+        # f with Y traced, on A + X, its values numbered in A + X
+        ys = map(Y.index.__getitem__, map(m_y, AX.points))
+        inner = [F[t * ny + y] // ny for t, y in enumerate(ys)]
+        m_x = _mu(cfg, AX, X, map(x_part.__getitem__, inner), na)
+        xys = map(XY.index.__getitem__, map(m_both, a_pts))
+        both = [F[a * nxy + v] // nxy for a, v in enumerate(xys)]
+        xs = map(X.index.__getitem__, map(m_x, a_pts))
+        outer = [inner[a * nx + x] // nx for a, x in enumerate(xs)]
+        if both != outer:
+            i = _first_diff(both, outer)
+            return f"at {a_pts[i]!r}: {a_pts[both[i]]!r} vs {a_pts[outer[i]]!r}"
         return None
 
     return case
@@ -709,25 +822,34 @@ def check_vanishing(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, zero + nested)
 
 
-def _sliding(cfg: LawConfig, a_sig, b_sig, x_sig, y_sig):
-    na, nb = len(a_sig), len(b_sig)
-    ax, ay = a_sig + x_sig, a_sig + y_sig
-    ax_pts = _points(ax)
-    ay_keys = [(t, t[:na], t[na:]) for t in _points(ay)]
-    a_pts = _points(a_sig)
+def _sliding(cfg: LawConfig, spaces, a_sig, b_sig, x_sig, y_sig):
+    f_sp, _ = spaces
+    A, B, X, Y = _indexed(a_sig), _indexed(b_sig), _indexed(x_sig), _indexed(y_sig)
+    AX, AY = f_sp.dom, _indexed(a_sig + y_sig)
+    na, nx, ny = len(a_sig), len(X.points), len(Y.points)
+    rows = range(0, len(A.points) * nx, nx)
+    n_out = len(f_sp.cod.points)
+    y_num = [j % ny for j in range(n_out)]  # the loop part of f's values
+    y_val = _loop_parts(f_sp.cod, Y)
+    a_pts, x_pts = A.points, X.points
+    x_index, y_index = X.index.__getitem__, Y.index.__getitem__
 
-    def case(f: MonotoneFn, g: MonotoneFn) -> str | None:
-        ft, gt = f.table, g.table
+    def case(F, G) -> str | None:
         # the loop parts of g after f, and of f after g on the looped input
-        post = {t: gt[ft[t][nb:]] for t in ax_pts}
-        pre = {t: ft[a + gt[y]][nb:] for t, a, y in ay_keys}
-        m_post = cfg.mu(_fn(ax, x_sig, post), na).fn
-        m_pre = cfg.mu(_fn(ay, y_sig, pre), na).fn
-        for a in a_pts:
-            left = ft[a + m_post(a)][:nb]
-            right = ft[a + gt[m_pre(a)]][:nb]
-            if left != right:
-                return f"at {a!r}: {left!r} vs {right!r} for {_tables(f, g)}"
+        g_vals = list(map(x_pts.__getitem__, G))
+        post = map(g_vals.__getitem__, map(y_num.__getitem__, F))
+        pre = [y_val[F[r + x]] for r in rows for x in G]
+        m_post = _mu(cfg, AX, X, post, na)
+        m_pre = _mu(cfg, AY, Y, pre, na)
+        # both sides as f's values, whose output parts must agree
+        left = [F[r + x] // ny for r, x in zip(rows, map(x_index, map(m_post, a_pts)))]
+        right = [F[r + G[y]] // ny for r, y in zip(rows, map(y_index, map(m_pre, a_pts)))]
+        if left != right:
+            i = _first_diff(left, right)
+            return (
+                f"at {a_pts[i]!r}: {B.points[left[i]]!r} vs {B.points[right[i]]!r} "
+                f"for {_tables(spaces, (F, G))}"
+            )
         return None
 
     return case
@@ -741,26 +863,35 @@ def check_sliding(cfg: LawConfig = LawConfig()) -> SweepResult:
     return SweepResult(law, combos)
 
 
-def _superposing(cfg: LawConfig, c_sig, a_sig, b_sig, x_sig):
-    nc, na, nb = len(c_sig), len(a_sig), len(b_sig)
-    ax, cax = a_sig + x_sig, c_sig + a_sig + x_sig
-    ax_pts = _points(ax)
-    cax_keys = [(t, t[nc:]) for t in _points(cax)]
-    ca_keys = [(t, t[:nc], t[nc:]) for t in _points(c_sig + a_sig)]
-    a_pts = _points(a_sig)
+def _superposing(cfg: LawConfig, spaces, c_sig, a_sig, b_sig, x_sig):
+    (sp,) = spaces
+    AX = sp.dom
+    A, B, X = _indexed(a_sig), _indexed(b_sig), _indexed(x_sig)
+    CA, CAX = _indexed(c_sig + a_sig), _indexed(c_sig + a_sig + x_sig)
+    nc, na, nx = len(c_sig), len(a_sig), len(X.points)
+    n_c = len(_indexed(c_sig).points)
+    rows = range(0, len(A.points) * nx, nx)
+    wide_rows = list(rows) * n_c  # the row of f each point of C + A reads
+    x_val = _loop_parts(sp.cod, X)
+    x_index = X.index.__getitem__
 
-    def case(f: MonotoneFn) -> str | None:
-        tbl = f.table
-        loop = {t: tbl[t][nb:] for t in ax_pts}
-        widened = {t: loop[t_ax] for t, t_ax in cax_keys}  # C passes by
-        m_wide = cfg.mu(_fn(cax, x_sig, widened), nc + na).fn
-        m = cfg.mu(_fn(ax, x_sig, loop), na).fn
-        traced = {a: tbl[a + m(a)][:nb] for a in a_pts}
-        for t, c, a in ca_keys:
-            left = c + tbl[a + m_wide(t)][:nb]
-            right = c + traced[a]
-            if left != right:
-                return f"at {t!r}: {left!r} vs {right!r} for {_tables(f)}"
+    def case(F) -> str | None:
+        loop = list(map(x_val.__getitem__, F))
+        m_wide = _mu(cfg, CAX, X, loop * n_c, nc + na)  # C passes by
+        m = _mu(cfg, AX, X, loop, na)
+        xs = map(x_index, map(m, A.points))
+        traced = [F[r + x] // nx for r, x in zip(rows, xs)]
+        xs = map(x_index, map(m_wide, CA.points))
+        left = [F[r + x] // nx for r, x in zip(wide_rows, xs)]
+        right = traced * n_c
+        if left != right:
+            i = _first_diff(left, right)
+            t = CA.points[i]
+            c = t[:nc]
+            return (
+                f"at {t!r}: {c + B.points[left[i]]!r} vs {c + B.points[right[i]]!r} "
+                f"for {_tables(spaces, (F,))}"
+            )
         return None
 
     return case

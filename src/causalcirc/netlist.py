@@ -81,10 +81,11 @@ class NetlistError(Exception):
 
 
 class _Sem(Exception):
-    """Internal: a semantic error tied to one token."""
+    """Internal: a semantic error tied to one token; without a token, the
+    follow-on of an error already reported where it arose."""
 
-    def __init__(self, tok, msg):
-        self.pos = (tok.line, tok.col, msg)
+    def __init__(self, tok=None, msg=""):
+        self.pos = None if tok is None else (tok.line, tok.col, msg)
         super().__init__(msg)
 
 
@@ -237,7 +238,7 @@ class _Parser:
         self.toks = tokenize(text)
         self.pos = 0
         self.types: dict[str, BaseType] = {"bool": BOOL}
-        self.gates: dict[str, GateDef] = {}
+        self.gates: dict[str, GateDef | None] = {}  # None: a broken declaration
         self.errors: list[tuple[int, int, str]] = []
         # Circuit under construction.
         self.in_ports: list[BaseType] = []
@@ -420,6 +421,9 @@ class _Parser:
         self.expect("}")
         try:
             name = self.fresh_gate_name(name_tok)
+            # declared, but broken until its table builds: a failed
+            # declaration is reported here and nowhere it is used
+            self.gates[name] = None
             if not dom_ok or row_errors:
                 return
             seen = set()
@@ -493,7 +497,8 @@ class _Parser:
             try:
                 self.statement()
             except _Sem as e:
-                self.errors.append(e.pos)
+                if e.pos is not None:
+                    self.errors.append(e.pos)
         self.expect("}")
         for j, t in enumerate(self.loop_toks):
             if j not in self.loop_srcs:
@@ -783,7 +788,10 @@ class _Parser:
     def resolve_gate(self, name_tok: Token, ann, built) -> GateDef:
         name = name_tok.text
         if name in self.gates:
-            return self.gates[name]
+            gate = self.gates[name]
+            if gate is None:
+                raise _Sem()
+            return gate
         if name not in _BUILTINS:
             raise _Sem(name_tok, f"unknown gate {name!r}")
         make, params = _BUILTINS[name]

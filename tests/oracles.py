@@ -18,7 +18,7 @@ from causalcirc.laws import (
     SweepResult,
     _combos,
     _run_case,
-    _table_str,
+    _Space,
 )
 from causalcirc.analysis import EquivReport, TotalityReport, Witness
 from causalcirc.circuit import SrcIn, SrcNode, UnitDelay, VarDelay
@@ -113,6 +113,10 @@ def brute_trace(f: MonotoneFn, k: int) -> dict[tuple, tuple]:
 # Each case builds every side of its law as a MonotoneFn whose ``fn`` chains
 # the drawn functions with lambdas and closes loops with ``domain.trace``,
 # the definition the table checks in ``laws`` unfold.
+
+
+def _table_str(f: MonotoneFn) -> str:
+    return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in f.table.items()) + "}"
 
 
 def _tables_differ(h1: MonotoneFn, h2: MonotoneFn) -> str | None:
@@ -253,18 +257,26 @@ def trace_chain_laws(cfg) -> list[SweepResult]:
     so the results must equal ``run_laws(cfg)`` exactly.
     """
 
+    def chain(check, cfg, spaces, *sigs):
+        """A chain check on the sweep's flat tables, read as tabled functions."""
+        return lambda *flats: check(
+            cfg, *sigs, *[sp.fn(F) for sp, F in zip(spaces, flats)]
+        )
+
     def law(name, *families):
         combos = ()
         for names, spaces, check, *suffix in families:
-            make = lambda cfg, *sigs, check=check: partial(check, cfg, *sigs)
+            make = partial(chain, check)
             combos += _combos(name, cfg, names, spaces, make, *suffix)
         return SweepResult(name, combos)
 
     yanking = []
     for x_base in cfg.bases:
         combo, x_sig = f"X={x_base.name}", sig(x_base)
-        swap = MonotoneFn(x_sig + x_sig, x_sig + x_sig, lambda t: (t[1], t[0]))
-        bad = _run_case(partial(_yanking, cfg, x_sig), swap)
+        space = _Space(x_sig + x_sig, x_sig + x_sig)
+        swapped = [space.cod.index[(t[1], t[0])] for t in space.dom.points]
+        check = chain(_yanking, cfg, [space], x_sig)
+        bad = _run_case(check, [space], (tuple(swapped),))
         cx = None if bad is None else Counterexample("yanking", combo, bad)
         yanking.append(ComboResult(combo, "exhaustive", len(x_base.lifted), cx))
     return [

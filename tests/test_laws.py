@@ -18,6 +18,7 @@ from causalcirc.domain import (
     trace,
     tuple_leq,
 )
+from causalcirc import laws
 from causalcirc.laws import (
     LawConfig,
     check_bekic,
@@ -290,6 +291,121 @@ def test_one_step_mu_is_caught_by_bekic():
     # second step, and the pairing law notices.
     res = check_bekic(LawConfig(mu=mu_one_step, pair_budget=400, samples=25))
     assert not res.passed
+
+
+# -- operators whose values lie outside the loop signature --------------
+
+
+def mu_outside(f: MonotoneFn, split: int) -> MonotoneFn:
+    """A wrong mu whose every value is 2 on every loop wire."""
+    n = len(f.dom) - split
+    return MonotoneFn(f.dom[:split], f.cod, lambda a: (2,) * n)
+
+
+def mu_one_wire_too_long(f: MonotoneFn, split: int) -> MonotoneFn:
+    """A wrong mu whose values carry one bottom wire more than the loop."""
+    m = local_lfp(f, split)
+    return MonotoneFn(m.dom, m.cod, lambda a: m.fn(a) + (BOT,))
+
+
+@pytest.mark.parametrize(
+    "mu", [mu_outside, mu_one_wire_too_long], ids=lambda mu: mu.__name__
+)
+def test_values_outside_the_loop_signature_are_never_taken_for_points(mu):
+    # Numbering such a value by its atoms would alias it to a real point of
+    # the loop; every law that feeds mu back into a table must fail with
+    # the raise instead.  Naturality compares mu with mu and cannot tell.
+    results = run_laws(LawConfig(mu=mu, pair_budget=2000, seed=11))
+    failing = [res.law for res in results if not res.passed]
+    assert failing == [res.law for res in results if res.law != "naturality-param"]
+    for res in results:
+        cx = res.first_counterexample()
+        if cx is not None:
+            assert cx.detail.startswith("raised KeyError: "), (res.law, cx.detail)
+
+
+# -- the work of a sweep -----------------------------------------------------
+
+# Per law: the wire names of its combos, their suffix, and per combo in
+# sweep order its mode (e: exhaustive, s: sampled) and cases.
+PINNED_WORK = {
+    "fixpoint": [("AX", "", "e6 e35 e14 e197")],
+    "naturality-param": [("AXB", "", "e18 e30 e105 e175 e70 e154 e985 s200")],
+    "dinaturality": [("AXY", "", "e18 e55 e70 e385 e42 e175 e240 s200")],
+    "bekic": [("AXY", "", "e400 s200 s200 s200 s200 s200 s200 s200")],
+    "yanking": [("X", "", "e2 e3")],
+    "vanishing": [
+        ("AB", ",k=0", "e3 e5 e5 e11"),
+        ("AXY", ",nested", "s200 s200 s200 s200 s200 s200 s200 s200"),
+    ],
+    "sliding": [
+        (
+            "ABXY",
+            "",
+            "e108 e330 e980 s200 e198 e605 s200 s200 "
+            "e588 s200 s200 s200 e1470 s200 s200 s200",
+        )
+    ],
+    "superposing": [
+        (
+            "CABX",
+            "",
+            "e36 e490 e66 e1225 e196 s200 e490 s200 "
+            "e36 e490 e66 e1225 e196 s200 e490 s200",
+        )
+    ],
+}
+
+
+def test_a_sweep_does_pinned_work(monkeypatch):
+    # Any speed-up of the sweep must come from bookkeeping: the operator is
+    # called and solves as often as ever, and the same functions are drawn.
+    seen = Counter()
+
+    def counting_mu(f, split):
+        seen["mu"] += 1
+        m = local_lfp(f, split)
+
+        def solve(a):
+            seen["solves"] += 1
+            return m.fn(a)
+
+        return dataclasses.replace(m, fn=solve)
+
+    def counting_sampler(*args, **kwargs):
+        seen["samples"] += 1
+        return random_monotone(*args, **kwargs)
+
+    def counting_enumeration(*args, **kwargs):
+        seen["spaces"] += 1
+        for f in enumerate_monotone(*args, **kwargs):
+            seen["enumerated"] += 1
+            yield f
+
+    monkeypatch.setattr(laws, "random_monotone", counting_sampler)
+    monkeypatch.setattr(laws, "enumerate_monotone", counting_enumeration)
+    results = run_laws(LawConfig(pair_budget=2000, seed=11, mu=counting_mu))
+    assert dict(seen) == {
+        "mu": 40_092,
+        "solves": 131_580,
+        "samples": 9_600,
+        "spaces": 64,
+        "enumerated": 7_064,
+    }
+    got = {r.law: [(cr.combo, cr.mode, cr.cases) for cr in r.combos] for r in results}
+    want = {}
+    for law, families in PINNED_WORK.items():
+        rows = want.setdefault(law, [])
+        for names, suffix, work in families:
+            combos = itertools.product(("unit", "bool"), repeat=len(names))
+            for bases, w in zip(combos, work.split(), strict=True):
+                combo = ",".join(f"{n}={b}" for n, b in zip(names, bases)) + suffix
+                mode = {"e": "exhaustive", "s": "sampled"}[w[0]]
+                rows.append((combo, mode, int(w[1:])))
+    assert got == want
+    assert sum(map(len, got.values())) == 74
+    assert sum(r.cases for r in results) == 18_488
+    assert all(r.passed for r in results)
 
 
 # -- the table checks against the lambda chains through trace ------------

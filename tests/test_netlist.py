@@ -238,14 +238,20 @@ ENUM = "type e = { p, q }\n"
 GATE = "gate g(a: bool) -> (bool) strict {\n  (0) -> (%s)\n  (1) -> (0)\n}\n"
 NEVER = (1, 9, "output 'y' is never assigned")
 NEVER5 = (5, 9, "output 'y' is never assigned")  # after GATE
+REPEATED = "gate g(a: bool, a: bool) -> (bool) {\n  (0, 0) -> (1)\n}\n"
 
 DIAGNOSTICS = {
     # every site that reads a literal
+    # a gate whose declaration failed is reported there, not where it is used
     "row cell": (_main("  y = g(x)", GATE % 2), [
-        (2, 11, "2 is not a value of type 'bool'"), (8, 7, "unknown gate 'g'"), NEVER5,
+        (2, 11, "2 is not a value of type 'bool'"), NEVER5,
     ]),
     "strict row cell": (_main("  y = g(x)", GATE % "bot"), [
-        (2, 11, "'bot' is not allowed here"), (8, 7, "unknown gate 'g'"), NEVER5,
+        (2, 11, "'bot' is not allowed here"), NEVER5,
+    ]),
+    "repeated parameter": (_main("  y = g(x, x)", REPEATED * 2), [
+        (1, 17, "parameter 'a' repeated"), (4, 6, "gate 'g' is already declared"),
+        (7, 9, "output 'y' is never assigned"),
     ]),
     # a bad row is skipped and parsing goes on to the next row and beyond
     "two bad rows": (_main("  y = not(zz)", (GATE % 2).replace("(1) ->", "(bot) ->")), [

@@ -2,14 +2,23 @@
 
 The wire vector lists every node output port, then every feedback wire.
 Compiling a circuit resolves every source a node input, feedback wire or
-output port reads to one slot of the flat tuple ``inputs + vector``.  One
+output port reads to one slot of the flat tuple ``inputs + vector``, and
+each node's inputs to one ``operator.itemgetter`` over those slots.  One
 propagation step (a sweep) recomputes all wires simultaneously from the
 previous vector, applying each node's function for the tick, gate or delay
 alike, so the step function is monotone and ``domain``'s Kleene loop
 reaches the least fixed point within (wire count)+1 sweeps.
+
+A gate's function for the tick is a lookup in the gate's table, which is
+filled on first use (``GateDef.tick``): a gate's function must be pure, as
+it is called at most once per argument tuple for the gate's lifetime.  So
+evaluating a gate in a sweep is two calls into C, one to gather its
+arguments and one to look them up.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .circuit import Circuit, SrcIn, SrcNode, check_valid
 from .domain import BOT, MonotoneFn, SignatureError, WireTuple, _kleene
@@ -19,9 +28,11 @@ from .gates import TickFn
 class Propagator:
     """Precompiled wiring of one circuit for repeated propagation.
 
-    The plan is ``(slots, fn)`` per node: where its arguments sit, and its
-    function for a tick with no history yet.  ``stateful`` lists the nodes
-    that keep history; the engine swaps in their functions for each tick.
+    The plan is ``(slots, get, fn)`` per node: where its arguments sit,
+    the getter that gathers them (the bare value of a one-input node, else
+    a tuple), and its function for a tick with no history yet.
+    ``stateful`` lists the nodes that keep history; the engine swaps in
+    their functions for each tick.
     """
 
     def __init__(self, c: Circuit):
@@ -42,6 +53,7 @@ class Propagator:
         self.n_wires = w - len(c.in_ports) + len(c.loops)
         self.bot = (BOT,) * self.n_wires
         self.slots = [tuple(slot(s) for s in ins) for ins in c.node_inputs]
+        self.gets = [itemgetter(*js) if js else _no_args for js in self.slots]
         self.fns: list[TickFn] = [node.tick(()) for node in c.nodes]
         self.stateful = tuple(i for i, node in enumerate(c.nodes) if node.depth)
         self.loop_slots = tuple(slot(lw.src) for lw in c.loops)
@@ -51,8 +63,8 @@ class Propagator:
         """One simultaneous recomputation of the wire vector from ``t``,
         which is the inputs followed by the previous vector."""
         out = []
-        for slots, fn in zip(self.slots, fns):
-            out.extend(fn(tuple([t[j] for j in slots])))
+        for get, fn in zip(self.gets, fns):
+            out.extend(fn(get(t)))
         out.extend([t[j] for j in self.loop_slots])
         return tuple(out)
 
@@ -67,6 +79,10 @@ class Propagator:
 
     def outputs(self, settled: tuple) -> WireTuple:
         return tuple([settled[j] for j in self.out_slots])
+
+
+def _no_args(t: tuple) -> tuple:
+    return ()
 
 
 def propagator(c: Circuit) -> Propagator:

@@ -1,11 +1,12 @@
 """Lifted flat domains, monotone functions, and bounded fixed-point operators.
 
-A wire value is either a concrete atom (int or str) or the shared ``BOT``
-sentinel meaning "no well-defined value".  Tuples of such values, ordered
-pointwise with ``BOT`` below everything, form the domains every circuit
-denotes a monotone function between.  Feedback is resolved by Kleene
-iteration from the all-bottom tuple; on a product of k lifted flat wires
-the iteration is certified to stabilize within k+1 steps.
+A wire value is either a concrete atom (an int or a str, never a bool or
+any other subclass) or the shared ``BOT`` sentinel meaning "no well-defined
+value".  Tuples of such values, ordered pointwise with ``BOT`` below
+everything, form the domains every circuit denotes a monotone function
+between.  Feedback is resolved by Kleene iteration from the all-bottom
+tuple; on a product of k lifted flat wires the iteration is certified to
+stabilize within k+1 steps.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class DivergenceError(RuntimeError):
     """
 
 
+# The exact types of atoms; a subclass such as bool is not one.
+_ATOM_TYPES = (int, str)
+
+
 @dataclass(frozen=True)
 class BaseType:
     """A finite, ordered universe of concrete values a wire may carry."""
@@ -67,7 +72,7 @@ class BaseType:
         if len(set(self.values)) != len(self.values):
             raise SignatureError(f"base type {self.name!r} repeats a value")
         for v in self.values:
-            if not isinstance(v, (int, str)):
+            if type(v) not in _ATOM_TYPES:
                 raise SignatureError(
                     f"base type {self.name!r} holds {v!r}; atoms are ints or names"
                 )
@@ -78,7 +83,9 @@ class BaseType:
         return (BOT,) + self.values
 
     def is_member(self, x: LValue) -> bool:
-        return x is BOT or x in self.values
+        # By type first: True and 1.0 equal 1 but are not atoms, and a gate's
+        # table (``GateDef.tick``) would take them for it.
+        return x is BOT or (type(x) in _ATOM_TYPES and x in self.values)
 
     def check_member(self, x: LValue) -> None:
         if not self.is_member(x):

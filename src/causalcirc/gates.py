@@ -10,7 +10,7 @@ what lets a feedback loop through them settle on a non-bottom value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable
 
 from .domain import (
@@ -26,9 +26,39 @@ from .domain import (
     sig,
 )
 
-# A node's gate function for one tick: a gate's is its function, a delay's
-# is built from its committed history.
-TickFn = Callable[[WireTuple], WireTuple]
+# A node's gate function for one tick, applied to its arguments as ``comb``
+# gathers them: the bare value of a one-input node, else the tuple of its
+# values.  A gate's is a lookup in its table; a delay's is built from its
+# committed history.
+TickFn = Callable[[object], WireTuple]
+
+
+class _Table(dict):
+    """A gate's graph, filled on first use: a missing key is computed by
+    ``call`` once and stored.  A call that raises stores nothing.
+
+    A value is stored only if it fits ``cod``: a table outlives the
+    circuit that filled it, and a bool (which equals an int) or a value
+    off the signature would be handed to every later circuit that looks
+    up an equal key.
+    """
+
+    __slots__ = ("call", "name", "cod")
+
+    def __init__(self, call: Callable, name: str, cod: Signature) -> None:
+        super().__init__()
+        self.call, self.name, self.cod = call, name, cod
+
+    def __missing__(self, key) -> WireTuple:
+        out = self.call(key)
+        if not self.cod.conforms(out):
+            raise SignatureError(
+                f"gate {self.name!r} gave {out!r} for {key!r}, "
+                f"not a value of {self.cod!r}"
+            )
+        self[key] = out
+        return out
+
 
 # How the gate's function was obtained; printing and equality depend on it.
 KIND_STRICT = "strict-lift"
@@ -68,7 +98,32 @@ class GateDef:
         return False
 
     def tick(self, history: tuple) -> TickFn:
-        return self.fn.fn
+        """The gate's function for every tick: ``__getitem__`` of its table.
+
+        A gate's function must be pure: the tick calls ``fn.fn`` at most
+        once per argument tuple for the gate's lifetime, and looks every
+        later use up; a value off the codomain raises SignatureError and is
+        not stored.  The table grows to at most one entry per point of the
+        lifted domain.  It lives on this instance, so two gates never
+        share one, and a builtin gate, which its constructor memoizes,
+        keeps one for every circuit that uses it.  A one-input gate's table
+        is keyed on the bare value; a gate built from a full table of two
+        or more inputs is looked up in that table; a gate of no inputs
+        keeps its plain function.
+        """
+        return self._lookup
+
+    @cached_property
+    def _lookup(self) -> TickFn:
+        f = self.fn
+        fn, n = f.fn, len(f.dom)
+        if n == 0:
+            return fn
+        if n == 1:
+            return _Table(lambda x: fn((x,)), self.name, f.cod).__getitem__
+        if f.table is not None:
+            return f.table.__getitem__
+        return _Table(fn, self.name, f.cod).__getitem__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GateDef):
@@ -106,7 +161,9 @@ def strict_lift(
 
     The result is bottom on every coordinate whenever any input coordinate is
     bottom, and agrees with ``g`` on concrete tuples.  Strictness makes the
-    lift monotone for an arbitrary total ``g``.
+    lift monotone for an arbitrary total ``g``.  ``g`` must be pure: a tick
+    calls the lift at most once per argument tuple for the gate's lifetime
+    and keeps the result in the gate's table (``GateDef.tick``).
     """
     bot_out = cod.bottom()
 

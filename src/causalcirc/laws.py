@@ -701,10 +701,16 @@ def _bekic(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     na, nx, ny = len(a_sig), len(X.points), len(Y.points)
     rows = range(0, len(A.points) * nx, nx)
     a_pts, x_pts, y_pts, xy_pts = A.points, X.points, Y.points, XY.points
+    # g's loop map, built once per g: exhaustive sweeps replay every g
+    # against each f.  ``cfg.mu`` still gets it once per case.
+    g_fns: dict[tuple[int, ...], MonotoneFn] = {}
 
     def case(F, G) -> str | None:
         mu_both = _mu(cfg, AXY, XY, [xy_pts[x * ny + y] for x, y in zip(F, G)], na)
-        mu_g = _mu(cfg, AXY, Y, map(y_pts.__getitem__, G), na + len(x_sig))
+        g = g_fns.get(G)
+        if g is None:
+            g = g_fns[G] = _tabled(AXY, Y, map(y_pts.__getitem__, G))
+        mu_g = cfg.mu(g, na + len(x_sig)).fn
         mg = list(map(Y.index.__getitem__, map(mu_g, AX.points)))
         inner = [x_pts[F[t * ny + y]] for t, y in enumerate(mg)]  # f after mu of g
         mu_inner = _mu(cfg, AX, X, inner, na)

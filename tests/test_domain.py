@@ -90,6 +90,19 @@ def test_base_type_rejects_degenerate_value_sets():
         BaseType("holey", (0, BOT))
 
 
+def test_wire_values_are_atoms_only():
+    # True and 1.0 equal 1, and a gate's table would take them for it.
+    for v in (True, False, 1.0, 0.0):
+        assert not BOOL.is_member(v)
+        assert not BB.conforms((v, 0))
+        with pytest.raises(SignatureError):
+            BOOL.check_member(v)
+    for values in ((True, 2), (0, 1.5), (0, b"a")):
+        with pytest.raises(SignatureError, match="atoms are ints or names"):
+            BaseType("b", values)
+    assert BOOL.is_member(1) and BaseType("e", ("a", "b")).is_member("a")
+
+
 def test_lifted_puts_bottom_first():
     assert BOOL.lifted == (BOT, 0, 1)
     assert UNIT.lifted == (BOT, 0)

@@ -245,6 +245,19 @@ def test_outputs_rise_with_inputs(seed):
 # -- compiled plans -------------------------------------------------------
 
 
+def test_a_bool_input_is_refused_not_taken_for_an_atom():
+    # Fed True, a mux would store True in its table where 1 is looked up,
+    # and a second circuit fed 1 would then output True.
+    text = "circuit main {\n  in a: bool\n  out y: bool\n  y = mux(a, a, a)\n}\n"
+    first, second = parse_netlist(text), parse_netlist(text)
+    with pytest.raises(SignatureError):
+        step(initial_state(first), (True,))
+    with pytest.raises(SignatureError):
+        PrefixTrace(first.in_ports, ((True,),))
+    (out,) = simulate(second, PrefixTrace(second.in_ports, ((1,),))).rows
+    assert out == (1,) and type(out[0]) is int
+
+
 def test_equal_looking_gates_with_different_functions_simulate_apart():
     # Same name, kind and signatures, different callables: a plan cache
     # that matched gates by their metadata would share one compiled

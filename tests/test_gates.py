@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from causalcirc.circuit import from_gate
+from causalcirc.circuit import compose, from_gate, tensor
 from causalcirc.domain import (
     BOOL,
     BOT,
@@ -14,7 +14,9 @@ from causalcirc.domain import (
     is_monotone,
     sig,
 )
+from causalcirc.engine import PrefixTrace, random_trace, simulate
 from causalcirc.gates import (
+    GateDef,
     add_gate,
     and_gate,
     const_gate,
@@ -36,8 +38,11 @@ from causalcirc.gates import (
     table_gate,
     xor_gate,
 )
+from causalcirc.netlist import parse_netlist
+from causalcirc.random_circuits import GenConfig, random_circuit
 
 B = sig(BOOL)
+I3 = int_range(0, 2)
 
 
 # -- the non-strict pair --------------------------------------------------
@@ -213,3 +218,121 @@ def test_strict_lifts_of_random_concrete_functions_are_monotone(seed):
     }
     g = strict_lift_table("rnd", sig(BOOL, BOOL), B, table)
     assert is_monotone(g.fn)
+
+
+# -- tables in the tick ---------------------------------------------------
+
+
+def table_of(g: GateDef) -> dict:
+    """The table behind the gate's tick function."""
+    return g.tick(()).__self__
+
+
+def builtin_gates() -> list[GateDef]:
+    gates = [por(), pand(), not_gate(), and_gate(), or_gate(), xor_gate()]
+    gates += [nand_gate(), nor_gate()]
+    for base in (BOOL, I3):
+        gates += [mux_gate(base), add_gate(base), eq_gate(base), lt_gate(base)]
+        gates += [identity_gate(base), dup_gate(base), sink_gate(base)]
+        gates += [swap_gate(base, BOOL), swap_gate(BOOL, base)]
+    return gates
+
+
+def test_a_gate_that_raises_stores_nothing_and_raises_every_time():
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        if t == (1,):
+            raise ZeroDivisionError("no output for 1")
+        return t
+
+    gate = strict_lift("flaky", B, B, g, builtin=False)
+    look = gate.tick(())
+    for _ in range(3):
+        with pytest.raises(ZeroDivisionError):
+            look(1)
+    assert 1 not in table_of(gate)
+    assert look(0) == (0,) and look(0) == (0,) and look(BOT) == (BOT,)
+    assert calls == [(1,)] * 3 + [(0,)]
+    c = from_gate(gate)
+    with pytest.raises(ZeroDivisionError):
+        simulate(c, PrefixTrace(B, ((0,), (1,))))
+    assert simulate(c, PrefixTrace(B, ((0,), (BOT,)))).rows == ((0,), (BOT,))
+    assert set(table_of(gate)) == {0, BOT}
+
+
+def test_a_gate_value_off_its_signature_is_refused_and_never_stored():
+    # Stored, the True of ``isz`` would reach the shared mux table under
+    # the key (1, 1, 0), and a later, valid circuit would output True.
+    isz = strict_lift("isz", B, B, lambda t: (t[0] == 0,), builtin=False)
+    ident = from_gate(identity_gate(BOOL))
+    bad = compose(tensor(tensor(ident, from_gate(isz)), ident), from_gate(mux_gate()))
+    with pytest.raises(SignatureError, match="gate 'isz' gave"):
+        simulate(bad, PrefixTrace(bad.in_ports, ((1, 0, 0),)))
+    assert table_of(isz) == {}
+    good = from_gate(mux_gate())
+    ((y,),) = simulate(good, PrefixTrace(good.in_ports, ((1, 1, 0),))).rows
+    assert y == 1 and type(y) is int
+    wide = strict_lift("wide", B, B, lambda t: (t[0], t[0]), builtin=False)
+    with pytest.raises(SignatureError, match="gate 'wide' gave"):
+        simulate(from_gate(wide), PrefixTrace(B, ((1,),)))
+
+
+def test_gate_tables_hold_the_gate_function_after_simulation():
+    rng = random.Random(7)
+    gates = builtin_gates()
+    for g in gates:
+        c = from_gate(g)
+        simulate(c, random_trace(rng, c.in_ports, 40, p_bot=0.3))
+    cfg = GenConfig(max_inputs=2, max_nodes=6, max_loops=2)
+    for _ in range(30):
+        c = random_circuit(rng, cfg)
+        simulate(c, random_trace(rng, c.in_ports, 6, p_bot=0.25))
+    for g in gates:
+        table = table_of(g)
+        assert 0 < len(table) <= g.dom.count(), g
+        for key, out in table.items():
+            # A one-input gate's table is keyed on the bare value.
+            assert out == g.fn.fn((key,) if len(g.dom) == 1 else key), (g, key)
+
+
+SHARING = """type i0_2 = int 0..2
+circuit main {
+  in a: bool, b: bool, k: i0_2
+  out y: bool, s: i0_2
+  loop w: bool
+%s}
+"""
+LEFT = """  n = not(a)
+  o = por(n, w)
+  w = delay(o, init=bot)
+  y = and(o, b)
+  k2 = add(k, k)
+  s = mux[i0_2](b, k2, k)
+"""
+RIGHT = """  e = eq(k, 1)
+  o = pand(e, w)
+  n = not(o)
+  w = delay(n, init=0)
+  y = xor(n, b)
+  one = const[i0_2](1)
+  s = mux[i0_2](a, k, add(k, one))
+"""
+
+
+def test_circuits_that_share_builtin_gates_simulate_alike_in_either_order():
+    def run(order):
+        circuits = {name: parse_netlist(SHARING % body) for name, body in order}
+        for c in circuits.values():
+            for node in c.nodes:
+                node.__dict__.pop("_lookup", None)  # start from empty tables
+        streams = {}
+        for name, c in circuits.items():
+            tr = random_trace(random.Random(name), c.in_ports, 30, p_bot=0.3)
+            streams[name] = simulate(c, tr).rows
+        return streams
+
+    left_first = run([("left", LEFT), ("right", RIGHT)])
+    right_first = run([("right", RIGHT), ("left", LEFT)])
+    assert left_first == right_first

@@ -39,6 +39,13 @@ def test_script_runs(argv):
     assert "SOUNDNESS VIOLATED" not in proc.stdout
 
 
+def test_tick_cost_reports_each_chain():
+    proc = run_script("scripts/tick_cost.py", "--sizes", "3", "8", "--ticks", "5")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [(n, sweeps) for n, _, sweeps in rows] == [("3", "4.00"), ("8", "9.00")]
+
+
 def test_law_sweep_catches_the_mutant():
     proc = run_script(
         "scripts/law_sweep.py", "--cap", "200", "--samples", "20", "--mutant"

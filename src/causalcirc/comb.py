@@ -28,11 +28,11 @@ from .gates import TickFn
 class Propagator:
     """Precompiled wiring of one circuit for repeated propagation.
 
-    The plan is ``(slots, get, fn)`` per node: where its arguments sit,
-    the getter that gathers them (the bare value of a one-input node, else
-    a tuple), and its function for a tick with no history yet.
-    ``stateful`` lists the nodes that keep history; the engine swaps in
-    their functions for each tick.
+    The plan is ``(get, fn)`` per node: the getter that gathers its
+    arguments (the bare value of a one-input node, else a tuple), and its
+    function for a tick with no history yet.  ``stateful`` lists the nodes
+    that keep history and ``s_slots`` where each one's s input sits; the
+    engine swaps in their functions for each tick and commits that slot.
     """
 
     def __init__(self, c: Circuit):
@@ -52,10 +52,11 @@ class Propagator:
 
         self.n_wires = w - len(c.in_ports) + len(c.loops)
         self.bot = (BOT,) * self.n_wires
-        self.slots = [tuple(slot(s) for s in ins) for ins in c.node_inputs]
-        self.gets = [itemgetter(*js) if js else _no_args for js in self.slots]
+        slots = [tuple(slot(s) for s in ins) for ins in c.node_inputs]
+        self.gets = [itemgetter(*js) if js else _no_args for js in slots]
         self.fns: list[TickFn] = [node.tick(()) for node in c.nodes]
         self.stateful = tuple(i for i, node in enumerate(c.nodes) if node.depth)
+        self.s_slots = tuple(slots[i][0] for i in self.stateful)
         self.loop_slots = tuple(slot(lw.src) for lw in c.loops)
         self.out_slots = tuple(slot(s) for s in c.outputs)
 

@@ -90,9 +90,8 @@ def step(state: SimState, inputs: WireTuple) -> tuple[SimState, WireTuple]:
         fns[i] = nodes[i].tick(histories[i])
     settled = prop.solve(inputs, fns)
     new_hist = list(histories)
-    for i in prop.stateful:
-        s = settled[prop.slots[i][0]]
-        new_hist[i] = (histories[i] + (s,))[-nodes[i].depth:]
+    for i, s in zip(prop.stateful, prop.s_slots):
+        new_hist[i] = (histories[i] + (settled[s],))[-nodes[i].depth:]
     return SimState(c, tuple(new_hist), state.t + 1), prop.outputs(settled)
 
 

@@ -74,13 +74,14 @@ class GateDef:
     rows.  Equality compares name, kind, signatures and tables; a gate with
     neither table is only equal to one wrapping the very same callable.
     Builtin constructors are memoized so that equal requests (a netlist
-    round trip, say) get the same gate back.
+    round trip, say) get the same gate back.  A gate is a netlist builtin
+    only when it equals what the netlist's builtin of its name builds for
+    its argument types; the printer declares any other gate from its table.
     """
 
     name: str
     fn: MonotoneFn
     kind: str
-    builtin: bool = True
     concrete_table: dict[WireTuple, WireTuple] | None = field(default=None, repr=False)
 
     @property
@@ -128,7 +129,7 @@ class GateDef:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GateDef):
             return NotImplemented
-        return (
+        return self is other or (
             self.name == other.name
             and self.kind == other.kind
             and self.dom == other.dom
@@ -154,8 +155,6 @@ def strict_lift(
     dom: Signature,
     cod: Signature,
     g: Callable[[WireTuple], WireTuple],
-    *,
-    builtin: bool = True,
 ) -> GateDef:
     """Lift a function on concrete tuples to the lifted domain, strictly.
 
@@ -172,7 +171,7 @@ def strict_lift(
             return bot_out
         return g(t)
 
-    return GateDef(name, MonotoneFn(dom, cod, lifted, name), KIND_STRICT, builtin)
+    return GateDef(name, MonotoneFn(dom, cod, lifted, name), KIND_STRICT)
 
 
 def strict_lift_table(
@@ -180,8 +179,6 @@ def strict_lift_table(
     dom: Signature,
     cod: Signature,
     rows: dict[WireTuple, WireTuple],
-    *,
-    builtin: bool = False,
 ) -> GateDef:
     """Strict lift of an explicit concrete table; rows must cover every concrete tuple."""
     rows = dict(rows)
@@ -195,7 +192,7 @@ def strict_lift_table(
         cod.check(out)
         if any(x is BOT for x in t) or any(y is BOT for y in out):
             raise SignatureError(f"gate {name!r} has a bottom in concrete row {t!r}")
-    g = strict_lift(name, dom, cod, rows.__getitem__, builtin=builtin)
+    g = strict_lift(name, dom, cod, rows.__getitem__)
     g.concrete_table = rows
     return g
 
@@ -205,12 +202,10 @@ def table_gate(
     dom: Signature,
     cod: Signature,
     rows: dict[WireTuple, WireTuple],
-    *,
-    builtin: bool = False,
 ) -> GateDef:
     """Gate from a full lifted table; from_table rejects non-monotone rows."""
     f = MonotoneFn.from_table(dom, cod, rows, name)
-    return GateDef(name, f, KIND_TABLE, builtin)
+    return GateDef(name, f, KIND_TABLE)
 
 
 def _por(x: LValue, y: LValue) -> LValue:
@@ -234,14 +229,14 @@ def _pand(x: LValue, y: LValue) -> LValue:
 def por() -> GateDef:
     """Parallel or: non-strict in either input."""
     f = MonotoneFn(sig(BOOL, BOOL), sig(BOOL), lambda t: (_por(t[0], t[1]),), "por")
-    return GateDef("por", f, KIND_TABLE, builtin=True)
+    return GateDef("por", f, KIND_TABLE)
 
 
 @cache
 def pand() -> GateDef:
     """Parallel and: non-strict dual of por."""
     f = MonotoneFn(sig(BOOL, BOOL), sig(BOOL), lambda t: (_pand(t[0], t[1]),), "pand")
-    return GateDef("pand", f, KIND_TABLE, builtin=True)
+    return GateDef("pand", f, KIND_TABLE)
 
 
 @cache

@@ -19,7 +19,10 @@ is turned back into wire tuples for the counterexample.  Every fixed point
 still comes from ``cfg.mu``, called on a ``MonotoneFn`` over wire tuples
 built from a flat table, so a wrong operator is caught as before and does
 the same work; ``domain.trace`` is the definition the tables unfold, and
-the tests check the two against each other.
+the tests check the two against each other.  Where a law feeds a value of
+the operator back into a table, one step (``_solve``) numbers it among the
+loop's points, and a value that is not one of them fails the case with
+the value, its context and the loop's signature.
 
 Laws covered:
 
@@ -474,11 +477,17 @@ def _tables(spaces: list[_Space], fns) -> str:
     )
 
 
+class _OffLoop(Exception):
+    """A value of the operator under test that is not a point of its loop."""
+
+
 def _run_case(check: Callable[..., str | None], spaces: list[_Space], fns) -> str | None:
     """One case of a law; an exception raised in it, typically by the
     operator under test, fails the case instead of ending the sweep."""
     try:
         return check(*fns)
+    except _OffLoop as e:
+        return f"{e} for {_tables(spaces, fns)}"
     except Exception as e:
         return f"raised {type(e).__name__}: {e} for {_tables(spaces, fns)}"
 
@@ -553,16 +562,41 @@ def _combos(
 # table by the other, and a context wire that passes by repeats a table.
 # A factory tabulates, per combo, what each number stands for on the wires
 # it needs.  Every loop is solved by ``cfg.mu`` on a MonotoneFn over wire
-# tuples; where a law feeds a value of mu back into a table, it is numbered
-# through the loop's point index, which raises KeyError on a value outside
-# the loop's signature.  Both sides of a case are built whole, then
-# compared; only a mismatch is turned back into wire tuples.
+# tuples; where a law feeds a value of mu back into a table, ``_solve``
+# numbers it among the loop's points.  Both sides of a case are built
+# whole, then compared by ``_differ``; only a mismatch is turned back into
+# wire tuples.
 
 
-def _mu(cfg: LawConfig, dom: _Points, loop: _Points, values, split: int):
-    """The solve function ``cfg.mu`` gives for the loop map ``_tabled(dom,
-    loop, values)``, whose context is the first ``split`` wires of dom."""
-    return cfg.mu(_tabled(dom, loop, values), split).fn
+def _solve(cfg: LawConfig, f: MonotoneFn, split: int, ctx: tuple, loop: _Points):
+    """Solve the loop of ``f``, whose context is its first ``split`` wires,
+    with ``cfg.mu``: the number among ``loop``'s points of the value at
+    each point of ``ctx``.  A value that is not one of them fails the case;
+    it is solved again to be reported."""
+    solve = cfg.mu(f, split).fn
+    nums = list(map(loop.index.get, map(solve, ctx)))
+    if None in nums:
+        a = ctx[nums.index(None)]
+        raise _OffLoop(
+            f"mu value {solve(a)!r} at context {a!r} is not a value of {loop.sig!r}"
+        )
+    return nums
+
+
+def _differ(where, left: list, right: list, show=None, said=("", ""), drawn=None):
+    """None when the two sides of a law agree at every point of ``where``;
+    else the first point where they differ and each side's value there,
+    after its label in ``said``.  ``show(point, value)`` gives the wire
+    tuple a side's value stands for, by default the value itself; with
+    ``drawn``, the (spaces, tables) of the case, the functions are named."""
+    if left == right:
+        return None
+    i = next(i for i, (l, r) in enumerate(zip(left, right)) if l != r)
+    t, l, r = where[i], left[i], right[i]
+    if show is not None:
+        l, r = show(t, l), show(t, r)
+    out = f"at {t!r}: {said[0]}{l!r} vs {said[1]}{r!r}"
+    return out if drawn is None else f"{out} for {_tables(*drawn)}"
 
 
 def _loop_parts(whole: _Points, loop: _Points) -> tuple:
@@ -572,44 +606,45 @@ def _loop_parts(whole: _Points, loop: _Points) -> tuple:
     return tuple(loop.points[j % n] for j in range(len(whole.points)))
 
 
-def _first_diff(left: list, right: list) -> int:
-    return next(i for i, (l, r) in enumerate(zip(left, right)) if l != r)
+def _law(law: str, cfg: LawConfig, names: str, spaces, make) -> SweepResult:
+    """A law swept once per combo of its named wires, as ``_combos`` does."""
+    return SweepResult(law, _combos(law, cfg, names, spaces, make))
 
 
 def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
     (sp,) = spaces
     A, X = _indexed(a_sig), _indexed(x_sig)
     na, nx = len(a_sig), len(X.points)
+    a_pts, x_pts = A.points, X.points
     up = [m | 1 << i for i, m in enumerate(_poset(_shape(x_sig)).above)]
     # every pair of contexts lo < hi, as numbers, in the order
     # find_monotonicity_violation visits them
     pairs = [
         (i, A.index[hi])
-        for i, a in enumerate(A.points)
+        for i, a in enumerate(a_pts)
         for hi in up_set(a, a_sig)
         if hi != a
     ]
 
     def case(F) -> str | None:
-        m = _mu(cfg, sp.dom, X, map(X.points.__getitem__, F), na)
-        vals = list(map(X.index.__getitem__, map(m, A.points)))
+        vals = _solve(cfg, sp.fn(F), na, a_pts, X)
         for ia, x in enumerate(vals):
             row = F[ia * nx : ia * nx + nx]
             if row[x] != x:
                 return (
-                    f"mu value {X.points[x]!r} at context {A.points[ia]!r} "
+                    f"mu value {x_pts[x]!r} at context {a_pts[ia]!r} "
                     f"is not fixed for {_tables(spaces, (F,))}"
                 )
             for x2, y in enumerate(row):
                 if y == x2 and not up[x] >> x2 & 1:
                     return (
-                        f"mu value {X.points[x]!r} at context {A.points[ia]!r} "
-                        f"is not below fixed point {X.points[x2]!r} "
+                        f"mu value {x_pts[x]!r} at context {a_pts[ia]!r} "
+                        f"is not below fixed point {x_pts[x2]!r} "
                         f"for {_tables(spaces, (F,))}"
                     )
         for i, j in pairs:
             if not up[vals[i]] >> vals[j] & 1:
-                bad = (A.points[i], A.points[j])
+                bad = (a_pts[i], a_pts[j])
                 return f"mu(f) is not monotone at {bad!r} for {_tables(spaces, (F,))}"
         return None
 
@@ -618,15 +653,13 @@ def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
 
 def check_local_fixpoint(cfg: LawConfig = LawConfig()) -> SweepResult:
     """mu(f)(a) is a fixed point of f(a, -), below every other one, and monotone."""
-    law = "fixpoint"
-    combos = _combos(law, cfg, "AX", lambda a, x: [(a + x, x)], _fixpoint)
-    return SweepResult(law, combos)
+    return _law("fixpoint", cfg, "AX", lambda a, x: [(a + x, x)], _fixpoint)
 
 
 def _naturality(cfg: LawConfig, spaces, a_sig, x_sig, b_sig):
     f_sp, _ = spaces
     A, X, B = _indexed(a_sig), _indexed(x_sig), _indexed(b_sig)
-    BX = _indexed(b_sig + x_sig)
+    AX, BX = f_sp.dom, _indexed(b_sig + x_sig)
     na, nb, nx = len(a_sig), len(b_sig), len(X.points)
     xs = range(nx)
     a_pts, b_pts, x_pts = A.points, B.points, X.points
@@ -634,28 +667,20 @@ def _naturality(cfg: LawConfig, spaces, a_sig, x_sig, b_sig):
     def case(F, G) -> str | None:
         vals = list(map(x_pts.__getitem__, F))
         reindexed = [vals[g * nx + x] for g in G for x in xs]  # f . (g x id)
-        lhs = _mu(cfg, BX, X, reindexed, nb)
-        muf = _mu(cfg, f_sp.dom, X, vals, na)
+        lhs = cfg.mu(_tabled(BX, X, reindexed), nb).fn
+        muf = cfg.mu(_tabled(AX, X, vals), na).fn
         # mu against mu: both sides stay as the operator gives them
         left = list(map(lhs, b_pts))
         right = list(map(muf, map(a_pts.__getitem__, G)))
-        if left != right:
-            i = _first_diff(left, right)
-            return (
-                f"at {b_pts[i]!r}: {left[i]!r} vs {right[i]!r} "
-                f"for {_tables(spaces, (F, G))}"
-            )
-        return None
+        return _differ(b_pts, left, right, drawn=(spaces, (F, G)))
 
     return case
 
 
 def check_naturality_param(cfg: LawConfig = LawConfig()) -> SweepResult:
     """Reindexing the context first equals taking mu first: mu(f . (g x id)) = mu(f) . g."""
-    law = "naturality-param"
     spaces = lambda a, x, b: [(a + x, x), (b, a)]
-    combos = _combos(law, cfg, "AXB", spaces, _naturality)
-    return SweepResult(law, combos)
+    return _law("naturality-param", cfg, "AXB", spaces, _naturality)
 
 
 def _dinaturality(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
@@ -670,86 +695,69 @@ def _dinaturality(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
         g_vals = list(map(x_pts.__getitem__, G))
         after = map(g_vals.__getitem__, F)  # g . f
         before = [y_pts[F[r + x]] for r in rows for x in G]  # f . (id x g)
-        mu_after = _mu(cfg, AX, X, after, na)
-        mu_before = _mu(cfg, AY, Y, before, na)
+        mu_after = cfg.mu(_tabled(AX, X, after), na).fn
         left = list(map(mu_after, a_pts))
-        ys = map(Y.index.__getitem__, map(mu_before, a_pts))
+        ys = _solve(cfg, _tabled(AY, Y, before), na, a_pts, Y)
         right = list(map(g_vals.__getitem__, ys))
-        if left != right:
-            i = _first_diff(left, right)
-            return (
-                f"at {a_pts[i]!r}: {left[i]!r} vs {right[i]!r} "
-                f"for {_tables(spaces, (F, G))}"
-            )
-        return None
+        return _differ(a_pts, left, right, drawn=(spaces, (F, G)))
 
     return case
 
 
 def check_dinaturality(cfg: LawConfig = LawConfig()) -> SweepResult:
     """mu of g . f equals g applied to mu of f . (id x g)."""
-    law = "dinaturality"
     spaces = lambda a, x, y: [(a + x, y), (y, x)]
-    combos = _combos(law, cfg, "AXY", spaces, _dinaturality)
-    return SweepResult(law, combos)
+    return _law("dinaturality", cfg, "AXY", spaces, _dinaturality)
 
 
 def _bekic(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     f_sp, _ = spaces
     A, X, Y = _indexed(a_sig), _indexed(x_sig), _indexed(y_sig)
     AXY, AX, XY = f_sp.dom, _indexed(a_sig + x_sig), _indexed(x_sig + y_sig)
-    na, nx, ny = len(a_sig), len(X.points), len(Y.points)
+    na, nax = len(a_sig), len(a_sig + x_sig)
+    nx, ny = len(X.points), len(Y.points)
     rows = range(0, len(A.points) * nx, nx)
-    a_pts, x_pts, y_pts, xy_pts = A.points, X.points, Y.points, XY.points
+    a_pts, ax_pts, xy_pts = A.points, AX.points, XY.points
+    x_pts, y_pts = X.points, Y.points
+    said = ("simultaneous ", "nested ")
     # g's loop map, built once per g: exhaustive sweeps replay every g
     # against each f.  ``cfg.mu`` still gets it once per case.
     g_fns: dict[tuple[int, ...], MonotoneFn] = {}
 
     def case(F, G) -> str | None:
-        mu_both = _mu(cfg, AXY, XY, [xy_pts[x * ny + y] for x, y in zip(F, G)], na)
+        both = _tabled(AXY, XY, [xy_pts[x * ny + y] for x, y in zip(F, G)])
+        mu_both = cfg.mu(both, na).fn
         g = g_fns.get(G)
         if g is None:
             g = g_fns[G] = _tabled(AXY, Y, map(y_pts.__getitem__, G))
-        mu_g = cfg.mu(g, na + len(x_sig)).fn
-        mg = list(map(Y.index.__getitem__, map(mu_g, AX.points)))
+        mg = _solve(cfg, g, nax, ax_pts, Y)
         inner = [x_pts[F[t * ny + y]] for t, y in enumerate(mg)]  # f after mu of g
-        mu_inner = _mu(cfg, AX, X, inner, na)
-        xs = map(X.index.__getitem__, map(mu_inner, a_pts))
+        xs = _solve(cfg, _tabled(AX, X, inner), na, a_pts, X)
         nested = [xy_pts[x * ny + mg[r + x]] for r, x in zip(rows, xs)]
         left = list(map(mu_both, a_pts))
-        if left != nested:
-            i = _first_diff(left, nested)
-            return (
-                f"at {a_pts[i]!r}: simultaneous {left[i]!r} vs nested "
-                f"{nested[i]!r} for {_tables(spaces, (F, G))}"
-            )
-        return None
+        return _differ(a_pts, left, nested, said=said, drawn=(spaces, (F, G)))
 
     return case
 
 
 def check_bekic(cfg: LawConfig = LawConfig()) -> SweepResult:
     """A simultaneous fixed point of a pair equals the nested one."""
-    law = "bekic"
     spaces = lambda a, x, y: [(a + x + y, x), (a + x + y, y)]
-    combos = _combos(law, cfg, "AXY", spaces, _bekic)
-    return SweepResult(law, combos)
+    return _law("bekic", cfg, "AXY", spaces, _bekic)
 
 
 def _yanking(cfg: LawConfig, x_sig):
     X, XX = _indexed(x_sig), _indexed(x_sig + x_sig)
     nx = len(X.points)
+    x_pts = X.points
     loop = [t[:1] for t in XX.points]  # the looped output of the swap
     ids = list(range(nx))
+    show = lambda t, v: x_pts[v]
 
     def case(swap) -> str | None:
-        m = _mu(cfg, XX, X, loop, 1)
-        xs = map(X.index.__getitem__, map(m, X.points))
+        xs = _solve(cfg, _tabled(XX, X, loop), 1, x_pts, X)
         out = [swap[a * nx + x] // nx for a, x in zip(ids, xs)]
-        if out != ids:
-            i = _first_diff(out, ids)
-            return f"at {X.points[i]!r}: {X.points[out[i]]!r} vs {X.points[i]!r}"
-        return None
+        return _differ(x_pts, out, ids, show)
 
     return case
 
@@ -773,18 +781,15 @@ def check_yanking(cfg: LawConfig = LawConfig()) -> SweepResult:
 def _vanishing_zero(cfg: LawConfig, spaces, a_sig, b_sig):
     (sp,) = spaces
     A, B, Z = sp.dom, sp.cod, _indexed(sig())
-    loop = [()] * len(A.points)  # no wire is looped
+    na = len(a_sig)
+    a_pts, b_pts = A.points, B.points
+    loop = [()] * len(a_pts)  # no wire is looped
+    show = lambda t, v: b_pts[v]
 
     def case(F) -> str | None:
-        m = _mu(cfg, A, Z, loop, len(a_sig))
-        zs = map(Z.index.__getitem__, map(m, A.points))
+        zs = _solve(cfg, _tabled(A, Z, loop), na, a_pts, Z)
         traced = [F[a + z] for a, z in enumerate(zs)]  # A + Z is numbered as A
-        plain = list(F)
-        if traced != plain:
-            i = _first_diff(traced, plain)
-            b_pts = B.points
-            return f"at {A.points[i]!r}: {b_pts[traced[i]]!r} vs {b_pts[plain[i]]!r}"
-        return None
+        return _differ(a_pts, traced, list(F), show)
 
     return case
 
@@ -794,27 +799,24 @@ def _vanishing_nested(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     AXY = sp.dom
     A, X, Y = _indexed(a_sig), _indexed(x_sig), _indexed(y_sig)
     AX, XY = _indexed(a_sig + x_sig), _indexed(x_sig + y_sig)
-    na, nx, ny = len(a_sig), len(X.points), len(Y.points)
+    na, nax = len(a_sig), len(a_sig + x_sig)
+    nx, ny = len(X.points), len(Y.points)
     nxy = nx * ny
-    xy_part, y_part = _loop_parts(sp.cod, XY), _loop_parts(sp.cod, Y)
-    x_part = _loop_parts(AX, X)
-    a_pts = A.points
+    xy_part = _loop_parts(sp.cod, XY).__getitem__
+    y_part = _loop_parts(sp.cod, Y).__getitem__
+    x_part = _loop_parts(AX, X).__getitem__
+    a_pts, ax_pts = A.points, AX.points
+    show = lambda t, v: a_pts[v]
 
     def case(F) -> str | None:
-        m_both = _mu(cfg, AXY, XY, map(xy_part.__getitem__, F), na)
-        m_y = _mu(cfg, AXY, Y, map(y_part.__getitem__, F), na + len(x_sig))
+        xys = _solve(cfg, _tabled(AXY, XY, map(xy_part, F)), na, a_pts, XY)
+        ys = _solve(cfg, _tabled(AXY, Y, map(y_part, F)), nax, ax_pts, Y)
         # f with Y traced, on A + X, its values numbered in A + X
-        ys = map(Y.index.__getitem__, map(m_y, AX.points))
         inner = [F[t * ny + y] // ny for t, y in enumerate(ys)]
-        m_x = _mu(cfg, AX, X, map(x_part.__getitem__, inner), na)
-        xys = map(XY.index.__getitem__, map(m_both, a_pts))
+        xs = _solve(cfg, _tabled(AX, X, map(x_part, inner)), na, a_pts, X)
         both = [F[a * nxy + v] // nxy for a, v in enumerate(xys)]
-        xs = map(X.index.__getitem__, map(m_x, a_pts))
         outer = [inner[a * nx + x] // nx for a, x in enumerate(xs)]
-        if both != outer:
-            i = _first_diff(both, outer)
-            return f"at {a_pts[i]!r}: {a_pts[both[i]]!r} vs {a_pts[outer[i]]!r}"
-        return None
+        return _differ(a_pts, both, outer, show)
 
     return case
 
@@ -837,36 +839,28 @@ def _sliding(cfg: LawConfig, spaces, a_sig, b_sig, x_sig, y_sig):
     n_out = len(f_sp.cod.points)
     y_num = [j % ny for j in range(n_out)]  # the loop part of f's values
     y_val = _loop_parts(f_sp.cod, Y)
-    a_pts, x_pts = A.points, X.points
-    x_index, y_index = X.index.__getitem__, Y.index.__getitem__
+    a_pts, b_pts, x_pts = A.points, B.points, X.points
+    show = lambda t, v: b_pts[v]
 
     def case(F, G) -> str | None:
         # the loop parts of g after f, and of f after g on the looped input
         g_vals = list(map(x_pts.__getitem__, G))
         post = map(g_vals.__getitem__, map(y_num.__getitem__, F))
         pre = [y_val[F[r + x]] for r in rows for x in G]
-        m_post = _mu(cfg, AX, X, post, na)
-        m_pre = _mu(cfg, AY, Y, pre, na)
+        xs = _solve(cfg, _tabled(AX, X, post), na, a_pts, X)
+        ys = _solve(cfg, _tabled(AY, Y, pre), na, a_pts, Y)
         # both sides as f's values, whose output parts must agree
-        left = [F[r + x] // ny for r, x in zip(rows, map(x_index, map(m_post, a_pts)))]
-        right = [F[r + G[y]] // ny for r, y in zip(rows, map(y_index, map(m_pre, a_pts)))]
-        if left != right:
-            i = _first_diff(left, right)
-            return (
-                f"at {a_pts[i]!r}: {B.points[left[i]]!r} vs {B.points[right[i]]!r} "
-                f"for {_tables(spaces, (F, G))}"
-            )
-        return None
+        left = [F[r + x] // ny for r, x in zip(rows, xs)]
+        right = [F[r + G[y]] // ny for r, y in zip(rows, ys)]
+        return _differ(a_pts, left, right, show, drawn=(spaces, (F, G)))
 
     return case
 
 
 def check_sliding(cfg: LawConfig = LawConfig()) -> SweepResult:
     """A map on the looped wire slides around the loop: post-g equals pre-g."""
-    law = "sliding"
     spaces = lambda a, b, x, y: [(a + x, b + y), (y, x)]
-    combos = _combos(law, cfg, "ABXY", spaces, _sliding)
-    return SweepResult(law, combos)
+    return _law("sliding", cfg, "ABXY", spaces, _sliding)
 
 
 def _superposing(cfg: LawConfig, spaces, c_sig, a_sig, b_sig, x_sig):
@@ -879,36 +873,24 @@ def _superposing(cfg: LawConfig, spaces, c_sig, a_sig, b_sig, x_sig):
     rows = range(0, len(A.points) * nx, nx)
     wide_rows = list(rows) * n_c  # the row of f each point of C + A reads
     x_val = _loop_parts(sp.cod, X)
-    x_index = X.index.__getitem__
+    a_pts, b_pts, ca_pts = A.points, B.points, CA.points
+    show = lambda t, v: t[:nc] + b_pts[v]  # C passes by
 
     def case(F) -> str | None:
         loop = list(map(x_val.__getitem__, F))
-        m_wide = _mu(cfg, CAX, X, loop * n_c, nc + na)  # C passes by
-        m = _mu(cfg, AX, X, loop, na)
-        xs = map(x_index, map(m, A.points))
+        wide = _solve(cfg, _tabled(CAX, X, loop * n_c), nc + na, ca_pts, X)
+        xs = _solve(cfg, _tabled(AX, X, loop), na, a_pts, X)
         traced = [F[r + x] // nx for r, x in zip(rows, xs)]
-        xs = map(x_index, map(m_wide, CA.points))
-        left = [F[r + x] // nx for r, x in zip(wide_rows, xs)]
-        right = traced * n_c
-        if left != right:
-            i = _first_diff(left, right)
-            t = CA.points[i]
-            c = t[:nc]
-            return (
-                f"at {t!r}: {c + B.points[left[i]]!r} vs {c + B.points[right[i]]!r} "
-                f"for {_tables(spaces, (F,))}"
-            )
-        return None
+        left = [F[r + x] // nx for r, x in zip(wide_rows, wide)]
+        return _differ(ca_pts, left, traced * n_c, show, drawn=(spaces, (F,)))
 
     return case
 
 
 def check_superposing(cfg: LawConfig = LawConfig()) -> SweepResult:
     """An untouched side wire commutes with tracing."""
-    law = "superposing"
     spaces = lambda c, a, b, x: [(a + x, b + x)]
-    combos = _combos(law, cfg, "CABX", spaces, _superposing)
-    return SweepResult(law, combos)
+    return _law("superposing", cfg, "CABX", spaces, _superposing)
 
 
 def check_trace_axioms(cfg: LawConfig = LawConfig()) -> list[SweepResult]:

@@ -10,7 +10,9 @@ source text, mirroring the IR.
 ``print_netlist`` emits a canonical form: sorted type and gate declarations,
 one flat statement per node in index order, generated names for nodes and
 feedback wires.  Parsing a printed circuit reproduces the IR exactly, and
-printing is byte-deterministic.
+printing is byte-deterministic.  A circuit built in Python that holds a
+name, an atom or a gate no netlist text reads back is refused with
+SignatureError instead.
 
 Syntax errors abort at the first offense; semantic errors inside statements
 are collected so one parse reports several, each with a line and column.
@@ -191,6 +193,18 @@ def tokenize(text: str) -> list[Token]:
         raise NetlistError([(line, col, f"unexpected character {ch!r}")])
     toks.append(Token("EOF", "", line, col))
     return toks
+
+
+def _reads_back(v) -> bool:
+    """Whether the printed ``v`` is one token that reads back as ``v``: an
+    int as an INT, a string as a name, so never ``bot``, a string of
+    digits, or text with a space or a ``-``."""
+    text = str(v)
+    try:
+        tok, _ = tokenize(text)
+    except (NetlistError, ValueError):  # not exactly one token
+        return False
+    return tok.kind == ("INT" if type(v) is int else "IDENT") and tok.text == text
 
 
 def _literal(tok: Token, base: BaseType | None) -> LValue:
@@ -926,6 +940,12 @@ def _gate_decl(gate: GateDef) -> list[str]:
     return lines
 
 
+def _check_name(what: str, name: str, reserved=RESERVED) -> None:
+    """Refuse a name the parser would not read back as a free name."""
+    if name in reserved or not _reads_back(name):
+        raise SignatureError(f"{what} name {name!r} is not a free name; cannot print")
+
+
 def _collect_types(c: Circuit) -> dict[str, BaseType]:
     found: dict[str, BaseType] = {}
     for b in base_types(c):
@@ -934,24 +954,42 @@ def _collect_types(c: Circuit) -> dict[str, BaseType]:
             raise SignatureError(
                 f"two base types share the name {b.name!r}; cannot print"
             )
+        if old is None and b != BOOL:
+            _check_name("type", b.name, RESERVED | {"bool"})
+            for v in b.values:
+                if not _reads_back(v):
+                    raise SignatureError(
+                        f"value {v!r} of type {b.name!r} does not read back; "
+                        "cannot print"
+                    )
         found[b.name] = b
     return found
+
+
+def _is_builtin(gate: GateDef) -> bool:
+    """Whether ``gate`` prints as a builtin call: it equals what the
+    builtin of its name builds for its argument types (``const``: for its
+    type and value), as the parser builds a call on wires of those types."""
+    try:
+        if gate.name == "const":
+            return gate == const_gate(gate.cod[0], gate.fn.table[()][0])
+        make, params = _BUILTINS[gate.name]
+        return gate == make(*[gate.dom[slots[0]] for slots in params])
+    except (KeyError, IndexError, TypeError, SignatureError):
+        return False  # no builtin of this name takes these types
 
 
 def _collect_user_gates(c: Circuit) -> dict[str, GateDef]:
     found: dict[str, GateDef] = {}
     for node in c.nodes:
-        if isinstance(node, (UnitDelay, VarDelay)) or node.builtin:
+        if isinstance(node, (UnitDelay, VarDelay)) or _is_builtin(node):
             continue
         old = found.get(node.name)
         if old is not None and old != node:
             raise SignatureError(
                 f"two gates share the name {node.name!r}; cannot print"
             )
-        if node.name in RESERVED:
-            raise SignatureError(
-                f"gate name {node.name!r} collides with a builtin; cannot print"
-            )
+        _check_name("gate", node.name)
         found[node.name] = node
     return found
 
@@ -962,7 +1000,12 @@ def print_netlist(c: Circuit) -> str:
     types = _collect_types(c)
     user_gates = _collect_user_gates(c)
 
-    taken = set(in_port_names(c)) | set(out_port_names(c))
+    taken: set[str] = set()
+    for name in in_port_names(c) + out_port_names(c):
+        _check_name("port", name)
+        if name in taken:
+            raise SignatureError(f"two ports share the name {name!r}; cannot print")
+        taken.add(name)
 
     def unique(name: str) -> str:
         while name in taken:

@@ -285,7 +285,8 @@ def test_equal_comparing_circuits_never_share_a_memo():
     table = {(0,): (0,), (1,): (1,)}
 
     def gate(fn):
-        return GateDef("f", MonotoneFn(b, b, fn, "f"), KIND_STRICT, False, table)
+        f = MonotoneFn(b, b, fn, "f")
+        return GateDef("f", f, KIND_STRICT, concrete_table=table)
 
     ident = from_gate(gate(lambda t: t))
     negate = from_gate(gate(lambda t: (BOT,) if t[0] is BOT else (1 - t[0],)))

@@ -247,7 +247,7 @@ def test_a_gate_that_raises_stores_nothing_and_raises_every_time():
             raise ZeroDivisionError("no output for 1")
         return t
 
-    gate = strict_lift("flaky", B, B, g, builtin=False)
+    gate = strict_lift("flaky", B, B, g)
     look = gate.tick(())
     for _ in range(3):
         with pytest.raises(ZeroDivisionError):
@@ -265,7 +265,7 @@ def test_a_gate_that_raises_stores_nothing_and_raises_every_time():
 def test_a_gate_value_off_its_signature_is_refused_and_never_stored():
     # Stored, the True of ``isz`` would reach the shared mux table under
     # the key (1, 1, 0), and a later, valid circuit would output True.
-    isz = strict_lift("isz", B, B, lambda t: (t[0] == 0,), builtin=False)
+    isz = strict_lift("isz", B, B, lambda t: (t[0] == 0,))
     ident = from_gate(identity_gate(BOOL))
     bad = compose(tensor(tensor(ident, from_gate(isz)), ident), from_gate(mux_gate()))
     with pytest.raises(SignatureError, match="gate 'isz' gave"):
@@ -274,7 +274,7 @@ def test_a_gate_value_off_its_signature_is_refused_and_never_stored():
     good = from_gate(mux_gate())
     ((y,),) = simulate(good, PrefixTrace(good.in_ports, ((1, 1, 0),))).rows
     assert y == 1 and type(y) is int
-    wide = strict_lift("wide", B, B, lambda t: (t[0], t[0]), builtin=False)
+    wide = strict_lift("wide", B, B, lambda t: (t[0], t[0]))
     with pytest.raises(SignatureError, match="gate 'wide' gave"):
         simulate(from_gate(wide), PrefixTrace(B, ((1,),)))
 

@@ -37,10 +37,10 @@ def run(c, rows, counted: bool = False) -> tuple[list[float], int]:
     if counted:
         sweep = prop.sweep
 
-        def counting(t, fns):
+        def counting(t):
             nonlocal sweeps
             sweeps += 1
-            return sweep(t, fns)
+            return sweep(t)
 
         prop.sweep = counting
     try:

@@ -7,10 +7,10 @@ The package splits into a small stack:
   forms;
 * ``gates``: strict lifts, the parallel or/and pair, wiring gates;
 * ``circuit``: the structural IR, builders, validation, contractivity, and
-  the delay nodes, each a gate of the tick built from its committed history;
+  the delay nodes, each a fixed function of its inputs and its history;
 * ``comb``: compiled wiring that settles one tick by whole-vector
   iteration, gates and delays alike, and delay-free evaluation;
-* ``engine``: tick-by-tick simulation that commits delay histories;
+* ``engine``: tick-by-tick simulation that commits the delay history;
 * ``analysis``: bounded totality and equivalence checks;
 * ``laws``: equational sweeps for the fixed-point operator;
 * ``netlist`` and ``streams``: the text formats;

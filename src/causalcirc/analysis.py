@@ -108,9 +108,9 @@ class EquivReport:
 def _stepper(c: Circuit):
     """One tick of ``c`` as ``(histories, row) -> (next histories, outputs)``.
 
-    Memoized on ``(histories, row)``, exactly what ``engine.step`` reads;
-    the memo belongs to this one circuit instance and dies with the
-    returned function.
+    Memoized on ``(histories, row)``, exactly what ``engine.step`` reads:
+    the flat tuple of committed delay values and the input row.  The memo
+    belongs to this one circuit instance and dies with the function.
     """
     memo: dict = {}
 

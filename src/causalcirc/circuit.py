@@ -4,10 +4,10 @@ A circuit is a bipartite wiring: every node input, feedback wire, and output
 port names its source, which is either a circuit input, a node output port,
 or a feedback wire.  Feedback wires are the only legal way to close a cycle;
 ``validate`` rejects any cycle in the node graph that is not routed through
-one.  Every node, gate or delay, gives its gate function for one tick
-through ``tick(history)``; a delay's comes from the ``depth`` latest values
-the engine committed for it, never from the tick number.  ``comb.denote``
-refuses circuits that contain delays.
+one.  Every node, gate or delay, is one fixed function ``tick`` of its
+input values followed by its ``depth`` latest committed history values,
+oldest first; a delay's history is data the tick reads, never the tick
+number.  ``comb.denote`` refuses circuits that contain delays.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TypeAlias
 
 from .domain import BOT, BaseType, LValue, Signature, SignatureError, int_range
-from .gates import GateDef, TickFn
+from .gates import GateDef
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,8 @@ Source: TypeAlias = "SrcIn | SrcNode | SrcLoop"
 class UnitDelay:
     """One-tick delay: emits ``init`` at tick 0, then last tick's input.
 
-    Like a gate it has ``dom``, ``cod`` and ``name``; ``tick(history)`` is
-    its gate function for one tick, given the ``depth`` latest committed
-    values of its input.
+    Like a gate it has ``dom``, ``cod`` and ``name``; ``tick`` maps its
+    input followed by its one committed value to that value.
     """
 
     base: BaseType
@@ -72,9 +71,8 @@ class UnitDelay:
     def reads_history(self, port: int) -> bool:
         return True
 
-    def tick(self, history: tuple[LValue, ...]) -> TickFn:
-        out = (history[-1] if history else self.init,)
-        return lambda args: out
+    def tick(self, args: tuple) -> tuple:
+        return (args[-1],)
 
 
 @dataclass(frozen=True)
@@ -125,24 +123,20 @@ class VarDelay:
         # The chosen amount is needed this tick, so the d port never does.
         return port == 0 and self.d_min >= 1
 
-    def tick(self, history: tuple[LValue, ...]) -> TickFn:
-        """An undefined d yields an undefined output; d = 0 passes s through;
-        d = k >= 1 reads k ticks back, or ``init`` when the run is younger."""
-        n = len(history)
+    def tick(self, args: tuple) -> tuple:
+        """``args`` is (s, d) followed by the ``d_max`` committed values of s.
 
-        def fn(args):
-            s, d = args
-            if d is BOT:
-                return (BOT,)
-            if not isinstance(d, int) or not self.d_min <= d <= self.d_max:
-                raise SignatureError(
-                    f"delay amount {d!r} outside {self.d_min}..{self.d_max}"
-                )
-            if d == 0:
-                return (s,)
-            return (self.init if d > n else history[-d],)
-
-        return fn
+        An undefined d yields an undefined output; d = 0 passes s through;
+        d = k >= 1 reads k ticks back, which is ``init`` while the run is
+        younger, as the history starts as ``init`` repeated."""
+        d = args[1]
+        if d is BOT:
+            return (BOT,)
+        if not isinstance(d, int) or not self.d_min <= d <= self.d_max:
+            raise SignatureError(
+                f"delay amount {d!r} outside {self.d_min}..{self.d_max}"
+            )
+        return (args[-d] if d else args[0],)
 
 
 Node: TypeAlias = "GateDef | UnitDelay | VarDelay"
@@ -374,7 +368,13 @@ def validate(c: Circuit) -> list[Diagnostic]:
 
 
 def check_valid(c: Circuit) -> Circuit:
-    diags = validate(c)
+    """``c``, or SignatureError if ``validate`` finds fault with it.  The
+    verdict is kept on the instance, like ``Circuit._hash``, so a circuit
+    is validated once; ``parse_netlist`` records the verdict it reaches."""
+    diags = c.__dict__.get("_diags")
+    if diags is None:
+        diags = validate(c)
+        object.__setattr__(c, "_diags", diags)
     if diags:
         raise SignatureError(
             "invalid circuit: " + "; ".join(str(d) for d in diags)

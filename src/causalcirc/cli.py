@@ -284,13 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_canon)
 
     p = sub.add_parser("laws", help="sweep the fixed-point and trace laws")
-    p.add_argument("--budget", type=int, default=10**6,
+    cfg = laws.LawConfig  # its field defaults are the flags' defaults
+    p.add_argument("--budget", type=int, default=cfg.budget,
                    help="steps allowed for building one function space")
-    p.add_argument("--cap", type=int, default=60_000,
+    p.add_argument("--cap", type=int, default=cfg.pair_budget,
                    help="largest space (or product of two) swept exhaustively; "
                    "larger combos are sampled uniformly")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=cfg.samples)
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_laws)
 

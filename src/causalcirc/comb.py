@@ -1,19 +1,20 @@
 """Settling one tick: the whole wire vector is iterated to a fixed point.
 
-The wire vector lists every node output port, then every feedback wire.
-Compiling a circuit resolves every source a node input, feedback wire or
-output port reads to one slot of the flat tuple ``inputs + vector``, and
-each node's inputs to one ``operator.itemgetter`` over those slots.  One
-propagation step (a sweep) recomputes all wires simultaneously from the
-previous vector, applying each node's function for the tick, gate or delay
-alike, so the step function is monotone and ``domain``'s Kleene loop
-reaches the least fixed point within (wire count)+1 sweeps.
+A tick reads one flat tuple: the input row; each stateful node's ``depth``
+committed history values, oldest first; and the wire vector, every node
+output port and then every feedback wire.  Only this module knows that
+layout.  Compiling resolves every source a node input, feedback wire or
+output port reads to one slot, and each node's inputs, followed by its
+history, to one ``operator.itemgetter``.  One propagation step (a sweep)
+recomputes all wires simultaneously from the previous vector, applying each
+node's fixed ``tick``, gate or delay alike, so the step function is
+monotone and ``domain``'s Kleene loop reaches the least fixed point within
+(wire count)+1 sweeps.
 
-A gate's function for the tick is a lookup in the gate's table, which is
-filled on first use (``GateDef.tick``): a gate's function must be pure, as
-it is called at most once per argument tuple for the gate's lifetime.  So
-evaluating a gate in a sweep is two calls into C, one to gather its
-arguments and one to look them up.
+A gate's ``tick`` is a lookup in its table, filled on first use
+(``GateDef.tick``): a gate's function must be pure, as it is called at most
+once per argument tuple for the gate's lifetime.  So evaluating a node in a
+sweep is two calls, one to gather its arguments and one to apply it.
 """
 
 from __future__ import annotations
@@ -22,23 +23,24 @@ from operator import itemgetter
 
 from .circuit import Circuit, SrcIn, SrcNode, check_valid
 from .domain import BOT, MonotoneFn, SignatureError, WireTuple, _kleene
-from .gates import TickFn
 
 
 class Propagator:
     """Precompiled wiring of one circuit for repeated propagation.
 
-    The plan is ``(get, fn)`` per node: the getter that gathers its
-    arguments (the bare value of a one-input node, else a tuple), and its
-    function for a tick with no history yet.  ``stateful`` lists the nodes
-    that keep history and ``s_slots`` where each one's s input sits; the
-    engine swaps in their functions for each tick and commits that slot.
+    The plan is ``(get, tick)`` per node: the getter that gathers its
+    arguments (the bare value of a one-input gate, else a tuple) and its
+    ``tick``.  ``init`` is the history before the first tick: each node's
+    ``init``, ``depth`` times.
     """
 
     def __init__(self, c: Circuit):
-        base = []
-        w = len(c.in_ports)
+        k = len(c.in_ports)
+        w = lo = k + sum(node.depth for node in c.nodes)
+        hist, base = [], []  # per node: its history slots, its first output
         for node in c.nodes:
+            hist.append(tuple(range(k, k + node.depth)))
+            k += node.depth
             base.append(w)
             w += len(node.cod)
         loop_base = w
@@ -50,40 +52,41 @@ class Propagator:
                 return base[src.node] + src.port
             return loop_base + src.index
 
-        self.n_wires = w - len(c.in_ports) + len(c.loops)
+        self.n_wires = w - lo + len(c.loops)
         self.bot = (BOT,) * self.n_wires
+        self.init = tuple(n.init for n in c.nodes for _ in range(n.depth))
         slots = [tuple(slot(s) for s in ins) for ins in c.node_inputs]
-        self.gets = [itemgetter(*js) if js else _no_args for js in slots]
-        self.fns: list[TickFn] = [node.tick(()) for node in c.nodes]
-        self.stateful = tuple(i for i, node in enumerate(c.nodes) if node.depth)
-        self.s_slots = tuple(slots[i][0] for i in self.stateful)
+        self.plan = [
+            (itemgetter(*(s + h)) if s + h else lambda t: (), node.tick)
+            for s, h, node in zip(slots, hist, c.nodes)
+        ]
+        # Each node's history drops its oldest value and gains its s input.
+        self.commit_slots = tuple(
+            j for s, h in zip(slots, hist) if h for j in h[1:] + s[:1]
+        )
         self.loop_slots = tuple(slot(lw.src) for lw in c.loops)
         self.out_slots = tuple(slot(s) for s in c.outputs)
 
-    def sweep(self, t: tuple, fns: list[TickFn]) -> tuple:
+    def sweep(self, t: tuple) -> tuple:
         """One simultaneous recomputation of the wire vector from ``t``,
-        which is the inputs followed by the previous vector."""
+        which is the inputs, the history and the previous vector."""
         out = []
-        for get, fn in zip(self.gets, fns):
-            out.extend(fn(get(t)))
+        for get, tick in self.plan:
+            out.extend(tick(get(t)))
         out.extend([t[j] for j in self.loop_slots])
         return tuple(out)
 
-    def solve(self, inputs: WireTuple, fns: list[TickFn] | None = None) -> tuple:
-        """``inputs`` followed by the least fixed point of the wire vector,
-        with ``fns`` (by default the no-history plan) as the node functions."""
-        if fns is None:
-            fns = self.fns
-        sweep = self.sweep
-        settle = _kleene(lambda t: sweep(t, fns), self.bot, "a gate in this circuit")
-        return inputs + settle(inputs)
+    def solve(self, t: tuple) -> tuple:
+        """``t`` (the inputs followed by the history) followed by the least
+        fixed point of the wire vector."""
+        return t + _kleene(self.sweep, self.bot, "a gate in this circuit")(t)
+
+    def commit(self, settled: tuple) -> tuple:
+        """The history after the tick ``settled``, as ``solve`` gave it."""
+        return tuple([settled[j] for j in self.commit_slots])
 
     def outputs(self, settled: tuple) -> WireTuple:
         return tuple([settled[j] for j in self.out_slots])
-
-
-def _no_args(t: tuple) -> tuple:
-    return ()
 
 
 def propagator(c: Circuit) -> Propagator:

@@ -1,13 +1,14 @@
 """Sequential simulation: one least fixed point per tick, history committed after.
 
 A run consumes a prefix trace (one input tuple per tick) and produces the
-output trace of the same length.  Within a tick, each delay node is the gate
-``node.tick(history)`` builds from its committed history: a unit delay is a
-constant, so every combinational cycle that passes one is broken, and a
-variable delay asked for 0 ticks of delay passes its current input through
-and stays inside the tick's fixed point.  Histories are committed
-only after the tick settles, which is what makes the semantics causal: the
-first n output rows depend only on the first n input rows.
+output trace of the same length.  A tick is one fixed function of the
+input row and the committed delay history, which ``comb`` lays out and
+settles: a unit delay outputs its committed value, so every combinational
+cycle that passes one is broken, and a variable delay asked for 0 ticks of
+delay passes its current input through and stays inside the tick's fixed
+point.  History is committed only after the tick settles, which is what
+makes the semantics causal: the first n output rows depend only on the
+first n input rows.
 """
 
 from __future__ import annotations
@@ -60,22 +61,22 @@ def bot_trace(signature: Signature, ticks: int) -> PrefixTrace:
 
 @dataclass(frozen=True)
 class SimState:
-    """Committed delay histories after ``t`` ticks.
+    """Committed delay history after ``t`` ticks.
 
-    ``histories[i]`` is the tuple of settled s-port values of node i, most
-    recent last, trimmed to the node's ``depth`` (1 for a unit delay, d_max
-    for a variable delay, 0 for a gate).  A tick is a function of the
-    histories and the input row alone; ``t`` only counts ticks.
+    ``histories`` is one flat tuple of settled s-port values, laid out by
+    ``comb``: each stateful node's ``depth`` latest ones (1 for a unit
+    delay, d_max for a variable delay), oldest first, ``init`` before the
+    first tick.  A tick is a function of the histories and the input row
+    alone; ``t`` only counts ticks.
     """
 
     circuit: Circuit
-    histories: tuple[tuple[LValue, ...], ...]
+    histories: tuple[LValue, ...]
     t: int = 0
 
 
 def initial_state(c: Circuit) -> SimState:
-    propagator(c)
-    return SimState(c, ((),) * len(c.nodes), 0)
+    return SimState(c, propagator(c).init)
 
 
 def step(state: SimState, inputs: WireTuple) -> tuple[SimState, WireTuple]:
@@ -83,16 +84,8 @@ def step(state: SimState, inputs: WireTuple) -> tuple[SimState, WireTuple]:
     c = state.circuit
     prop = propagator(c)
     c.in_ports.check(inputs)
-    histories = state.histories
-    nodes = c.nodes
-    fns = list(prop.fns)
-    for i in prop.stateful:
-        fns[i] = nodes[i].tick(histories[i])
-    settled = prop.solve(inputs, fns)
-    new_hist = list(histories)
-    for i, s in zip(prop.stateful, prop.s_slots):
-        new_hist[i] = (histories[i] + (settled[s],))[-nodes[i].depth:]
-    return SimState(c, tuple(new_hist), state.t + 1), prop.outputs(settled)
+    settled = prop.solve(inputs + state.histories)
+    return SimState(c, prop.commit(settled), state.t + 1), prop.outputs(settled)
 
 
 def simulate(c: Circuit, inputs: PrefixTrace, ticks: int | None = None) -> PrefixTrace:

@@ -26,10 +26,10 @@ from .domain import (
     sig,
 )
 
-# A node's gate function for one tick, applied to its arguments as ``comb``
-# gathers them: the bare value of a one-input node, else the tuple of its
-# values.  A gate's is a lookup in its table; a delay's is built from its
-# committed history.
+# A node's function in the tick, applied to its arguments as ``comb``
+# gathers them: the bare value of a one-input gate, else the tuple of its
+# input values followed by its committed history.  A gate's is a lookup in
+# its table.
 TickFn = Callable[[object], WireTuple]
 
 
@@ -98,7 +98,8 @@ class GateDef:
     def reads_history(self, port: int) -> bool:
         return False
 
-    def tick(self, history: tuple) -> TickFn:
+    @cached_property
+    def tick(self) -> TickFn:
         """The gate's function for every tick: ``__getitem__`` of its table.
 
         A gate's function must be pure: the tick calls ``fn.fn`` at most
@@ -108,19 +109,12 @@ class GateDef:
         lifted domain.  It lives on this instance, so two gates never
         share one, and a builtin gate, which its constructor memoizes,
         keeps one for every circuit that uses it.  A one-input gate's table
-        is keyed on the bare value; a gate built from a full table of two
-        or more inputs is looked up in that table; a gate of no inputs
-        keeps its plain function.
+        is keyed on the bare value, any other gate's on the tuple of its
+        values (``()`` for a gate of no inputs); a gate built from a full
+        table is looked up in that table.
         """
-        return self._lookup
-
-    @cached_property
-    def _lookup(self) -> TickFn:
-        f = self.fn
-        fn, n = f.fn, len(f.dom)
-        if n == 0:
-            return fn
-        if n == 1:
+        f, fn = self.fn, self.fn.fn
+        if len(f.dom) == 1:
             return _Table(lambda x: fn((x,)), self.name, f.cod).__getitem__
         if f.table is not None:
             return f.table.__getitem__
@@ -353,7 +347,12 @@ def swap_gate(b1: BaseType, b2: BaseType, /) -> GateDef:
 def const_gate(base: BaseType, value: LValue) -> GateDef:
     """Nullary source of a fixed value; ``value`` may be BOT."""
     if value is not BOT:
-        base.check_member(value)
+        base.check_member(value)  # before the memo, where True would hit 1
+    return _const_gate(base, value)
+
+
+@cache
+def _const_gate(base: BaseType, value: LValue, /) -> GateDef:
     label = "bot" if value is BOT else value
     f = MonotoneFn(sig(), sig(base), lambda t: (value,), f"const:{label}")
     f.table = {(): (value,)}

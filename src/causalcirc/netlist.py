@@ -547,6 +547,7 @@ class _Parser:
             raise NetlistError(
                 [(name_tok.line, name_tok.col, str(d)) for d in diags]
             )
+        object.__setattr__(c, "_diags", diags)  # check_valid's verdict
         return c
 
     def statement(self) -> None:

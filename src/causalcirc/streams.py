@@ -2,11 +2,14 @@
 
 Cells are separated by commas; an underscore marks an undefined cell.
 Whitespace around cells is ignored and blank lines are skipped, so files
-can be straight CSV or padded by hand.  Values are parsed against the wire
-type: integer text for integer atoms, bare words for named atoms.
+can be straight CSV or padded by hand.  A cell is read against the wire
+type, and only as the text a value is written as: ``1`` for an integer
+atom, never ``01`` or ``+1``, a bare word for a named atom.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .domain import BOT, BaseType, LValue, Signature, SignatureError
 from .engine import PrefixTrace
@@ -20,23 +23,23 @@ def format_cell(v: LValue) -> str:
     return "_" if v is BOT else str(v)
 
 
+@cache
+def _cells(base: BaseType) -> dict[str, LValue]:
+    return {format_cell(v): v for v in base.lifted}
+
+
 def parse_cell(text: str, base: BaseType, where: str) -> LValue:
+    """The value of ``base`` whose text (``format_cell``) is ``text``, but
+    for surrounding whitespace: ``0_1``, ``+1`` or ``01`` name no value."""
     text = text.strip()
-    if text == "_":
-        return BOT
     if text == "":
         raise StreamFormatError(f"{where}: empty cell")
-    try:
-        as_int = int(text)
-    except ValueError:
-        as_int = None
-    if as_int is not None and as_int in base.values:
-        return as_int
-    if text in base.values:
-        return text
-    raise StreamFormatError(
-        f"{where}: {text!r} is not a value of type {base.name!r}"
-    )
+    cells = _cells(base)
+    if text not in cells:
+        raise StreamFormatError(
+            f"{where}: {text!r} is not a value of type {base.name!r}"
+        )
+    return cells[text]
 
 
 def write_stream(trace: PrefixTrace, names: tuple[str, ...]) -> str:

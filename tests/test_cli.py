@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from causalcirc import laws
 from causalcirc.cli import main
 
 POR_LOOP = "circuits/por_loop.net"
@@ -172,6 +174,23 @@ def test_laws_small_sweep(capsys):
     assert code == 0
     assert "all laws hold" in out
     assert "fixpoint" in out and "yanking" in out
+
+
+def test_a_bare_laws_runs_the_default_config(capsys, monkeypatch):
+    # The flags' defaults are read from LawConfig, not repeated: with other
+    # field defaults, a bare ``laws`` still runs exactly ``LawConfig()``.
+    @dataclasses.dataclass(frozen=True)
+    class Moved(laws.LawConfig):
+        budget: int = 7
+        pair_budget: int = 8
+        samples: int = 9
+        seed: int = 10
+
+    ran = []
+    monkeypatch.setattr(laws, "LawConfig", Moved)
+    monkeypatch.setattr(laws, "run_laws", lambda cfg: ran.append(cfg) or [])
+    assert run(capsys, "laws") == (0, "all laws hold\n", "")
+    assert ran == [Moved()]
 
 
 def test_laws_json(capsys):

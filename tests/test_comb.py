@@ -77,9 +77,9 @@ def test_solver_settles_within_the_wire_bound(monkeypatch):
     sweeps = []
     real = Propagator.sweep
 
-    def counted(self, t, fns):
+    def counted(self, t):
         sweeps[-1] += 1
-        return real(self, t, fns)
+        return real(self, t)
 
     monkeypatch.setattr(Propagator, "sweep", counted)
     rng = random.Random(12)

@@ -69,25 +69,43 @@ def test_random_trace_respects_p_bot():
 # -- delay ticks ----------------------------------------------------------
 
 
+def delay_circuit(d) -> Circuit:
+    """``d`` alone, its input ports fed from the circuit's."""
+    ins = tuple(SrcIn(i) for i in range(len(d.dom)))
+    return Circuit(d.dom, d.cod, (d,), (ins,), (SrcNode(0, 0),))
+
+
 def test_unit_delay_step():
     d = UnitDelay(BOOL, 1)
-    assert d.tick(())((0,)) == (1,)
-    assert d.tick((0,))((0,)) == (0,)
-    assert d.tick((1, 0))((BOT,)) == (0,)
+    # Before the first commit the history is init.
+    assert initial_state(delay_circuit(d)).histories == (1,)
+    assert d.tick((0, 1)) == (1,)
+    assert d.tick((0, 0)) == (0,)
+    assert d.tick((BOT, 0)) == (0,)
 
 
 def test_vardelay_step_depths():
     vd = VarDelay(BOOL, 0, 2, 1)
-    f = vd.tick((0, 1))  # most recent last
+
+    def f(args):
+        return vd.tick(args + (0, 1))  # oldest first
+
     assert f((0, BOT)) == (BOT,)
     assert f((0, 0)) == (0,)  # in-tick passthrough
     assert f((BOT, 0)) == (BOT,)
     assert f((0, 1)) == (1,)
     assert f((0, 2)) == (0,)
-    # Deeper than the history so far: the init value fills in.
-    assert vd.tick((1,))((0, 2)) == (1,)
     with pytest.raises(SignatureError):
         f((0, 3))
+    # Deeper than the run so far: the history starts as init repeated, so
+    # the init value fills in.
+    s = initial_state(delay_circuit(vd))
+    assert s.histories == (1, 1)
+    s, out = step(s, (0, 2))
+    assert out == (1,)
+    s, out = step(s, (0, 2))
+    assert out == (1,) and s.histories == (0, 0)
+    assert step(s, (1, 2))[1] == (0,)
 
 
 # -- simulate -------------------------------------------------------------
@@ -181,18 +199,16 @@ def test_histories_stay_bounded():
     s = initial_state(c)
     for t in range(50):
         s, _ = step(s, (t % 2,))
-        assert len(s.histories[0]) <= 3
+        assert len(s.histories) == 3
 
 
 def test_unit_delay_history_is_one_deep():
     c = load("circuits/toggle.net")
     s = initial_state(c)
+    assert sum(isinstance(n, UnitDelay) for n in c.nodes) == 1
     for _ in range(10):
         s, _ = step(s, ())
-    delay_index = next(
-        i for i, n in enumerate(c.nodes) if isinstance(n, UnitDelay)
-    )
-    assert len(s.histories[delay_index]) == 1
+        assert len(s.histories) == 1
 
 
 def test_a_tick_reads_no_clock():

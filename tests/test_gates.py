@@ -155,6 +155,17 @@ def test_const_gate():
         const_gate(BOOL, 2)
 
 
+def test_const_gates_are_memoized_after_the_member_check():
+    assert const_gate(BOOL, 1) is const_gate(BOOL, 1)
+    assert const_gate(BOOL, BOT) is const_gate(BOOL, BOT)
+    assert const_gate(BOOL, 0) is not const_gate(BOOL, 1)
+    assert const_gate(I3, 1) is not const_gate(BOOL, 1)
+    # (BOOL, True) and (BOOL, 1.0) are equal keys to the cached (BOOL, 1).
+    for bad in (True, 1.0, 2, "1"):
+        with pytest.raises(SignatureError):
+            const_gate(BOOL, bad)
+
+
 # -- table gates ----------------------------------------------------------
 
 
@@ -225,7 +236,7 @@ def test_strict_lifts_of_random_concrete_functions_are_monotone(seed):
 
 def table_of(g: GateDef) -> dict:
     """The table behind the gate's tick function."""
-    return g.tick(()).__self__
+    return g.tick.__self__
 
 
 def builtin_gates() -> list[GateDef]:
@@ -248,7 +259,7 @@ def test_a_gate_that_raises_stores_nothing_and_raises_every_time():
         return t
 
     gate = strict_lift("flaky", B, B, g)
-    look = gate.tick(())
+    look = gate.tick
     for _ in range(3):
         with pytest.raises(ZeroDivisionError):
             look(1)
@@ -260,6 +271,16 @@ def test_a_gate_that_raises_stores_nothing_and_raises_every_time():
         simulate(c, PrefixTrace(B, ((0,), (1,))))
     assert simulate(c, PrefixTrace(B, ((0,), (BOT,)))).rows == ((0,), (BOT,))
     assert set(table_of(gate)) == {0, BOT}
+
+
+def test_a_nullary_gate_value_off_its_signature_is_refused():
+    # A gate of no inputs goes through the checked table too: 2 on a bool
+    # wire would otherwise reach ``and`` as 2 & 1 == 0.
+    two = strict_lift("two", sig(), B, lambda t: (2,))
+    one = from_gate(const_gate(BOOL, 1))
+    c = compose(tensor(from_gate(two), one), from_gate(and_gate()))
+    with pytest.raises(SignatureError, match="'two'"):
+        simulate(c, PrefixTrace(sig(), ((), ())))
 
 
 def test_a_gate_value_off_its_signature_is_refused_and_never_stored():

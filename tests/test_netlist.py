@@ -558,6 +558,31 @@ def test_printer_wants_a_valid_circuit():
         print_netlist(bad)
 
 
+def test_a_circuit_is_validated_once(monkeypatch):
+    # The parser's verdict is kept on the circuit, so printing and
+    # simulating it do not search its wiring for cycles again.
+    import causalcirc.circuit as circuit
+
+    searches = []
+    real = circuit._wiring_cycle
+
+    def counted(c, cut_history):
+        searches.append(cut_history)
+        return real(c, cut_history)
+
+    monkeypatch.setattr(circuit, "_wiring_cycle", counted)
+    with open("circuits/wobble.net") as fh:
+        c = parse_netlist(fh.read())
+    text = print_netlist(c)
+    simulate(c, bot_trace(c.in_ports, 3))
+    assert print_netlist(c) == text
+    assert searches == [False]
+    bad = Circuit(sig(BOOL), sig(BOOL), (por(),), ((SrcIn(0),),), (SrcNode(0, 0),))
+    for _ in range(2):  # a kept refusal still refuses
+        with pytest.raises(SignatureError, match="invalid circuit"):
+            print_netlist(bad)
+
+
 # -- what the printer refuses ---------------------------------------------
 #
 # Each circuit below printed at one time as text that does not parse back,

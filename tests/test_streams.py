@@ -30,6 +30,16 @@ def test_named_atoms_parse_as_words():
         parse_cell("2", temp, "here")
 
 
+def test_a_cell_is_read_only_as_the_text_of_a_value():
+    # int() reads the first five as integers; the netlist reader takes none.
+    ints = int_range(-1, 3)
+    for text in ("0_1", "+1", "01", "-0", "\u0661", "1.0", "True"):
+        with pytest.raises(StreamFormatError, match="not a value"):
+            parse_cell(text, ints, "here")
+    for v in ints.values:
+        assert parse_cell(f" {format_cell(v)}\t", ints, "here") == v
+
+
 def test_read_a_padded_file():
     text = "a , k\n\n 1 , 3 \n _,0\n\n"
     tr = read_stream(text, TEMP, ("a", "k"))

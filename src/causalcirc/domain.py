@@ -131,16 +131,21 @@ class Signature:
     def __add__(self, other: "Signature") -> "Signature":
         return Signature(self.wires + other.wires)
 
-    def prefix(self, k: int) -> "Signature":
-        """The first k wires; built once per k, as ``local_lfp`` asks for the
-        same context of the same signature over and over."""
-        got = self._prefixes.get(k)
+    def split(self, k: int) -> tuple["Signature", tuple[BaseType, ...], WireTuple]:
+        """The first k wires, the wires after them, and the bottom tuple of
+        those; checked and built once per k, as ``local_lfp`` splits the same
+        signature at the same place over and over.  Each signature keeps
+        its own splits, so two equal signatures check theirs apart."""
+        got = self._splits.get(k)
         if got is None:
-            got = self._prefixes[k] = Signature(self.wires[:k])
+            if not 0 <= k <= len(self.wires):
+                raise SignatureError(f"split index {k} out of range for {self!r}")
+            loop = self.wires[k:]
+            got = self._splits[k] = (Signature(self.wires[:k]), loop, (BOT,) * len(loop))
         return got
 
     @cached_property
-    def _prefixes(self) -> dict[int, "Signature"]:
+    def _splits(self) -> dict[int, tuple]:
         return {}
 
     def bottom(self) -> WireTuple:
@@ -217,7 +222,7 @@ def tuple_leq(t1: WireTuple, t2: WireTuple) -> bool:
     return all(x is BOT or x == y for x, y in zip(t1, t2))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MonotoneFn:
     """A total function between products of lifted flat domains.
 
@@ -359,14 +364,16 @@ def _kleene(fn: Callable[[WireTuple], WireTuple], bot: WireTuple, name: str):
     Iteration starts from ``bot`` and stops at the first repeated iterate;
     ``len(bot) + 1`` steps always suffice for a monotone ``fn`` (see
     ``kleene_bound``), so running out raises DivergenceError.  ``fn`` is
-    called directly, never through a wrapper per step: the law sweeps run
-    this loop for well over a hundred thousand solves each.
+    called directly, never through a wrapper per step, and the step range
+    is built with the closure: the law sweeps build one closure per
+    operator call and run over two million solves by default.
     """
     bound = len(bot) + 1
+    steps = range(bound)
 
     def solve(a: WireTuple) -> WireTuple:
         x = bot
-        for _ in range(bound):
+        for _ in steps:
             nxt = fn(a + x)
             if nxt == x:
                 return x
@@ -406,18 +413,19 @@ def local_lfp(f: MonotoneFn, split: int) -> MonotoneFn:
 
     ``f`` maps a context part (the first ``split`` dom wires) plus a loop part
     to the loop part.  The result maps the context to the least fixed point of
-    the loop part, and is itself monotone.
+    the loop part, and is itself monotone.  The split is checked once per
+    signature and split (``Signature.split``); a call then compares the loop
+    wires with ``f.cod`` and wraps a ``_kleene`` solve, as the law sweeps
+    call this tens of thousands of times on a few signatures.
     """
     dom, cod = f.dom, f.cod
-    wires = dom.wires
-    if not 0 <= split <= len(wires):
-        raise SignatureError(f"split index {split} out of range for {dom!r}")
-    if wires[split:] != cod.wires:
+    ctx, loop, bot = dom._splits.get(split) or dom.split(split)
+    if loop != cod.wires:
         raise SignatureError(
             f"loop part {dom[split:]!r} does not match codomain {cod!r}"
         )
-    solve = _kleene(f.fn, (BOT,) * (len(wires) - split), f.name or "the function")
-    return MonotoneFn(dom.prefix(split), cod, solve, f"mu({f.name})")
+    solve = _kleene(f.fn, bot, f.name or "the function")
+    return MonotoneFn(ctx, cod, solve, f"mu({f.name})")
 
 
 Mu: TypeAlias = Callable[[MonotoneFn, int], MonotoneFn]

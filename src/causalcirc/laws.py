@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -192,18 +193,20 @@ def _ranks(shape: tuple[int, ...], atoms: int, budget: _Budget) -> tuple:
 
     The count is the sum over up-sets U of atoms^components(U).  Maps are
     ranked by up-set, then by atoms: the up-sets with k components carry
-    atoms^k maps each, so each k that has up-sets comes as (its share of
-    the ranks, atoms^k, k, its components from ``_upsets``).
+    atoms^k maps each, so each k that has up-sets comes as a group
+    (atoms^k, k, its components from ``_upsets``), after the tuple of the
+    first rank of each group.
     """
     key = (shape, atoms)
     got = _RANKS.get(key)
     if got is None:
-        groups = [
-            (len(ups) * atoms**k, atoms**k, k, comps)
-            for k, (ups, comps) in enumerate(_upsets(shape, budget))
-            if ups
-        ]
-        got = _RANKS[key] = (sum(g[0] for g in groups), tuple(groups))
+        starts, groups, n = [], [], 0
+        for k, (ups, comps) in enumerate(_upsets(shape, budget)):
+            if ups:
+                starts.append(n)
+                groups.append((atoms**k, k, comps))
+                n += len(ups) * atoms**k
+        got = _RANKS[key] = (n, tuple(starts), tuple(groups))
     return got
 
 
@@ -268,44 +271,52 @@ def _wire_maps(
             pos[i] = 0
 
 
+_END = object()  # what ``next`` gives for an exhausted factor
+
+
 def _product(cols: list[Iterator]) -> Iterator[tuple]:
     """itertools.product, but each factor is pulled only as far as needed.
 
-    The last factor varies fastest; inner factors are kept from their first
-    walk and replayed after it.
+    The last factor varies fastest.  One loop keeps the row and a cursor
+    per factor: a factor after the first is recorded on its first walk
+    and replayed after it, and the next value is pulled only when a row
+    needs it, so a factor that raises does so at the same row as a walk
+    of nested loops would.
     """
-    if not cols:
-        return iter([()])
-    seen: list[list] = [[] for _ in cols]
-    done = [False] * len(cols)
     last = len(cols) - 1
-
-    def walk(d: int) -> Iterator:
-        if done[d]:
-            return iter(seen[d])
-        return record(d)
-
-    def record(d: int) -> Iterator:
-        for x in cols[d]:
+    if last < 1:
+        yield from zip(*cols) if cols else [()]
+        return
+    seen: list[list] = [[] for _ in cols]
+    fresh = [iter(c) for c in cols]  # None once a factor has been walked
+    cursor = fresh[:1] + [None] * last
+    row = [None] * len(cols)
+    d = 0
+    while d >= 0:
+        it = cursor[d]
+        x = next(it, _END)
+        if x is _END:
+            if it is fresh[d]:
+                fresh[d] = None
+            d -= 1
+            continue
+        if d and it is fresh[d]:
             seen[d].append(x)
-            yield x
-        done[d] = True
-
-    def rows(d: int, prefix: tuple) -> Iterator[tuple]:
-        for x in cols[0] if d == 0 else walk(d):
-            if d == last:
-                yield prefix + (x,)
-            else:
-                yield from rows(d + 1, prefix + (x,))
-
-    return rows(0, ())
+        row[d] = x
+        if d == last:
+            yield tuple(row)
+        else:
+            d += 1
+            cursor[d] = fresh[d] or iter(seen[d])
 
 
-def _tabled(dom: _Points, cod: _Points, values) -> MonotoneFn:
-    """The function dom -> cod whose values, as wire tuples, come in the
-    order of dom's points."""
-    table = dict(zip(dom.points, values))
-    return MonotoneFn(dom.sig, cod.sig, table.__getitem__, "", table)
+def _tabled(dom: _Points, cod: _Points, flat) -> MonotoneFn:
+    """The function dom -> cod with this flat table, over wire tuples: a
+    tuple is numbered by dom's point index and mapped to the point of cod
+    that ``flat`` numbers there.  No dict is built: the law sweeps hand the
+    operator tens of thousands of these, each called only a few times."""
+    index, points = dom.index, cod.points
+    return MonotoneFn(dom.sig, cod.sig, lambda t: points[flat[index[t]]])
 
 
 class _Space:
@@ -332,8 +343,9 @@ class _Space:
         self.ranks = None
 
     def fn(self, flat: tuple[int, ...]) -> MonotoneFn:
-        """The function with this flat table, over wire tuples."""
-        return _tabled(self.dom, self.cod, map(self.cod.points.__getitem__, flat))
+        """The function with this flat table, with its graph as ``table``."""
+        table = dict(zip(self.dom.points, map(self.cod.points.__getitem__, flat)))
+        return MonotoneFn(self.dom.sig, self.cod.sig, table.__getitem__, "", table)
 
     def table_str(self, flat: tuple[int, ...]) -> str:
         values = self.cod.points
@@ -370,27 +382,27 @@ def random_monotone(
 ):
     """A uniformly random monotone function dom -> cod, seeded by ``rng``.
 
-    Each codomain wire is one uniform draw from its single-wire space: an
-    up-set chosen with weight atoms^components, then one atom per component,
-    each added to the flat table at the wire's stride.  Given ``space``, the
+    Each codomain wire is one uniform draw from its single-wire space: one
+    ``randrange`` over the ranks of ``_ranks``, whose group is found by
+    bisection, picks an up-set (weighted atoms^components) and one atom per
+    component, each added to the flat table at the wire's stride; the
+    components stay bitmasks, walked bit by bit.  Given ``space``, the
     prepared space of dom -> cod, the function comes out as its flat table;
     otherwise as a MonotoneFn.
     """
     sp = space or _Space(dom, cod)
     if sp.ranks is None:
         b = _Budget(_BUDGET, dom, cod)
-        sp.ranks = [_ranks(sp.shape, m, b) for m, _ in sp.wires]
+        sp.ranks = [_ranks(sp.shape, m, b) + (m, stride) for m, stride in sp.wires]
     flat = [0] * len(sp.dom.points)
-    for (count, groups), (m, stride) in zip(sp.ranks, sp.wires):
+    for count, starts, groups, m, stride in sp.ranks:
         r = rng.randrange(count)
-        for w, mk, k, comps in groups:
-            if r < w:
-                break
-            r -= w
-        u, digits = divmod(r, mk)
+        g = bisect_right(starts, r) - 1
+        mk, k, comps = groups[g]
+        u, digits = divmod(r - starts[g], mk)
         for c in comps[u * k : u * k + k]:
-            digits, a = divmod(digits, m)
-            v = (a + 1) * stride
+            v = (digits % m + 1) * stride
+            digits //= m
             while c:
                 low = c & -c
                 flat[low.bit_length() - 1] += v
@@ -561,11 +573,11 @@ def _combos(
 # j // |X| and loop part j % |X|, composing two functions is indexing one
 # table by the other, and a context wire that passes by repeats a table.
 # A factory tabulates, per combo, what each number stands for on the wires
-# it needs.  Every loop is solved by ``cfg.mu`` on a MonotoneFn over wire
-# tuples; where a law feeds a value of mu back into a table, ``_solve``
-# numbers it among the loop's points.  Both sides of a case are built
-# whole, then compared by ``_differ``; only a mismatch is turned back into
-# wire tuples.
+# it needs.  Every loop is solved by ``cfg.mu`` on a MonotoneFn that reads
+# a flat table (``_tabled``); where a law feeds a value of mu back into a
+# table, ``_solve`` numbers it among the loop's points.  Both sides of a
+# case are built whole and compared by ``_differ``, unless f reads the same
+# loop values on both; only a mismatch is turned back into wire tuples.
 
 
 def _solve(cfg: LawConfig, f: MonotoneFn, split: int, ctx: tuple, loop: _Points):
@@ -601,9 +613,9 @@ def _differ(where, left: list, right: list, show=None, said=("", ""), drawn=None
 
 def _loop_parts(whole: _Points, loop: _Points) -> tuple:
     """The loop part of each point of ``whole``, which ends in the loop's
-    wires, as a point of ``loop``."""
+    wires, as its number among the points of ``loop``."""
     n = len(loop.points)
-    return tuple(loop.points[j % n] for j in range(len(whole.points)))
+    return tuple(j % n for j in range(len(whole.points)))
 
 
 def _law(law: str, cfg: LawConfig, names: str, spaces, make) -> SweepResult:
@@ -627,7 +639,7 @@ def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
     ]
 
     def case(F) -> str | None:
-        vals = _solve(cfg, sp.fn(F), na, a_pts, X)
+        vals = _solve(cfg, _tabled(sp.dom, X, F), na, a_pts, X)
         for ia, x in enumerate(vals):
             row = F[ia * nx : ia * nx + nx]
             if row[x] != x:
@@ -662,13 +674,12 @@ def _naturality(cfg: LawConfig, spaces, a_sig, x_sig, b_sig):
     AX, BX = f_sp.dom, _indexed(b_sig + x_sig)
     na, nb, nx = len(a_sig), len(b_sig), len(X.points)
     xs = range(nx)
-    a_pts, b_pts, x_pts = A.points, B.points, X.points
+    a_pts, b_pts = A.points, B.points
 
     def case(F, G) -> str | None:
-        vals = list(map(x_pts.__getitem__, F))
-        reindexed = [vals[g * nx + x] for g in G for x in xs]  # f . (g x id)
+        reindexed = [F[g * nx + x] for g in G for x in xs]  # f . (g x id)
         lhs = cfg.mu(_tabled(BX, X, reindexed), nb).fn
-        muf = cfg.mu(_tabled(AX, X, vals), na).fn
+        muf = cfg.mu(_tabled(AX, X, F), na).fn
         # mu against mu: both sides stay as the operator gives them
         left = list(map(lhs, b_pts))
         right = list(map(muf, map(a_pts.__getitem__, G)))
@@ -689,16 +700,15 @@ def _dinaturality(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     AX, AY = f_sp.dom, _indexed(a_sig + y_sig)
     na, nx = len(a_sig), len(X.points)
     rows = range(0, len(A.points) * nx, nx)
-    a_pts, x_pts, y_pts = A.points, X.points, Y.points
+    a_pts, x_pts = A.points, X.points
 
     def case(F, G) -> str | None:
-        g_vals = list(map(x_pts.__getitem__, G))
-        after = map(g_vals.__getitem__, F)  # g . f
-        before = [y_pts[F[r + x]] for r in rows for x in G]  # f . (id x g)
+        after = list(map(G.__getitem__, F))  # g . f
+        before = [F[r + x] for r in rows for x in G]  # f . (id x g)
         mu_after = cfg.mu(_tabled(AX, X, after), na).fn
         left = list(map(mu_after, a_pts))
         ys = _solve(cfg, _tabled(AY, Y, before), na, a_pts, Y)
-        right = list(map(g_vals.__getitem__, ys))
+        right = list(map(x_pts.__getitem__, map(G.__getitem__, ys)))
         return _differ(a_pts, left, right, drawn=(spaces, (F, G)))
 
     return case
@@ -718,20 +728,13 @@ def _bekic(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     nx, ny = len(X.points), len(Y.points)
     rows = range(0, len(A.points) * nx, nx)
     a_pts, ax_pts, xy_pts = A.points, AX.points, XY.points
-    x_pts, y_pts = X.points, Y.points
     said = ("simultaneous ", "nested ")
-    # g's loop map, built once per g: exhaustive sweeps replay every g
-    # against each f.  ``cfg.mu`` still gets it once per case.
-    g_fns: dict[tuple[int, ...], MonotoneFn] = {}
 
     def case(F, G) -> str | None:
-        both = _tabled(AXY, XY, [xy_pts[x * ny + y] for x, y in zip(F, G)])
+        both = _tabled(AXY, XY, [x * ny + y for x, y in zip(F, G)])
         mu_both = cfg.mu(both, na).fn
-        g = g_fns.get(G)
-        if g is None:
-            g = g_fns[G] = _tabled(AXY, Y, map(y_pts.__getitem__, G))
-        mg = _solve(cfg, g, nax, ax_pts, Y)
-        inner = [x_pts[F[t * ny + y]] for t, y in enumerate(mg)]  # f after mu of g
+        mg = _solve(cfg, _tabled(AXY, Y, G), nax, ax_pts, Y)
+        inner = [F[t * ny + y] for t, y in enumerate(mg)]  # f after mu of g
         xs = _solve(cfg, _tabled(AX, X, inner), na, a_pts, X)
         nested = [xy_pts[x * ny + mg[r + x]] for r, x in zip(rows, xs)]
         left = list(map(mu_both, a_pts))
@@ -750,7 +753,7 @@ def _yanking(cfg: LawConfig, x_sig):
     X, XX = _indexed(x_sig), _indexed(x_sig + x_sig)
     nx = len(X.points)
     x_pts = X.points
-    loop = [t[:1] for t in XX.points]  # the looped output of the swap
+    loop = [j // nx for j in range(nx * nx)]  # the looped output of the swap
     ids = list(range(nx))
     show = lambda t, v: x_pts[v]
 
@@ -783,7 +786,7 @@ def _vanishing_zero(cfg: LawConfig, spaces, a_sig, b_sig):
     A, B, Z = sp.dom, sp.cod, _indexed(sig())
     na = len(a_sig)
     a_pts, b_pts = A.points, B.points
-    loop = [()] * len(a_pts)  # no wire is looped
+    loop = [0] * len(a_pts)  # no wire is looped
     show = lambda t, v: b_pts[v]
 
     def case(F) -> str | None:
@@ -809,11 +812,11 @@ def _vanishing_nested(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     show = lambda t, v: a_pts[v]
 
     def case(F) -> str | None:
-        xys = _solve(cfg, _tabled(AXY, XY, map(xy_part, F)), na, a_pts, XY)
-        ys = _solve(cfg, _tabled(AXY, Y, map(y_part, F)), nax, ax_pts, Y)
+        xys = _solve(cfg, _tabled(AXY, XY, list(map(xy_part, F))), na, a_pts, XY)
+        ys = _solve(cfg, _tabled(AXY, Y, list(map(y_part, F))), nax, ax_pts, Y)
         # f with Y traced, on A + X, its values numbered in A + X
         inner = [F[t * ny + y] // ny for t, y in enumerate(ys)]
-        xs = _solve(cfg, _tabled(AX, X, map(x_part, inner)), na, a_pts, X)
+        xs = _solve(cfg, _tabled(AX, X, list(map(x_part, inner))), na, a_pts, X)
         both = [F[a * nxy + v] // nxy for a, v in enumerate(xys)]
         outer = [inner[a * nx + x] // nx for a, x in enumerate(xs)]
         return _differ(a_pts, both, outer, show)
@@ -836,19 +839,18 @@ def _sliding(cfg: LawConfig, spaces, a_sig, b_sig, x_sig, y_sig):
     AX, AY = f_sp.dom, _indexed(a_sig + y_sig)
     na, nx, ny = len(a_sig), len(X.points), len(Y.points)
     rows = range(0, len(A.points) * nx, nx)
-    n_out = len(f_sp.cod.points)
-    y_num = [j % ny for j in range(n_out)]  # the loop part of f's values
-    y_val = _loop_parts(f_sp.cod, Y)
-    a_pts, b_pts, x_pts = A.points, B.points, X.points
+    y_num = _loop_parts(f_sp.cod, Y)  # the loop part of f's values
+    a_pts, b_pts = A.points, B.points
     show = lambda t, v: b_pts[v]
 
     def case(F, G) -> str | None:
         # the loop parts of g after f, and of f after g on the looped input
-        g_vals = list(map(x_pts.__getitem__, G))
-        post = map(g_vals.__getitem__, map(y_num.__getitem__, F))
-        pre = [y_val[F[r + x]] for r in rows for x in G]
+        post = list(map(G.__getitem__, map(y_num.__getitem__, F)))
+        pre = [y_num[F[r + x]] for r in rows for x in G]
         xs = _solve(cfg, _tabled(AX, X, post), na, a_pts, X)
         ys = _solve(cfg, _tabled(AY, Y, pre), na, a_pts, Y)
+        if xs == list(map(G.__getitem__, ys)):
+            return None  # f reads the same loop values on both sides
         # both sides as f's values, whose output parts must agree
         left = [F[r + x] // ny for r, x in zip(rows, xs)]
         right = [F[r + G[y]] // ny for r, y in zip(rows, ys)]
@@ -872,14 +874,16 @@ def _superposing(cfg: LawConfig, spaces, c_sig, a_sig, b_sig, x_sig):
     n_c = len(_indexed(c_sig).points)
     rows = range(0, len(A.points) * nx, nx)
     wide_rows = list(rows) * n_c  # the row of f each point of C + A reads
-    x_val = _loop_parts(sp.cod, X)
+    x_num = _loop_parts(sp.cod, X)
     a_pts, b_pts, ca_pts = A.points, B.points, CA.points
     show = lambda t, v: t[:nc] + b_pts[v]  # C passes by
 
     def case(F) -> str | None:
-        loop = list(map(x_val.__getitem__, F))
+        loop = list(map(x_num.__getitem__, F))
         wide = _solve(cfg, _tabled(CAX, X, loop * n_c), nc + na, ca_pts, X)
         xs = _solve(cfg, _tabled(AX, X, loop), na, a_pts, X)
+        if wide == xs * n_c:
+            return None  # f reads the same loop values on both sides
         traced = [F[r + x] // nx for r, x in zip(rows, xs)]
         left = [F[r + x] // nx for r, x in zip(wide_rows, wide)]
         return _differ(ca_pts, left, traced * n_c, show, drawn=(spaces, (F,)))

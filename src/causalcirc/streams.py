@@ -25,7 +25,25 @@ def format_cell(v: LValue) -> str:
 
 @cache
 def _cells(base: BaseType) -> dict[str, LValue]:
-    return {format_cell(v): v for v in base.lifted}
+    """The value each cell text of ``base`` stands for: the one table that
+    reading and writing both go through.  An atom whose text would not read
+    back as itself is refused with SignatureError: one text for two atoms,
+    ``_``, an empty text, a comma or a line break, surrounding whitespace."""
+    cells: dict[str, LValue] = {"_": BOT}
+    for v in base.values:
+        text = format_cell(v)
+        if text in cells:
+            was = "the undefined cell" if text == "_" else f"atom {cells[text]!r}"
+            raise SignatureError(
+                f"type {base.name!r}: atom {v!r} is written {text!r}, as {was} is"
+            )
+        if "," in text or text.splitlines() != [text.strip()]:
+            raise SignatureError(
+                f"type {base.name!r}: atom {v!r} is written {text!r}, "
+                "which a stream cell cannot hold"
+            )
+        cells[text] = v
+    return cells
 
 
 def parse_cell(text: str, base: BaseType, where: str) -> LValue:
@@ -48,6 +66,8 @@ def write_stream(trace: PrefixTrace, names: tuple[str, ...]) -> str:
         raise SignatureError(
             f"{len(names)} column names for {len(trace.signature)} wires"
         )
+    for base in trace.signature:
+        _cells(base)
     lines = [",".join(names)]
     for row in trace.rows:
         lines.append(",".join(format_cell(v) for v in row))
@@ -58,6 +78,8 @@ def read_stream(
     text: str, signature: Signature, names: tuple[str, ...]
 ) -> PrefixTrace:
     """Parse a stream file; the header must name exactly these columns in order."""
+    for base in signature:
+        _cells(base)
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
         raise StreamFormatError("stream file is empty; a header row is required")

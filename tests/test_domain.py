@@ -286,6 +286,40 @@ def test_local_lfp_validates_the_split():
         local_lfp(MonotoneFn(B, BB, lambda t: (t[0], t[0])), 0)
 
 
+def test_a_checked_split_never_answers_for_another_loop():
+    # local_lfp checks a split once per signature and split, and keeps the
+    # loop wires to compare with each codomain: a valid call must not let a
+    # later bad one through, on the same signature or an equal one.
+    local_lfp(MonotoneFn(BB, B, lambda t: t[1:]), 1)
+    twin = Signature((BOOL, BOOL))
+    assert twin == BB and twin is not BB
+    for s in (BB, twin):
+        with pytest.raises(SignatureError) as e:
+            local_lfp(MonotoneFn(s, BB, lambda t: t), 1)
+        assert str(e.value) == "loop part sig(bool) does not match codomain sig(bool, bool)"
+        for k in (3, -1):
+            with pytest.raises(SignatureError) as e:
+                local_lfp(MonotoneFn(s, B, lambda t: t[1:]), k)
+            assert str(e.value) == f"split index {k} out of range for sig(bool, bool)"
+        assert local_lfp(MonotoneFn(s, B, lambda t: t[:1]), 1).fn((1,)) == (1,)
+
+
+def test_a_non_monotone_loop_still_diverges_after_a_checked_split():
+    flip = lambda t: ((0, 1, 0)[(BOT, 0, 1).index(t[-1])],)
+    local_lfp(MonotoneFn(BB, B, lambda t: t[1:]), 1)
+    for s in (BB, Signature((BOOL, BOOL))):
+        mu = local_lfp(MonotoneFn(s, B, flip, "flip"), 1)
+        assert mu.name == "mu(flip)"
+        with pytest.raises(DivergenceError) as e:
+            mu.fn((1,))
+        assert str(e.value) == (
+            "no fixed point within 2 iterations at context (1,); flip is not monotone"
+        )
+    with pytest.raises(DivergenceError) as e:
+        local_lfp(MonotoneFn(B, B, flip), 0).fn(())
+    assert str(e.value) == "no fixed point within 2 iterations; the function is not monotone"
+
+
 def test_local_lfp_is_monotone_in_the_parameter():
     rng = random.Random(11)
     for _ in range(20):

@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -431,6 +435,45 @@ def test_a_sweep_does_pinned_work(monkeypatch):
     assert sum(map(len, got.values())) == 74
     assert sum(r.cases for r in results) == 18_488
     assert all(r.passed for r in results)
+
+
+# The default config's combos as PINNED_WORK gives them; every one holds.
+DEFAULT_WORK = {
+    "fixpoint": "e6 e35 e14 e197",
+    "naturality-param": "e18 e30 e105 e175 e70 e154 e985 e2167",
+    "dinaturality": "e18 e55 e70 e385 e42 e175 e240 e2167",
+    "bekic": "e400 e18228 e18228 s200 e7056 s200 s200 s200",
+    "yanking": "e2 e3",
+    "vanishing": "e3 e5 e5 e11 e8000 s200 s200 s200 s200 s200 s200 s200",
+    "sliding": "e108 e330 e980 e5390 e198 e605 e2450 e13475 "
+    "e588 e2450 e11520 s200 e1470 e6125 e47280 s200",
+    "superposing": "e36 e490 e66 e1225 e196 e9456 e490 e38809 "
+    "e36 e490 e66 e1225 e196 e9456 e490 e38809",
+}
+
+
+def test_a_unit_sweep_first_leaves_the_default_sweep_unchanged():
+    # Loop splits are kept per signature, and point numberings and up-sets
+    # per equal signature or shape, for the life of the process.  In a fresh
+    # one, a unit-only sweep fills them first; the default sweep after it
+    # must still find exactly its pinned combos.
+    script = (
+        "from causalcirc.domain import UNIT\n"
+        "from causalcirc.laws import LawConfig, run_laws\n"
+        "run_laws(LawConfig(bases=(UNIT,)))\n"
+        "for r in run_laws(LawConfig()):\n"
+        "    for cr in r.combos:\n"
+        "        print(r.law, cr.mode[0] + str(cr.cases), cr.counterexample)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = [f"{law} {w} None" for law, work in DEFAULT_WORK.items() for w in work.split()]
+    assert proc.stdout.splitlines() == want
 
 
 # -- the table checks against the lambda chains through trace ------------

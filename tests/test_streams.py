@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from causalcirc.domain import BOOL, BOT, SignatureError, int_range, sig
+from causalcirc.domain import BOOL, BOT, BaseType, SignatureError, int_range, sig
 from causalcirc.engine import PrefixTrace
 from causalcirc.streams import (
     StreamFormatError,
@@ -93,3 +93,37 @@ def test_write_read_round_trip(rows):
     tr = PrefixTrace(TEMP, tuple(rows))
     text = write_stream(tr, ("a", "k"))
     assert read_stream(text, TEMP, ("a", "k")) == tr
+
+
+@pytest.mark.parametrize(
+    "atoms, why",
+    [
+        ((1, "1"), "as atom 1 is"),
+        ((0, "_"), "as the undefined cell is"),
+        ((0, ""), "cannot hold"),
+        ((0, "a,b"), "cannot hold"),
+        ((0, "a\nb"), "cannot hold"),
+        ((0, "a\rb"), "cannot hold"),
+        ((0, " a"), "cannot hold"),
+        ((0, "a\t"), "cannot hold"),
+    ],
+    ids=["int-and-name", "underscore", "empty", "comma", "newline", "return", "space", "tab"],
+)
+def test_atoms_whose_cells_would_not_read_back_are_refused(atoms, why):
+    # Written, each would read back as another value, as no value, or as a
+    # different number of cells or rows; reading and writing refuse alike.
+    t = BaseType("t", atoms)
+    bad = atoms[-1]
+    with pytest.raises(SignatureError) as wrote:
+        write_stream(PrefixTrace(sig(t), ((bad,), (atoms[0],))), ("p",))
+    assert str(wrote.value).startswith(f"type 't': atom {bad!r} is written {bad!r}, ")
+    assert why in str(wrote.value)
+    with pytest.raises(SignatureError) as read:
+        read_stream("p\n0\n", sig(t), ("p",))
+    assert str(read.value) == str(wrote.value)
+
+
+def test_named_atoms_with_inner_spaces_round_trip():
+    t = sig(BaseType("t", ("lo", "a b", -2)), BOOL)
+    tr = PrefixTrace(t, (("a b", 0), (-2, BOT), ("lo", 1)))
+    assert read_stream(write_stream(tr, ("p", "q")), t, ("p", "q")) == tr

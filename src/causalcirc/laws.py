@@ -327,7 +327,7 @@ class _Space:
     order.  A codomain wire's value adds its position in the lifted wire
     times the wire's stride, the product of the sizes of the wires after
     it.  ``wires`` holds (atoms, stride) per codomain wire, and ``ranks``
-    each wire's ``_ranks`` once a function has been drawn.
+    each wire's ``_ranks`` followed by them once a function has been drawn.
     """
 
     __slots__ = ("dom", "cod", "shape", "wires", "ranks")

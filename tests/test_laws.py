@@ -469,7 +469,11 @@ def test_a_unit_sweep_first_leaves_the_default_sweep_unchanged():
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     want = [f"{law} {w} None" for law, work in DEFAULT_WORK.items() for w in work.split()]

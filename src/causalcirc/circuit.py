@@ -209,23 +209,19 @@ def out_port_names(c: Circuit) -> tuple[str, ...]:
     return tuple(f"y{i}" for i in range(len(c.out_ports)))
 
 
-def source_type(c: Circuit, src: Source) -> BaseType:
-    if isinstance(src, SrcIn):
-        return c.in_ports[src.index]
-    if isinstance(src, SrcLoop):
+def _source_base(c: Circuit, src: Source) -> BaseType | None:
+    """The base type of the wire ``src`` reads, or None if it reads none."""
+    if isinstance(src, SrcNode):
+        if not 0 <= src.node < len(c.nodes):
+            return None
+        wires, i = c.nodes[src.node].cod.wires, src.port
+    elif isinstance(src, SrcIn):
+        wires, i = c.in_ports.wires, src.index
+    else:
+        if not 0 <= src.index < len(c.loops):
+            return None
         return c.loops[src.index].base
-    return c.nodes[src.node].cod[src.port]
-
-
-def _source_ok(c: Circuit, src: Source) -> bool:
-    if isinstance(src, SrcIn):
-        return 0 <= src.index < len(c.in_ports)
-    if isinstance(src, SrcLoop):
-        return 0 <= src.index < len(c.loops)
-    return (
-        0 <= src.node < len(c.nodes)
-        and 0 <= src.port < len(c.nodes[src.node].cod)
-    )
+    return wires[i] if 0 <= i < len(wires) else None
 
 
 @dataclass(frozen=True)
@@ -237,15 +233,15 @@ class Diagnostic:
         return f"{self.where}: {self.message}"
 
 
-def _check_sink(c: Circuit, where: str, src: Source, want: BaseType, out: list) -> None:
-    if not _source_ok(c, src):
-        out.append(Diagnostic(where, f"source {src!r} does not exist"))
-        return
-    got = source_type(c, src)
-    if got != want:
-        out.append(
-            Diagnostic(where, f"type mismatch: needs {want.name}, wired to {got.name}")
-        )
+def _sink_fault(c: Circuit, src: Source, want: BaseType) -> str | None:
+    """What is wrong with wiring ``src`` to a sink of type ``want``, or
+    None; the caller names the sink only when there is a fault."""
+    got = _source_base(c, src)
+    if got is None:
+        return f"source {src!r} does not exist"
+    if got is not want and got != want:
+        return f"type mismatch: needs {want.name}, wired to {got.name}"
+    return None
 
 
 def _find_cycle(edges: list[list[int]]) -> list[int] | None:
@@ -330,15 +326,19 @@ def validate(c: Circuit) -> list[Diagnostic]:
         )
         return out
     for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs)):
-        want = node.dom
-        where = f"node {i} ({node.name})"
+        want = node.dom.wires
         if len(ins) != len(want):
             out.append(
-                Diagnostic(where, f"has {len(ins)} inputs, needs {len(want)}")
+                Diagnostic(
+                    f"node {i} ({node.name})",
+                    f"has {len(ins)} inputs, needs {len(want)}",
+                )
             )
             continue
-        for p, src in enumerate(ins):
-            _check_sink(c, f"{where} input {p}", src, want[p], out)
+        for p, (src, base) in enumerate(zip(ins, want)):
+            fault = _sink_fault(c, src, base)
+            if fault is not None:
+                out.append(Diagnostic(f"node {i} ({node.name}) input {p}", fault))
     if len(c.outputs) != len(c.out_ports):
         out.append(
             Diagnostic(
@@ -347,10 +347,14 @@ def validate(c: Circuit) -> list[Diagnostic]:
             )
         )
     else:
-        for i, src in enumerate(c.outputs):
-            _check_sink(c, f"output {i}", src, c.out_ports[i], out)
+        for i, (src, base) in enumerate(zip(c.outputs, c.out_ports.wires)):
+            fault = _sink_fault(c, src, base)
+            if fault is not None:
+                out.append(Diagnostic(f"output {i}", fault))
     for j, lw in enumerate(c.loops):
-        _check_sink(c, f"feedback wire {j}", lw.src, lw.base, out)
+        fault = _sink_fault(c, lw.src, lw.base)
+        if fault is not None:
+            out.append(Diagnostic(f"feedback wire {j}", fault))
     if c.in_names is not None and len(c.in_names) != len(c.in_ports):
         out.append(Diagnostic("circuit", "input name list does not match ports"))
     if c.out_names is not None and len(c.out_names) != len(c.out_ports):

@@ -82,10 +82,15 @@ class BaseType:
         """All values of the lifted domain, bottom first."""
         return (BOT,) + self.values
 
+    @cached_property
+    def members(self) -> frozenset[Atom]:
+        """The values as a set: membership is one lookup at any width."""
+        return frozenset(self.values)
+
     def is_member(self, x: LValue) -> bool:
         # By type first: True and 1.0 equal 1 but are not atoms, and a gate's
         # table (``GateDef.tick``) would take them for it.
-        return x is BOT or (type(x) in _ATOM_TYPES and x in self.values)
+        return x is BOT or (type(x) in _ATOM_TYPES and x in self.members)
 
     def check_member(self, x: LValue) -> None:
         if not self.is_member(x):

@@ -20,7 +20,8 @@ are collected so one parse reports several, each with a line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import TypeAlias
 
 from .circuit import (
     Circuit,
@@ -87,25 +88,20 @@ class _Sem(Exception):
     follow-on of an error already reported where it arose."""
 
     def __init__(self, tok=None, msg=""):
-        self.pos = None if tok is None else (tok.line, tok.col, msg)
+        self.pos = None if tok is None else (*tok[2:], msg)
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# A token is a plain tuple, the cheapest record to build and to read:
+# (kind, text, line, col).  The kind is "IDENT", "INT", "BOT", "EOF" or the
+# punctuation itself.
+Token: TypeAlias = "tuple[str, str, int, int]"
 
 
 def _at(tok: Token, msg: str) -> NetlistError:
     """A syntax error at ``tok``; it ends the parse."""
-    return NetlistError([(tok.line, tok.col, msg)])
+    return NetlistError([(*tok[2:], msg)])
 
-
-_PUNCT = set("(){}[],:=")
-_DIGITS = set("0123456789")  # not str.isdigit, which also takes '²' and '٣'
 
 KEYWORDS = {
     "type", "gate", "circuit", "strict", "in", "out", "loop", "int",
@@ -134,64 +130,50 @@ BUILTIN_GATES = {*_BUILTINS, "const"}
 
 RESERVED = KEYWORDS | BUILTIN_GATES
 
+# One token of a line per match, after any blanks; the group that matched
+# gives its kind.  ``\w`` is exactly ``str.isalnum()`` or "_".  A name
+# starts with a letter or "_": an ASCII one in group 1, any other \w that
+# is no decimal digit in group 5, whose first character must then pass
+# ``str.isalpha()`` ('²' does not).  An INT is ASCII digits only, not the
+# other scripts' digits that ``\w`` and ``str.isdigit`` take.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"([A-Za-z_]\w*)"  # 1 name
+    r"|(->|\.\.|[(){}\[\],:=])"  # 2 punctuation, its own kind
+    r"|(-?[0-9]+)"  # 3 INT
+    r"|(#.*)"  # 4 comment, to the end of the line
+    r"|([^\W\d]\w*)"  # 5 name, if its first character is a letter
+    r"|([^ \t\r])"  # 6 no token starts here
+    r")"
+)
+
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with one EOF; a character that starts
+    no token is a NetlistError at its line and column."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            toks.append(Token("->", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch == ".":
-            if i + 1 < n and text[i + 1] == ".":
-                toks.append(Token("..", "..", line, start_col))
-                i += 2
-                col += 2
+    append = toks.append
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(row):
+            k = m.lastindex
+            word = m[k]
+            if k == 1:
+                kind = "BOT" if word == "bot" else "IDENT"
+            elif k == 2:
+                kind = word
+            elif k == 3:
+                kind = "INT"
+            elif k == 5 and word[0].isalpha():
+                kind = "IDENT"
+            elif k == 4:
                 continue
-            raise NetlistError([(line, col, "stray '.'")])
-        if ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "BOT" if word == "bot" else "IDENT"
-            toks.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise NetlistError([(line, col, f"unexpected character {ch!r}")])
-    toks.append(Token("EOF", "", line, col))
+            else:
+                ch = word[0]
+                msg = "stray '.'" if ch == "." else f"unexpected character {ch!r}"
+                raise NetlistError([(line, m.start(k) + 1, msg)])
+            append((kind, word, line, m.start(k) + 1))
+    # a comment does not move the column that end of file is reported at
+    append(("EOF", "", line, len(row.partition("#")[0]) + 1))
     return toks
 
 
@@ -200,11 +182,13 @@ def _reads_back(v) -> bool:
     int as an INT, a string as a name, so never ``bot``, a string of
     digits, or text with a space or a ``-``."""
     text = str(v)
-    try:
-        tok, _ = tokenize(text)
-    except (NetlistError, ValueError):  # not exactly one token
+    m = _TOKEN.fullmatch(text)
+    if m is None or m[m.lastindex] != text:  # not one token, or blanks
         return False
-    return tok.kind == ("INT" if type(v) is int else "IDENT") and tok.text == text
+    k = m.lastindex
+    if type(v) is int:
+        return k == 3
+    return (k == 1 or k == 5 and text[0].isalpha()) and text != "bot"
 
 
 def _literal(tok: Token, base: BaseType | None) -> LValue:
@@ -213,15 +197,15 @@ def _literal(tok: Token, base: BaseType | None) -> LValue:
     With ``base`` the value must be one of base's.  Without, the token lists
     an atom of a type being declared, so ``bot`` is not a value there.
     """
-    if tok.kind == "BOT" and base is not None:
+    if tok[0] == "BOT" and base is not None:
         return BOT
-    if tok.kind == "INT":
-        v: LValue = int(tok.text)
-    elif tok.kind == "IDENT":
-        v = tok.text
+    if tok[0] == "INT":
+        v: LValue = int(tok[1])
+    elif tok[0] == "IDENT":
+        v = tok[1]
     else:
-        raise _at(tok, f"expected a value, found {tok.text!r}")
-    if base is not None and v not in base.values:
+        raise _at(tok, f"expected a value, found {tok[1]!r}")
+    if base is not None and v not in base.members:
         raise _Sem(tok, f"{v!r} is not a value of type {base.name!r}")
     return v
 
@@ -250,6 +234,7 @@ def _run(step):
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
+        self.toks += self.toks[-1:] * 2  # EOF for every lookahead of peek
         self.pos = 0
         self.types: dict[str, BaseType] = {"bool": BOOL}
         self.gates: dict[str, GateDef | None] = {}  # None: a broken declaration
@@ -271,38 +256,40 @@ class _Parser:
     # -- token plumbing --------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]  # k <= 2; advance stops at EOF
+
+    def kind(self, k: int = 0) -> str:
+        return self.toks[self.pos + k][0]
 
     def advance(self) -> Token:
         tok = self.toks[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
-        if tok.kind != kind:
-            shown = repr(tok.text) if tok.kind != "EOF" else "end of file"
+        if tok[0] != kind:
+            shown = repr(tok[1]) if tok[0] != "EOF" else "end of file"
             raise _at(tok, f"expected {what or kind}, found {shown}")
         return self.advance()
 
     def keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise _at(tok, f"expected {word!r}, found {tok.text!r}")
+        if not self.at_word(word):
+            tok = self.peek()
+            raise _at(tok, f"expected {word!r}, found {tok[1]!r}")
         return self.advance()
 
     def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+        return self.peek()[:2] == ("IDENT", word)
 
     def comma_list(self, item, closer: str | None = None) -> list:
         """``item()``, repeated while a comma follows.  With ``closer``, the
         list is empty when that token comes first; it is left unread."""
         items = []
-        if self.peek().kind != closer:
+        if self.kind() != closer:
             items.append(item())
-            while self.peek().kind == ",":
+            while self.kind() == ",":
                 self.advance()
                 items.append(item())
         return items
@@ -310,7 +297,7 @@ class _Parser:
     # -- names and types -------------------------------------------------
 
     def fresh_name(self, tok: Token, what: str) -> str:
-        name = tok.text
+        name = tok[1]
         if name in RESERVED:
             raise _Sem(tok, f"{name!r} is reserved and cannot name a {what}")
         if name in self.env or name in self.loop_names or name in self.out_names:
@@ -319,9 +306,9 @@ class _Parser:
 
     def typeref(self) -> BaseType:
         tok = self.expect("IDENT", "a type name")
-        base = self.types.get(tok.text)
+        base = self.types.get(tok[1])
         if base is None:
-            raise _Sem(tok, f"unknown type {tok.text!r}")
+            raise _Sem(tok, f"unknown type {tok[1]!r}")
         return base
 
     def typeref_or_none(self) -> BaseType | None:
@@ -344,7 +331,7 @@ class _Parser:
         circuit = None
         while True:
             tok = self.peek()
-            if tok.kind == "EOF":
+            if tok[0] == "EOF":
                 break
             if self.at_word("type"):
                 self.type_decl()
@@ -355,7 +342,7 @@ class _Parser:
                     raise _at(tok, "only one circuit per file")
                 circuit = self.circuit_decl()
             else:
-                raise _at(tok, f"expected type, gate, or circuit, found {tok.text!r}")
+                raise _at(tok, f"expected type, gate, or circuit, found {tok[1]!r}")
         if self.errors:
             raise NetlistError(self.errors)
         if circuit is None:
@@ -367,7 +354,7 @@ class _Parser:
         name_tok = self.expect("IDENT", "a type name")
         self.expect("=")
         try:
-            name = name_tok.text
+            name = name_tok[1]
             if name in RESERVED or name == "bool":
                 raise _Sem(name_tok, f"cannot redeclare type {name!r}")
             if name in self.types:
@@ -377,7 +364,7 @@ class _Parser:
                 lo_tok = self.expect("INT", "a lower bound")
                 self.expect("..")
                 hi_tok = self.expect("INT", "an upper bound")
-                lo, hi = int(lo_tok.text), int(hi_tok.text)
+                lo, hi = int(lo_tok[1]), int(hi_tok[1])
                 if lo > hi:
                     raise _Sem(lo_tok, f"empty range {lo}..{hi}")
                 self.types[name] = BaseType(name, tuple(range(lo, hi + 1)))
@@ -415,7 +402,7 @@ class _Parser:
         cod = Signature(tuple(outs)) if dom_ok else None
         rows: dict = {}
         row_errors = False
-        while self.peek().kind == "(":
+        while self.kind() == "(":
             row_tok = self.advance()
             try:
                 ins = self.row_cells(dom, allow_bot=not strict)
@@ -442,9 +429,9 @@ class _Parser:
                 return
             seen = set()
             for p_tok, _ in params:
-                if p_tok.text in seen:
-                    raise _Sem(p_tok, f"parameter {p_tok.text!r} repeated")
-                seen.add(p_tok.text)
+                if p_tok[1] in seen:
+                    raise _Sem(p_tok, f"parameter {p_tok[1]!r} repeated")
+                seen.add(p_tok[1])
             builder = strict_lift_table if strict else table_gate
             try:
                 self.gates[name] = builder(name, dom, cod, rows)
@@ -454,7 +441,7 @@ class _Parser:
             self.errors.append(e.pos)
 
     def fresh_gate_name(self, tok: Token) -> str:
-        name = tok.text
+        name = tok[1]
         if name in RESERVED:
             raise _Sem(tok, f"{name!r} is a builtin name")
         if name in self.gates:
@@ -470,7 +457,7 @@ class _Parser:
             tok = self.advance()
             if base is None:
                 return None  # skipped; the arity error is reported below
-            if tok.kind == "BOT" and not allow_bot:
+            if tok[0] == "BOT" and not allow_bot:
                 raise _Sem(tok, "'bot' is not allowed here")
             return _literal(tok, base)
 
@@ -488,14 +475,14 @@ class _Parser:
         depth = 0
         while True:
             tok = self.peek()
-            if tok.kind == "EOF" or (depth == 0 and tok.kind == "}"):
+            if tok[0] == "EOF" or (depth == 0 and tok[0] == "}"):
                 return
             self.advance()
-            if tok.kind == "(":
+            if tok[0] == "(":
                 depth += 1
-            elif tok.kind == ")":
+            elif tok[0] == ")":
                 depth = max(depth - 1, 0)
-                if depth == 0 and self.peek().kind != "->":
+                if depth == 0 and self.kind() != "->":
                     return
 
     # -- circuit body ----------------------------------------------------
@@ -504,9 +491,8 @@ class _Parser:
         self.keyword("circuit")
         name_tok = self.expect("IDENT", "a circuit name")
         self.expect("{")
-        while self.peek().kind != "}":
-            tok = self.peek()
-            if tok.kind == "EOF":
+        while self.kind() != "}":
+            if self.kind() == "EOF":
                 self.expect("}")
             try:
                 self.statement()
@@ -514,20 +500,15 @@ class _Parser:
                 if e.pos is not None:
                     self.errors.append(e.pos)
         self.expect("}")
-        for j, t in enumerate(self.loop_toks):
+        for j, (_, name, line, col) in enumerate(self.loop_toks):
             if j not in self.loop_srcs:
                 self.errors.append(
-                    (t.line, t.col, f"feedback wire {t.text!r} is never closed")
+                    (line, col, f"feedback wire {name!r} is never closed")
                 )
+        _, _, line, col = name_tok
         for i, name in enumerate(self.out_names):
             if i not in self.out_srcs:
-                self.errors.append(
-                    (
-                        name_tok.line,
-                        name_tok.col,
-                        f"output {name!r} is never assigned",
-                    )
-                )
+                self.errors.append((line, col, f"output {name!r} is never assigned"))
         if self.errors:
             raise NetlistError(self.errors)
         c = Circuit(
@@ -544,16 +525,15 @@ class _Parser:
         )
         diags = validate(c)
         if diags:
-            raise NetlistError(
-                [(name_tok.line, name_tok.col, str(d)) for d in diags]
-            )
+            raise NetlistError([(line, col, str(d)) for d in diags])
         object.__setattr__(c, "_diags", diags)  # check_valid's verdict
         return c
 
     def statement(self) -> None:
-        if self.peek(1).kind == "IDENT" and self.peek(2).kind == ":":
-            if self.at_word("in") or self.at_word("out"):
-                is_in = self.advance().text == "in"
+        tok, after = self.peek(), self.kind(1)
+        if after == "IDENT" and self.kind(2) == ":":
+            if tok[1] in ("in", "out"):
+                is_in = self.advance()[1] == "in"
                 ports = self.comma_list(
                     lambda: self.typed_name("a port name", self.typeref)
                 )
@@ -567,7 +547,7 @@ class _Parser:
                         self.out_ports.append(base)
                         self.out_names.append(name)
                 return
-            if self.at_word("loop"):
+            if tok[1] == "loop":
                 self.advance()
                 name_tok, base = self.typed_name("a wire name", self.typeref)
                 name = self.fresh_name(name_tok, "feedback wire")
@@ -575,12 +555,11 @@ class _Parser:
                 self.loops.append(base)
                 self.loop_toks.append(name_tok)
                 return
-        tok = self.peek()
-        if tok.kind == "(":
+        if tok[0] == "(":
             self.tuple_assignment()
             return
-        if tok.kind == "IDENT":
-            if self.peek(1).kind == "=":
+        if tok[0] == "IDENT":
+            if after == "=":
                 name_tok = self.advance()
                 self.advance()
                 ast = _run(self.expr_ast())
@@ -593,7 +572,7 @@ class _Parser:
             if self.at_call():
                 _run(self.build_call(_run(self.expr_ast())))
                 return
-        raise _at(tok, f"expected a statement, found {tok.text!r}")
+        raise _at(tok, f"expected a statement, found {tok[1]!r}")
 
     def tuple_assignment(self) -> None:
         self.expect("(")
@@ -623,7 +602,7 @@ class _Parser:
         wire.  ``mismatch`` phrases a wrong type, formatted with the needed
         and the given type names.
         """
-        name = name_tok.text
+        name = name_tok[1]
         if name in self.loop_names:
             slot = self.loop_names[name]
             srcs, want = self.loop_srcs, self.loops[slot]
@@ -658,7 +637,7 @@ class _Parser:
     # the bulk of every netlist, are read and built by plain calls.
 
     def at_call(self) -> bool:
-        return self.peek().kind == "IDENT" and self.peek(1).kind in ("(", "[")
+        return self.kind() == "IDENT" and self.kind(1) in ("(", "[")
 
     def expr_ast(self):
         """One expression; each argument that is a call is yielded."""
@@ -666,68 +645,68 @@ class _Parser:
             return self.leaf_ast()
         name_tok = self.advance()
         ann_tok = None
-        if self.peek().kind == "[":
+        if self.kind() == "[":
             self.advance()
             ann_tok = self.expect("IDENT", "a type name")
             self.expect("]")
         self.expect("(")
         args: list = []
         kwargs: dict = {}
-        if self.peek().kind == ")":
+        if self.kind() == ")":
             self.advance()
             return ("call", name_tok, ann_tok, args, kwargs)
         while True:
-            if self.peek().kind == "IDENT" and self.peek(1).kind == "=":
+            if self.kind() == "IDENT" and self.kind(1) == "=":
                 kw_tok = self.advance()
                 self.advance()
                 val_tok = self.advance()
-                if val_tok.kind != "BOT":
+                if val_tok[0] != "BOT":
                     _literal(val_tok, None)  # any literal; typed when built
-                if kw_tok.text in kwargs:
-                    raise _Sem(kw_tok, f"argument {kw_tok.text!r} repeated")
-                kwargs[kw_tok.text] = val_tok
+                if kw_tok[1] in kwargs:
+                    raise _Sem(kw_tok, f"argument {kw_tok[1]!r} repeated")
+                kwargs[kw_tok[1]] = val_tok
             elif self.at_call():
                 args.append((yield self.expr_ast()))
             else:
                 args.append(self.leaf_ast())
-            if self.peek().kind != ",":
+            if self.kind() != ",":
                 self.expect(")")
                 return ("call", name_tok, ann_tok, args, kwargs)
             self.advance()
 
     def leaf_ast(self):
         tok = self.peek()
-        if tok.kind in ("INT", "BOT"):
+        if tok[0] in ("INT", "BOT"):
             self.advance()
             return ("lit", tok)
-        if tok.kind == "IDENT":
+        if tok[0] == "IDENT":
             self.advance()
             return ("ref", tok)
-        raise _at(tok, f"expected an expression, found {tok.text!r}")
+        raise _at(tok, f"expected an expression, found {tok[1]!r}")
 
     def build_expr(self, ast, expected: BaseType | None):
         if ast[0] == "call":
             idx, out_sig = yield from self.build_call(ast)
-            if len(out_sig) != 1:
+            outs = out_sig.wires
+            if len(outs) != 1:
                 raise _Sem(
                     ast[1],
-                    f"{ast[1].text!r} has {len(out_sig)} outputs; "
-                    "use tuple assignment",
+                    f"{ast[1][1]!r} has {len(outs)} outputs; use tuple assignment",
                 )
-            return (SrcNode(idx, 0), out_sig[0])
+            return (SrcNode(idx, 0), outs[0])
         return self.build_leaf(ast, expected)
 
     def build_leaf(self, ast, expected: BaseType | None):
         tok = ast[1]
         if ast[0] == "ref":
-            hit = self.lookup(tok.text)
+            hit = self.lookup(tok[1])
             if hit is not None:
                 return hit
-            if expected is not None and tok.text in expected.values:
-                return self.literal_source(tok.text, expected)
+            if expected is not None and tok[1] in expected.members:
+                return self.literal_source(tok[1], expected)
             raise _Sem(
                 tok,
-                f"unknown wire {tok.text!r} (forward references need a loop wire)",
+                f"unknown wire {tok[1]!r} (forward references need a loop wire)",
             )
         if expected is None:
             raise _Sem(
@@ -755,12 +734,12 @@ class _Parser:
 
     def build_call(self, ast):
         _, name_tok, ann_tok, args, kwargs = ast
-        name = name_tok.text
+        name = name_tok[1]
         ann = None
         if ann_tok is not None:
-            ann = self.types.get(ann_tok.text)
+            ann = self.types.get(ann_tok[1])
             if ann is None:
-                raise _Sem(ann_tok, f"unknown type {ann_tok.text!r}")
+                raise _Sem(ann_tok, f"unknown type {ann_tok[1]!r}")
         if name == "delay":
             return (yield from self.build_delay(name_tok, args, kwargs))
         if name == "vardelay":
@@ -777,21 +756,21 @@ class _Parser:
             if a[0] == "call":
                 built.append((yield self.build_expr(a, None)))
             else:  # None for a literal or an atom
-                built.append(self.lookup(a[1].text) if a[0] == "ref" else None)
+                built.append(self.lookup(a[1][1]) if a[0] == "ref" else None)
         gate = self.resolve_gate(name_tok, ann, built)
-        if len(args) != len(gate.dom):
+        dom = gate.dom.wires
+        if len(args) != len(dom):
             raise _Sem(
                 name_tok,
-                f"{name!r} takes {len(gate.dom)} arguments, got {len(args)}",
+                f"{name!r} takes {len(dom)} arguments, got {len(args)}",
             )
         srcs = []
-        for i, (a, b) in enumerate(zip(args, built)):
-            want = gate.dom[i]
+        for i, (a, b, want) in enumerate(zip(args, built, dom)):
             if b is None:
                 srcs.append(self.build_leaf(a, want)[0])
             else:
                 src, got = b
-                if got != want:
+                if got is not want and got != want:
                     raise _Sem(
                         name_tok,
                         f"argument {i} of {name!r} needs {want.name}, "
@@ -801,7 +780,7 @@ class _Parser:
         return (self.add_node(gate, tuple(srcs)), gate.cod)
 
     def resolve_gate(self, name_tok: Token, ann, built) -> GateDef:
-        name = name_tok.text
+        name = name_tok[1]
         if name in self.gates:
             gate = self.gates[name]
             if gate is None:
@@ -844,9 +823,9 @@ class _Parser:
         tok = kwargs.get(key)
         if tok is None:
             raise _Sem(name_tok, f"vardelay needs {key}=...")
-        if tok.kind != "INT":
+        if tok[0] != "INT":
             raise _Sem(tok, f"{key} must be an integer")
-        return int(tok.text)
+        return int(tok[1])
 
     def build_delay(self, name_tok: Token, args, kwargs):
         extra = set(kwargs) - {"init"}

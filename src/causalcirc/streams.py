@@ -80,17 +80,18 @@ def read_stream(
     """Parse a stream file; the header must name exactly these columns in order."""
     for base in signature:
         _cells(base)
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    # blank lines are skipped, but errors cite the file's own line numbers
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise StreamFormatError("stream file is empty; a header row is required")
-    header = tuple(cell.strip() for cell in lines[0].split(","))
+    header = tuple(cell.strip() for cell in lines[0][1].split(","))
     if header != tuple(names):
         raise StreamFormatError(
             f"header names {', '.join(header)} do not match ports "
             f"{', '.join(names)}"
         )
     rows = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in lines[1:]:
         cells = [cell.strip() for cell in ln.split(",")]
         if len(cells) != len(signature):
             raise StreamFormatError(

@@ -23,6 +23,7 @@ from causalcirc.laws import (
 from causalcirc.analysis import EquivReport, TotalityReport, Witness
 from causalcirc.circuit import SrcIn, SrcNode, UnitDelay, VarDelay
 from causalcirc.engine import PrefixTrace, random_trace, simulate
+from causalcirc.netlist import NetlistError
 
 
 def brute_fixed_points(f: MonotoneFn) -> list[tuple]:
@@ -483,3 +484,69 @@ def trace_by_trace_equiv(
                 o2.rows[t],
             )
     return EquivReport(True, horizon, strategy, cases if total is None else total)
+
+
+_PUNCT = set("(){}[],:=")
+_DIGITS = set("0123456789")  # not str.isdigit, which also takes '²' and '٣'
+
+
+def tokenize_by_char(text: str) -> list[tuple[str, str, int, int]]:
+    """The netlist tokens of ``text`` as ``(kind, text, line, col)``, read
+    one character at a time: the reference for ``netlist.tokenize``."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            toks.append(("->", "->", line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch == ".":
+            if i + 1 < n and text[i + 1] == ".":
+                toks.append(("..", "..", line, start_col))
+                i += 2
+                col += 2
+                continue
+            raise NetlistError([(line, col, "stray '.'")])
+        if ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS):
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            toks.append(("INT", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "BOT" if word == "bot" else "IDENT"
+            toks.append((kind, word, line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            toks.append((ch, ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise NetlistError([(line, col, f"unexpected character {ch!r}")])
+    toks.append(("EOF", "", line, col))
+    return toks

@@ -103,6 +103,17 @@ def test_wire_values_are_atoms_only():
     assert BOOL.is_member(1) and BaseType("e", ("a", "b")).is_member("a")
 
 
+def test_membership_in_a_wide_type_is_one_exact_lookup():
+    wide = int_range(0, 65535)
+    enum = BaseType("temp", ("lo", "mid", "hi"))
+    for t, out_of_range in ((wide, 65536), (enum, 0)):
+        assert all(t.is_member(v) for v in t.values) and t.is_member(BOT)
+        for v in (True, 1.0, out_of_range, -1, "0"):
+            assert not t.is_member(v)
+        assert t.members is t.members  # built once per type
+    assert wide.is_member(0) and not wide.is_member(False)
+
+
 def test_lifted_puts_bottom_first():
     assert BOOL.lifted == (BOT, 0, 1)
     assert UNIT.lifted == (BOT, 0)

@@ -1,5 +1,7 @@
 import glob
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,8 +23,10 @@ from causalcirc.netlist import (
     tokenize,
 )
 from causalcirc.random_circuits import GenConfig, random_circuit
+from oracles import tokenize_by_char
 
 CORPUS = sorted(glob.glob("circuits/*.net"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def errors_of(text: str):
@@ -36,16 +40,14 @@ def errors_of(text: str):
 
 def test_token_positions():
     toks = tokenize("circuit main {\n  in a: bool\n}")
-    kinds = [t.kind for t in toks]
-    assert kinds[-1] == "EOF"
-    a = next(t for t in toks if t.text == "a")
-    assert (a.line, a.col) == (2, 6)
+    assert toks[-1] == ("EOF", "", 3, 2)
+    assert ("IDENT", "a", 2, 6) in toks
 
 
 def test_bot_is_a_dedicated_token():
     toks = tokenize("bot bots")
-    assert toks[0].kind == "BOT"
-    assert toks[1].kind == "IDENT" and toks[1].text == "bots"
+    assert toks[0][:2] == ("BOT", "bot")
+    assert toks[1][:2] == ("IDENT", "bots")
 
 
 def test_stray_character_is_a_positioned_error():
@@ -58,8 +60,52 @@ def test_stray_character_is_a_positioned_error():
 
 def test_comments_and_negative_ints():
     toks = tokenize("# hi\n-3..4 -> ..")
-    assert [t.kind for t in toks[:5]] == ["INT", "..", "INT", "->", ".."]
-    assert toks[0].text == "-3"
+    assert [kind for kind, _, _, _ in toks[:5]] == ["INT", "..", "INT", "->", ".."]
+    assert toks[0][1] == "-3"
+
+
+def _lexed(tokenize_fn, text: str):
+    try:
+        return tokenize_fn(text)
+    except NetlistError as e:
+        return e.diagnostics
+
+
+def _fuzz_mutants(count: int, seed: int) -> list[str]:
+    """The mutants ``scripts/netlist_fuzz.py --count count --seed seed`` runs."""
+    path = ROOT / "scripts" / "netlist_fuzz.py"
+    spec = importlib.util.spec_from_file_location("netlist_fuzz", path)
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    rng = random.Random(seed)
+    sources = [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("circuits/*.net"))]
+    return [fuzz.mutate(rng, rng.choice(sources)) for _ in range(count)]
+
+
+LEXING_EDGE_CASES = [
+    "a²", "²a", "٣", "a٣", "9٣", "_x", "é1", "𝑥", "𝟘", "½",
+    "-3..4", "- 3", "-x", "-->", ".", "...", "a.b", "->", "-",
+    "a\tb \t-1", "circuit m {\r\n  in a: bool\r\n}\r\n", "x\r",
+    "", "\n\n", "x # note", "x #", "# only", "bot bots _bot", "a\x0bb", "a\u00a0b",
+]
+
+
+def test_names_take_any_letter_and_ints_only_ascii_digits():
+    assert tokenize("a² _x")[:2] == [("IDENT", "a²", 1, 1), ("IDENT", "_x", 1, 4)]
+    for ch in "²٣":
+        assert _lexed(tokenize, f"x {ch}") == ((1, 3, f"unexpected character {ch!r}"),)
+    assert _lexed(tokenize, "1 .") == ((1, 3, "stray '.'"),)
+
+
+def test_tokenize_matches_the_character_loop():
+    texts = [Path(f).read_text(encoding="utf-8") for f in CORPUS]
+    texts += LEXING_EDGE_CASES + _fuzz_mutants(300, 5)
+    outcomes = set()
+    for text in texts:
+        want = _lexed(tokenize_by_char, text)
+        assert _lexed(tokenize, text) == want, text
+        outcomes.add(type(want))
+    assert outcomes == {list, tuple}  # both token lists and diagnostics
 
 
 # -- golden parse ---------------------------------------------------------

@@ -58,6 +58,13 @@ def test_row_width_is_checked_with_line_numbers():
         read_stream("a,k\n1,1\n0\n", TEMP, ("a", "k"))
 
 
+def test_errors_cite_the_file_line_past_blank_lines():
+    with pytest.raises(StreamFormatError, match=r"^line 6, column a: '2' "):
+        read_stream("a\n\n\n0\n\n2\n", sig(BOOL), ("a",))
+    with pytest.raises(StreamFormatError, match=r"^line 5: 1 cells for 2 ports"):
+        read_stream("\n a,k\n1,1\n\n0\n", TEMP, ("a", "k"))
+
+
 def test_bad_cell_names_the_column():
     with pytest.raises(StreamFormatError, match="column k"):
         read_stream("a,k\n1,9\n", TEMP, ("a", "k"))

@@ -243,7 +243,7 @@ class _Parser:
         self.in_ports: list[BaseType] = []
         self.in_names: list[str] = []
         self.out_ports: list[BaseType] = []
-        self.out_names: list[str] = []
+        self.out_names: dict[str, int] = {}  # slot by name, in declaration order
         self.out_srcs: dict[int, object] = {}
         self.loops: list[BaseType] = []
         self.loop_names: dict[str, int] = {}
@@ -545,7 +545,7 @@ class _Parser:
                         self.in_names.append(name)
                     else:
                         self.out_ports.append(base)
-                        self.out_names.append(name)
+                        self.out_names[name] = len(self.out_names)
                 return
             if tok[1] == "loop":
                 self.advance()
@@ -608,7 +608,7 @@ class _Parser:
             srcs, want = self.loop_srcs, self.loops[slot]
             what, again = f"feedback wire {name!r}", "closed twice"
         elif name in self.out_names:
-            slot = self.out_names.index(name)
+            slot = self.out_names[name]
             srcs, want = self.out_srcs, self.out_ports[slot]
             what, again = f"output {name!r}", "assigned twice"
         else:

@@ -233,15 +233,19 @@ class Diagnostic:
         return f"{self.where}: {self.message}"
 
 
-def _sink_fault(c: Circuit, src: Source, want: BaseType) -> str | None:
-    """What is wrong with wiring ``src`` to a sink of type ``want``, or
-    None; the caller names the sink only when there is a fault."""
+def _check_sink(
+    c: Circuit, src: Source, want: BaseType, out: list, where: str, *args
+) -> None:
+    """Report a fault in wiring ``src`` to a sink of type ``want``.  The
+    sink's label, ``where.format(*args)``, is built only for a fault."""
     got = _source_base(c, src)
     if got is None:
-        return f"source {src!r} does not exist"
-    if got is not want and got != want:
-        return f"type mismatch: needs {want.name}, wired to {got.name}"
-    return None
+        msg = f"source {src!r} does not exist"
+    elif got is want or got == want:
+        return
+    else:
+        msg = f"type mismatch: needs {want.name}, wired to {got.name}"
+    out.append(Diagnostic(where.format(*args), msg))
 
 
 def _find_cycle(edges: list[list[int]]) -> list[int] | None:
@@ -336,9 +340,7 @@ def validate(c: Circuit) -> list[Diagnostic]:
             )
             continue
         for p, (src, base) in enumerate(zip(ins, want)):
-            fault = _sink_fault(c, src, base)
-            if fault is not None:
-                out.append(Diagnostic(f"node {i} ({node.name}) input {p}", fault))
+            _check_sink(c, src, base, out, "node {} ({}) input {}", i, node.name, p)
     if len(c.outputs) != len(c.out_ports):
         out.append(
             Diagnostic(
@@ -348,13 +350,9 @@ def validate(c: Circuit) -> list[Diagnostic]:
         )
     else:
         for i, (src, base) in enumerate(zip(c.outputs, c.out_ports.wires)):
-            fault = _sink_fault(c, src, base)
-            if fault is not None:
-                out.append(Diagnostic(f"output {i}", fault))
+            _check_sink(c, src, base, out, "output {}", i)
     for j, lw in enumerate(c.loops):
-        fault = _sink_fault(c, lw.src, lw.base)
-        if fault is not None:
-            out.append(Diagnostic(f"feedback wire {j}", fault))
+        _check_sink(c, lw.src, lw.base, out, "feedback wire {}", j)
     if c.in_names is not None and len(c.in_names) != len(c.in_ports):
         out.append(Diagnostic("circuit", "input name list does not match ports"))
     if c.out_names is not None and len(c.out_names) != len(c.out_ports):

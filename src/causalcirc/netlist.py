@@ -95,7 +95,7 @@ class _Sem(Exception):
 # A token is a plain tuple, the cheapest record to build and to read:
 # (kind, text, line, col).  The kind is "IDENT", "INT", "BOT", "EOF" or the
 # punctuation itself.
-Token: TypeAlias = "tuple[str, str, int, int]"
+Token: TypeAlias = tuple[str, str, int, int]
 
 
 def _at(tok: Token, msg: str) -> NetlistError:

@@ -56,12 +56,17 @@ def test_stray_character_is_a_positioned_error():
     (line, col, msg) = exc.value.diagnostics[0]
     assert (line, col) == (2, 14)
     assert "$" in msg
+    # only ASCII digits make an INT, and only a letter starts a name
+    for ch in "²٣":
+        assert _lexed(tokenize, f"x {ch}") == ((1, 3, f"unexpected character {ch!r}"),)
+    assert _lexed(tokenize, "1 .") == ((1, 3, "stray '.'"),)
 
 
 def test_comments_and_negative_ints():
     toks = tokenize("# hi\n-3..4 -> ..")
     assert [kind for kind, _, _, _ in toks[:5]] == ["INT", "..", "INT", "->", ".."]
     assert toks[0][1] == "-3"
+    assert tokenize("a² _x")[:2] == [("IDENT", "a²", 1, 1), ("IDENT", "_x", 1, 4)]
 
 
 def _lexed(tokenize_fn, text: str):
@@ -88,13 +93,6 @@ LEXING_EDGE_CASES = [
     "a\tb \t-1", "circuit m {\r\n  in a: bool\r\n}\r\n", "x\r",
     "", "\n\n", "x # note", "x #", "# only", "bot bots _bot", "a\x0bb", "a\u00a0b",
 ]
-
-
-def test_names_take_any_letter_and_ints_only_ascii_digits():
-    assert tokenize("a² _x")[:2] == [("IDENT", "a²", 1, 1), ("IDENT", "_x", 1, 4)]
-    for ch in "²٣":
-        assert _lexed(tokenize, f"x {ch}") == ((1, 3, f"unexpected character {ch!r}"),)
-    assert _lexed(tokenize, "1 .") == ((1, 3, "stray '.'"),)
 
 
 def test_tokenize_matches_the_character_loop():

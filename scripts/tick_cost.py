@@ -1,10 +1,12 @@
 """Per-tick cost of a chain of N ``not`` gates into one delay.
 
 The chain is the deepest delay-free path a tick can have for its size: the
-input reaches the delay after N gates, so a tick takes N+1 whole-vector
-sweeps to settle.  For each N, prints the median wall time per tick over a
-seeded random input stream and the sweeps per tick, counted in a second,
-separate run so that counting does not slow the timed one.
+input reaches the delay after N gates, so a tick takes N+1 sweeps of the N
+gate outputs to settle (the delay reads its history and is not swept).
+For each N, prints the median wall time per tick over a seeded random input
+stream; the sweeps per tick, counted in a second, separate run so that
+counting does not slow the timed one; the swept wires; and the node
+evaluations per tick, sweeps times swept nodes.
 
     PYTHONPATH=src python3 scripts/tick_cost.py            # N = 10, 50, 200
     PYTHONPATH=src python3 scripts/tick_cost.py --sizes 5 --ticks 20
@@ -65,14 +67,19 @@ def main() -> None:
     if args.ticks < 1 or min(args.sizes) < 1:
         ap.error("--ticks and every size must be at least 1")
 
-    print(f"{'N':>6} {'ms/tick':>10} {'sweeps/tick':>12}")
+    print(f"{'N':>6} {'ms/tick':>10} {'sweeps/tick':>12} {'wires':>6} {'evals/tick':>11}")
     for n in args.sizes:
         c = parse_netlist(chain_netlist(n))
         rows = random_trace(random.Random(args.seed), c.in_ports, args.ticks).rows
         times, _ = run(c, rows)
         _, sweeps = run(c, rows, counted=True)
         ms = statistics.median(times) * 1e3
-        print(f"{n:>6} {ms:>10.3f} {sweeps / len(rows):>12.2f}")
+        prop = propagator(c)
+        per_tick = sweeps / len(rows)
+        print(
+            f"{n:>6} {ms:>10.3f} {per_tick:>12.2f} {prop.n_wires:>6}"
+            f" {per_tick * len(prop.plan):>11.2f}"
+        )
 
 
 if __name__ == "__main__":

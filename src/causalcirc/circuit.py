@@ -50,7 +50,8 @@ class UnitDelay:
     """One-tick delay: emits ``init`` at tick 0, then last tick's input.
 
     Like a gate it has ``dom``, ``cod`` and ``name``; ``tick`` maps its
-    input followed by its one committed value to that value.
+    input followed by its one committed value to that value.  So ``comb``
+    never sweeps it: whatever reads its output reads that history slot.
     """
 
     base: BaseType

@@ -1,15 +1,25 @@
-"""Settling one tick: the whole wire vector is iterated to a fixed point.
+"""Settling one tick: the swept wire vector is iterated to a fixed point.
 
 A tick reads one flat tuple: the input row; each stateful node's ``depth``
-committed history values, oldest first; and the wire vector, every node
-output port and then every feedback wire.  Only this module knows that
-layout.  Compiling resolves every source a node input, feedback wire or
-output port reads to one slot, and each node's inputs, followed by its
-history, to one ``operator.itemgetter``.  One propagation step (a sweep)
-recomputes all wires simultaneously from the previous vector, applying each
-node's fixed ``tick``, gate or delay alike, so the step function is
+committed history values, oldest first; and the wire vector.  The wire
+vector holds the output ports of every swept node, that is every node but
+the unit delays, in node order, and then, only when some feedback wire
+reaches nothing but feedback wires, one slot that is always ⊥.  Only this
+module knows that layout.
+
+Compiling resolves every source a node input, history commit or output
+port reads to one slot.  A unit delay's output is its one history slot: its
+value at a tick is fixed by the tick before, so it is no unknown of this
+tick's fixed point.  A feedback wire is the slot of the source that its
+chain of feedback wires finally reaches, which by Bekić's lemma leaves the
+least fixed point unchanged, or the ⊥ slot when the chain only returns to
+feedback wires.  So neither is recomputed per sweep.  Each swept node's
+inputs, followed by its history, are gathered by one
+``operator.itemgetter``.  One propagation step (a sweep) recomputes all
+swept wires simultaneously from the previous vector, applying each node's
+fixed ``tick``, gate or variable delay alike, so the step function is
 monotone and ``domain``'s Kleene loop reaches the least fixed point within
-(wire count)+1 sweeps.
+(swept wire count)+1 sweeps.
 
 A gate's ``tick`` is a lookup in its table, filled on first use
 (``GateDef.tick``): a gate's function must be pure, as it is called at most
@@ -21,50 +31,75 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .circuit import Circuit, SrcIn, SrcNode, check_valid
+from .circuit import Circuit, SrcIn, SrcLoop, UnitDelay, check_valid
 from .domain import BOT, MonotoneFn, SignatureError, WireTuple, _kleene
 
 
 class Propagator:
     """Precompiled wiring of one circuit for repeated propagation.
 
-    The plan is ``(get, tick)`` per node: the getter that gathers its
-    arguments (the bare value of a one-input gate, else a tuple) and its
-    ``tick``.  ``init`` is the history before the first tick: each node's
-    ``init``, ``depth`` times.
+    The plan is ``(get, tick)`` per swept node, every node but the unit
+    delays: the getter that gathers its arguments (the bare value of a
+    one-input gate, else a tuple) and its ``tick``; when the wire vector
+    has the constant-⊥ slot, one last entry yields it.  ``n_wires`` counts
+    the swept nodes' output ports, and ``bot``, the vector a solve starts
+    from, is that many ⊥ plus the ⊥ slot if any.  ``init`` is the history
+    before the first tick: each node's ``init``, ``depth`` times.
     """
 
     def __init__(self, c: Circuit):
         k = len(c.in_ports)
-        w = lo = k + sum(node.depth for node in c.nodes)
+        lo = k + sum(node.depth for node in c.nodes)
+        # The first source on each feedback wire's chain of feedback wires
+        # that is not one, or BOT when the chain only returns to feedback
+        # wires.  The walk is explicit, as chains can be thousands long.
+        reach: dict = {}
+        for j in range(len(c.loops)):
+            src, path = SrcLoop(j), []
+            while isinstance(src, SrcLoop) and src.index not in reach:
+                reach[src.index] = BOT  # on this walk: a cycle back ends at ⊥
+                path.append(src.index)
+                src = c.loops[src.index].src
+            if isinstance(src, SrcLoop):
+                src = reach[src.index]
+            for i in path:
+                reach[i] = src
+        w = lo
         hist, base = [], []  # per node: its history slots, its first output
         for node in c.nodes:
             hist.append(tuple(range(k, k + node.depth)))
             k += node.depth
-            base.append(w)
-            w += len(node.cod)
-        loop_base = w
+            if isinstance(node, UnitDelay):
+                base.append(hist[-1][0])  # its output is its committed value
+            else:
+                base.append(w)
+                w += len(node.cod)
 
         def slot(src) -> int:
+            if isinstance(src, SrcLoop):
+                src = reach[src.index]
+            if src is BOT:
+                return w  # the constant-⊥ slot, after the swept outputs
             if isinstance(src, SrcIn):
                 return src.index
-            if isinstance(src, SrcNode):
-                return base[src.node] + src.port
-            return loop_base + src.index
+            return base[src.node] + src.port
 
-        self.n_wires = w - lo + len(c.loops)
-        self.bot = (BOT,) * self.n_wires
+        self.n_wires = w - lo
+        has_bot = BOT in reach.values()
+        self.bot = (BOT,) * (self.n_wires + has_bot)
         self.init = tuple(n.init for n in c.nodes for _ in range(n.depth))
         slots = [tuple(slot(s) for s in ins) for ins in c.node_inputs]
         self.plan = [
             (itemgetter(*(s + h)) if s + h else lambda t: (), node.tick)
             for s, h, node in zip(slots, hist, c.nodes)
+            if not isinstance(node, UnitDelay)
         ]
+        if has_bot:
+            self.plan.append((lambda t: (), lambda _: (BOT,)))
         # Each node's history drops its oldest value and gains its s input.
         self.commit_slots = tuple(
             j for s, h in zip(slots, hist) if h for j in h[1:] + s[:1]
         )
-        self.loop_slots = tuple(slot(lw.src) for lw in c.loops)
         self.out_slots = tuple(slot(s) for s in c.outputs)
 
     def sweep(self, t: tuple) -> tuple:
@@ -73,7 +108,6 @@ class Propagator:
         out = []
         for get, tick in self.plan:
             out.extend(tick(get(t)))
-        out.extend([t[j] for j in self.loop_slots])
         return tuple(out)
 
     def solve(self, t: tuple) -> tuple:

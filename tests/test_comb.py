@@ -3,11 +3,25 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from causalcirc.circuit import UnitDelay, from_gate, trace_loop
+from causalcirc.circuit import (
+    Circuit,
+    LoopWire,
+    SrcIn,
+    SrcLoop,
+    SrcNode,
+    UnitDelay,
+    from_gate,
+    trace_loop,
+)
 from causalcirc.comb import Propagator, denote, eval_comb, propagator
 from causalcirc.domain import BOOL, BOT, SignatureError, local_lfp, sig, trace
-from causalcirc.gates import not_gate, por
-from causalcirc.random_circuits import GenConfig, random_delay_free_circuit
+from causalcirc.engine import PrefixTrace, initial_state, random_trace, simulate, step
+from causalcirc.gates import not_gate, pand, por
+from causalcirc.random_circuits import (
+    GenConfig,
+    random_circuit,
+    random_delay_free_circuit,
+)
 
 import oracles
 
@@ -26,8 +40,6 @@ def test_eval_comb_checks_the_input_shape():
 
 
 def test_denote_refuses_stateful_circuits():
-    from causalcirc.circuit import Circuit, SrcIn, SrcNode
-
     d = UnitDelay(BOOL, 0)
     c = Circuit(
         sig(BOOL), sig(BOOL), (d,), ((SrcIn(0),),), (SrcNode(0, 0),), ()
@@ -135,3 +147,152 @@ def test_not_gate_chain():
     f = denote(inv)
     assert f.apply((BOT,)) == (BOT,)
     assert f.apply((0,)) == (1,)
+
+
+def test_solver_settles_within_the_swept_wire_bound_with_delays(monkeypatch):
+    # Unit delays read their history slot and feedback wires read their
+    # source, so only the other nodes' output ports are swept; the vector
+    # of those still rises at most once per wire.
+    sweeps = []
+    real = Propagator.sweep
+
+    def counted(self, t):
+        sweeps[-1] += 1
+        return real(self, t)
+
+    monkeypatch.setattr(Propagator, "sweep", counted)
+    rng = random.Random(13)
+    cfg = GenConfig(max_inputs=2, max_nodes=6, max_loops=2, p_delay=0.4)
+    delayed = 0
+    for _ in range(80):
+        c = random_circuit(rng, cfg)
+        prop = propagator(c)
+        swept = [n for n in c.nodes if not isinstance(n, UnitDelay)]
+        assert prop.n_wires == sum(len(n.cod) for n in swept)
+        delayed += len(swept) < len(c.nodes)
+        state = initial_state(c)
+        for row in random_trace(rng, c.in_ports, 4, p_bot=0.2).rows:
+            sweeps.append(0)
+            state, _ = step(state, row)
+            assert 1 <= sweeps[-1] <= prop.n_wires + 1
+    assert delayed >= 30
+
+
+# -- where unit delays and feedback wires read ---------------------------
+
+
+def _looped(n_in, nodes, node_inputs, outputs, loops):
+    return Circuit(
+        sig(*(BOOL,) * n_in),
+        sig(*(BOOL,) * len(outputs)),
+        tuple(nodes),
+        tuple(tuple(ins) for ins in node_inputs),
+        tuple(outputs),
+        tuple(LoopWire(BOOL, src) for src in loops),
+    )
+
+
+def _self_closed(init):
+    # w = w: its least value is ⊥, whatever reads it.
+    return _looped(
+        1, [por()], [(SrcIn(0), SrcLoop(0))], (SrcNode(0, 0), SrcLoop(0)),
+        [SrcLoop(0)],
+    )
+
+
+def _loop_through_loop(init):
+    # w1 = w0 and w0 = por(a, w1): a gate's cycle through two loop wires.
+    return _looped(
+        1, [por()], [(SrcIn(0), SrcLoop(1))], (SrcLoop(1), SrcNode(0, 0)),
+        [SrcNode(0, 0), SrcLoop(0)],
+    )
+
+
+def _two_loop_cycle(init):
+    # w0 = w1 and w1 = w0 reach only each other.
+    return _looped(
+        1, [pand()], [(SrcLoop(0), SrcIn(0))], (SrcLoop(1), SrcNode(0, 0)),
+        [SrcLoop(1), SrcLoop(0)],
+    )
+
+
+def _loop_through_delay(init):
+    # A toggle gated by a: w = delay(pand(a, not(w))).
+    return _looped(
+        1,
+        [not_gate(), pand(), UnitDelay(BOOL, init)],
+        [(SrcLoop(0),), (SrcIn(0), SrcNode(0, 0)), (SrcNode(1, 0),)],
+        (SrcLoop(0), SrcNode(1, 0)),
+        [SrcNode(2, 0)],
+    )
+
+
+def _shift_register(init):
+    return _looped(
+        1,
+        [UnitDelay(BOOL, init), UnitDelay(BOOL, 1), UnitDelay(BOOL, init), por()],
+        [(SrcIn(0),), (SrcNode(0, 0),), (SrcNode(1, 0),), (SrcNode(2, 0), SrcIn(0))],
+        (SrcNode(0, 0), SrcNode(1, 0), SrcNode(2, 0), SrcNode(3, 0)),
+        [],
+    )
+
+
+def _direct_reads(init):
+    # Output ports and delay inputs read a unit delay, a loop wire onto a
+    # unit delay, a self-closed loop wire and a loop wire onto an input.
+    return _looped(
+        1,
+        [UnitDelay(BOOL, init), UnitDelay(BOOL, 0), UnitDelay(BOOL, 1),
+         UnitDelay(BOOL, init)],
+        [(SrcIn(0),), (SrcLoop(0),), (SrcNode(0, 0),), (SrcLoop(1),)],
+        (SrcNode(0, 0), SrcLoop(0), SrcNode(1, 0), SrcNode(2, 0), SrcLoop(1),
+         SrcNode(3, 0), SrcLoop(2)),
+        [SrcNode(0, 0), SrcLoop(1), SrcIn(0)],
+    )
+
+
+def _delays_only(init):
+    return _looped(
+        2,
+        [UnitDelay(BOOL, init), UnitDelay(BOOL, 0)],
+        [(SrcIn(1),), (SrcIn(0),)],
+        (SrcNode(1, 0), SrcNode(0, 0), SrcNode(1, 0)),
+        [],
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_self_closed, _loop_through_loop, _two_loop_cycle, _loop_through_delay,
+     _shift_register, _direct_reads, _delays_only],
+)
+def test_resolved_reads_match_the_brute_force_tick(build):
+    rng = random.Random(build.__name__)
+    for init in (BOT, 0, 1):
+        c = build(init)
+        assert propagator(c).n_wires == sum(
+            len(n.cod) for n in c.nodes if not isinstance(n, UnitDelay)
+        )
+        for _ in range(4):
+            state, past = initial_state(c), []
+            for row in random_trace(rng, c.in_ports, 5, p_bot=0.3).rows:
+                state, outs = step(state, row)
+                settled = oracles.tick_lfp(c, past, row)
+                assert outs == oracles.tick_outputs(c, row, settled)
+                past.append((row, settled))
+
+
+def test_a_long_chain_of_loop_wires_compiles_and_simulates():
+    # Loop wire i reads loop wire i+1: one chain ends at the input, the
+    # other returns to its own start and is ⊥.  Resolving them must not
+    # recurse per link.
+    n = 5000
+    loops = [SrcLoop(i + 1) for i in range(n - 1)] + [SrcIn(0)]
+    loops += [SrcLoop(n + i + 1) for i in range(n - 1)] + [SrcLoop(n)]
+    c = _looped(
+        1, [not_gate()], [(SrcLoop(0),)], (SrcLoop(0), SrcNode(0, 0), SrcLoop(n)),
+        loops,
+    )
+    assert propagator(c).n_wires == 1
+    tr = PrefixTrace(c.in_ports, ((1,), (BOT,), (0,)))
+    assert simulate(c, tr).rows == ((1, 0, BOT), (BOT, BOT, BOT), (0, 1, BOT))

@@ -42,7 +42,9 @@ def test_tick_cost_reports_each_chain():
     proc = run_script("scripts/tick_cost.py", "--sizes", "3", "8", "--ticks", "5")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert [(n, sweeps) for n, _, sweeps in rows] == [("3", "4.00"), ("8", "9.00")]
+    assert [(n, sweeps) for n, _, sweeps, _, _ in rows] == [("3", "4.00"), ("8", "9.00")]
+    # Only the N gates are swept: the delay reads its committed value.
+    assert [row[3:] for row in rows] == [["3", "12.00"], ["8", "72.00"]]
 
 
 def test_netlist_fuzz_raises_only_netlist_errors():

@@ -67,7 +67,10 @@ def main() -> None:
     if args.ticks < 1 or min(args.sizes) < 1:
         ap.error("--ticks and every size must be at least 1")
 
-    print(f"{'N':>6} {'ms/tick':>10} {'sweeps/tick':>12} {'wires':>6} {'evals/tick':>11}")
+    print(
+        f"{'N':>6} {'ms/tick':>10} {'sweeps/tick':>12}"
+        f" {'wires':>6} {'evals/tick':>11}"
+    )
     for n in args.sizes:
         c = parse_netlist(chain_netlist(n))
         rows = random_trace(random.Random(args.seed), c.in_ports, args.ticks).rows

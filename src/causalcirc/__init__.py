@@ -9,7 +9,8 @@ The package splits into a small stack:
 * ``circuit``: the structural IR, builders, validation, contractivity, and
   the delay nodes, each a fixed function of its inputs and its history;
 * ``comb``: compiled wiring that settles one tick by whole-vector
-  iteration, gates and delays alike, and delay-free evaluation;
+  iteration over the wires the tick computes (a unit delay reads its
+  history, a feedback wire its source), and delay-free evaluation;
 * ``engine``: tick-by-tick simulation that commits the delay history;
 * ``analysis``: bounded totality and equivalence checks;
 * ``laws``: equational sweeps for the fixed-point operator;
@@ -82,7 +83,7 @@ from .circuit import (
     trace_loop,
     validate,
 )
-from .comb import Propagator, denote, eval_comb
+from .comb import Propagator, denote
 from .engine import (
     PrefixTrace,
     SimState,

@@ -201,16 +201,14 @@ def _sample(circuits, traces, bad_port):
     return cases, None
 
 
-def _bounded(
-    circuits, bad_port, horizon, strategy, samples, seed, max_cases, concrete, p_bot
-):
+def _bounded(circuits, bad_port, horizon, strategy, samples, seed, max_cases, concrete):
     """Run one bounded check over the first circuit's input signature.
 
     The exhaustive strategy walks every trace, of concrete rows only when
     ``concrete`` is set, and refuses a space over ``max_cases`` before it
-    lists a row.  The random strategy runs ``samples`` seeded traces with
-    ``p_bot`` undefined cells.  Returns ``(cases, failure)`` as ``_explore``
-    does.
+    lists a row.  The random strategy runs ``samples`` seeded traces whose
+    cells are undefined with probability 0 when ``concrete`` is set, else
+    1/4.  Returns ``(cases, failure)`` as ``_explore`` does.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
@@ -230,6 +228,7 @@ def _bounded(
         return _explore(circuits, rows, horizon, bad_port)
     if strategy == "random":
         rng = random.Random(seed)
+        p_bot = 0.0 if concrete else 0.25
         traces = (
             random_trace(rng, s, horizon, p_bot=p_bot).rows for _ in range(samples)
         )
@@ -257,8 +256,7 @@ def check_totality(
     raises ValueError.
     """
     cases, bad = _bounded(
-        [c], _undefined_port, horizon, strategy, samples, seed, max_cases,
-        concrete=True, p_bot=0.0,
+        [c], _undefined_port, horizon, strategy, samples, seed, max_cases, concrete=True
     )
     if bad is None:
         return TotalityReport(True, horizon, strategy, cases)
@@ -276,12 +274,12 @@ def check_equiv(
     samples: int = 1000,
     seed: int = 0,
     max_cases: int = 200_000,
-    p_bot: float = 0.25,
 ) -> EquivReport:
     """Do two circuits emit identical output traces up to the horizon?
 
     Inputs range over lifted tuples, so disagreement on partially undefined
-    inputs counts.  The circuits must share both port signatures.  The
+    inputs counts; a random trace leaves each cell undefined with
+    probability 1/4.  The circuits must share both port signatures.  The
     horizon and sample count are bounded as for ``check_totality``.
     """
     if c1.in_ports != c2.in_ports or c1.out_ports != c2.out_ports:
@@ -291,7 +289,7 @@ def check_equiv(
         )
     cases, bad = _bounded(
         [c1, c2], _mismatched_port, horizon, strategy, samples, seed, max_cases,
-        concrete=False, p_bot=p_bot,
+        concrete=False,
     )
     if bad is None:
         return EquivReport(True, horizon, strategy, cases)

@@ -4,10 +4,11 @@ A circuit is a bipartite wiring: every node input, feedback wire, and output
 port names its source, which is either a circuit input, a node output port,
 or a feedback wire.  Feedback wires are the only legal way to close a cycle;
 ``validate`` rejects any cycle in the node graph that is not routed through
-one.  Every node, gate or delay, is one fixed function ``tick`` of its
-input values followed by its ``depth`` latest committed history values,
-oldest first; a delay's history is data the tick reads, never the tick
-number.  ``comb.denote`` refuses circuits that contain delays.
+one.  A gate or variable delay is one fixed function ``tick`` of its input
+values followed by its ``depth`` latest committed history values, oldest
+first, and a unit delay outputs its one committed value: a delay's history
+is data a tick reads, never the tick number.  ``comb.denote`` refuses
+circuits that contain delays.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ Source: TypeAlias = "SrcIn | SrcNode | SrcLoop"
 class UnitDelay:
     """One-tick delay: emits ``init`` at tick 0, then last tick's input.
 
-    Like a gate it has ``dom``, ``cod`` and ``name``; ``tick`` maps its
-    input followed by its one committed value to that value.  So ``comb``
-    never sweeps it: whatever reads its output reads that history slot.
+    Like a gate it has ``dom``, ``cod`` and ``name``, and its ``depth`` is
+    one committed value.  Its output is that value, so ``comb`` never
+    sweeps it: whatever reads its output reads that history slot.
     """
 
     base: BaseType
@@ -71,9 +72,6 @@ class UnitDelay:
 
     def reads_history(self, port: int) -> bool:
         return True
-
-    def tick(self, args: tuple) -> tuple:
-        return (args[-1],)
 
 
 @dataclass(frozen=True)

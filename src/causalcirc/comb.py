@@ -147,8 +147,3 @@ def denote(c: Circuit) -> MonotoneFn:
         return prop.outputs(prop.solve(t))
 
     return MonotoneFn(c.in_ports, c.out_ports, fn, "denote")
-
-
-def eval_comb(c: Circuit, inputs: WireTuple) -> WireTuple:
-    """Evaluate a delay-free circuit once, with signature checking."""
-    return denote(c).apply(inputs)

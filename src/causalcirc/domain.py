@@ -280,34 +280,6 @@ class MonotoneFn:
             )
         return f
 
-    def tabulate(self) -> dict[WireTuple, WireTuple]:
-        if self.table is not None:
-            return self.table
-        check_enumerable(self.dom)
-        return {t: self.fn(t) for t in self.dom.tuples()}
-
-    def then(self, other: "MonotoneFn") -> "MonotoneFn":
-        """Diagrammatic composition: self first, then other."""
-        if self.cod != other.dom:
-            raise SignatureError(
-                f"cannot compose {self.cod!r} output into {other.dom!r} input"
-            )
-        f, g = self.fn, other.fn
-        return MonotoneFn(
-            self.dom, other.cod, lambda t: g(f(t)), f"{self.name};{other.name}"
-        )
-
-    def par(self, other: "MonotoneFn") -> "MonotoneFn":
-        """Side-by-side product of two functions."""
-        n = len(self.dom)
-        f, g = self.fn, other.fn
-        return MonotoneFn(
-            self.dom + other.dom,
-            self.cod + other.cod,
-            lambda t: f(t[:n]) + g(t[n:]),
-            f"{self.name}|{other.name}",
-        )
-
     @staticmethod
     def identity(s: Signature) -> "MonotoneFn":
         return MonotoneFn(s, s, lambda t: t, "id")

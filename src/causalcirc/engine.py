@@ -51,9 +51,6 @@ class PrefixTrace:
             raise SignatureError(f"no length-{n} prefix of a length-{len(self.rows)} trace")
         return PrefixTrace(self.signature, self.rows[:n])
 
-    def is_bot_free(self) -> bool:
-        return all(x is not BOT for r in self.rows for x in r)
-
 
 def bot_trace(signature: Signature, ticks: int) -> PrefixTrace:
     return PrefixTrace(signature, ((BOT,) * len(signature),) * ticks)

@@ -897,22 +897,15 @@ def check_superposing(cfg: LawConfig = LawConfig()) -> SweepResult:
     return _law("superposing", cfg, "CABX", spaces, _superposing)
 
 
-def check_trace_axioms(cfg: LawConfig = LawConfig()) -> list[SweepResult]:
-    """The four axioms a loop construct inherits from the fixed point."""
-    return [
-        check_yanking(cfg),
-        check_vanishing(cfg),
-        check_sliding(cfg),
-        check_superposing(cfg),
-    ]
-
-
 def run_laws(cfg: LawConfig = LawConfig()) -> list[SweepResult]:
-    """Every law sweep, in a fixed order."""
+    """Every law sweep in a fixed order: fixed-point laws, then trace axioms."""
     return [
         check_local_fixpoint(cfg),
         check_naturality_param(cfg),
         check_dinaturality(cfg),
         check_bekic(cfg),
-        *check_trace_axioms(cfg),
+        check_yanking(cfg),
+        check_vanishing(cfg),
+        check_sliding(cfg),
+        check_superposing(cfg),
     ]

@@ -9,10 +9,11 @@ source text, mirroring the IR.
 
 ``print_netlist`` emits a canonical form: sorted type and gate declarations,
 one flat statement per node in index order, generated names for nodes and
-feedback wires.  Parsing a printed circuit reproduces the IR exactly, and
-printing is byte-deterministic.  A circuit built in Python that holds a
-name, an atom or a gate no netlist text reads back is refused with
-SignatureError instead.
+feedback wires.  Printing is byte-deterministic, and parsing the printed
+text reproduces the IR exactly when the circuit names its ports; one built
+without names comes back named ``a0…``/``y0…``, with the same printed text
+and ``to_json`` dump.  A circuit built in Python that holds a name, an atom
+or a gate no netlist text reads back is refused with SignatureError instead.
 
 Syntax errors abort at the first offense; semantic errors inside statements
 are collected so one parse reports several, each with a line and column.

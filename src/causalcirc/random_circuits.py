@@ -24,7 +24,6 @@ from .circuit import (
     check_valid,
 )
 from .domain import BOOL, BOT, BaseType, Signature, int_range
-from .engine import random_trace
 from .gates import (
     and_gate,
     const_gate,
@@ -172,5 +171,4 @@ __all__ = [
     "random_circuit",
     "random_contractive_circuit",
     "random_delay_free_circuit",
-    "random_trace",
 ]

@@ -1,17 +1,20 @@
-"""Slow reference implementations used to cross-check the fast paths.
+"""Slow reference implementations used to cross-check the fast paths, and
+the one seeded corpus of circuits they are checked on.
 
-Everything here works by exhaustive scan over a signature's tuples, with
+Every reference works by exhaustive scan over a signature's tuples, with
 no iteration tricks, so a disagreement points at the optimised code.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
+from pathlib import Path
 
 from causalcirc import BOT, CapError, MonotoneFn, Signature, tuple_leq
-from causalcirc.domain import find_monotonicity_violation, sig, trace
+from causalcirc.domain import BOOL, find_monotonicity_violation, sig, trace
 from causalcirc.laws import (
     ComboResult,
     Counterexample,
@@ -21,9 +24,25 @@ from causalcirc.laws import (
     _Space,
 )
 from causalcirc.analysis import EquivReport, TotalityReport, Witness
-from causalcirc.circuit import SrcIn, SrcNode, UnitDelay, VarDelay
+from causalcirc.circuit import (
+    Circuit,
+    LoopWire,
+    SrcIn,
+    SrcLoop,
+    SrcNode,
+    UnitDelay,
+    VarDelay,
+)
 from causalcirc.engine import PrefixTrace, random_trace, simulate
-from causalcirc.netlist import NetlistError
+from causalcirc.gates import not_gate, pand, por
+from causalcirc.netlist import NetlistError, parse_netlist
+from causalcirc.random_circuits import (
+    GenConfig,
+    random_circuit,
+    random_delay_free_circuit,
+)
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 
 def brute_fixed_points(f: MonotoneFn) -> list[tuple]:
@@ -349,18 +368,24 @@ def tick_lfp(c, past: list, inputs: tuple) -> tuple:
     variable delay reads d ticks back (its init while the run is younger
     than d), passes its current input at d = 0 and is undefined at an
     undefined d.  Every wire vector the map fixes is listed and the least
-    one returned.
+    one returned.  A vector whose unit delay wire does not hold the delay's
+    value is never fixed, so those are not scanned.
     """
     first, types = wire_layout(c)
+    held = {
+        first[i]: _read(c, first, ins[0], *past[-1]) if past else node.init
+        for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs))
+        if isinstance(node, UnitDelay)
+    }
 
     def wire_map(wires):
         out = []
-        for node, ins in zip(c.nodes, c.node_inputs):
-            args = tuple(_read(c, first, s, inputs, wires) for s in ins)
+        for node, ins, at in zip(c.nodes, c.node_inputs, first):
             if isinstance(node, UnitDelay):
-                back = _read(c, first, ins[0], *past[-1]) if past else node.init
-                out.append(back)
-            elif isinstance(node, VarDelay):
+                out.append(held[at])
+                continue
+            args = tuple(_read(c, first, s, inputs, wires) for s in ins)
+            if isinstance(node, VarDelay):
                 d = args[1]
                 if d is BOT:
                     out.append(BOT)
@@ -375,7 +400,8 @@ def tick_lfp(c, past: list, inputs: tuple) -> tuple:
         out.extend(_read(c, first, lw.src, inputs, wires) for lw in c.loops)
         return tuple(out)
 
-    fixed = [w for w in product(*[b.lifted for b in types]) if wire_map(w) == w]
+    scan = [(held[j],) if j in held else b.lifted for j, b in enumerate(types)]
+    fixed = [w for w in product(*scan) if wire_map(w) == w]
     least = least_of(fixed)
     assert least is not None, "a monotone tick must have a least fixed point"
     return least
@@ -450,7 +476,6 @@ def trace_by_trace_equiv(
     samples=1000,
     seed=0,
     max_cases=200_000,
-    p_bot=0.25,
 ) -> EquivReport:
     """``check_equiv`` by simulating both circuits on every trace in full."""
     if strategy == "exhaustive":
@@ -462,7 +487,7 @@ def trace_by_trace_equiv(
     else:
         rng = random.Random(seed)
         it = (
-            random_trace(rng, c1.in_ports, horizon, p_bot=p_bot)
+            random_trace(rng, c1.in_ports, horizon, p_bot=0.25)
             for _ in range(samples)
         )
         total = samples
@@ -550,3 +575,179 @@ def tokenize_by_char(text: str) -> list[tuple[str, str, int, int]]:
         raise NetlistError([(line, col, f"unexpected character {ch!r}")])
     toks.append(("EOF", "", line, col))
     return toks
+
+
+# -- the seeded cross-check corpus -----------------------------------------
+#
+# Every fast path is checked against its oracle on these circuits, each
+# check on every member its oracle can afford.  A random slice keeps the
+# seed, generator config and count it was first drawn with, so its
+# circuits never change.
+
+
+@dataclass(frozen=True)
+class Member:
+    """One corpus circuit, with the input traces its tick checks run.
+
+    ``slice`` names the draw it belongs to.  The traces were drawn with the
+    circuit where its draw drew them, else from a generator seeded by
+    ``name``.
+    """
+
+    name: str
+    slice: str
+    circuit: Circuit
+    traces: tuple[tuple, ...]
+
+
+def _member(name: str, slice_: str, c: Circuit) -> Member:
+    tr = random_trace(random.Random(name), c.in_ports, 5, p_bot=0.25)
+    return Member(name, slice_, c, (tr.rows,))
+
+
+def _random_slice(name: str, seed: int, make, cfg: GenConfig, count: int):
+    rng = random.Random(seed)
+    return [_member(f"{name}/{i}", name, make(rng, cfg)) for i in range(count)]
+
+
+def _settle_slice() -> list[Member]:
+    """60 circuits of at most 6 wires, small enough to scan every wire
+    vector, each with the 5-tick trace drawn right after it."""
+    rng = random.Random(21)
+    cfg = GenConfig(max_inputs=2, max_nodes=4, max_loops=2, p_vardelay=0.4)
+    out: list[Member] = []
+    while len(out) < 60:
+        c = random_circuit(rng, cfg)
+        if len(wire_layout(c)[1]) <= 6:
+            tr = random_trace(rng, c.in_ports, 5, p_bot=0.25)
+            out.append(Member(f"settle/{len(out)}", "settle", c, (tr.rows,)))
+    return out
+
+
+def looped(n_in, nodes, node_inputs, outputs, loops) -> Circuit:
+    """A bool circuit from its wiring, its ports left unnamed."""
+    return Circuit(
+        sig(*(BOOL,) * n_in),
+        sig(*(BOOL,) * len(outputs)),
+        tuple(nodes),
+        tuple(tuple(ins) for ins in node_inputs),
+        tuple(outputs),
+        tuple(LoopWire(BOOL, src) for src in loops),
+    )
+
+
+# Where unit delays and feedback wires read: each corner is built for a
+# delay init, and resolving its reads to slots must not change a tick.
+
+
+def _self_closed(init):
+    # w = w: its least value is ⊥, whatever reads it.
+    return looped(
+        1, [por()], [(SrcIn(0), SrcLoop(0))], (SrcNode(0, 0), SrcLoop(0)),
+        [SrcLoop(0)],
+    )
+
+
+def _loop_through_loop(init):
+    # w1 = w0 and w0 = por(a, w1): a gate's cycle through two loop wires.
+    return looped(
+        1, [por()], [(SrcIn(0), SrcLoop(1))], (SrcLoop(1), SrcNode(0, 0)),
+        [SrcNode(0, 0), SrcLoop(0)],
+    )
+
+
+def _two_loop_cycle(init):
+    # w0 = w1 and w1 = w0 reach only each other.
+    return looped(
+        1, [pand()], [(SrcLoop(0), SrcIn(0))], (SrcLoop(1), SrcNode(0, 0)),
+        [SrcLoop(1), SrcLoop(0)],
+    )
+
+
+def _loop_through_delay(init):
+    # A toggle gated by a: w = delay(pand(a, not(w))).
+    return looped(
+        1,
+        [not_gate(), pand(), UnitDelay(BOOL, init)],
+        [(SrcLoop(0),), (SrcIn(0), SrcNode(0, 0)), (SrcNode(1, 0),)],
+        (SrcLoop(0), SrcNode(1, 0)),
+        [SrcNode(2, 0)],
+    )
+
+
+def _shift_register(init):
+    return looped(
+        1,
+        [UnitDelay(BOOL, init), UnitDelay(BOOL, 1), UnitDelay(BOOL, init), por()],
+        [(SrcIn(0),), (SrcNode(0, 0),), (SrcNode(1, 0),), (SrcNode(2, 0), SrcIn(0))],
+        (SrcNode(0, 0), SrcNode(1, 0), SrcNode(2, 0), SrcNode(3, 0)),
+        [],
+    )
+
+
+def _direct_reads(init):
+    # Output ports and delay inputs read a unit delay, a loop wire onto a
+    # unit delay, a self-closed loop wire and a loop wire onto an input.
+    return looped(
+        1,
+        [UnitDelay(BOOL, init), UnitDelay(BOOL, 0), UnitDelay(BOOL, 1),
+         UnitDelay(BOOL, init)],
+        [(SrcIn(0),), (SrcLoop(0),), (SrcNode(0, 0),), (SrcLoop(1),)],
+        (SrcNode(0, 0), SrcLoop(0), SrcNode(1, 0), SrcNode(2, 0), SrcLoop(1),
+         SrcNode(3, 0), SrcLoop(2)),
+        [SrcNode(0, 0), SrcLoop(1), SrcIn(0)],
+    )
+
+
+def _delays_only(init):
+    return looped(
+        2,
+        [UnitDelay(BOOL, init), UnitDelay(BOOL, 0)],
+        [(SrcIn(1),), (SrcIn(0),)],
+        (SrcNode(1, 0), SrcNode(0, 0), SrcNode(1, 0)),
+        [],
+    )
+
+
+CORNERS = (
+    _self_closed, _loop_through_loop, _two_loop_cycle, _loop_through_delay,
+    _shift_register, _direct_reads, _delays_only,
+)
+
+
+def _corner_slice() -> list[Member]:
+    """Each corner at the inits ⊥, 0 and 1, with four 5-tick traces each."""
+    out = []
+    for build in CORNERS:
+        rng = random.Random(build.__name__)
+        for init in (BOT, 0, 1):
+            c = build(init)
+            traces = tuple(
+                random_trace(rng, c.in_ports, 5, p_bot=0.3).rows for _ in range(4)
+            )
+            name = f"corner/{build.__name__}@{'bot' if init is BOT else init}"
+            out.append(Member(name, "corner", c, traces))
+    return out
+
+
+@cache
+def corpus() -> tuple[Member, ...]:
+    """The corpus, built once: three seeded random slices, every netlist
+    under ``circuits/`` and the corners above."""
+    netlists = [
+        _member(f"circuits/{p.name}", "netlist", parse_netlist(p.read_text("utf-8")))
+        for p in sorted(CIRCUITS.glob("*.net"))
+    ]
+    return tuple(
+        _random_slice(
+            "walk", 2024, random_circuit,
+            GenConfig(max_inputs=2, max_nodes=6, p_vardelay=0.3), 40,
+        )
+        + _settle_slice()
+        + _random_slice(
+            "delay-free", 5, random_delay_free_circuit,
+            GenConfig(max_inputs=2, max_nodes=5, max_outputs=2), 40,
+        )
+        + netlists
+        + _corner_slice()
+    )

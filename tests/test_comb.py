@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from causalcirc.circuit import (
     Circuit,
-    LoopWire,
     SrcIn,
     SrcLoop,
     SrcNode,
@@ -13,10 +12,10 @@ from causalcirc.circuit import (
     from_gate,
     trace_loop,
 )
-from causalcirc.comb import Propagator, denote, eval_comb, propagator
+from causalcirc.comb import Propagator, denote, propagator
 from causalcirc.domain import BOOL, BOT, SignatureError, local_lfp, sig, trace
 from causalcirc.engine import PrefixTrace, initial_state, random_trace, simulate, step
-from causalcirc.gates import not_gate, pand, por
+from causalcirc.gates import not_gate, por
 from causalcirc.random_circuits import (
     GenConfig,
     random_circuit,
@@ -32,11 +31,11 @@ def test_denote_matches_the_gate_for_a_single_node():
         assert f.apply(x) == por().fn.apply(x)
 
 
-def test_eval_comb_checks_the_input_shape():
-    c = from_gate(por())
-    assert eval_comb(c, (1, BOT)) == (1,)
+def test_denote_checks_the_input_shape():
+    f = denote(from_gate(por()))
+    assert f.apply((1, BOT)) == (1,)
     with pytest.raises(SignatureError):
-        eval_comb(c, (1,))
+        f.apply((1,))
 
 
 def test_denote_refuses_stateful_circuits():
@@ -46,23 +45,6 @@ def test_denote_refuses_stateful_circuits():
     )
     with pytest.raises(SignatureError, match="simulate"):
         denote(c)
-
-
-def test_fixpoint_and_topo_strategies_agree_without_loops():
-    # denote always solves for the least fixed point; on loop-free circuits
-    # that must equal a one-pass topological evaluation.
-    rng = random.Random(5)
-    cfg = GenConfig(max_inputs=2, max_nodes=5, max_outputs=2)
-    checked = 0
-    for _ in range(40):
-        c = random_delay_free_circuit(rng, cfg)
-        if c.loops:
-            continue
-        f = denote(c)
-        for x in c.in_ports.tuples():
-            assert f.apply(x) == oracles.topo_eval(c, x)
-        checked += 1
-    assert checked >= 10
 
 
 def test_topo_strategy_refuses_loops():
@@ -178,110 +160,6 @@ def test_solver_settles_within_the_swept_wire_bound_with_delays(monkeypatch):
     assert delayed >= 30
 
 
-# -- where unit delays and feedback wires read ---------------------------
-
-
-def _looped(n_in, nodes, node_inputs, outputs, loops):
-    return Circuit(
-        sig(*(BOOL,) * n_in),
-        sig(*(BOOL,) * len(outputs)),
-        tuple(nodes),
-        tuple(tuple(ins) for ins in node_inputs),
-        tuple(outputs),
-        tuple(LoopWire(BOOL, src) for src in loops),
-    )
-
-
-def _self_closed(init):
-    # w = w: its least value is ⊥, whatever reads it.
-    return _looped(
-        1, [por()], [(SrcIn(0), SrcLoop(0))], (SrcNode(0, 0), SrcLoop(0)),
-        [SrcLoop(0)],
-    )
-
-
-def _loop_through_loop(init):
-    # w1 = w0 and w0 = por(a, w1): a gate's cycle through two loop wires.
-    return _looped(
-        1, [por()], [(SrcIn(0), SrcLoop(1))], (SrcLoop(1), SrcNode(0, 0)),
-        [SrcNode(0, 0), SrcLoop(0)],
-    )
-
-
-def _two_loop_cycle(init):
-    # w0 = w1 and w1 = w0 reach only each other.
-    return _looped(
-        1, [pand()], [(SrcLoop(0), SrcIn(0))], (SrcLoop(1), SrcNode(0, 0)),
-        [SrcLoop(1), SrcLoop(0)],
-    )
-
-
-def _loop_through_delay(init):
-    # A toggle gated by a: w = delay(pand(a, not(w))).
-    return _looped(
-        1,
-        [not_gate(), pand(), UnitDelay(BOOL, init)],
-        [(SrcLoop(0),), (SrcIn(0), SrcNode(0, 0)), (SrcNode(1, 0),)],
-        (SrcLoop(0), SrcNode(1, 0)),
-        [SrcNode(2, 0)],
-    )
-
-
-def _shift_register(init):
-    return _looped(
-        1,
-        [UnitDelay(BOOL, init), UnitDelay(BOOL, 1), UnitDelay(BOOL, init), por()],
-        [(SrcIn(0),), (SrcNode(0, 0),), (SrcNode(1, 0),), (SrcNode(2, 0), SrcIn(0))],
-        (SrcNode(0, 0), SrcNode(1, 0), SrcNode(2, 0), SrcNode(3, 0)),
-        [],
-    )
-
-
-def _direct_reads(init):
-    # Output ports and delay inputs read a unit delay, a loop wire onto a
-    # unit delay, a self-closed loop wire and a loop wire onto an input.
-    return _looped(
-        1,
-        [UnitDelay(BOOL, init), UnitDelay(BOOL, 0), UnitDelay(BOOL, 1),
-         UnitDelay(BOOL, init)],
-        [(SrcIn(0),), (SrcLoop(0),), (SrcNode(0, 0),), (SrcLoop(1),)],
-        (SrcNode(0, 0), SrcLoop(0), SrcNode(1, 0), SrcNode(2, 0), SrcLoop(1),
-         SrcNode(3, 0), SrcLoop(2)),
-        [SrcNode(0, 0), SrcLoop(1), SrcIn(0)],
-    )
-
-
-def _delays_only(init):
-    return _looped(
-        2,
-        [UnitDelay(BOOL, init), UnitDelay(BOOL, 0)],
-        [(SrcIn(1),), (SrcIn(0),)],
-        (SrcNode(1, 0), SrcNode(0, 0), SrcNode(1, 0)),
-        [],
-    )
-
-
-@pytest.mark.parametrize(
-    "build",
-    [_self_closed, _loop_through_loop, _two_loop_cycle, _loop_through_delay,
-     _shift_register, _direct_reads, _delays_only],
-)
-def test_resolved_reads_match_the_brute_force_tick(build):
-    rng = random.Random(build.__name__)
-    for init in (BOT, 0, 1):
-        c = build(init)
-        assert propagator(c).n_wires == sum(
-            len(n.cod) for n in c.nodes if not isinstance(n, UnitDelay)
-        )
-        for _ in range(4):
-            state, past = initial_state(c), []
-            for row in random_trace(rng, c.in_ports, 5, p_bot=0.3).rows:
-                state, outs = step(state, row)
-                settled = oracles.tick_lfp(c, past, row)
-                assert outs == oracles.tick_outputs(c, row, settled)
-                past.append((row, settled))
-
-
 def test_a_long_chain_of_loop_wires_compiles_and_simulates():
     # Loop wire i reads loop wire i+1: one chain ends at the input, the
     # other returns to its own start and is ⊥.  Resolving them must not
@@ -289,7 +167,7 @@ def test_a_long_chain_of_loop_wires_compiles_and_simulates():
     n = 5000
     loops = [SrcLoop(i + 1) for i in range(n - 1)] + [SrcIn(0)]
     loops += [SrcLoop(n + i + 1) for i in range(n - 1)] + [SrcLoop(n)]
-    c = _looped(
+    c = oracles.looped(
         1, [not_gate()], [(SrcLoop(0),)], (SrcLoop(0), SrcNode(0, 0), SrcLoop(n)),
         loops,
     )

@@ -30,7 +30,9 @@ from causalcirc.domain import (
     tuple_leq,
     up_set,
 )
-from causalcirc.gates import por
+from causalcirc.circuit import compose, from_gate, tensor
+from causalcirc.comb import denote
+from causalcirc.gates import not_gate, por
 from causalcirc.laws import enumerate_monotone, random_monotone
 
 import oracles
@@ -203,18 +205,19 @@ def test_apply_checks_both_ends():
 
 
 def test_then_and_par_compose_tables():
-    notf = MonotoneFn.from_table(
-        B, B, {(BOT,): (BOT,), (0,): (1,), (1,): (0,)}
-    )
-    both = notf.par(notf)
+    # Sequential and parallel composition, through the circuits that
+    # denote them.
+    notc = from_gate(not_gate())
+    both = denote(tensor(notc, notc))
     assert both.apply((0, 1)) == (1, 0)
-    twice = notf.then(notf)
+    assert both.apply((BOT, 1)) == (BOT, 0)
+    twice = denote(compose(notc, notc))
     for x in B.tuples():
         assert twice.apply(x) == x
     ident = MonotoneFn.identity(BB)
     assert ident.apply((1, BOT)) == (1, BOT)
     with pytest.raises(SignatureError):
-        notf.then(both)
+        compose(notc, tensor(notc, notc))
 
 
 def test_up_set():

@@ -33,7 +33,7 @@ from causalcirc.circuit import (
     UnitDelay,
     VarDelay,
 )
-from causalcirc.engine import PrefixTrace, random_trace, simulate
+from causalcirc.engine import PrefixTrace, initial_state, random_trace, simulate, step
 from causalcirc.gates import not_gate, pand, por
 from causalcirc.netlist import NetlistError, parse_netlist
 from causalcirc.random_circuits import (
@@ -410,6 +410,19 @@ def tick_lfp(c, past: list, inputs: tuple) -> tuple:
 def tick_outputs(c, inputs: tuple, wires: tuple) -> tuple:
     first, _ = wire_layout(c)
     return tuple(_read(c, first, s, inputs, wires) for s in c.outputs)
+
+
+def assert_step_settles(m: Member) -> None:
+    """``engine.step`` on each of ``m``'s traces emits, at every tick, the
+    outputs of the least fixed point ``tick_lfp`` finds by scanning."""
+    c = m.circuit
+    for rows in m.traces:
+        state, past = initial_state(c), []
+        for row in rows:
+            state, outs = step(state, row)
+            settled = tick_lfp(c, past, row)
+            assert outs == tick_outputs(c, row, settled), m.name
+            past.append((row, settled))
 
 
 # -- bounded checks, one full trace at a time ----------------------------

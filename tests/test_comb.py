@@ -160,6 +160,23 @@ def test_solver_settles_within_the_swept_wire_bound_with_delays(monkeypatch):
     assert delayed >= 30
 
 
+@pytest.mark.parametrize("build", oracles.CORNERS)
+def test_resolved_reads_match_the_brute_force_tick(build):
+    # Where unit delays and feedback wires read: the corpus holds each
+    # corner at the inits ⊥, 0 and 1, with four traces each.
+    members = [
+        m for m in oracles.corpus()
+        if m.name.startswith(f"corner/{build.__name__}@")
+    ]
+    assert len(members) == 3
+    for m in members:
+        c = m.circuit
+        assert propagator(c).n_wires == sum(
+            len(n.cod) for n in c.nodes if not isinstance(n, UnitDelay)
+        )
+        oracles.assert_step_settles(m)
+
+
 def test_a_long_chain_of_loop_wires_compiles_and_simulates():
     # Loop wire i reads loop wire i+1: one chain ends at the input, the
     # other returns to its own start and is ⊥.  Resolving them must not

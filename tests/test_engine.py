@@ -27,6 +27,8 @@ from causalcirc.gates import const_gate, strict_lift
 from causalcirc.netlist import parse_netlist
 from causalcirc.random_circuits import GenConfig, random_circuit
 
+import oracles
+
 
 def load(path: str) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
@@ -284,3 +286,16 @@ def test_equal_looking_gates_with_different_functions_simulate_apart():
     rep = check_equiv(ident, negate, horizon=1)
     assert not rep.equivalent
     assert rep.witness is not None and rep.witness.tick == 0
+
+
+def test_step_settles_each_tick_at_the_brute_force_fixed_point():
+    # The corpus's settle slice: seed 21, 60 circuits of at most 6 wires,
+    # each with the trace drawn right after it.
+    settle = [m for m in oracles.corpus() if m.slice == "settle"]
+    assert len(settle) == 60
+    for m in settle:
+        assert len(oracles.wire_layout(m.circuit)[1]) <= 6, m.name
+        oracles.assert_step_settles(m)
+    nodes = [m.circuit.nodes for m in settle]
+    assert sum(any(isinstance(n, VarDelay) for n in ns) for ns in nodes) >= 10
+    assert sum(any(getattr(n, "init", 0) is BOT for n in ns) for ns in nodes) >= 10

@@ -4,6 +4,8 @@ The corpus (``oracles.corpus``) holds three seeded random slices, every
 netlist under ``circuits/`` and the aliasing corners of tick resolution.
 Each test runs one (fast path, oracle) pair on every member the oracle can
 afford, and checks that the members it ran on cover what it must see.
+``engine.step`` against ``tick_lfp`` on the settle slice and on the corners
+runs in ``test_engine.py`` and ``test_comb.py``.
 """
 
 from collections import Counter
@@ -13,7 +15,6 @@ from causalcirc.analysis import check_equiv, check_totality
 from causalcirc.circuit import UnitDelay, VarDelay, in_port_names, to_json
 from causalcirc.comb import denote, propagator
 from causalcirc.domain import BOT, CapError
-from causalcirc.engine import initial_state, step
 from causalcirc.netlist import parse_netlist, print_netlist
 
 import oracles
@@ -26,30 +27,23 @@ def test_the_corpus_keeps_each_draw():
     assert len({m.name for m in oracles.corpus()}) == 173
 
 
-def test_step_settles_each_tick_at_the_brute_force_fixed_point():
+def test_step_settles_every_other_member_at_the_brute_force_fixed_point():
     # tick_lfp lists every wire vector: it affords as many as seven bool
-    # wires have, which the widest corner needs.
+    # wires have.  The settle slice is checked in test_engine.py and the
+    # corners in test_comb.py; this runs the pair on every other member.
     checked = []
     for m in oracles.corpus():
         c = m.circuit
         assert propagator(c).n_wires == sum(
             len(n.cod) for n in c.nodes if not isinstance(n, UnitDelay)
         ), m.name
+        if m.slice in ("settle", "corner"):
+            continue
         if prod(len(b.lifted) for b in oracles.wire_layout(c)[1]) > 3**7:
             continue
-        checked.append(m)
-        for rows in m.traces:
-            state, past = initial_state(c), []
-            for row in rows:
-                state, outs = step(state, row)
-                settled = oracles.tick_lfp(c, past, row)
-                assert outs == oracles.tick_outputs(c, row, settled), m.name
-                past.append((row, settled))
-    settle = [m.circuit for m in checked if m.slice == "settle"]
-    assert len(settle) == 60
-    assert sum(any(isinstance(n, VarDelay) for n in c.nodes) for c in settle) >= 10
-    assert sum(any(getattr(n, "init", 0) is BOT for n in c.nodes) for c in settle) >= 10
-    assert sum(m.slice == "corner" for m in checked) == 21
+        checked.append(m.slice)
+        oracles.assert_step_settles(m)
+    assert {"walk", "delay-free", "netlist"} <= set(checked)
 
 
 def _report_or_cap(check, *args, **kwargs):

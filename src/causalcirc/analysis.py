@@ -7,19 +7,29 @@ input trace, undefined cells included.  Both checks run exhaustively when
 the trace space fits the budget and seeded-random otherwise.
 
 A circuit's outputs through tick t depend only on its inputs through tick t,
-so the exhaustive path never re-runs a trace from tick 0.  It walks the tree
-of input prefixes depth first, stepping each prefix once from the state its
-parent left: at most b + b² + … + bᴴ ticks for b rows per tick, instead of
-H·bᴴ.  Rows are tried in ``concrete_tuples``/``tuples`` order, so the walk
-meets traces in their lexicographic order, and it stops at the first prefix
-whose newest output row is bad (for equivalence, the circuits step in
-lockstep).  That prefix is the witness, with its lowest bad port: the same
-minimal witness as scanning full traces in order (first failing trace,
-then earliest tick, then lowest port).  Ticks after the failing one are
-never run, so a trace that would raise later still yields its witness.
+and a tick reads only the committed delay histories and the input row.  So
+the exhaustive path never re-runs a trace from tick 0: it walks the tree of
+input prefixes depth first, stepping each prefix from the state its parent
+left, and it skips a prefix whose histories have already passed a whole
+subtree with at least as many ticks left, as the subtree from there passes
+again.  A state is marked only once its subtree has no failure, so every
+(histories, ticks left) pair is walked at most once: at most
+states × b × H steps for b rows per tick at horizon H, where states counts
+the distinct histories reached, instead of b + b² + … + bᴴ.  Rows are tried
+in ``concrete_tuples``/``tuples`` order, so the walk meets traces in their
+lexicographic order, and it stops at the first prefix whose newest output
+row is bad (for equivalence, the circuits step in lockstep and a state is
+the histories of both).  That prefix is the witness, with its lowest bad
+port: the same minimal witness as scanning full traces in order (first
+failing trace, then earliest tick, then lowest port).  Ticks after the
+failing one are never run, so a trace that would raise later still yields
+its witness.
 
 Each check also memoizes one tick of each circuit instance, keyed on the
 committed delay histories and the input row, which are all a tick reads.
+A tick is the circuit's compiled ``Propagator.tick``: the rows come from
+the signature's own enumeration or from ``engine.random_rows``, which draw
+only rows that fit it, so no row is checked again per tick.
 The random strategy runs every sampled trace through the same memo.  A
 memo lives for one check and one circuit instance, never longer, and is
 never shared between circuits that merely compare equal.
@@ -34,10 +44,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import engine
 from .circuit import Circuit, UnitDelay, VarDelay, is_contractive
+from .comb import propagator
 from .domain import BOT, CapError, Signature, SignatureError, check_enumerable
-from .engine import PrefixTrace, SimState, random_trace
+from .engine import PrefixTrace, random_rows
 from .gates import KIND_STRICT, KIND_WIRING
 
 
@@ -108,18 +118,18 @@ class EquivReport:
 def _stepper(c: Circuit):
     """One tick of ``c`` as ``(histories, row) -> (next histories, outputs)``.
 
-    Memoized on ``(histories, row)``, exactly what ``engine.step`` reads:
-    the flat tuple of committed delay values and the input row.  The memo
-    belongs to this one circuit instance and dies with the function.
+    Memoized ``Propagator.tick`` on ``(histories, row)``, exactly what a
+    tick reads.  The memo belongs to this one circuit instance and dies
+    with the function.
     """
     memo: dict = {}
+    tick = propagator(c).tick
 
     def advance(histories, row):
         key = (histories, row)
         hit = memo.get(key)
         if hit is None:
-            state, outs = engine.step(SimState(c, histories), row)
-            hit = memo[key] = (state.histories, outs)
+            hit = memo[key] = tick(histories, row)
         return hit
 
     return advance
@@ -145,23 +155,28 @@ def _explore(circuits, rows: list, horizon: int, bad_port):
     ``bad_port`` maps the circuits' newest output rows to a failing port or
     None.  Returns ``(cases, failure)``, where failure is None or
     ``(prefix rows, port, newest output rows)`` for the first bad prefix.
+    A prefix is not descended into when its histories have already passed
+    a subtree with at least as many ticks left.
     """
+    # _stepper compiles and so validates each circuit, so an invalid one
+    # is refused even at horizon 0.
     steppers = [_stepper(c) for c in circuits]
-    # initial_state validates each circuit, so an invalid one is refused
-    # even at horizon 0.
-    start = tuple(engine.initial_state(c).histories for c in circuits)
     b = len(rows)
     if horizon == 0:
         return 1, None
     path: list[int] = []  # row index per tick of the current prefix
-    states = [start]  # histories of every circuit after each prefix tick
+    # Histories of every circuit after each prefix tick.
+    states = [tuple(propagator(c).init for c in circuits)]
+    passed: dict = {}  # histories -> most ticks left from them with no failure
     i = 0
     while True:
         if i == b:
+            # The whole subtree passed.  Inside it these histories met only
+            # fewer ticks left, so this is the most they have passed with.
+            passed[states.pop()] = horizon - len(path)
             if not path:
                 return b**horizon, None
             i = path.pop() + 1
-            states.pop()
             continue
         row = rows[i]
         stepped = [adv(h, row) for adv, h in zip(steppers, states[-1])]
@@ -172,9 +187,11 @@ def _explore(circuits, rows: list, horizon: int, bad_port):
             # 1 + the lexicographic index of the prefix's first full trace.
             cases = 1 + sum(j * b ** (horizon - 1 - k) for k, j in enumerate(path))
             return cases, (tuple(rows[j] for j in path), port, outs)
-        if len(path) + 1 < horizon:
+        left = horizon - len(path) - 1
+        after = tuple(h for h, _ in stepped)
+        if left and passed.get(after, 0) < left:
             path.append(i)
-            states.append(tuple(h for h, _ in stepped))
+            states.append(after)
             i = 0
         else:
             i += 1
@@ -187,10 +204,11 @@ def _sample(circuits, traces, bad_port):
     run, and the failure's prefix is the trace cut at its first bad tick.
     """
     steppers = [_stepper(c) for c in circuits]
+    start = [propagator(c).init for c in circuits]
     cases = 0
     for rows in traces:
         cases += 1
-        hists = [engine.initial_state(c).histories for c in circuits]
+        hists = start
         for t, row in enumerate(rows):
             stepped = [adv(h, row) for adv, h in zip(steppers, hists)]
             outs = [o for _, o in stepped]
@@ -229,9 +247,7 @@ def _bounded(circuits, bad_port, horizon, strategy, samples, seed, max_cases, co
     if strategy == "random":
         rng = random.Random(seed)
         p_bot = 0.0 if concrete else 0.25
-        traces = (
-            random_trace(rng, s, horizon, p_bot=p_bot).rows for _ in range(samples)
-        )
+        traces = (random_rows(rng, s, horizon, p_bot) for _ in range(samples))
         return _sample(circuits, traces, bad_port)
     raise ValueError(f"unknown strategy {strategy!r}")
 

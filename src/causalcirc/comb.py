@@ -115,9 +115,11 @@ class Propagator:
         fixed point of the wire vector."""
         return t + _kleene(self.sweep, self.bot, "a gate in this circuit")(t)
 
-    def commit(self, settled: tuple) -> tuple:
-        """The history after the tick ``settled``, as ``solve`` gave it."""
-        return tuple([settled[j] for j in self.commit_slots])
+    def tick(self, histories: tuple, row: WireTuple) -> tuple[tuple, WireTuple]:
+        """One tick from the committed ``histories`` on the input ``row``,
+        which is not checked: the histories it commits and its outputs."""
+        settled = self.solve(row + histories)
+        return tuple([settled[j] for j in self.commit_slots]), self.outputs(settled)
 
     def outputs(self, settled: tuple) -> WireTuple:
         return tuple([settled[j] for j in self.out_slots])

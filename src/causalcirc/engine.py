@@ -81,8 +81,8 @@ def step(state: SimState, inputs: WireTuple) -> tuple[SimState, WireTuple]:
     c = state.circuit
     prop = propagator(c)
     c.in_ports.check(inputs)
-    settled = prop.solve(inputs + state.histories)
-    return SimState(c, prop.commit(settled), state.t + 1), prop.outputs(settled)
+    histories, outs = prop.tick(state.histories, inputs)
+    return SimState(c, histories, state.t + 1), outs
 
 
 def simulate(c: Circuit, inputs: PrefixTrace, ticks: int | None = None) -> PrefixTrace:
@@ -107,18 +107,26 @@ def simulate(c: Circuit, inputs: PrefixTrace, ticks: int | None = None) -> Prefi
     return PrefixTrace(c.out_ports, tuple(rows))
 
 
-def random_trace(
+def random_rows(
     rng: random.Random, signature: Signature, ticks: int, p_bot: float = 0.0
-) -> PrefixTrace:
-    """Seeded random trace; ``p_bot`` is the chance a cell is undefined."""
-    rows = tuple(
+) -> tuple[WireTuple, ...]:
+    """``ticks`` seeded random rows over ``signature``, each cell undefined
+    with probability ``p_bot`` and otherwise one of its wire's values, so
+    every row fits the signature as drawn."""
+    return tuple(
         tuple(
             BOT if rng.random() < p_bot else rng.choice(b.values)
             for b in signature.wires
         )
         for _ in range(ticks)
     )
-    return PrefixTrace(signature, rows)
+
+
+def random_trace(
+    rng: random.Random, signature: Signature, ticks: int, p_bot: float = 0.0
+) -> PrefixTrace:
+    """Seeded random trace of ``random_rows``."""
+    return PrefixTrace(signature, random_rows(rng, signature, ticks, p_bot))
 
 
 def check_causality(

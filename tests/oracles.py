@@ -33,7 +33,14 @@ from causalcirc.circuit import (
     UnitDelay,
     VarDelay,
 )
-from causalcirc.engine import PrefixTrace, initial_state, random_trace, simulate, step
+from causalcirc.engine import (
+    PrefixTrace,
+    SimState,
+    initial_state,
+    random_trace,
+    simulate,
+    step,
+)
 from causalcirc.gates import not_gate, pand, por
 from causalcirc.netlist import NetlistError, parse_netlist
 from causalcirc.random_circuits import (
@@ -522,6 +529,55 @@ def trace_by_trace_equiv(
                 o2.rows[t],
             )
     return EquivReport(True, horizon, strategy, cases if total is None else total)
+
+
+# -- bounded checks, every prefix walked --------------------------------
+
+
+def prefix_walk(circuits, rows: list, horizon: int, bad_port):
+    """``analysis._explore`` without skipping passed subtrees: every prefix
+    is stepped once, from the state its parent left, through ``step``
+    memoized on (histories, row), so the walk takes b + b² + … + bᴴ steps.
+    Returns ``(cases, failure)`` as ``_explore`` does.
+    """
+    memos = [{} for _ in circuits]
+
+    def advance(k, histories, row):
+        key = (histories, row)
+        if key not in memos[k]:
+            state, outs = step(SimState(circuits[k], histories), row)
+            memos[k][key] = (state.histories, outs)
+        return memos[k][key]
+
+    start = tuple(initial_state(c).histories for c in circuits)
+    b = len(rows)
+    if horizon == 0:
+        return 1, None
+    path: list[int] = []  # row index per tick of the current prefix
+    states = [start]  # histories of every circuit after each prefix tick
+    i = 0
+    while True:
+        if i == b:
+            if not path:
+                return b**horizon, None
+            i = path.pop() + 1
+            states.pop()
+            continue
+        row = rows[i]
+        stepped = [advance(k, h, row) for k, h in enumerate(states[-1])]
+        outs = [o for _, o in stepped]
+        port = bad_port(outs)
+        if port is not None:
+            path.append(i)
+            # 1 + the lexicographic index of the prefix's first full trace.
+            cases = 1 + sum(j * b ** (horizon - 1 - k) for k, j in enumerate(path))
+            return cases, (tuple(rows[j] for j in path), port, outs)
+        if len(path) + 1 < horizon:
+            path.append(i)
+            states.append(tuple(h for h, _ in stepped))
+            i = 0
+        else:
+            i += 1
 
 
 _PUNCT = set("(){}[],:=")

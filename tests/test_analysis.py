@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from causalcirc import engine
+from causalcirc import analysis
 from causalcirc.analysis import (
     check_equiv,
     check_totality,
@@ -17,6 +17,7 @@ from causalcirc.circuit import (
     from_gate,
     trace_loop,
 )
+from causalcirc.comb import Propagator
 from causalcirc.domain import BOOL, BOT, CapError, MonotoneFn, SignatureError, sig
 from causalcirc.engine import simulate
 from causalcirc.gates import KIND_STRICT, GateDef, por, strict_lift
@@ -194,20 +195,22 @@ def test_equiv_sees_through_gate_rearrangement():
 # -- prefix walk and per-check memo -----------------------------------------
 
 
-def _count_steps(monkeypatch):
+def _count_ticks(monkeypatch):
+    """Record the histories of every tick the checks run, at the one entry
+    point they step circuits through."""
     calls = []
-    real = engine.step
+    real = Propagator.tick
 
-    def counting(state, row):
-        calls.append(state.t)
-        return real(state, row)
+    def counting(prop, histories, row):
+        calls.append(histories)
+        return real(prop, histories, row)
 
-    monkeypatch.setattr(engine, "step", counting)
+    monkeypatch.setattr(Propagator, "tick", counting)
     return calls
 
 
 def test_exhaustive_checks_step_each_prefix_at_most_once(monkeypatch):
-    calls = _count_steps(monkeypatch)
+    calls = _count_ticks(monkeypatch)
     rng = random.Random(3)
     cfg = GenConfig(max_inputs=2, max_nodes=6, bot_free_inits=True)
     checked = 0
@@ -221,12 +224,38 @@ def test_exhaustive_checks_step_each_prefix_at_most_once(monkeypatch):
             rep = check_totality(c, h)
             assert rep.total and rep.cases == b**h
             assert len(calls) <= sum(b**k for k in range(1, h + 1))
+            assert (len(calls) > 0) == (h > 0)
         checked += 1
     assert checked >= 5
     calls.clear()
     rep = check_equiv(load("circuits/diag_left.net"), load("circuits/diag_right.net"), 4)
     assert rep.equivalent
-    assert len(calls) <= 2 * sum(3**k for k in range(1, 5))
+    assert 0 < len(calls) <= 2 * sum(3**k for k in range(1, 5))
+
+
+def test_the_memoized_walk_steps_each_state_once_per_ticks_left(monkeypatch):
+    # Walked in full, wobble.net's 2**17 traces take 2 + 4 + ... + 2**17
+    # steps; each (histories, ticks left) pair is walked once instead.
+    calls = _count_ticks(monkeypatch)
+    steps = []
+    real = analysis._stepper
+
+    def counting_stepper(c):
+        advance = real(c)
+
+        def counted(histories, row):
+            steps.append(histories)
+            return advance(histories, row)
+
+        return counted
+
+    monkeypatch.setattr(analysis, "_stepper", counting_stepper)
+    horizon, rows = 17, 2
+    rep = check_totality(load("circuits/wobble.net"), horizon)
+    assert rep.total and rep.cases == rows**horizon
+    states = len(set(calls))
+    assert 0 < len(calls) <= states * rows
+    assert 0 < len(steps) <= states * rows * horizon
 
 
 def test_equal_comparing_circuits_never_share_a_memo():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from causalcirc.analysis import check_totality
 from causalcirc.circuit import (
     Circuit,
     SrcIn,
@@ -158,6 +159,32 @@ def test_solver_settles_within_the_swept_wire_bound_with_delays(monkeypatch):
             state, _ = step(state, row)
             assert 1 <= sweeps[-1] <= prop.n_wires + 1
     assert delayed >= 30
+
+
+def test_ticks_look_up_the_sweep_when_they_run(monkeypatch):
+    # Counters patch Propagator.sweep on the class or on one compiled
+    # instance, after compiling; every tick, a check's included, must run
+    # the patched sweep.
+    c = random_circuit(random.Random(5), GenConfig(max_inputs=1, max_nodes=4, p_delay=0.5))
+    prop = propagator(c)
+    on_class, on_instance = [], []
+    real = Propagator.sweep
+
+    def counted(self, t):
+        on_class.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(Propagator, "sweep", counted)
+    check_totality(c, 2)
+    assert on_class
+    prop.sweep = lambda t: on_instance.append(t) or real(prop, t)
+    try:
+        check_totality(c, 2)
+        assert on_instance == on_class
+        step(initial_state(c), (BOT,) * len(c.in_ports))
+        assert len(on_instance) > len(on_class)
+    finally:
+        del prop.sweep
 
 
 @pytest.mark.parametrize("build", oracles.CORNERS)

@@ -11,13 +11,14 @@ from causalcirc.circuit import (
     VarDelay,
     from_gate,
 )
-from causalcirc.domain import BOOL, BOT, SignatureError, sig
+from causalcirc.domain import BOOL, BOT, SignatureError, int_range, sig
 from causalcirc.engine import (
     PrefixTrace,
     SimState,
     bot_trace,
     check_causality,
     initial_state,
+    random_rows,
     random_trace,
     simulate,
     step,
@@ -63,6 +64,22 @@ def test_random_trace_respects_p_bot():
     assert not any(BOT in row for row in tr.rows)
     tr2 = random_trace(rng, sig(BOOL), 200, p_bot=0.5)
     assert any(BOT in row for row in tr2.rows)
+
+
+@pytest.mark.parametrize("p_bot", [0.0, 0.25])
+@pytest.mark.parametrize(
+    "s", [sig(BOOL, BOOL), sig(int_range(0, 3), BOOL)], ids=["bool", "int_range"]
+)
+def test_random_rows_draws_what_random_trace_draws(s, p_bot):
+    # Successive draws from one generator each: the same rng calls in the
+    # same order, so the bounded checks' samples are random_trace's.
+    a, b = random.Random(7), random.Random(7)
+    for ticks in (0, 1, 6, 6):
+        got = random_rows(a, s, ticks, p_bot)
+        assert got == random_trace(b, s, ticks, p_bot).rows
+        assert len(got) == ticks
+    assert a.getstate() == b.getstate()
+    assert (p_bot > 0) == any(BOT in row for row in got)
 
 
 # -- delay ticks ----------------------------------------------------------

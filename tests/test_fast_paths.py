@@ -11,10 +11,20 @@ runs in ``test_engine.py`` and ``test_comb.py``.
 from collections import Counter
 from math import prod
 
+from causalcirc import analysis
 from causalcirc.analysis import check_equiv, check_totality
-from causalcirc.circuit import UnitDelay, VarDelay, in_port_names, to_json
+from causalcirc.circuit import (
+    Circuit,
+    SrcIn,
+    SrcNode,
+    UnitDelay,
+    VarDelay,
+    in_port_names,
+    to_json,
+)
 from causalcirc.comb import denote, propagator
-from causalcirc.domain import BOT, CapError
+from causalcirc.domain import BOOL, BOT, CapError, sig
+from causalcirc.gates import strict_lift
 from causalcirc.netlist import parse_netlist, print_netlist
 
 import oracles
@@ -67,23 +77,19 @@ def test_prefix_walk_matches_the_trace_by_trace_checks():
                 assert got == want, (m.name, h, kw)
                 if got != "over budget":
                     verdicts.add(got.total)
-    by_ports: dict = {}
-    for m in pool:
-        by_ports.setdefault((m.circuit.in_ports, m.circuit.out_ports), []).append(m)
-    for ms in by_ports.values():
-        for a, b in zip(ms, ms[1:] + ms[:1]):
-            for h in range(5):
-                for kw in (
-                    {"max_cases": 1000},
-                    {"strategy": "random", "samples": 15, "seed": h},
-                ):
-                    got = _report_or_cap(check_equiv, a.circuit, b.circuit, h, **kw)
-                    want = _report_or_cap(
-                        oracles.trace_by_trace_equiv, a.circuit, b.circuit, h, **kw
-                    )
-                    assert got == want, (a.name, b.name, h, kw)
-                    if got != "over budget":
-                        verdicts.add(("equiv", got.equivalent))
+    for a, b in _pairs_by_ports(pool):
+        for h in range(5):
+            for kw in (
+                {"max_cases": 1000},
+                {"strategy": "random", "samples": 15, "seed": h},
+            ):
+                got = _report_or_cap(check_equiv, a.circuit, b.circuit, h, **kw)
+                want = _report_or_cap(
+                    oracles.trace_by_trace_equiv, a.circuit, b.circuit, h, **kw
+                )
+                assert got == want, (a.name, b.name, h, kw)
+                if got != "over budget":
+                    verdicts.add(("equiv", got.equivalent))
     assert verdicts == {True, False, ("equiv", True), ("equiv", False)}
     delays = [
         n
@@ -94,6 +100,72 @@ def test_prefix_walk_matches_the_trace_by_trace_checks():
     ]
     assert any(isinstance(n, VarDelay) for n in delays)
     assert any(n.init is BOT for n in delays)
+
+
+def _pairs_by_ports(pool):
+    """Each member with the next one of the same port signatures, cyclically."""
+    by_ports: dict = {}
+    for m in pool:
+        by_ports.setdefault((m.circuit.in_ports, m.circuit.out_ports), []).append(m)
+    for ms in by_ports.values():
+        yield from zip(ms, ms[1:] + ms[:1])
+
+
+def test_memoized_walk_matches_the_full_prefix_walk(monkeypatch):
+    # Same front end, two walks: the checks' own, which skips a passed
+    # (histories, ticks left) pair, and every prefix stepped once.
+    def both(check, *args):
+        got = _report_or_cap(check, *args, max_cases=4096)
+        with monkeypatch.context() as mp:
+            mp.setattr(analysis, "_explore", oracles.prefix_walk)
+            want = _report_or_cap(check, *args, max_cases=4096)
+        assert got == want, args
+        return got
+
+    pool = oracles.corpus()
+    verdicts = set()
+    for m in pool:
+        for h in range(9):
+            rep = both(check_totality, m.circuit, h)
+            if rep != "over budget":
+                verdicts.add((h > 4, rep.total))
+    for a, b in _pairs_by_ports(pool):
+        for h in range(9):
+            rep = both(check_equiv, a.circuit, b.circuit, h)
+            if rep != "over budget":
+                verdicts.add(("equiv", h > 4, rep.equivalent))
+    assert verdicts == {
+        (deep, ok) for deep in (False, True) for ok in (False, True)
+    } | {("equiv", deep, ok) for deep in (False, True) for ok in (False, True)}
+
+
+def test_a_state_passed_with_few_ticks_left_is_walked_again_with_more():
+    # y is undefined on three 1s in a row.  The histories (a one tick back,
+    # a two ticks back) start at (0, 0) and return there on every 0 row, so
+    # the walk meets (0, 0) with 1 tick left before it meets it with 3: a
+    # walk that remembered passed states without their ticks left would
+    # skip the failing subtree and call the circuit total.
+    b = sig(BOOL)
+    c = Circuit(
+        in_ports=b,
+        out_ports=b,
+        nodes=(
+            UnitDelay(BOOL, 0),
+            UnitDelay(BOOL, 0),
+            strict_lift(
+                "three", sig(BOOL, BOOL, BOOL), b,
+                lambda t: (BOT,) if t == (1, 1, 1) else (0,),
+            ),
+        ),
+        node_inputs=((SrcIn(0),), (SrcNode(0, 0),), (SrcIn(0), SrcNode(0, 0), SrcNode(1, 0))),
+        outputs=(SrcNode(2, 0),),
+    )
+    rep = check_totality(c, 4)
+    assert not rep.total
+    assert rep.witness.inputs.rows == ((0,), (1,), (1,), (1,))
+    assert (rep.cases, rep.witness.tick, rep.witness.port) == (8, 3, 0)
+    assert rep == oracles.trace_by_trace_totality(c, 4)
+    assert check_totality(c, 2).total
 
 
 def test_denote_matches_topological_evaluation():

@@ -47,6 +47,27 @@ def test_tick_cost_reports_each_chain():
     assert [row[3:] for row in rows] == [["3", "12.00"], ["8", "72.00"]]
 
 
+def test_check_cost_pins_the_walk_at_small_horizons():
+    proc = run_script(
+        "scripts/check_cost.py", "--totality", "2", "3", "9", "--equiv", "1", "2", "4",
+        "--repeat", "1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[:-1] for line in proc.stdout.splitlines()[1:]]
+    # Once every reachable history is met, steps grow by a constant per
+    # tick of horizon and ticks stop growing: at most 8 histories times 2
+    # rows for wobble.net, one (empty) history times 3 rows per circuit for
+    # the delay-free diagonals.
+    assert rows == [
+        ["totality", "2", "4", "6", "6"],
+        ["totality", "3", "8", "14", "12"],
+        ["totality", "9", "512", "62", "16"],
+        ["equiv", "1", "3", "6", "6"],
+        ["equiv", "2", "9", "12", "6"],
+        ["equiv", "4", "81", "24", "6"],
+    ]
+
+
 def test_netlist_fuzz_raises_only_netlist_errors():
     # The digests pin every mutant's diagnostics and canonical print, so a
     # front-end change that moves any of them fails here.

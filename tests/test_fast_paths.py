@@ -128,15 +128,18 @@ def test_memoized_walk_matches_the_full_prefix_walk(monkeypatch):
         for h in range(9):
             rep = both(check_totality, m.circuit, h)
             if rep != "over budget":
-                verdicts.add((h > 4, rep.total))
+                verdicts.add(("totality", h > 4, rep.total))
     for a, b in _pairs_by_ports(pool):
         for h in range(9):
             rep = both(check_equiv, a.circuit, b.circuit, h)
             if rep != "over budget":
                 verdicts.add(("equiv", h > 4, rep.equivalent))
     assert verdicts == {
-        (deep, ok) for deep in (False, True) for ok in (False, True)
-    } | {("equiv", deep, ok) for deep in (False, True) for ok in (False, True)}
+        (check, deep, ok)
+        for check in ("totality", "equiv")
+        for deep in (False, True)
+        for ok in (False, True)
+    }
 
 
 def test_a_state_passed_with_few_ticks_left_is_walked_again_with_more():

@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuit import Circuit, UnitDelay, VarDelay, is_contractive
+from .circuit import Circuit, UnitDelay, VarDelay, _value_json, is_contractive
 from .comb import propagator
 from .domain import BOT, CapError, Signature, SignatureError, check_enumerable
 from .engine import PrefixTrace, random_rows
@@ -61,12 +61,24 @@ class Witness:
 
     def to_json(self) -> dict:
         return {
-            "inputs": [
-                [None if x is BOT else x for x in row] for row in self.inputs.rows
-            ],
+            "inputs": [list(map(_value_json, row)) for row in self.inputs.rows],
             "tick": self.tick,
             "port": self.port,
         }
+
+
+def _json_head(rep, check: str, verdict: str) -> dict:
+    """The JSON both reports share: the check, its verdict, how, any witness."""
+    out = {
+        "check": check,
+        verdict: getattr(rep, verdict),
+        "horizon": rep.horizon,
+        "strategy": rep.strategy,
+        "cases": rep.cases,
+    }
+    if rep.witness is not None:
+        out["witness"] = rep.witness.to_json()
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,16 +90,7 @@ class TotalityReport:
     witness: Witness | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "check": "totality",
-            "total": self.total,
-            "horizon": self.horizon,
-            "strategy": self.strategy,
-            "cases": self.cases,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        return out
+        return _json_head(self, "totality", "total")
 
 
 @dataclass(frozen=True)
@@ -101,17 +104,10 @@ class EquivReport:
     right: tuple = ()
 
     def to_json(self) -> dict:
-        out = {
-            "check": "equivalence",
-            "equivalent": self.equivalent,
-            "horizon": self.horizon,
-            "strategy": self.strategy,
-            "cases": self.cases,
-        }
+        out = _json_head(self, "equivalence", "equivalent")
         if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-            out["left"] = [None if x is BOT else x for x in self.left]
-            out["right"] = [None if x is BOT else x for x in self.right]
+            out["left"] = list(map(_value_json, self.left))
+            out["right"] = list(map(_value_json, self.right))
         return out
 
 
@@ -239,8 +235,8 @@ def _bounded(circuits, bad_port, horizon, strategy, samples, seed, max_cases, co
         space = (s.concrete_count() if concrete else s.count()) ** horizon
         if space > max_cases:
             raise CapError(
-                f"{space} input traces exceed the budget of {max_cases}; "
-                "use the random strategy"
+                f"{space} input traces exceed the budget of {max_cases}",
+                "use the random strategy",
             )
         rows = list(s.concrete_tuples() if concrete else s.tuples())
         return _explore(circuits, rows, horizon, bad_port)
@@ -277,9 +273,8 @@ def check_totality(
     if bad is None:
         return TotalityReport(True, horizon, strategy, cases)
     prefix, port, _ = bad
-    return TotalityReport(
-        False, horizon, strategy, cases, _witness(c.in_ports, prefix, port)
-    )
+    witness = _witness(c.in_ports, prefix, port)
+    return TotalityReport(False, horizon, strategy, cases, witness)
 
 
 def check_equiv(

@@ -175,26 +175,6 @@ class Circuit:
     def has_delays(self) -> bool:
         return any(isinstance(n, (UnitDelay, VarDelay)) for n in self.nodes)
 
-    def __hash__(self) -> int:
-        # Hashing the whole node tree is costly for large circuits, so the
-        # hash is computed once and stashed on the instance.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(
-                (
-                    self.in_ports,
-                    self.out_ports,
-                    self.nodes,
-                    self.node_inputs,
-                    self.outputs,
-                    self.loops,
-                    self.in_names,
-                    self.out_names,
-                )
-            )
-            object.__setattr__(self, "_hash", h)
-        return h
-
 
 def in_port_names(c: Circuit) -> tuple[str, ...]:
     if c.in_names is not None:
@@ -370,8 +350,8 @@ def validate(c: Circuit) -> list[Diagnostic]:
 
 def check_valid(c: Circuit) -> Circuit:
     """``c``, or SignatureError if ``validate`` finds fault with it.  The
-    verdict is kept on the instance, like ``Circuit._hash``, so a circuit
-    is validated once; ``parse_netlist`` records the verdict it reaches."""
+    verdict is stashed on the instance, so a circuit is validated once, on
+    its first compile or print, whether it was parsed or built in Python."""
     diags = c.__dict__.get("_diags")
     if diags is None:
         diags = validate(c)

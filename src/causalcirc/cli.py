@@ -185,24 +185,23 @@ def cmd_laws(args) -> int:
     return 0
 
 
-def _strategy(args) -> dict:
-    """The check's strategy keywords: random with ``--samples N``, else exhaustive."""
-    if args.samples is None:
-        return {"strategy": "exhaustive"}
-    return {"strategy": "random", "samples": args.samples}
+def _bounded_check(args, check, *circuits):
+    """Run ``check`` on ``circuits``, random with ``--samples N``, else
+    exhaustive; a space over the cap or a bad bound is a usage error."""
+    strategy = ({"strategy": "exhaustive"} if args.samples is None
+                else {"strategy": "random", "samples": args.samples})
+    try:
+        return check(*circuits, args.horizon, seed=args.seed, **strategy)
+    except CapError as e:
+        raise _Usage(f"{e.args[0]}; pass --samples N") from None
+    except ValueError as e:
+        raise _Usage(str(e)) from None
 
 
 def cmd_equiv(args) -> int:
     c1 = _load_circuit(args.file1)
     c2 = _load_circuit(args.file2)
-    try:
-        rep = analysis.check_equiv(
-            c1, c2, args.horizon, seed=args.seed, **_strategy(args)
-        )
-    except CapError as e:
-        raise _Usage(f"{e}; pass --samples N") from None
-    except ValueError as e:
-        raise _Usage(str(e)) from None
+    rep = _bounded_check(args, analysis.check_equiv, c1, c2)
     if args.json:
         print(json.dumps(rep.to_json(), indent=2))
         return 0 if rep.equivalent else 1
@@ -224,14 +223,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_totality(args) -> int:
     c = _load_circuit(args.file)
-    try:
-        rep = analysis.check_totality(
-            c, args.horizon, seed=args.seed, **_strategy(args)
-        )
-    except CapError as e:
-        raise _Usage(f"{e}; pass --samples N") from None
-    except ValueError as e:
-        raise _Usage(str(e)) from None
+    rep = _bounded_check(args, analysis.check_totality, c)
     if args.json:
         out = rep.to_json()
         out["guaranteed"] = analysis.totality_guarantee(c)
@@ -253,6 +245,17 @@ def cmd_totality(args) -> int:
     if not is_contractive(c):
         print("note: the circuit is not contractive")
     return 1
+
+
+def _bounded_options(p: argparse.ArgumentParser) -> None:
+    """The options of equiv and totality, read by ``_bounded_check``."""
+    p.add_argument("--horizon", type=int, required=True)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--exhaustive", action="store_true",
+                   help="enumerate every input trace (the default)")
+    g.add_argument("--samples", type=int, help="random strategy with N traces")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,24 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="compare two netlists over all traces")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--horizon", type=int, required=True)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--exhaustive", action="store_true",
-                   help="enumerate every input trace (the default)")
-    g.add_argument("--samples", type=int, help="random strategy with N traces")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    _bounded_options(p)
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("totality", help="check bottom-free inputs stay bottom-free")
     p.add_argument("file")
-    p.add_argument("--horizon", type=int, required=True)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--exhaustive", action="store_true",
-                   help="enumerate every input trace (the default)")
-    g.add_argument("--samples", type=int, help="random strategy with N traces")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    _bounded_options(p)
     p.set_defaults(fn=cmd_totality)
 
     return ap
@@ -329,10 +320,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SignatureError, StreamFormatError) as e:
+    except (_Usage, SignatureError, StreamFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -128,9 +128,9 @@ class Propagator:
 def propagator(c: Circuit) -> Propagator:
     """The validated, compiled wiring of ``c``, built once per instance.
 
-    The plan is stashed on the instance, like ``Circuit._hash``.  A cache
-    keyed on equality would hand one circuit's plan to another: gates built
-    from Python callables compare equal whatever they compute.
+    The plan is stashed on the instance, like ``check_valid``'s verdict.
+    A cache keyed on equality would hand one circuit's plan to another:
+    gates built from Python callables compare equal whatever they compute.
     """
     prop = c.__dict__.get("_plan")
     if prop is None:

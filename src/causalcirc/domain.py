@@ -44,7 +44,11 @@ class SignatureError(ValueError):
 
 
 class CapError(RuntimeError):
-    """An exhaustive check was requested on a space the cap does not allow."""
+    """An exhaustive check was requested on a space the cap does not allow.
+    Arguments after the first are hints that a front end may replace."""
+
+    def __str__(self) -> str:
+        return "; ".join(self.args)
 
 
 class DivergenceError(RuntimeError):

@@ -60,10 +60,8 @@ def bot_trace(signature: Signature, ticks: int) -> PrefixTrace:
 class SimState:
     """Committed delay history after ``t`` ticks.
 
-    ``histories`` is one flat tuple of settled s-port values, laid out by
-    ``comb``: each stateful node's ``depth`` latest ones (1 for a unit
-    delay, d_max for a variable delay), oldest first, ``init`` before the
-    first tick.  A tick is a function of the histories and the input row
+    ``histories`` is the committed delay history, one flat tuple laid out
+    by ``comb``.  A tick is a function of the histories and the input row
     alone; ``t`` only counts ticks.
     """
 

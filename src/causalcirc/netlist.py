@@ -36,7 +36,6 @@ from .circuit import (
     check_valid,
     in_port_names,
     out_port_names,
-    validate,
 )
 from .domain import (
     BOOL,
@@ -512,7 +511,7 @@ class _Parser:
                 self.errors.append((line, col, f"output {name!r} is never assigned"))
         if self.errors:
             raise NetlistError(self.errors)
-        c = Circuit(
+        return Circuit(
             in_ports=Signature(tuple(self.in_ports)),
             out_ports=Signature(tuple(self.out_ports)),
             nodes=tuple(self.nodes),
@@ -524,11 +523,6 @@ class _Parser:
             in_names=tuple(self.in_names),
             out_names=tuple(self.out_names),
         )
-        diags = validate(c)
-        if diags:
-            raise NetlistError([(line, col, str(d)) for d in diags])
-        object.__setattr__(c, "_diags", diags)  # check_valid's verdict
-        return c
 
     def statement(self) -> None:
         tok, after = self.peek(), self.kind(1)
@@ -862,7 +856,8 @@ class _Parser:
 
 
 def parse_netlist(text: str) -> Circuit:
-    """Parse one netlist file into a validated circuit."""
+    """Parse one netlist file into a circuit, valid by construction, as the
+    parser refuses all that ``validate`` would; it is validated on first use."""
     p = _Parser(text)
     try:
         return p.parse_file()

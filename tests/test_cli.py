@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -398,3 +399,52 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+# -- whole output ---------------------------------------------------------
+
+NETS = sorted(str(p) for p in Path("circuits").glob("*.net"))
+PAIRS = [("circuits/diag_left.net", "circuits/diag_right.net"),
+         ("circuits/rearrange_left.net", "circuits/rearrange_right.net")]
+PINNED_ARGVS = (
+    [argv for net in NETS for argv in (
+        ("check", net),
+        ("check", net, "--json"),
+        ("canon", net),
+        ("sim", net, "--pad-bot", "--ticks", "4"),
+        ("totality", net, "--horizon", "3"),
+        ("totality", net, "--horizon", "3", "--json"),
+    )]
+    + [("equiv", *pair, "--horizon", "3", *fmt) for pair in PAIRS
+       for fmt in ((), ("--json",))]
+    + [("laws", "--cap", "400", "--samples", "10", "--json")]
+)
+# sha256 over every (argv, exit code, stdout) above.  A change that alters
+# any byte of the CLI's stdout or any exit code must update it knowingly.
+PINNED_DIGEST = "e0604b83f0026d92f767074593a1c51a9e77e49dbd3e715c72c9bd405d0f521f"
+
+
+def test_cli_output_is_pinned(capsys):
+    assert len(NETS) == 12
+    h = hashlib.sha256()
+    for argv in PINNED_ARGVS:
+        code, out, _ = run(capsys, *argv)
+        h.update(json.dumps([list(argv), code, out]).encode())
+    assert h.hexdigest() == PINNED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "argv, space",
+    [
+        (("totality", "circuits/wobble.net", "--horizon", "18"), 262144),
+        (("equiv", "circuits/diag_left.net", "circuits/diag_right.net",
+          "--horizon", "12"), 531441),
+    ],
+    ids=["totality", "equiv"],
+)
+def test_the_exhaustive_cap_gives_one_hint(capsys, argv, space):
+    assert run(capsys, *argv) == (
+        2, "",
+        f"error: {space} input traces exceed the budget of 200000; "
+        "pass --samples N\n",
+    )

@@ -23,7 +23,7 @@ from causalcirc.netlist import (
     tokenize,
 )
 from causalcirc.random_circuits import GenConfig, random_circuit
-from oracles import tokenize_by_char
+from oracles import corpus, tokenize_by_char
 
 CORPUS = sorted(glob.glob("circuits/*.net"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -592,6 +592,16 @@ def test_random_circuits_round_trip(seed):
     assert print_netlist(c2) == text
 
 
+def test_parsed_circuits_are_valid_by_construction():
+    # The parser refuses whatever validate would, so it leaves the verdict
+    # to the circuit's first compile or print.
+    for path in sorted(glob.glob("circuits/*.net")):
+        with open(path) as fh:
+            assert validate(parse_netlist(fh.read())) == [], path
+    for m in corpus():  # every member prints
+        assert validate(parse_netlist(print_netlist(m.circuit))) == [], m.name
+
+
 def test_printer_wants_a_valid_circuit():
     from causalcirc.circuit import Circuit, SrcIn, SrcNode
 
@@ -603,8 +613,8 @@ def test_printer_wants_a_valid_circuit():
 
 
 def test_a_circuit_is_validated_once(monkeypatch):
-    # The parser's verdict is kept on the circuit, so printing and
-    # simulating it do not search its wiring for cycles again.
+    # The first print's verdict is kept on the circuit, so simulating and
+    # printing it again do not search its wiring for cycles again.
     import causalcirc.circuit as circuit
 
     searches = []

@@ -364,20 +364,18 @@ def check_valid(c: Circuit) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Builders.  Composition, product, and loop closure renumber node and
-# feedback indices; inputs of the later circuit are patched to the outputs
-# of the earlier one.
+# Builders.  Composition and product place the second circuit after the
+# first (``_join``), renumbering its nodes and feedback wires; loop closure
+# renumbers nothing and turns looped inputs into feedback wires.
 
 
-def from_gate(g: GateDef, in_names=None, out_names=None) -> Circuit:
+def from_gate(g: GateDef) -> Circuit:
     return Circuit(
         in_ports=g.dom,
         out_ports=g.cod,
         nodes=(g,),
         node_inputs=(tuple(SrcIn(i) for i in range(len(g.dom))),),
         outputs=tuple(SrcNode(0, p) for p in range(len(g.cod))),
-        in_names=in_names,
-        out_names=out_names,
     )
 
 
@@ -389,12 +387,27 @@ def identity_circuit(s: Signature) -> Circuit:
     )
 
 
-def _remap(src: Source, node_off: int, loop_off: int, in_map) -> Source:
-    if isinstance(src, SrcIn):
-        return in_map(src.index)
-    if isinstance(src, SrcNode):
-        return SrcNode(src.node + node_off, src.port)
-    return SrcLoop(src.index + loop_off)
+def _join(c1: Circuit, c2: Circuit, ins, outs: tuple, **ports) -> Circuit:
+    """c1's nodes and feedback wires, then c2's numbered past them, with
+    c2's input i read from ``ins(i)`` and ``outs`` before c2's outputs."""
+    n1, l1 = len(c1.nodes), len(c1.loops)
+
+    def patch(src: Source) -> Source:
+        if isinstance(src, SrcIn):
+            return ins(src.index)
+        if isinstance(src, SrcNode):
+            return SrcNode(src.node + n1, src.port)
+        return SrcLoop(src.index + l1)
+
+    return Circuit(
+        nodes=c1.nodes + c2.nodes,
+        node_inputs=c1.node_inputs
+        + tuple(tuple(map(patch, srcs)) for srcs in c2.node_inputs),
+        outputs=outs + tuple(map(patch, c2.outputs)),
+        loops=c1.loops
+        + tuple(LoopWire(lw.base, patch(lw.src)) for lw in c2.loops),
+        **ports,
+    )
 
 
 def compose(c1: Circuit, c2: Circuit) -> Circuit:
@@ -403,49 +416,24 @@ def compose(c1: Circuit, c2: Circuit) -> Circuit:
         raise SignatureError(
             f"cannot compose: {c1.out_ports!r} feeds {c2.in_ports!r}"
         )
-    n1, l1 = len(c1.nodes), len(c1.loops)
-
-    def patch(src: Source) -> Source:
-        return _remap(src, n1, l1, lambda i: c1.outputs[i])
-
-    return Circuit(
-        in_ports=c1.in_ports,
-        out_ports=c2.out_ports,
-        nodes=c1.nodes + c2.nodes,
-        node_inputs=c1.node_inputs
-        + tuple(tuple(patch(s) for s in ins) for ins in c2.node_inputs),
-        outputs=tuple(patch(s) for s in c2.outputs),
-        loops=c1.loops
-        + tuple(LoopWire(lw.base, patch(lw.src)) for lw in c2.loops),
-        in_names=c1.in_names,
-        out_names=c2.out_names,
+    return _join(
+        c1, c2, c1.outputs.__getitem__, (),
+        in_ports=c1.in_ports, out_ports=c2.out_ports,
+        in_names=c1.in_names, out_names=c2.out_names,
     )
 
 
 def tensor(c1: Circuit, c2: Circuit) -> Circuit:
-    """Place two circuits side by side, c1's ports first."""
-    n1, l1, i1 = len(c1.nodes), len(c1.loops), len(c1.in_ports)
-
-    def patch(src: Source) -> Source:
-        return _remap(src, n1, l1, lambda i: SrcIn(i + i1))
-
-    names = None
-    if c1.in_names is not None and c2.in_names is not None:
-        names = c1.in_names + c2.in_names
-    out_names = None
-    if c1.out_names is not None and c2.out_names is not None:
-        out_names = c1.out_names + c2.out_names
-    return Circuit(
+    """Place two circuits side by side, c1's ports first; port names are
+    kept only when both circuits name them."""
+    i1 = len(c1.in_ports)
+    both = lambda a, b: None if a is None or b is None else a + b
+    return _join(
+        c1, c2, lambda i: SrcIn(i + i1), c1.outputs,
         in_ports=c1.in_ports + c2.in_ports,
         out_ports=c1.out_ports + c2.out_ports,
-        nodes=c1.nodes + c2.nodes,
-        node_inputs=c1.node_inputs
-        + tuple(tuple(patch(s) for s in ins) for ins in c2.node_inputs),
-        outputs=c1.outputs + tuple(patch(s) for s in c2.outputs),
-        loops=c1.loops
-        + tuple(LoopWire(lw.base, patch(lw.src)) for lw in c2.loops),
-        in_names=names,
-        out_names=out_names,
+        in_names=both(c1.in_names, c2.in_names),
+        out_names=both(c1.out_names, c2.out_names),
     )
 
 

@@ -62,31 +62,25 @@ def _load_circuit(path: str):
 
 
 def _read_input_trace(args, c) -> PrefixTrace:
-    ticks = args.ticks
-    if len(c.in_ports) == 0:
-        return PrefixTrace(c.in_ports, ((),) * ticks)
-    if args.input is None:
-        if args.pad_bot:
-            return PrefixTrace(
-                c.in_ports, ((BOT,) * len(c.in_ports),) * ticks
-            )
+    """The --in stream, or none for a circuit without inputs, padded with
+    undefined rows up to --ticks when --pad-bot allows it."""
+    ticks, n, rows = args.ticks, len(c.in_ports), ()
+    if n and args.input is None and not args.pad_bot:
         raise _Usage(
             "the circuit has input ports; provide --in FILE or --pad-bot"
         )
-    text = _read_text(args.input)
-    try:
-        tr = read_stream(text, c.in_ports, in_port_names(c))
-    except StreamFormatError as e:
-        raise _Usage(f"{args.input}: {e}") from None
-    if len(tr) < ticks:
-        if not args.pad_bot:
+    if n and args.input is not None:
+        text = _read_text(args.input)
+        try:
+            rows = read_stream(text, c.in_ports, in_port_names(c)).rows
+        except StreamFormatError as e:
+            raise _Usage(f"{args.input}: {e}") from None
+        if len(rows) < ticks and not args.pad_bot:
             raise _Usage(
-                f"stream has {len(tr)} ticks, {ticks} requested; "
+                f"stream has {len(rows)} ticks, {ticks} requested; "
                 "use --pad-bot to extend with undefined rows"
             )
-        pad = ((BOT,) * len(c.in_ports),) * (ticks - len(tr))
-        tr = PrefixTrace(c.in_ports, tr.rows + pad)
-    return tr
+    return PrefixTrace(c.in_ports, rows + ((BOT,) * n,) * (ticks - len(rows)))
 
 
 def cmd_check(args) -> int:
@@ -142,32 +136,18 @@ def cmd_laws(args) -> int:
         results = laws.run_laws(cfg)
     except CapError as e:
         raise _Usage(f"{e}; pass a larger --budget") from None
-    failed = None
+    failed = next((r for r in results if not r.passed), None)
     if args.json:
-        out = []
-        for res in results:
-            out.append(
-                {
-                    "law": res.law,
-                    "passed": res.passed,
-                    "cases": res.cases,
-                    "combos": [
-                        {
-                            "combo": cr.combo,
-                            "mode": cr.mode,
-                            "cases": cr.cases,
-                            "counterexample": (
-                                None
-                                if cr.counterexample is None
-                                else str(cr.counterexample)
-                            ),
-                        }
-                        for cr in res.combos
-                    ],
-                }
-            )
+        out = [
+            {"law": res.law, "passed": res.passed, "cases": res.cases,
+             "combos": [
+                 {"combo": cr.combo, "mode": cr.mode, "cases": cr.cases,
+                  "counterexample": cr.counterexample and str(cr.counterexample)}
+                 for cr in res.combos
+             ]}
+            for res in results
+        ]
         print(json.dumps(out, indent=2))
-        failed = next((r for r in results if not r.passed), None)
         return 0 if failed is None else 1
     for res in results:
         mark = "ok" if res.passed else "FAIL"
@@ -176,10 +156,8 @@ def cmd_laws(args) -> int:
             f"{res.law:<18} {len(res.combos):>3} combos "
             f"{res.cases:>8} cases  [{', '.join(modes)}]  {mark}"
         )
-        if not res.passed and failed is None:
-            failed = res.first_counterexample()
     if failed is not None:
-        print(f"counterexample: {failed}")
+        print(f"counterexample: {failed.first_counterexample()}")
         return 1
     print("all laws hold")
     return 0

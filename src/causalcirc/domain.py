@@ -108,11 +108,11 @@ BOOL = BaseType("bool", (0, 1))
 UNIT = BaseType("unit", (0,))
 
 
-def int_range(lo: int, hi: int, name: str | None = None) -> BaseType:
-    """Base type of the consecutive integers lo..hi inclusive."""
+def int_range(lo: int, hi: int) -> BaseType:
+    """Base type ``i{lo}_{hi}`` of the consecutive integers lo..hi inclusive."""
     if lo > hi:
         raise SignatureError(f"empty integer range {lo}..{hi}")
-    return BaseType(name or f"i{lo}_{hi}", tuple(range(lo, hi + 1)))
+    return BaseType(f"i{lo}_{hi}", tuple(range(lo, hi + 1)))
 
 
 def is_int_range(base: BaseType) -> bool:

@@ -922,24 +922,31 @@ def _check_name(what: str, name: str, reserved=RESERVED) -> None:
         raise SignatureError(f"{what} name {name!r} is not a free name; cannot print")
 
 
-def _collect_types(c: Circuit) -> dict[str, BaseType]:
-    found: dict[str, BaseType] = {}
-    for b in base_types(c):
-        old = found.get(b.name)
-        if old is not None and old != b:
+def _by_name(what: str, items, check) -> dict:
+    """Each item by its name, refusing two different items that share one;
+    ``check`` refuses an item that would not print, when first met."""
+    found: dict = {}
+    for x in items:
+        old = found.get(x.name)
+        if old is None:
+            check(x)
+            found[x.name] = x
+        elif old != x:
             raise SignatureError(
-                f"two base types share the name {b.name!r}; cannot print"
+                f"two {what}s share the name {x.name!r}; cannot print"
             )
-        if old is None and b != BOOL:
-            _check_name("type", b.name, RESERVED | {"bool"})
-            for v in b.values:
-                if not _reads_back(v):
-                    raise SignatureError(
-                        f"value {v!r} of type {b.name!r} does not read back; "
-                        "cannot print"
-                    )
-        found[b.name] = b
     return found
+
+
+def _check_type(b: BaseType) -> None:
+    """Refuse a declared type whose name or atoms would not read back."""
+    if b != BOOL:
+        _check_name("type", b.name, RESERVED | {"bool"})
+    for v in b.values:
+        if not _reads_back(v):
+            raise SignatureError(
+                f"value {v!r} of type {b.name!r} does not read back; cannot print"
+            )
 
 
 def _is_builtin(gate: GateDef) -> bool:
@@ -955,26 +962,16 @@ def _is_builtin(gate: GateDef) -> bool:
         return False  # no builtin of this name takes these types
 
 
-def _collect_user_gates(c: Circuit) -> dict[str, GateDef]:
-    found: dict[str, GateDef] = {}
-    for node in c.nodes:
-        if isinstance(node, (UnitDelay, VarDelay)) or _is_builtin(node):
-            continue
-        old = found.get(node.name)
-        if old is not None and old != node:
-            raise SignatureError(
-                f"two gates share the name {node.name!r}; cannot print"
-            )
-        _check_name("gate", node.name)
-        found[node.name] = node
-    return found
-
-
 def print_netlist(c: Circuit) -> str:
     """Render a circuit in canonical netlist form."""
     check_valid(c)
-    types = _collect_types(c)
-    user_gates = _collect_user_gates(c)
+    types = _by_name("base type", base_types(c), _check_type)
+    user_gates = _by_name(
+        "gate",
+        (n for n in c.nodes
+         if not isinstance(n, (UnitDelay, VarDelay)) and not _is_builtin(n)),
+        lambda g: _check_name("gate", g.name),
+    )
 
     taken: set[str] = set()
     for name in in_port_names(c) + out_port_names(c):
@@ -1017,16 +1014,11 @@ def print_netlist(c: Circuit) -> str:
         lines.extend(_gate_decl(user_gates[name]))
         lines.append("")
     lines.append("circuit main {")
-    if len(c.in_ports):
-        ports = ", ".join(
-            f"{nm}: {b.name}" for nm, b in zip(in_port_names(c), c.in_ports)
-        )
-        lines.append(f"  in {ports}")
-    if len(c.out_ports):
-        ports = ", ".join(
-            f"{nm}: {b.name}" for nm, b in zip(out_port_names(c), c.out_ports)
-        )
-        lines.append(f"  out {ports}")
+    for kw, names, ports in (("in", in_port_names(c), c.in_ports),
+                             ("out", out_port_names(c), c.out_ports)):
+        if len(ports):
+            decls = ", ".join(f"{nm}: {b.name}" for nm, b in zip(names, ports))
+            lines.append(f"  {kw} {decls}")
     for j, lw in enumerate(c.loops):
         lines.append(f"  loop {loop_names[j]}: {lw.base.name}")
     for i, (node, ins) in enumerate(zip(c.nodes, c.node_inputs)):

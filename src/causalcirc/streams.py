@@ -23,12 +23,18 @@ def format_cell(v: LValue) -> str:
     return "_" if v is BOT else str(v)
 
 
+def _unfit(text: str) -> bool:
+    """Whether ``text`` would not read back from a comma-separated row: it
+    is empty, holds a comma or a line break, or has surrounding whitespace."""
+    return "," in text or text.strip().splitlines() != [text]
+
+
 @cache
 def _cells(base: BaseType) -> dict[str, LValue]:
     """The value each cell text of ``base`` stands for: the one table that
     reading and writing both go through.  An atom whose text would not read
     back as itself is refused with SignatureError: one text for two atoms,
-    ``_``, an empty text, a comma or a line break, surrounding whitespace."""
+    ``_``, or an ``_unfit`` text."""
     cells: dict[str, LValue] = {"_": BOT}
     for v in base.values:
         text = format_cell(v)
@@ -37,7 +43,7 @@ def _cells(base: BaseType) -> dict[str, LValue]:
             raise SignatureError(
                 f"type {base.name!r}: atom {v!r} is written {text!r}, as {was} is"
             )
-        if "," in text or text.splitlines() != [text.strip()]:
+        if _unfit(text):
             raise SignatureError(
                 f"type {base.name!r}: atom {v!r} is written {text!r}, "
                 "which a stream cell cannot hold"
@@ -61,11 +67,15 @@ def parse_cell(text: str, base: BaseType, where: str) -> LValue:
 
 
 def write_stream(trace: PrefixTrace, names: tuple[str, ...]) -> str:
-    """Render a trace with the given column names."""
+    """Render a trace with the given column names, each of which must read
+    back from the header (not ``_unfit``)."""
     if len(names) != len(trace.signature):
         raise SignatureError(
             f"{len(names)} column names for {len(trace.signature)} wires"
         )
+    for name in names:
+        if _unfit(name):
+            raise SignatureError(f"column name {name!r} would not read back")
     for base in trace.signature:
         _cells(base)
     lines = [",".join(names)]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -26,7 +27,9 @@ from causalcirc.circuit import (
 )
 from causalcirc.comb import denote
 from causalcirc.domain import BOOL, BOT, SignatureError, int_range, sig
+from causalcirc.engine import PrefixTrace, bot_trace, random_trace, simulate
 from causalcirc.gates import const_gate, not_gate, por
+from causalcirc.netlist import parse_netlist
 
 
 def por_circuit() -> Circuit:
@@ -63,6 +66,48 @@ def test_tensor_runs_side_by_side():
     c = tensor(from_gate(not_gate()), por_circuit())
     f = denote(c)
     assert f.apply((0, 1, BOT)) == (1, 1)
+
+
+def load(path: str) -> Circuit:
+    with open(path, encoding="utf-8") as fh:
+        return parse_netlist(fh.read())
+
+
+def seeded_inputs(c: Circuit, seed: int, ticks: int = 12) -> PrefixTrace:
+    return random_trace(random.Random(seed), c.in_ports, ticks, p_bot=0.2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tensor_of_stateful_circuits_runs_them_side_by_side(seed):
+    # toggle's feedback wire and delay are numbered past wobble's
+    wobble, toggle = load("circuits/wobble.net"), load("circuits/toggle.net")
+    c = tensor(wobble, toggle)
+    assert c.loops[1] == LoopWire(BOOL, SrcNode(7, 0))
+    assert c.node_inputs[6] == (SrcLoop(1),)
+    ins = seeded_inputs(c, seed)
+    left = simulate(wobble, ins)
+    right = simulate(toggle, bot_trace(sig(), len(ins)))
+    want = tuple(l + r for l, r in zip(left.rows, right.rows))
+    assert simulate(c, ins).rows == want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_compose_of_stateful_circuits_runs_the_second_on_the_first(seed):
+    wobble = load("circuits/wobble.net")
+    c = compose(wobble, wobble)
+    assert c.loops[1] == LoopWire(BOOL, SrcNode(7, 0))
+    assert c.node_inputs[6] == (SrcLoop(1),)
+    ins = seeded_inputs(c, seed)
+    assert simulate(c, ins) == simulate(wobble, simulate(wobble, ins))
+
+
+def test_tensor_keeps_port_names_only_when_both_circuits_name_them():
+    wobble, toggle = load("circuits/wobble.net"), load("circuits/toggle.net")
+    for c in tensor(wobble, toggle), tensor(toggle, wobble):
+        assert (c.in_names, c.out_names) == (("a",), ("y", "y"))
+    for c in tensor(wobble, por_circuit()), tensor(por_circuit(), wobble):
+        assert (c.in_names, c.out_names) == (None, None)
+        assert in_port_names(c) == ("a0", "a1", "a2")
 
 
 def test_trace_loop_consumes_the_closed_output():

@@ -204,6 +204,49 @@ def test_laws_json(capsys):
     assert all(entry["passed"] for entry in doc)
 
 
+def failing_sweep():
+    fail = lambda law, combo, mode, cases, detail: laws.ComboResult(
+        combo, mode, cases, laws.Counterexample(law, combo, detail)
+    )
+    return [
+        laws.SweepResult("fixpoint", (laws.ComboResult("X=unit", "exhaustive", 3),)),
+        laws.SweepResult("bekic", (
+            laws.ComboResult("X=unit", "exhaustive", 5),
+            fail("bekic", "X=bool", "sampled", 7, "at (0,): first"),
+        )),
+        laws.SweepResult("sliding", (
+            fail("sliding", "X=unit", "sampled", 2, "at (_,): second"),
+        )),
+    ]
+
+
+def test_a_failing_law_prints_its_first_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr(laws, "run_laws", lambda cfg: failing_sweep())
+    assert run(capsys, "laws") == (
+        1,
+        "fixpoint             1 combos        3 cases  [exhaustive]  ok\n"
+        "bekic                2 combos       12 cases  [exhaustive, sampled]  FAIL\n"
+        "sliding              1 combos        2 cases  [sampled]  FAIL\n"
+        "counterexample: bekic fails at X=bool: at (0,): first\n",
+        "",
+    )
+    combo = lambda name, mode, cases, cx=None: {
+        "combo": name, "mode": mode, "cases": cases, "counterexample": cx
+    }
+    doc = [
+        {"law": "fixpoint", "passed": True, "cases": 3,
+         "combos": [combo("X=unit", "exhaustive", 3)]},
+        {"law": "bekic", "passed": False, "cases": 12,
+         "combos": [combo("X=unit", "exhaustive", 5),
+                    combo("X=bool", "sampled", 7,
+                          "bekic fails at X=bool: at (0,): first")]},
+        {"law": "sliding", "passed": False, "cases": 2,
+         "combos": [combo("X=unit", "sampled", 2,
+                          "sliding fails at X=unit: at (_,): second")]},
+    ]
+    assert run(capsys, "laws", "--json") == (1, json.dumps(doc, indent=2) + "\n", "")
+
+
 def test_laws_budget_too_small_for_a_space_is_a_usage_error(capsys):
     code, out, err = run(capsys, "laws", "--budget", "30", "--cap", "400")
     assert code == 2
@@ -250,6 +293,30 @@ def test_equiv_reports_a_witness(capsys, tmp_path):
     assert out.startswith("NotEquivalent: outputs differ at tick")
     assert "input trace:" in out
     assert out.count("\n") >= 5
+
+
+def test_equiv_json_reports_a_witness_and_both_sides(capsys, tmp_path):
+    left = tmp_path / "l.net"
+    right = tmp_path / "r.net"
+    left.write_text("circuit main {\n  in a: bool\n  out y: bool\n  y = a\n}\n")
+    right.write_text(
+        "circuit main {\n  in a: bool\n  out y: bool\n  y = not(a)\n}\n"
+    )
+    code, out, err = run(
+        capsys, "equiv", str(left), str(right), "--horizon", "2", "--json"
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "check": "equivalence",
+        "equivalent": False,
+        "horizon": 2,
+        "strategy": "exhaustive",
+        "cases": 2,
+        "witness": {"inputs": [[None], [0]], "tick": 1, "port": 0},
+        "left": [0],
+        "right": [1],
+    }
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_equiv_budget_overflow_suggests_sampling(capsys):
@@ -299,6 +366,21 @@ def test_totality_catches_an_undefined_init(capsys):
     code, out, _ = run(capsys, "totality", BOT_DELAY, "--horizon", "2")
     assert code == 1
     assert out.startswith("NotTotal: undefined output at tick 0")
+
+
+def test_totality_of_a_loop_that_is_not_contractive(capsys, tmp_path):
+    p = tmp_path / "loop.net"
+    p.write_text(
+        "circuit main {\n  in a: bool\n  out y: bool\n  loop w: bool\n"
+        "  w = por(a, w)\n  y = w\n}\n"
+    )
+    assert run(capsys, "totality", str(p), "--horizon", "2") == (
+        1,
+        "NotTotal: undefined output at tick 0, port 0\n"
+        "input trace:\na\n0\n"
+        "note: the circuit is not contractive\n",
+        "",
+    )
 
 
 def test_totality_json(capsys):

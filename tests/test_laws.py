@@ -113,6 +113,21 @@ def test_enumeration_budget_guard():
             pass
 
 
+def test_a_counting_budget_holds_after_the_shape_was_listed():
+    # Up-sets are listed once per shape and process; a later count spends
+    # the steps that listing took, so a budget ends as it would first.
+    assert count_monotone(BB, B) == 197
+    for cod in B, BB:
+        with pytest.raises(CapError) as e:
+            count_monotone(BB, cod, budget=10)
+        assert str(e.value) == f"budget of 10 steps exceeded building {BB!r} -> {cod!r}"
+    small = dict(pair_budget=400, samples=5)
+    assert check_bekic(LawConfig(**small)).passed
+    with pytest.raises(CapError, match=r"^budget of 50000 steps exceeded "
+                       r"building sig\(bool, bool, bool\) -> sig\(bool\)$"):
+        check_bekic(LawConfig(budget=50_000, **small))
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_random_monotone_samples_are_monotone(seed):
     rng = random.Random(seed)
@@ -295,6 +310,37 @@ def test_one_step_mu_is_caught_by_bekic():
     # second step, and the pairing law notices.
     res = check_bekic(LawConfig(mu=mu_one_step, pair_budget=400, samples=25))
     assert not res.passed
+
+
+def mu_bottom(f: MonotoneFn, split: int) -> MonotoneFn:
+    """A wrong mu: the bottom tuple at every context, fixed or not."""
+    loop = f.dom[split:]
+    return MonotoneFn(f.dom[:split], f.cod, lambda a: loop.bottom())
+
+
+def test_a_bottom_mu_is_caught_as_not_fixed():
+    res = check_local_fixpoint(LawConfig(mu=mu_bottom, pair_budget=400))
+    assert res.first_counterexample().detail.startswith(
+        "mu value (_,) at context (0,) is not fixed for "
+        "f={(_, _): (_,), (_, 0): (_,), (0, _): (0,), (0, 0): (0,)}"
+    )
+
+
+def mu_greatest_past_one_wire(f: MonotoneFn, split: int) -> MonotoneFn:
+    """A wrong mu: least for a context of at most one wire, greatest beyond."""
+    return (local_lfp if split <= 1 else mu_greatest)(f, split)
+
+
+def test_a_mu_that_changes_with_the_context_width_fails_superposing():
+    # Superposing solves the same loop under contexts C + A and A; the two
+    # solutions differ, and f's output tells them apart.
+    res = check_superposing(LawConfig(mu=mu_greatest_past_one_wire, pair_budget=400))
+    cx = res.first_counterexample()
+    assert cx.combo == "C=unit,A=unit,B=unit,X=unit"
+    assert cx.detail.startswith(
+        "at (_, 0): (_, 0) vs (_, _) for "
+        "f={(_, _): (_, _), (_, 0): (_, _), (0, _): (_, _), (0, 0): (0, 0)}"
+    )
 
 
 # -- operators whose values lie outside the loop signature --------------

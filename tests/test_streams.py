@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from causalcirc.circuit import in_port_names, out_port_names
+
 from causalcirc.domain import BOOL, BOT, BaseType, SignatureError, int_range, sig
 from causalcirc.engine import PrefixTrace
+from causalcirc.netlist import parse_netlist
 from causalcirc.streams import (
     StreamFormatError,
     format_cell,
@@ -113,8 +118,10 @@ def test_write_read_round_trip(rows):
         ((0, "a\rb"), "cannot hold"),
         ((0, " a"), "cannot hold"),
         ((0, "a\t"), "cannot hold"),
+        ((0, "a\n"), "cannot hold"),
     ],
-    ids=["int-and-name", "underscore", "empty", "comma", "newline", "return", "space", "tab"],
+    ids=["int-and-name", "underscore", "empty", "comma", "newline", "return", "space", "tab",
+         "trailing-newline"],
 )
 def test_atoms_whose_cells_would_not_read_back_are_refused(atoms, why):
     # Written, each would read back as another value, as no value, or as a
@@ -134,3 +141,26 @@ def test_named_atoms_with_inner_spaces_round_trip():
     t = sig(BaseType("t", ("lo", "a b", -2)), BOOL)
     tr = PrefixTrace(t, (("a b", 0), (-2, BOT), ("lo", 1)))
     assert read_stream(write_stream(tr, ("p", "q")), t, ("p", "q")) == tr
+
+
+@pytest.mark.parametrize(
+    "name", ["", "a,b", "a\nb", "a\n", "a\rb", " a", "a\t"],
+    ids=["empty", "comma", "newline", "trailing-newline", "return", "space", "tab"],
+)
+def test_column_names_that_would_not_read_back_are_refused(name):
+    # ("a,b", "c") would write the header a,b,c, which names three columns.
+    tr = PrefixTrace(sig(BOOL, BOOL), ((0, 1),))
+    for names in (name, "c"), ("c", name):
+        with pytest.raises(SignatureError) as e:
+            write_stream(tr, names)
+        assert str(e.value) == f"column name {name!r} would not read back"
+
+
+def test_every_netlist_port_name_writes_and_reads_back():
+    # A stream of no columns writes blank lines, which read as no header.
+    for path in sorted(Path("circuits").glob("*.net")):
+        c = parse_netlist(path.read_text())
+        for s, names in (c.in_ports, in_port_names(c)), (c.out_ports, out_port_names(c)):
+            tr = PrefixTrace(s, ((BOT,) * len(s),))
+            text = write_stream(tr, names)
+            assert not names or read_stream(text, s, names) == tr, path

@@ -138,15 +138,28 @@ def cmd_laws(args) -> int:
         raise _Usage(f"{e}; pass a larger --budget") from None
     failed = next((r for r in results if not r.passed), None)
     if args.json:
-        out = [
-            {"law": res.law, "passed": res.passed, "cases": res.cases,
-             "combos": [
-                 {"combo": cr.combo, "mode": cr.mode, "cases": cr.cases,
-                  "counterexample": cr.counterexample and str(cr.counterexample)}
-                 for cr in res.combos
-             ]}
-            for res in results
-        ]
+        out = []
+        for res in results:
+            out.append(
+                {
+                    "law": res.law,
+                    "passed": res.passed,
+                    "cases": res.cases,
+                    "combos": [
+                        {
+                            "combo": cr.combo,
+                            "mode": cr.mode,
+                            "cases": cr.cases,
+                            "counterexample": (
+                                None
+                                if cr.counterexample is None
+                                else str(cr.counterexample)
+                            ),
+                        }
+                        for cr in res.combos
+                    ],
+                }
+            )
         print(json.dumps(out, indent=2))
         return 0 if failed is None else 1
     for res in results:

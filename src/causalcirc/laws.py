@@ -218,15 +218,10 @@ def count_monotone(dom: Signature, cod: Signature, budget: int = _BUDGET) -> int
     """Exact size of Mon(dom, cod), as a product of single-wire counts.
 
     ``budget`` caps the steps spent listing the up-sets of ``dom``, which
-    are listed once per call unless ``cod`` has no wires; past it a
-    CapError names the space.
+    are charged once per call (listed once per process) unless ``cod`` has
+    no wires; past it a CapError names the space.
     """
-    shape = _shape(dom)
-    ups = _upsets(shape, _Budget(budget, dom, cod)) if len(cod) else ()
-    n = 1
-    for base in cod:
-        n *= _ranks(shape, len(base.values), ups)[0]
-    return n
+    return _Space(dom, cod).count(budget)
 
 
 def _wire_maps(
@@ -332,7 +327,7 @@ class _Space:
     order.  A codomain wire's value adds its position in the lifted wire
     times the wire's stride, the product of the sizes of the wires after
     it.  ``wires`` holds (atoms, stride) per codomain wire, and ``ranks``
-    each wire's ``_ranks`` followed by them once a function has been drawn.
+    each wire's ``_ranks`` followed by them once the space has been counted.
     """
 
     __slots__ = ("dom", "cod", "shape", "wires", "ranks")
@@ -346,6 +341,16 @@ class _Space:
             stride *= len(base.lifted)
         self.wires = wires[::-1]
         self.ranks = None
+
+    def count(self, budget: int) -> int:
+        """|Mon(dom, cod)|, setting ``ranks``; see ``count_monotone``."""
+        b = _Budget(budget, self.dom.sig, self.cod.sig)
+        ups = _upsets(self.shape, b) if self.wires else ()
+        self.ranks = [_ranks(self.shape, m, ups) + (m, s) for m, s in self.wires]
+        n = 1
+        for r in self.ranks:
+            n *= r[0]
+        return n
 
     def fn(self, flat: tuple[int, ...]) -> MonotoneFn:
         """The function with this flat table, with its graph as ``table``."""
@@ -391,14 +396,14 @@ def random_monotone(
     ``randrange`` over the ranks of ``_ranks``, whose group is found by
     bisection, picks an up-set (weighted atoms^components) and one atom per
     component, each added to the flat table at the wire's stride; the
-    components stay bitmasks, walked bit by bit.  Given ``space``, the
-    prepared space of dom -> cod, the function comes out as its flat table;
-    otherwise as a MonotoneFn.
+    components stay bitmasks, walked bit by bit.  A space not yet counted
+    is counted under the default budget; a sweep counts it under its own.
+    Given ``space``, the prepared space of dom -> cod, the function comes
+    out as its flat table; otherwise as a MonotoneFn.
     """
     sp = space or _Space(dom, cod)
     if sp.ranks is None:
-        ups = _upsets(sp.shape, _Budget(_BUDGET, dom, cod)) if sp.wires else ()
-        sp.ranks = [_ranks(sp.shape, m, ups) + (m, stride) for m, stride in sp.wires]
+        sp.count(_BUDGET)
     flat = [0] * len(sp.dom.points)
     for count, starts, groups, m, stride in sp.ranks:
         r = rng.randrange(count)
@@ -525,7 +530,7 @@ def _sweep(
     """
     n = 1
     for sp in spaces:
-        n *= count_monotone(sp.dom.sig, sp.cod.sig, cfg.budget)
+        n *= sp.count(cfg.budget)
     if n <= cfg.pair_budget:
         mode = "exhaustive"
         draws = _product(

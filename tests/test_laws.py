@@ -128,6 +128,16 @@ def test_a_counting_budget_holds_after_the_shape_was_listed():
         check_bekic(LawConfig(budget=50_000, **small))
 
 
+def test_a_sampled_sweep_lists_up_sets_under_the_sweeps_budget(monkeypatch):
+    # A sweep counts each space under its own budget and then samples it;
+    # the draws reuse what the count listed, so the default budget of
+    # random_monotone plays no part.
+    monkeypatch.setattr(laws, "_BUDGET", 0)
+    res = check_local_fixpoint(LawConfig(budget=10**6, pair_budget=0, samples=1))
+    assert res.passed
+    assert {cr.mode for cr in res.combos} == {"sampled"}
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_random_monotone_samples_are_monotone(seed):
     rng = random.Random(seed)

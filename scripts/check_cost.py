@@ -4,9 +4,11 @@ Runs ``wobble.net`` totality and the ``diag_left``/``diag_right``
 equivalence at each horizon.  For each, prints the traces the check
 covers (``cases``); the steps its walk takes and the ticks those steps
 run, counted over every circuit in a second, separate run so that counting
-does not slow the timed one; and the median wall time per check.  The walk
-steps from each (histories, ticks left) pair once, so steps grow with the
-horizon, not with ``cases`` (rows^horizon), and ticks stay at most the
+does not slow the timed one; the median wall time per check; and that
+time divided by the ticks, which shows the constant cost of a compiled
+tick (walk steps and memo lookups included) outside the benchmark.  The
+walk steps from each (histories, ticks left) pair once, so steps grow with
+the horizon, not with ``cases`` (rows^horizon), and ticks stay at most the
 distinct (histories, row) pairs reached.
 
     PYTHONPATH=src python3 scripts/check_cost.py     # totality 9..17, equiv 4..8
@@ -89,7 +91,7 @@ def main() -> None:
     ]
     print(
         f"{'check':<9} {'horizon':>7} {'cases':>8} {'steps':>6}"
-        f" {'ticks':>6} {'ms/check':>9}"
+        f" {'ticks':>6} {'ms/check':>9} {'us/tick':>8}"
     )
     for name, h, circuits, check in runs:
         times = []
@@ -99,8 +101,10 @@ def main() -> None:
             times.append(time.perf_counter() - t0)
         steps, ticks = count_work(circuits, check)
         ms = statistics.median(times) * 1e3
+        per_tick = f"{ms * 1e3 / ticks:8.2f}" if ticks else f"{'-':>8}"
         print(
             f"{name:<9} {h:>7} {rep.cases:>8} {steps:>6} {ticks:>6} {ms:>9.3f}"
+            f" {per_tick}"
         )
 
 

@@ -175,8 +175,8 @@ def _explore(circuits, rows: list, horizon: int, bad_port):
             i = path.pop() + 1
             continue
         row = rows[i]
-        stepped = [adv(h, row) for adv, h in zip(steppers, states[-1])]
-        outs = [o for _, o in stepped]
+        # Each circuit's (histories, outputs), split into the two tuples.
+        after, outs = zip(*[adv(h, row) for adv, h in zip(steppers, states[-1])])
         port = bad_port(outs)
         if port is not None:
             path.append(i)
@@ -184,7 +184,6 @@ def _explore(circuits, rows: list, horizon: int, bad_port):
             cases = 1 + sum(j * b ** (horizon - 1 - k) for k, j in enumerate(path))
             return cases, (tuple(rows[j] for j in path), port, outs)
         left = horizon - len(path) - 1
-        after = tuple(h for h, _ in stepped)
         if left and passed.get(after, 0) < left:
             path.append(i)
             states.append(after)
@@ -206,12 +205,10 @@ def _sample(circuits, traces, bad_port):
         cases += 1
         hists = start
         for t, row in enumerate(rows):
-            stepped = [adv(h, row) for adv, h in zip(steppers, hists)]
-            outs = [o for _, o in stepped]
+            hists, outs = zip(*[adv(h, row) for adv, h in zip(steppers, hists)])
             port = bad_port(outs)
             if port is not None:
                 return cases, (rows[: t + 1], port, outs)
-            hists = [h for h, _ in stepped]
     return cases, None
 
 

@@ -25,6 +25,10 @@ A gate's ``tick`` is a lookup in its table, filled on first use
 (``GateDef.tick``): a gate's function must be pure, as it is called at most
 once per argument tuple for the gate's lifetime.  So evaluating a node in a
 sweep is two calls, one to gather its arguments and one to apply it.
+
+Everything else a tick reuses is built once per compiled circuit too: the
+Kleene settle, and the gathers of the histories a tick commits and of its
+outputs.  A tick then allocates only its tuples.
 """
 
 from __future__ import annotations
@@ -33,6 +37,17 @@ from operator import itemgetter
 
 from .circuit import Circuit, SrcIn, SrcLoop, UnitDelay, check_valid
 from .domain import BOT, MonotoneFn, SignatureError, WireTuple, _kleene
+
+
+def _gather(slots: tuple):
+    """The function from a tuple to the tuple of its values at ``slots``,
+    in one C call.  An itemgetter of one index returns the bare value, so
+    one slot, or none, is read as a slice."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 class Propagator:
@@ -45,6 +60,9 @@ class Propagator:
     the swept nodes' output ports, and ``bot``, the vector a solve starts
     from, is that many ⊥ plus the ⊥ slot if any.  ``init`` is the history
     before the first tick: each node's ``init``, ``depth`` times.
+    ``commit`` and ``outputs`` gather, from a settled tuple, the histories
+    a tick commits and its output row.  All of it, the Kleene settle
+    included, is built once here and reused by every tick.
     """
 
     def __init__(self, c: Circuit):
@@ -97,10 +115,13 @@ class Propagator:
         if has_bot:
             self.plan.append((lambda t: (), lambda _: (BOT,)))
         # Each node's history drops its oldest value and gains its s input.
-        self.commit_slots = tuple(
-            j for s, h in zip(slots, hist) if h for j in h[1:] + s[:1]
+        self.commit = _gather(
+            tuple(j for s, h in zip(slots, hist) if h for j in h[1:] + s[:1])
         )
-        self.out_slots = tuple(slot(s) for s in c.outputs)
+        self.outputs = _gather(tuple(slot(s) for s in c.outputs))
+        # The settle is built here, once; ``solve`` hands it the sweep
+        # looked up per call, so a patched ``sweep`` still runs.
+        self._settle = _kleene(None, self.bot, "a gate in this circuit")
 
     def sweep(self, t: tuple) -> tuple:
         """One simultaneous recomputation of the wire vector from ``t``,
@@ -112,17 +133,16 @@ class Propagator:
 
     def solve(self, t: tuple) -> tuple:
         """``t`` (the inputs followed by the history) followed by the least
-        fixed point of the wire vector."""
-        return t + _kleene(self.sweep, self.bot, "a gate in this circuit")(t)
+        fixed point of the wire vector, by the Kleene settle built with the
+        plan, iterating ``self.sweep``."""
+        return t + self._settle(t, self.sweep)
 
     def tick(self, histories: tuple, row: WireTuple) -> tuple[tuple, WireTuple]:
         """One tick from the committed ``histories`` on the input ``row``,
-        which is not checked: the histories it commits and its outputs."""
+        which is not checked: the histories it commits and its outputs.
+        Only ``solve`` runs per tick; the gathers were built with the plan."""
         settled = self.solve(row + histories)
-        return tuple([settled[j] for j in self.commit_slots]), self.outputs(settled)
-
-    def outputs(self, settled: tuple) -> WireTuple:
-        return tuple([settled[j] for j in self.out_slots])
+        return self.commit(settled), self.outputs(settled)
 
 
 def propagator(c: Circuit) -> Propagator:

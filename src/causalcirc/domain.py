@@ -337,7 +337,9 @@ def product_height_bound(s: Signature) -> int:
     return 2 ** len(s)
 
 
-def _kleene(fn: Callable[[WireTuple], WireTuple], bot: WireTuple, name: str):
+def _kleene(
+    fn: Callable[[WireTuple], WireTuple] | None, bot: WireTuple, name: str
+):
     """The least fixed point of ``x -> fn(a + x)`` as a function of ``a``.
 
     This is the package's one Kleene loop: ``lfp``, ``kleene_steps``,
@@ -347,12 +349,15 @@ def _kleene(fn: Callable[[WireTuple], WireTuple], bot: WireTuple, name: str):
     ``kleene_bound``), so running out raises DivergenceError.  ``fn`` is
     called directly, never through a wrapper per step, and the step range
     is built with the closure: the law sweeps build one closure per
-    operator call and run over two million solves by default.
+    operator call and run over two million solves by default.  A solver
+    built once and run many times passes ``fn`` on each call instead:
+    ``comb`` builds one settle per compiled circuit and hands it the sweep
+    it looks up per tick.
     """
     bound = len(bot) + 1
     steps = range(bound)
 
-    def solve(a: WireTuple) -> WireTuple:
+    def solve(a: WireTuple, fn=fn) -> WireTuple:
         x = bot
         for _ in steps:
             nxt = fn(a + x)

@@ -111,13 +111,12 @@ def random_rows(
     """``ticks`` seeded random rows over ``signature``, each cell undefined
     with probability ``p_bot`` and otherwise one of its wire's values, so
     every row fits the signature as drawn."""
-    return tuple(
-        tuple(
-            BOT if rng.random() < p_bot else rng.choice(b.values)
-            for b in signature.wires
-        )
+    draw, choice = rng.random, rng.choice
+    values = [b.values for b in signature.wires]
+    return tuple([
+        tuple([BOT if draw() < p_bot else choice(v) for v in values])
         for _ in range(ticks)
-    )
+    ])
 
 
 def random_trace(

@@ -2,9 +2,11 @@
 
 Cells are separated by commas; an underscore marks an undefined cell.
 Whitespace around cells is ignored and blank lines are skipped, so files
-can be straight CSV or padded by hand.  A cell is read against the wire
-type, and only as the text a value is written as: ``1`` for an integer
-atom, never ``01`` or ``+1``, a bare word for a named atom.
+can be straight CSV or padded by hand; in a stream over no wires the
+header and every row are blank lines, so there each line counts.  A cell
+is read against the wire type, and only as the text a value is written
+as: ``1`` for an integer atom, never ``01`` or ``+1``, a bare word for a
+named atom.
 """
 
 from __future__ import annotations
@@ -84,17 +86,25 @@ def write_stream(trace: PrefixTrace, names: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _split(line: str) -> list[str]:
+    """The cells of one line, stripped: none on a blank line."""
+    return [cell.strip() for cell in line.split(",")] if line.strip() else []
+
+
 def read_stream(
     text: str, signature: Signature, names: tuple[str, ...]
 ) -> PrefixTrace:
     """Parse a stream file; the header must name exactly these columns in order."""
     for base in signature:
         _cells(base)
-    # blank lines are skipped, but errors cite the file's own line numbers
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = list(enumerate(text.splitlines(), 1))
+    if signature:
+        # blank lines are skipped, but errors cite the file's own line numbers
+        lines = [(k, ln) for k, ln in lines if ln.strip()]
+    # else a blank line is the header or a row of no cells, as written
     if not lines:
         raise StreamFormatError("stream file is empty; a header row is required")
-    header = tuple(cell.strip() for cell in lines[0][1].split(","))
+    header = tuple(_split(lines[0][1]))
     if header != tuple(names):
         raise StreamFormatError(
             f"header names {', '.join(header)} do not match ports "
@@ -102,7 +112,7 @@ def read_stream(
         )
     rows = []
     for k, ln in lines[1:]:
-        cells = [cell.strip() for cell in ln.split(",")]
+        cells = _split(ln)
         if len(cells) != len(signature):
             raise StreamFormatError(
                 f"line {k}: {len(cells)} cells for {len(signature)} ports"

@@ -13,10 +13,11 @@ from causalcirc.circuit import (
     from_gate,
     trace_loop,
 )
+from causalcirc import comb
 from causalcirc.comb import Propagator, denote, propagator
 from causalcirc.domain import BOOL, BOT, SignatureError, local_lfp, sig, trace
 from causalcirc.engine import PrefixTrace, initial_state, random_trace, simulate, step
-from causalcirc.gates import not_gate, por
+from causalcirc.gates import not_gate, pand, por
 from causalcirc.random_circuits import (
     GenConfig,
     random_circuit,
@@ -218,3 +219,66 @@ def test_a_long_chain_of_loop_wires_compiles_and_simulates():
     assert propagator(c).n_wires == 1
     tr = PrefixTrace(c.in_ports, ((1,), (BOT,), (0,)))
     assert simulate(c, tr).rows == ((1, 0, BOT), (BOT, BOT, BOT), (0, 1, BOT))
+
+
+# The commit and output gathers read 0, 1 or more slots; an itemgetter of
+# one index would hand back a bare value, not a 1-tuple.
+GATHERS = {
+    "no delays, no outputs": lambda init: oracles.looped(
+        1, [not_gate()], [(SrcIn(0),)], (), [],
+    ),
+    "no delays, one output": lambda init: oracles.looped(
+        2, [pand()], [(SrcIn(0), SrcIn(1))], (SrcNode(0, 0),), [],
+    ),
+    "one history slot, no outputs": lambda init: oracles.looped(
+        1, [UnitDelay(BOOL, init)], [(SrcIn(0),)], (), [],
+    ),
+    "one history slot, one gate output": lambda init: oracles.looped(
+        1,
+        [por(), UnitDelay(BOOL, init)],
+        [(SrcIn(0), SrcLoop(0)), (SrcNode(0, 0),)],
+        (SrcNode(0, 0),),
+        [SrcNode(1, 0)],
+    ),
+    "one history slot, its delay the output": lambda init: oracles.looped(
+        1,
+        [not_gate(), UnitDelay(BOOL, init)],
+        [(SrcLoop(0),), (SrcNode(0, 0),)],
+        (SrcNode(1, 0),),
+        [SrcNode(1, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GATHERS)
+@pytest.mark.parametrize("init", [BOT, 0, 1])
+def test_compiled_gathers_match_the_brute_force_tick(name, init):
+    c = GATHERS[name](init)
+    prop = propagator(c)
+    rng = random.Random(name)
+    traces = tuple(random_trace(rng, c.in_ports, 5, p_bot=0.3).rows for _ in range(4))
+    for rows in traces:
+        histories = prop.init
+        for row in rows:
+            histories, outs = prop.tick(histories, row)
+            assert type(histories) is tuple and len(histories) == len(prop.init)
+            assert type(outs) is tuple and len(outs) == len(c.out_ports)
+    oracles.assert_step_settles(oracles.Member(name, "gathers", c, traces))
+
+
+def test_a_tick_reuses_the_settle_built_at_compile_time(monkeypatch):
+    built = []
+    real = comb._kleene
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(comb, "_kleene", counted)
+    rng = random.Random(9)
+    c = random_circuit(rng, GenConfig(max_inputs=2, max_nodes=6, max_loops=2, p_delay=0.4))
+    propagator(c)
+    assert len(built) == 1
+    out = simulate(c, random_trace(rng, c.in_ports, 50, p_bot=0.2))
+    assert len(out) == 50
+    assert len(built) == 1

@@ -53,7 +53,13 @@ def test_check_cost_pins_the_walk_at_small_horizons():
         "--repeat", "1",
     )
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split()[:-1] for line in proc.stdout.splitlines()[1:]]
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[-2:] == ["ms/check", "us/tick"]
+    rows = [line.split() for line in lines[1:]]
+    # The times vary; each is positive, and us/tick is ms/check over ticks.
+    for *_, ticks, ms, us in rows:
+        assert float(us) > 0 and abs(float(us) * int(ticks) / 1e3 - float(ms)) < 1e-2
+    rows = [row[:-2] for row in rows]
     # Once every reachable history is met, steps grow by a constant per
     # tick of horizon and ticks stop growing: at most 8 histories times 2
     # rows for wobble.net, one (empty) history times 3 rows per circuit for

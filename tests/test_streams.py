@@ -157,10 +157,20 @@ def test_column_names_that_would_not_read_back_are_refused(name):
 
 
 def test_every_netlist_port_name_writes_and_reads_back():
-    # A stream of no columns writes blank lines, which read as no header.
     for path in sorted(Path("circuits").glob("*.net")):
         c = parse_netlist(path.read_text())
         for s, names in (c.in_ports, in_port_names(c)), (c.out_ports, out_port_names(c)):
             tr = PrefixTrace(s, ((BOT,) * len(s),))
             text = write_stream(tr, names)
-            assert not names or read_stream(text, s, names) == tr, path
+            assert read_stream(text, s, names) == tr, path
+
+
+@pytest.mark.parametrize("ticks", [0, 1, 3])
+def test_a_stream_over_no_wires_reads_back(ticks):
+    # Its header and each row are blank lines, so none of them is skipped.
+    tr = PrefixTrace(sig(), ((),) * ticks)
+    text = write_stream(tr, ())
+    assert text == "\n" * (ticks + 1)
+    assert read_stream(text, sig(), ()) == tr
+    with pytest.raises(StreamFormatError, match="line 2: 1 cells for 0 ports"):
+        read_stream("\n_\n", sig(), ())

@@ -140,7 +140,7 @@ class Propagator:
     def tick(self, histories: tuple, row: WireTuple) -> tuple[tuple, WireTuple]:
         """One tick from the committed ``histories`` on the input ``row``,
         which is not checked: the histories it commits and its outputs.
-        Only ``solve`` runs per tick; the gathers were built with the plan."""
+        It builds no function: the settle and both gathers come with the plan."""
         settled = self.solve(row + histories)
         return self.commit(settled), self.outputs(settled)
 

@@ -61,6 +61,8 @@ def test_header_must_match_ports_exactly():
 def test_row_width_is_checked_with_line_numbers():
     with pytest.raises(StreamFormatError, match="line 3"):
         read_stream("a,k\n1,1\n0\n", TEMP, ("a", "k"))
+    with pytest.raises(StreamFormatError, match="line 2: 1 cells for 0 ports"):
+        read_stream("\n_\n", sig(), ())
 
 
 def test_errors_cite_the_file_line_past_blank_lines():
@@ -172,5 +174,3 @@ def test_a_stream_over_no_wires_reads_back(ticks):
     text = write_stream(tr, ())
     assert text == "\n" * (ticks + 1)
     assert read_stream(text, sig(), ()) == tr
-    with pytest.raises(StreamFormatError, match="line 2: 1 cells for 0 ports"):
-        read_stream("\n_\n", sig(), ())

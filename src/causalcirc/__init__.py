@@ -29,10 +29,8 @@ from .domain import (
     SignatureError,
     UNIT,
     int_range,
-    is_monotone,
     kleene_bound,
     kleene_steps,
-    leq,
     lfp,
     local_lfp,
     product_height_bound,
@@ -88,7 +86,6 @@ from .engine import (
     PrefixTrace,
     SimState,
     bot_trace,
-    check_causality,
     initial_state,
     random_trace,
     simulate,

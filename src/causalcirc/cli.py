@@ -62,14 +62,15 @@ def _load_circuit(path: str):
 
 
 def _read_input_trace(args, c) -> PrefixTrace:
-    """The --in stream, or none for a circuit without inputs, padded with
-    undefined rows up to --ticks when --pad-bot allows it."""
+    """The --in stream, read and checked whatever the circuit's inputs, or
+    none for a circuit without inputs, padded with undefined rows up to
+    --ticks when --pad-bot allows it."""
     ticks, n, rows = args.ticks, len(c.in_ports), ()
     if n and args.input is None and not args.pad_bot:
         raise _Usage(
             "the circuit has input ports; provide --in FILE or --pad-bot"
         )
-    if n and args.input is not None:
+    if args.input is not None:
         text = _read_text(args.input)
         try:
             rows = read_stream(text, c.in_ports, in_port_names(c)).rows

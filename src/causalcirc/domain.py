@@ -216,14 +216,6 @@ def check_enumerable(s: Signature) -> None:
             )
 
 
-def leq(x: LValue, y: LValue, base: BaseType | None = None) -> bool:
-    """Order of a lifted flat domain: bottom below everything, atoms only below themselves."""
-    if base is not None:
-        base.check_member(x)
-        base.check_member(y)
-    return x is BOT or x == y
-
-
 def tuple_leq(t1: WireTuple, t2: WireTuple) -> bool:
     """Pointwise order on value tuples."""
     if len(t1) != len(t2):
@@ -235,10 +227,9 @@ def tuple_leq(t1: WireTuple, t2: WireTuple) -> bool:
 class MonotoneFn:
     """A total function between products of lifted flat domains.
 
-    ``fn`` must be total on dom-conforming tuples and order-preserving.
-    Monotonicity is checkable exhaustively when the domain is small enough
-    to enumerate; ``table`` holds the explicit graph when the function was
-    built from one.
+    ``fn`` must be total on dom-conforming tuples and order-preserving;
+    ``from_table`` checks that of a table, and ``table`` holds the explicit
+    graph when the function was built from one.
     """
 
     dom: Signature
@@ -274,50 +265,17 @@ class MonotoneFn:
             raise SignatureError(f"table {name!r} has rows outside its domain")
         for out in table.values():
             cod.check(out)
-        f = cls(dom, cod, table.__getitem__, name, table)
-        bad = find_monotonicity_violation(f)
-        if bad is not None:
-            t, hi = bad
-            raise SignatureError(
-                f"table {name!r} is not monotone: {t!r} <= {hi!r} "
-                f"but {table[t]!r} !<= {table[hi]!r}"
-            )
-        return f
-
-    @staticmethod
-    def identity(s: Signature) -> "MonotoneFn":
-        return MonotoneFn(s, s, lambda t: t, "id")
-
-
-def up_set(t: WireTuple, s: Signature) -> Iterator[WireTuple]:
-    """All tuples pointwise above t."""
-    return itertools.product(
-        *[b.lifted if x is BOT else (x,) for b, x in zip(s.wires, t)]
-    )
-
-
-def find_monotonicity_violation(f: MonotoneFn) -> tuple[WireTuple, WireTuple] | None:
-    """First pair t1 <= t2 with f(t1) not <= f(t2), or None if monotone.
-
-    A function with a table is scanned in its table's row order, whatever
-    the cap; any other is enumerated over its domain, within the cap.
-    """
-    points = f.table
-    if points is None:
-        check_enumerable(f.dom)
-        points = f.dom.tuples()
-    for t1 in points:
-        out1 = f.fn(t1)
-        for t2 in up_set(t1, f.dom):
-            if not tuple_leq(out1, f.fn(t2)):
-                return (t1, t2)
-    return None
-
-
-def is_monotone(f: MonotoneFn) -> bool:
-    """Exhaustive monotonicity check; raises CapError beyond the cap unless
-    ``f`` has a table."""
-    return find_monotonicity_violation(f) is None
+        # Each row in table order, against every tuple pointwise above it.
+        for t, out in table.items():
+            for hi in itertools.product(
+                *[b.lifted if x is BOT else (x,) for b, x in zip(dom.wires, t)]
+            ):
+                if not tuple_leq(out, table[hi]):
+                    raise SignatureError(
+                        f"table {name!r} is not monotone: {t!r} <= {hi!r} "
+                        f"but {out!r} !<= {table[hi]!r}"
+                    )
+        return cls(dom, cod, table.__getitem__, name, table)
 
 
 def kleene_bound(s: Signature) -> int:

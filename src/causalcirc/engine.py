@@ -24,7 +24,6 @@ from .domain import (
     Signature,
     SignatureError,
     WireTuple,
-    tuple_leq,
 )
 
 
@@ -124,36 +123,3 @@ def random_trace(
 ) -> PrefixTrace:
     """Seeded random trace of ``random_rows``."""
     return PrefixTrace(signature, random_rows(rng, signature, ticks, p_bot))
-
-
-def check_causality(
-    c: Circuit,
-    inputs: PrefixTrace,
-    ticks: int | None = None,
-    rng: random.Random | None = None,
-) -> bool:
-    """Outputs at tick n depend only on inputs up to tick n.
-
-    Re-simulates every prefix of the input trace and demands the full run's
-    prefix back.  With an rng, additionally lowers random input cells to
-    bottom and checks the output trace only moves down pointwise.
-    """
-    if ticks is None:
-        ticks = len(inputs)
-    full = simulate(c, inputs, ticks)
-    for n in range(ticks + 1):
-        if simulate(c, inputs.prefix(n), n).rows != full.rows[:n]:
-            return False
-    if rng is not None:
-        lowered = PrefixTrace(
-            inputs.signature,
-            tuple(
-                tuple(BOT if rng.random() < 0.3 else x for x in row)
-                for row in inputs.rows[:ticks]
-            ),
-        )
-        low_out = simulate(c, lowered, ticks)
-        for r1, r2 in zip(low_out.rows, full.rows):
-            if not tuple_leq(r1, r2):
-                return False
-    return True

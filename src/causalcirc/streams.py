@@ -107,8 +107,8 @@ def read_stream(
     header = tuple(_split(lines[0][1]))
     if header != tuple(names):
         raise StreamFormatError(
-            f"header names {', '.join(header)} do not match ports "
-            f"{', '.join(names)}"
+            f"header names {', '.join(header) or '(none)'} do not match "
+            f"ports {', '.join(names) or '(none)'}"
         )
     rows = []
     for k, ln in lines[1:]:

@@ -14,7 +14,7 @@ from itertools import product
 from pathlib import Path
 
 from causalcirc import BOT, CapError, MonotoneFn, Signature, tuple_leq
-from causalcirc.domain import BOOL, find_monotonicity_violation, sig, trace
+from causalcirc.domain import BOOL, sig, trace
 from causalcirc.laws import (
     ComboResult,
     Counterexample,
@@ -73,14 +73,20 @@ def brute_lfp(f: MonotoneFn) -> tuple | None:
     return least_of(brute_fixed_points(f))
 
 
-def brute_is_monotone(f: MonotoneFn) -> bool:
+def monotonicity_violation(f: MonotoneFn) -> tuple[tuple, tuple] | None:
+    """First pair x <= y with f(x) not <= f(y), both in domain tuple order,
+    or None if f is monotone."""
     dom = list(f.dom.tuples())
-    return all(
-        tuple_leq(f.fn(x), f.fn(y))
-        for x in dom
-        for y in dom
-        if tuple_leq(x, y)
-    )
+    for x in dom:
+        fx = f.fn(x)
+        for y in dom:
+            if tuple_leq(x, y) and not tuple_leq(fx, f.fn(y)):
+                return (x, y)
+    return None
+
+
+def brute_is_monotone(f: MonotoneFn) -> bool:
+    return monotonicity_violation(f) is None
 
 
 def backtrack_monotone(dom: Signature, cod: Signature):
@@ -169,7 +175,7 @@ def _fixpoint(cfg, a_sig, x_sig, f):
                     f"mu value {x!r} at context {a!r} is not below "
                     f"fixed point {x2!r} for f={_table_str(f)}"
                 )
-    bad = find_monotonicity_violation(muf)
+    bad = monotonicity_violation(muf)
     if bad is not None:
         return f"mu(f) is not monotone at {bad!r} for f={_table_str(f)}"
     return None
@@ -232,7 +238,8 @@ def _bekic(cfg, a_sig, x_sig, y_sig, f, g):
 
 
 def _yanking(cfg, x_sig, swap):
-    return _tables_differ(trace(swap, 1, cfg.mu), MonotoneFn.identity(x_sig))
+    ident = MonotoneFn(x_sig, x_sig, lambda t: t)
+    return _tables_differ(trace(swap, 1, cfg.mu), ident)
 
 
 def _vanishing_zero(cfg, a_sig, b_sig, f):
@@ -430,6 +437,42 @@ def assert_step_settles(m: Member) -> None:
             settled = tick_lfp(c, past, row)
             assert outs == tick_outputs(c, row, settled), m.name
             past.append((row, settled))
+
+
+# -- causality: naturality along the prefix restriction maps -------------
+
+
+def check_causality(
+    c: Circuit,
+    inputs: PrefixTrace,
+    ticks: int | None = None,
+    rng: random.Random | None = None,
+) -> bool:
+    """Outputs at tick n depend only on inputs up to tick n.
+
+    Re-simulates every prefix of the input trace and demands the full run's
+    prefix back.  With an rng, additionally lowers random input cells to
+    bottom and checks the output trace only moves down pointwise.
+    """
+    if ticks is None:
+        ticks = len(inputs)
+    full = simulate(c, inputs, ticks)
+    for n in range(ticks + 1):
+        if simulate(c, inputs.prefix(n), n).rows != full.rows[:n]:
+            return False
+    if rng is not None:
+        lowered = PrefixTrace(
+            inputs.signature,
+            tuple(
+                tuple(BOT if rng.random() < 0.3 else x for x in row)
+                for row in inputs.rows[:ticks]
+            ),
+        )
+        low_out = simulate(c, lowered, ticks)
+        for r1, r2 in zip(low_out.rows, full.rows):
+            if not tuple_leq(r1, r2):
+                return False
+    return True
 
 
 # -- bounded checks, one full trace at a time ----------------------------

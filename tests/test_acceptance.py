@@ -31,7 +31,6 @@ from causalcirc.domain import (
 )
 from causalcirc.engine import (
     bot_trace,
-    check_causality,
     random_trace,
     simulate,
 )
@@ -44,7 +43,12 @@ from causalcirc.random_circuits import (
     random_contractive_circuit,
     random_delay_free_circuit,
 )
-from oracles import brute_fixed_points, brute_pre_fixed_points, least_of
+from oracles import (
+    brute_fixed_points,
+    brute_pre_fixed_points,
+    check_causality,
+    least_of,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CIRCUITS = ROOT / "circuits"

@@ -150,6 +150,25 @@ def test_sim_rejects_a_mismatched_header(capsys, tmp_path):
     assert "do not match" in err
 
 
+def test_sim_checks_a_stream_over_no_inputs(capsys, tmp_path):
+    p = tmp_path / "in.csv"
+    code, out, err = run(capsys, "sim", TOGGLE, "--ticks", "2", "--in", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {p}: ")
+    p.write_text("\n\n\n")  # the blank header and two blank rows
+    assert run(capsys, "sim", TOGGLE, "--ticks", "2", "--in", str(p)) == run(
+        capsys, "sim", TOGGLE, "--ticks", "2"
+    )
+    p.write_text("a\n\n")
+    assert run(capsys, "sim", TOGGLE, "--ticks", "1", "--in", str(p)) == (
+        2, "", f"error: {p}: header names a do not match ports (none)\n"
+    )
+    p.write_text("\n\n")
+    code, out, err = run(capsys, "sim", TOGGLE, "--ticks", "2", "--in", str(p))
+    assert (code, out) == (2, "")
+    assert "stream has 1 ticks, 2 requested" in err and "--pad-bot" in err
+
+
 # -- canon ----------------------------------------------------------------
 
 

@@ -15,25 +15,22 @@ from causalcirc.domain import (
     SignatureError,
     UNIT,
     check_enumerable,
-    find_monotonicity_violation,
     int_range,
     is_int_range,
-    is_monotone,
     kleene_bound,
     kleene_steps,
-    leq,
     lfp,
     local_lfp,
     product_height_bound,
     sig,
     trace,
     tuple_leq,
-    up_set,
 )
 from causalcirc.circuit import compose, from_gate, tensor
 from causalcirc.comb import denote
-from causalcirc.gates import not_gate, por
+from causalcirc.gates import not_gate, por, table_gate
 from causalcirc.laws import enumerate_monotone, random_monotone
+from causalcirc.netlist import NetlistError, parse_netlist
 
 import oracles
 
@@ -51,22 +48,19 @@ def test_bot_is_a_singleton():
 
 
 def test_leq_on_lifted_bool():
-    assert leq(BOT, BOT)
-    assert leq(BOT, 0) and leq(BOT, 1)
-    assert leq(0, 0) and leq(1, 1)
-    assert not leq(0, 1)
-    assert not leq(1, 0)
-    assert not leq(0, BOT)
-
-
-def test_leq_checks_membership_when_typed():
-    with pytest.raises(SignatureError):
-        leq(2, 1, base=BOOL)
-    assert leq(BOT, 1, base=BOOL)
+    assert tuple_leq((BOT,), (BOT,))
+    assert tuple_leq((BOT,), (0,)) and tuple_leq((BOT,), (1,))
+    assert tuple_leq((0,), (0,)) and tuple_leq((1,), (1,))
+    assert not tuple_leq((0,), (1,))
+    assert not tuple_leq((1,), (0,))
+    assert not tuple_leq((0,), (BOT,))
 
 
 def test_tuple_leq_is_pointwise():
+    assert tuple_leq((), ())
+    assert tuple_leq((BOT, BOT), (BOT, 1))
     assert tuple_leq((BOT, 1), (0, 1))
+    assert not tuple_leq((1, BOT), (BOT, 1))
     assert not tuple_leq((0, 1), (BOT, 1))
     assert not tuple_leq((0, 1), (0, 0))
     with pytest.raises(SignatureError):
@@ -77,7 +71,7 @@ def test_atoms_are_pairwise_incomparable():
     five = int_range(0, 4)
     for x in five.values:
         for y in five.values:
-            assert leq(x, y) == (x == y)
+            assert tuple_leq((x,), (y,)) == (x == y)
 
 
 # -- base types and signatures -------------------------------------------
@@ -183,18 +177,57 @@ def test_from_table_rejects_non_monotone_rows():
     # A table is already enumerated, so the enumeration cap does not apply.
     wide = sig(int_range(0, 9))
     f = MonotoneFn.from_table(wide, wide, {t: t for t in wide.tuples()})
-    assert is_monotone(f)
+    assert oracles.brute_is_monotone(f)
+
+
+# Three rows of this table sit below a row whose output is not above
+# theirs: (_, 0) and (1, _) below (1, 0), and (0, _) below (0, 0).
+STEPPED = {
+    (BOT, BOT): (BOT,), (BOT, 0): (1,), (BOT, 1): (BOT,),
+    (0, BOT): (0,), (0, 0): (1,), (0, 1): (0,),
+    (1, BOT): (1,), (1, 0): (0,), (1, 1): (1,),
+}
+
+
+def _stepped_net(rows) -> str:
+    def cells(t):
+        return ", ".join("bot" if x is BOT else str(x) for x in t)
+
+    body = "".join(f"  ({cells(t)}) -> ({cells(out)})\n" for t, out in rows)
+    return (
+        f"gate g(p: bool, q: bool) -> (bool) {{\n{body}}}\n"
+        "circuit main { in a: bool  out y: bool  y = not(a) }\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "order, pair",
+    [
+        (1, "(_, 0) <= (1, 0) but (1,) !<= (0,)"),
+        (-1, "(1, _) <= (1, 0) but (1,) !<= (0,)"),
+    ],
+    ids=["domain_order", "reversed"],
+)
+def test_a_table_reports_its_first_bad_row_against_its_first_bad_tuple_above(
+    order, pair
+):
+    # Rows are tried in the table's own order, and each against the tuples
+    # above it in domain order, so (0, 0) above (_, 0) is passed over.
+    rows = list(STEPPED.items())[::order]
+    want = f"table 'g' is not monotone: {pair}"
+    with pytest.raises(SignatureError) as exc:
+        table_gate("g", BB, B, dict(rows))
+    assert str(exc.value) == want
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(_stepped_net(rows))
+    assert [msg for _, _, msg in exc.value.diagnostics] == [want]
 
 
 def test_find_monotonicity_violation_reports_a_pair():
     bad = MonotoneFn(B, B, lambda t: (1,) if t[0] is BOT else (t[0],))
-    hit = find_monotonicity_violation(bad)
-    assert hit is not None
-    lo, hi = hit
-    assert tuple_leq(lo, hi)
-    assert not tuple_leq(bad.fn(lo), bad.fn(hi))
-    assert not is_monotone(bad)
-    assert is_monotone(por().fn)
+    assert oracles.monotonicity_violation(bad) == ((BOT,), (0,))
+    assert not oracles.brute_is_monotone(bad)
+    assert oracles.brute_is_monotone(por().fn)
 
 
 def test_apply_checks_both_ends():
@@ -214,23 +247,17 @@ def test_then_and_par_compose_tables():
     twice = denote(compose(notc, notc))
     for x in B.tuples():
         assert twice.apply(x) == x
-    ident = MonotoneFn.identity(BB)
+    ident = MonotoneFn(BB, BB, lambda t: t)
     assert ident.apply((1, BOT)) == (1, BOT)
     with pytest.raises(SignatureError):
         compose(notc, tensor(notc, notc))
-
-
-def test_up_set():
-    assert set(up_set((BOT,), B)) == {(BOT,), (0,), (1,)}
-    assert set(up_set((1,), B)) == {(1,)}
-    assert set(up_set((BOT, 1), BB)) == {(BOT, 1), (0, 1), (1, 1)}
 
 
 # -- the iterated fixed point ---------------------------------------------
 
 
 def test_lfp_hand_cases():
-    ident = MonotoneFn.identity(B)
+    ident = MonotoneFn(B, B, lambda t: t)
     assert lfp(ident) == (BOT,)
     one = MonotoneFn(B, B, lambda t: (1,))
     assert lfp(one) == (1,)
@@ -248,7 +275,7 @@ def test_lfp_diverges_loudly_on_non_monotone_maps():
 
 
 def test_kleene_steps_counts_the_stabilisation_index():
-    assert kleene_steps(MonotoneFn.identity(B)) == 0
+    assert kleene_steps(MonotoneFn(B, B, lambda t: t)) == 0
     assert kleene_steps(MonotoneFn(B, B, lambda t: (1,))) == 1
     # A two-wire staircase: bottom -> (0, bottom) -> (0, 0).
     stair = MonotoneFn(
@@ -339,7 +366,7 @@ def test_local_lfp_is_monotone_in_the_parameter():
     for _ in range(20):
         f = random_monotone(BB, B, rng)
         mu = local_lfp(f, 1)
-        assert is_monotone(mu)
+        assert oracles.brute_is_monotone(mu)
 
 
 # -- trace ----------------------------------------------------------------

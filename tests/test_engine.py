@@ -16,7 +16,6 @@ from causalcirc.engine import (
     PrefixTrace,
     SimState,
     bot_trace,
-    check_causality,
     initial_state,
     random_rows,
     random_trace,
@@ -254,7 +253,7 @@ def test_a_tick_reads_no_clock():
 
 def test_prefix_property_on_the_toggle():
     c = load("circuits/toggle.net")
-    assert check_causality(c, bot_trace(sig(), 10))
+    assert oracles.check_causality(c, bot_trace(sig(), 10))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -262,7 +261,7 @@ def test_prefix_property_on_random_circuits(seed):
     rng = random.Random(seed)
     c = random_circuit(rng, GenConfig(max_nodes=5))
     ins = random_trace(rng, c.in_ports, 6, p_bot=0.25)
-    assert check_causality(c, ins)
+    assert oracles.check_causality(c, ins)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -271,7 +270,7 @@ def test_outputs_rise_with_inputs(seed):
     rng = random.Random(seed)
     c = random_circuit(rng, GenConfig(max_nodes=5))
     ins = random_trace(rng, c.in_ports, 6, p_bot=0.1)
-    assert check_causality(c, ins, rng=random.Random(seed ^ 1))
+    assert oracles.check_causality(c, ins, rng=random.Random(seed ^ 1))
 
 
 # -- compiled plans -------------------------------------------------------

@@ -1,0 +1,53 @@
+"""Source hygiene checks that need nothing beyond the standard library."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "causalcirc"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never mentions again.
+
+    A name counts as used when it is read anywhere in the module, or when
+    it appears as a word inside a string, as in a ``TypeAlias`` string.
+    The package's ``__init__`` re-exports what it imports and is not
+    checked.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(re.findall(r"\w+", node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_the_unused_import_finder_sees_leftovers():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import random as rng\n"
+        "from typing import Iterator, TypeAlias\n"
+        "from .domain import BOT, tuple_leq\n"
+        'Rows: TypeAlias = "Iterator[int]"\n'
+        "x = os.path.join(BOT)\n"
+    )
+    assert unused_imports(source) == ["rng (line 3)", "tuple_leq (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -308,13 +308,13 @@ def check_equiv(
 
 def _gate_bot_free_total(gate) -> bool:
     """Concrete inputs can never produce a bottom output."""
-    if gate.kind in (KIND_STRICT, KIND_WIRING):
-        return True
-    if gate.fn.table is not None:
+    if gate.fn.table is not None:  # before the kind: a bot constant is wiring
         return all(
             any(x is BOT for x in t) or all(y is not BOT for y in out)
             for t, out in gate.fn.table.items()
         )
+    if gate.kind in (KIND_STRICT, KIND_WIRING):
+        return True
     try:
         check_enumerable(gate.dom)
     except CapError:

@@ -139,29 +139,7 @@ def cmd_laws(args) -> int:
         raise _Usage(f"{e}; pass a larger --budget") from None
     failed = next((r for r in results if not r.passed), None)
     if args.json:
-        out = []
-        for res in results:
-            out.append(
-                {
-                    "law": res.law,
-                    "passed": res.passed,
-                    "cases": res.cases,
-                    "combos": [
-                        {
-                            "combo": cr.combo,
-                            "mode": cr.mode,
-                            "cases": cr.cases,
-                            "counterexample": (
-                                None
-                                if cr.counterexample is None
-                                else str(cr.counterexample)
-                            ),
-                        }
-                        for cr in res.combos
-                    ],
-                }
-            )
-        print(json.dumps(out, indent=2))
+        print(json.dumps([r.to_json() for r in results], indent=2))
         return 0 if failed is None else 1
     for res in results:
         mark = "ok" if res.passed else "FAIL"

@@ -37,6 +37,7 @@ Laws covered:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from array import array
 from bisect import bisect_right
@@ -214,6 +215,14 @@ def _ranks(shape: tuple[int, ...], atoms: int, upsets: tuple) -> tuple:
     return got
 
 
+def _wire_ranks(dom: Signature, cod: Signature, budget: int) -> list[tuple]:
+    """``_ranks`` of each codomain wire.  Only the domain's shape and each
+    wire's atom count are read: the codomain's points are never listed."""
+    shape = _shape(dom)
+    ups = _upsets(shape, _Budget(budget, dom, cod)) if cod.wires else ()
+    return [_ranks(shape, len(base.values), ups) for base in cod.wires]
+
+
 def count_monotone(dom: Signature, cod: Signature, budget: int = _BUDGET) -> int:
     """Exact size of Mon(dom, cod), as a product of single-wire counts.
 
@@ -221,7 +230,7 @@ def count_monotone(dom: Signature, cod: Signature, budget: int = _BUDGET) -> int
     are charged once per call (listed once per process) unless ``cod`` has
     no wires; past it a CapError names the space.
     """
-    return _Space(dom, cod).count(budget)
+    return math.prod(r[0] for r in _wire_ranks(dom, cod, budget))
 
 
 def _wire_maps(
@@ -271,43 +280,29 @@ def _wire_maps(
             pos[i] = 0
 
 
-_END = object()  # what ``next`` gives for an exhausted factor
-
-
 def _product(cols: list[Iterator]) -> Iterator[tuple]:
     """itertools.product, but each factor is pulled only as far as needed.
 
-    The last factor varies fastest.  One loop keeps the row and a cursor
-    per factor: a factor after the first is recorded on its first walk
-    and replayed after it, and the next value is pulled only when a row
-    needs it, so a factor that raises does so at the same row as a walk
-    of nested loops would.
+    One generator per factor, nested as loops would be, so the last factor
+    varies fastest.  A factor after the first is recorded on its first pass
+    and replayed after it, so each factor is pulled, and one that raises
+    raises, at the same row as in nested loops.
     """
-    last = len(cols) - 1
-    if last < 1:
-        yield from zip(*cols) if cols else [()]
-        return
+    fresh = [iter(c) for c in cols]  # None once a factor's first pass began
     seen: list[list] = [[] for _ in cols]
-    fresh = [iter(c) for c in cols]  # None once a factor has been walked
-    cursor = fresh[:1] + [None] * last
-    row = [None] * len(cols)
-    d = 0
-    while d >= 0:
-        it = cursor[d]
-        x = next(it, _END)
-        if x is _END:
-            if it is fresh[d]:
-                fresh[d] = None
-            d -= 1
-            continue
-        if d and it is fresh[d]:
-            seen[d].append(x)
-        row[d] = x
-        if d == last:
-            yield tuple(row)
-        else:
-            d += 1
-            cursor[d] = fresh[d] or iter(seen[d])
+    last = len(cols) - 1
+
+    def walk(i: int, row: tuple) -> Iterator[tuple]:
+        it, fresh[i] = fresh[i], None
+        for x in seen[i] if it is None else it:
+            if i and it is not None:
+                seen[i].append(x)
+            if i == last:
+                yield row + (x,)
+            else:
+                yield from walk(i + 1, row + (x,))
+
+    return walk(0, ()) if cols else iter([()])
 
 
 def _tabled(dom: _Points, cod: _Points, flat) -> MonotoneFn:
@@ -344,13 +339,9 @@ class _Space:
 
     def count(self, budget: int) -> int:
         """|Mon(dom, cod)|, setting ``ranks``; see ``count_monotone``."""
-        b = _Budget(budget, self.dom.sig, self.cod.sig)
-        ups = _upsets(self.shape, b) if self.wires else ()
-        self.ranks = [_ranks(self.shape, m, ups) + (m, s) for m, s in self.wires]
-        n = 1
-        for r in self.ranks:
-            n *= r[0]
-        return n
+        ranks = _wire_ranks(self.dom.sig, self.cod.sig, budget)
+        self.ranks = [r + w for r, w in zip(ranks, self.wires)]
+        return math.prod(r[0] for r in ranks)
 
     def fn(self, flat: tuple[int, ...]) -> MonotoneFn:
         """The function with this flat table, with its graph as ``table``."""
@@ -467,6 +458,10 @@ class ComboResult:
     cases: int
     counterexample: Counterexample | None = None
 
+    def to_json(self) -> dict:
+        cx = self.counterexample
+        return {**vars(self), "counterexample": None if cx is None else str(cx)}
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -486,6 +481,10 @@ class SweepResult:
             if cr.counterexample is not None:
                 return cr.counterexample
         return None
+
+    def to_json(self) -> dict:
+        head = {"law": self.law, "passed": self.passed, "cases": self.cases}
+        return {**head, "combos": [cr.to_json() for cr in self.combos]}
 
 
 def _rng_for(cfg: LawConfig, law: str, combo: str) -> random.Random:

@@ -98,6 +98,11 @@ class _Sem(Exception):
 Token: TypeAlias = tuple[str, str, int, int]
 
 
+# What a name is bound to when the statement that binds it calls a gate
+# whose declaration was refused (see ``_Parser.refuse``).
+_REFUSED = object()
+
+
 def _at(tok: Token, msg: str) -> NetlistError:
     """A syntax error at ``tok``; it ends the parse."""
     return NetlistError([(*tok[2:], msg)])
@@ -558,11 +563,15 @@ class _Parser:
                 name_tok = self.advance()
                 self.advance()
                 ast = _run(self.expr_ast())
-                self.bind(
-                    name_tok,
-                    lambda want: _run(self.build_expr(ast, want)),
-                    "is {}, got {}",
-                )
+                try:
+                    self.bind(
+                        name_tok,
+                        lambda want: _run(self.build_expr(ast, want)),
+                        "is {}, got {}",
+                    )
+                except _Sem as e:
+                    self.refuse(e, [name_tok])
+                    raise
                 return
             if self.at_call():
                 _run(self.build_call(_run(self.expr_ast())))
@@ -578,7 +587,11 @@ class _Parser:
         if ast[0] != "call":
             tok = name_toks[0]
             raise _Sem(tok, "tuple assignment needs a gate call on the right")
-        idx, out_sig = _run(self.build_call(ast))
+        try:
+            idx, out_sig = _run(self.build_call(ast))
+        except _Sem as e:
+            self.refuse(e, name_toks)
+            raise
         if len(out_sig) != len(name_toks):
             raise _Sem(
                 name_toks[0],
@@ -587,6 +600,25 @@ class _Parser:
         for p, tok in enumerate(name_toks):
             src = (SrcNode(idx, p), out_sig[p])
             self.bind(tok, lambda want: src, "type mismatch")
+
+    def refuse(self, e: _Sem, name_toks: list[Token]) -> None:
+        """After ``e`` ended building the source of ``name_toks``.
+
+        When ``e`` follows a gate whose declaration was refused (it has no
+        position), each name not yet bound is bound to ``_REFUSED``: an
+        output or a feedback wire counts as given, and a wire read later
+        raises the same, so the refusal is reported once, where the gate
+        was declared.
+        """
+        if e.pos is not None:
+            return
+        for _, name, *_ in name_toks:
+            if name in self.loop_names:
+                self.loop_srcs.setdefault(self.loop_names[name], _REFUSED)
+                continue
+            if name in self.out_names:
+                self.out_srcs.setdefault(self.out_names[name], _REFUSED)
+            self.env.setdefault(name, _REFUSED)
 
     def bind(self, name_tok: Token, build, mismatch: str) -> None:
         """Give a name its source: close a feedback wire, assign an output
@@ -711,7 +743,10 @@ class _Parser:
 
     def lookup(self, name: str):
         if name in self.env:
-            return self.env[name]
+            hit = self.env[name]
+            if hit is _REFUSED:
+                raise _Sem()
+            return hit
         if name in self.loop_names:
             j = self.loop_names[name]
             return (SrcLoop(j), self.loops[j])

@@ -18,9 +18,17 @@ from causalcirc.circuit import (
     trace_loop,
 )
 from causalcirc.comb import Propagator
-from causalcirc.domain import BOOL, BOT, CapError, MonotoneFn, SignatureError, sig
+from causalcirc.domain import (
+    BOOL,
+    BOT,
+    MAX_ENUM_WIRES,
+    CapError,
+    MonotoneFn,
+    SignatureError,
+    sig,
+)
 from causalcirc.engine import simulate
-from causalcirc.gates import KIND_STRICT, GateDef, por, strict_lift
+from causalcirc.gates import KIND_STRICT, KIND_TABLE, GateDef, por, strict_lift
 from causalcirc.netlist import parse_netlist
 from causalcirc.random_circuits import (
     GenConfig,
@@ -53,6 +61,38 @@ def test_bot_init_breaks_totality_with_a_tick_zero_witness():
     assert rep.witness.tick == 0
     assert rep.witness.port == 0
     assert not totality_guarantee(c)
+
+
+def test_a_bot_constant_is_not_a_total_gate():
+    # const[bool](bot) is a wiring gate; its table, not its kind, decides.
+    c = parse_netlist(
+        "circuit main { in a: bool  out y: bool  y = const[bool](bot) }"
+    )
+    assert not check_totality(c, horizon=1).total
+    assert not totality_guarantee(c)
+
+
+def test_a_gate_table_with_a_concrete_row_to_bot_is_not_guaranteed():
+    b = sig(BOOL)
+    rows = {(BOT,): (BOT,), (0,): (BOT,), (1,): (1,)}
+    c = from_gate(GateDef("g", MonotoneFn.from_table(b, b, rows, "g"), KIND_TABLE))
+    assert not check_totality(c, horizon=1).total
+    assert not totality_guarantee(c)
+    rows[(0,)] = (0,)
+    c = from_gate(GateDef("g", MonotoneFn.from_table(b, b, rows, "g"), KIND_TABLE))
+    assert check_totality(c, horizon=1).total
+    assert totality_guarantee(c)
+
+
+def test_a_tableless_gate_over_the_enumeration_cap_is_not_guaranteed():
+    # A non-strict gate without a table is tried on every concrete input,
+    # which a domain over the cap does not allow: the guarantee is refused,
+    # though the gate is total.
+    for n in MAX_ENUM_WIRES, MAX_ENUM_WIRES + 1:
+        f = MonotoneFn(sig(*[BOOL] * n), sig(BOOL), lambda t: (0,), "zero")
+        c = from_gate(GateDef("zero", f, KIND_TABLE))
+        assert check_totality(c, horizon=1).total
+        assert totality_guarantee(c) is (n == MAX_ENUM_WIRES)
 
 
 def test_stuck_loop_is_not_total():

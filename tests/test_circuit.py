@@ -28,7 +28,7 @@ from causalcirc.circuit import (
 from causalcirc.comb import denote
 from causalcirc.domain import BOOL, BOT, SignatureError, int_range, sig
 from causalcirc.engine import PrefixTrace, bot_trace, random_trace, simulate
-from causalcirc.gates import const_gate, not_gate, por
+from causalcirc.gates import const_gate, eq_gate, not_gate, por
 from causalcirc.netlist import parse_netlist
 
 
@@ -134,6 +134,13 @@ def test_trace_loop_requires_matching_tails():
     # in (bool,), out (bool, bool): tails of length 2 cannot match.
     with pytest.raises(SignatureError):
         trace_loop(c, 2)
+    with pytest.raises(SignatureError) as exc:
+        trace_loop(c, 3)
+    assert str(exc.value) == "cannot loop 3 wires of a 1-in 2-out circuit"
+    eq = from_gate(eq_gate(int_range(0, 2)))
+    with pytest.raises(SignatureError) as exc:
+        trace_loop(eq, 1)
+    assert str(exc.value) == "looped ports disagree: sig(i0_2) vs sig(bool)"
 
 
 def test_port_names_default_and_stick():
@@ -169,6 +176,30 @@ def test_validate_catches_arity_and_type_errors():
         (g,), ((SrcIn(0), SrcIn(7)),), (SrcNode(0, 0),), (),
     )
     assert validate(bad_index)
+
+
+def test_structural_diagnostics_are_pinned():
+    # One fault at a time in a well-formed por circuit, each with its text.
+    def diags(**fault):
+        fields = dict(
+            in_ports=sig(BOOL, BOOL), out_ports=sig(BOOL), nodes=(por(),),
+            node_inputs=((SrcIn(0), SrcIn(1)),), outputs=(SrcNode(0, 0),),
+        )
+        return [str(d) for d in validate(Circuit(**{**fields, **fault}))]
+
+    assert diags() == []
+    assert diags(node_inputs=()) == ["circuit: 1 nodes but 0 input lists"]
+    assert diags(outputs=()) == ["circuit: 0 output sources for 1 ports"]
+    assert diags(in_names=("a",)) == ["circuit: input name list does not match ports"]
+    assert diags(out_names=("y", "z")) == [
+        "circuit: output name list does not match ports"
+    ]
+    assert diags(outputs=(SrcNode(3, 0),)) == [
+        "output 0: source SrcNode(node=3, port=0) does not exist"
+    ]
+    assert diags(node_inputs=((SrcIn(0), SrcLoop(0)),)) == [
+        "node 0 (por) input 1: source SrcLoop(index=0) does not exist"
+    ]
 
 
 def test_validate_rejects_undeclared_cycles():
@@ -277,6 +308,9 @@ def test_vardelay_validates_its_range():
         VarDelay(BOOL, 2, 1, 0)
     with pytest.raises(SignatureError):
         VarDelay(BOOL, -1, 1, 0)
+    with pytest.raises(SignatureError) as exc:
+        VarDelay(BOOL, 1, 2, 0, int_range(0, 2))
+    assert str(exc.value) == "d port type 'i0_2' must have values exactly 1..2"
     vd = VarDelay(BOOL, 0, 3, BOT)
     assert vd.d_base.values == (0, 1, 2, 3)
     assert vd.cod == sig(BOOL)

@@ -402,6 +402,17 @@ def test_totality_of_a_loop_that_is_not_contractive(capsys, tmp_path):
     )
 
 
+def test_a_bot_constant_is_not_guaranteed_total(capsys, tmp_path):
+    # check, totality and its JSON agree: the output is undefined at tick 0.
+    p = tmp_path / "bot.net"
+    p.write_text("circuit main { in a: bool  out y: bool  y = const[bool](bot) }\n")
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0 and "totality guaranteed" not in out
+    code, out, _ = run(capsys, "totality", str(p), "--horizon", "1", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["total"] is False and doc["guaranteed"] is False
+
+
 def test_totality_json(capsys):
     code, out, _ = run(
         capsys, "totality", TOGGLE, "--horizon", "2", "--json"

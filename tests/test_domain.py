@@ -169,6 +169,14 @@ def test_from_table_requires_full_coverage():
         MonotoneFn.from_table(B, B, rows)
 
 
+def test_from_table_refuses_rows_outside_its_domain():
+    rows = {t: (0,) for t in B.tuples()}
+    rows[(2,)] = (0,)
+    with pytest.raises(SignatureError) as exc:
+        MonotoneFn.from_table(B, B, rows, "f")
+    assert str(exc.value) == "table 'f' has rows outside its domain"
+
+
 def test_from_table_rejects_non_monotone_rows():
     rows = {(BOT,): (1,), (0,): (0,), (1,): (1,)}
     with pytest.raises(SignatureError) as exc:
@@ -282,6 +290,26 @@ def test_kleene_steps_counts_the_stabilisation_index():
         BB, BB, lambda t: (0, 0 if t[0] == 0 else BOT)
     )
     assert kleene_steps(stair) == 2
+
+
+def test_fixed_point_operators_pin_their_signature_errors():
+    # lfp and kleene_steps take an endofunction only; trace takes 0 <= k up
+    # to either side's width, and looped wires that agree.
+    f = MonotoneFn(BB, B, lambda t: t[1:], "f")
+    for op in lfp, kleene_steps:
+        with pytest.raises(SignatureError) as exc:
+            op(f)
+        assert str(exc.value) == (
+            f"{op.__name__} needs dom = cod, got sig(bool, bool) -> sig(bool)"
+        )
+    for k in -1, 2:
+        with pytest.raises(SignatureError) as exc:
+            trace(f, k, local_lfp)
+        assert str(exc.value) == f"cannot trace {k} wires of sig(bool, bool) -> sig(bool)"
+    g = MonotoneFn(sig(BOOL, UNIT), BB, lambda t: t[:1] * 2, "g")
+    with pytest.raises(SignatureError) as exc:
+        trace(g, 1, local_lfp)
+    assert str(exc.value) == "looped wires disagree: sig(unit) vs sig(bool)"
 
 
 def test_bounds():

@@ -181,6 +181,13 @@ def test_strict_lift_table_checks_coverage():
         strict_lift_table("bottomy", B, B, {(0,): (BOT,), (1,): (0,)})
 
 
+def test_strict_table_refuses_rows_outside_its_domain():
+    rows = {(0,): (1,), (1,): (0,), (BOT,): (0,)}
+    with pytest.raises(SignatureError) as exc:
+        strict_lift_table("g", B, B, rows)
+    assert str(exc.value) == "gate 'g' has rows outside its domain"
+
+
 def test_table_gate_rejects_non_monotone_tables():
     rows = dict.fromkeys(B.tuples(), (0,))
     rows[(BOT,)] = (1,)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "causalcirc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "causalcirc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -51,3 +52,12 @@ def test_the_unused_import_finder_sees_leftovers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_readme_layout_names_every_module_and_script():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    named = set(re.findall(r"[\w.]+\.py\b", layout))
+    files = [p for p in MODULES if p.name != "__main__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    assert [p.name for p in files if p.name not in named] == []

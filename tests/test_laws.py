@@ -66,6 +66,21 @@ def test_known_monotone_counts():
     assert count_monotone(sig(BOOL, BOOL, BOOL), B) == 129615
 
 
+def test_a_count_never_lists_the_codomain(monkeypatch):
+    # A count reads the domain's shape and each codomain wire's atoms only:
+    # the 3**30 points of thirty bool wires are never listed.
+    wide = sig(*[BOOL] * 30)
+    listed = laws._indexed
+
+    def guarded(s):
+        assert s != wide, "the codomain's points were listed"
+        return listed(s)
+
+    monkeypatch.setattr(laws, "_indexed", guarded)
+    assert count_monotone(U, wide) == 5**30
+    assert count_monotone(B, wide) == 11**30
+
+
 SMALL_SIGS = [sig(*ws) for k in range(3) for ws in itertools.product((UNIT, BOOL), repeat=k)]
 
 
@@ -111,6 +126,57 @@ def test_enumeration_budget_guard():
     with pytest.raises(CapError):
         for _ in enumerate_monotone(big, big, budget=2000):
             pass
+
+
+def _logged(i: int, values, log: list, fail: bool = False):
+    """Factor i of a product, logging each value as it is pulled."""
+    for x in values:
+        log.append((i, x))
+        yield x
+    if fail:
+        raise CapError(f"factor {i} ran out")
+
+
+def _nested(factors, log: list, i: int = 0, row: tuple = ()) -> None:
+    """Nested for-loops over the factors, logging each value where a loop
+    first reaches it and each row as it is made."""
+    if i == len(factors):
+        log.append(("row", row))
+        return
+    for x in factors[i]:
+        if (i, x) not in log:
+            log.append((i, x))
+        _nested(factors, log, i + 1, row + (x,))
+
+
+@pytest.mark.parametrize(
+    "sizes", [(), (0,), (3,), (2, 0), (0, 2), (2, 3), (2, 0, 3), (3, 1, 2), (2, 2, 2, 2)]
+)
+def test_product_pulls_its_factors_as_nested_loops_would(sizes):
+    # _product records each factor after the first on its first pass and
+    # replays it after: its rows are itertools.product's, and each value is
+    # pulled just before the first row nested loops would reach it in.
+    factors = [[f"{i}.{j}" for j in range(n)] for i, n in enumerate(sizes)]
+    log, want = [], []
+    for row in laws._product([_logged(i, f, log) for i, f in enumerate(factors)]):
+        log.append(("row", row))
+    _nested(factors, want)
+    assert log == want
+    assert [r for tag, r in log if tag == "row"] == list(itertools.product(*factors))
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_a_product_factor_that_raises_stops_at_the_row_nested_loops_would(k):
+    # Factor k raises once its first pass is done: nested loops get there
+    # after the rows whose earlier factors still hold their first values.
+    factors = [[f"{i}.{j}" for j in range(2)] for i in range(3)]
+    cols = [_logged(i, f, [], fail=i == k) for i, f in enumerate(factors)]
+    rows = []
+    with pytest.raises(CapError, match=f"^factor {k} ran out$"):
+        for row in laws._product(cols):
+            rows.append(row)
+    first = tuple(f[0] for f in factors[:k])
+    assert rows == [r for r in itertools.product(*factors) if r[:k] == first]
 
 
 def test_a_counting_budget_holds_after_the_shape_was_listed():

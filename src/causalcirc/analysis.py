@@ -48,7 +48,7 @@ from .circuit import Circuit, UnitDelay, VarDelay, _value_json, is_contractive
 from .comb import propagator
 from .domain import BOT, CapError, Signature, SignatureError, check_enumerable
 from .engine import PrefixTrace, random_rows
-from .gates import KIND_STRICT, KIND_WIRING
+from .gates import KIND_WIRING
 
 
 @dataclass(frozen=True)
@@ -307,13 +307,17 @@ def check_equiv(
 
 
 def _gate_bot_free_total(gate) -> bool:
-    """Concrete inputs can never produce a bottom output."""
+    """Concrete inputs can never produce a bottom output.
+
+    Wiring passes values through; a strict gate is trusted only when it is
+    marked ``bot_free``, and any other has its concrete rows checked.
+    """
     if gate.fn.table is not None:  # before the kind: a bot constant is wiring
         return all(
             any(x is BOT for x in t) or all(y is not BOT for y in out)
             for t, out in gate.fn.table.items()
         )
-    if gate.kind in (KIND_STRICT, KIND_WIRING):
+    if gate.kind == KIND_WIRING or gate.bot_free:
         return True
     try:
         check_enumerable(gate.dom)

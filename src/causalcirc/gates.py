@@ -71,8 +71,11 @@ class GateDef:
     """A named, reusable monotone function with printing metadata.
 
     ``concrete_table`` is the bottom-free graph for strict gates built from
-    rows.  Equality compares name, kind, signatures and tables; a gate with
-    neither table is only equal to one wrapping the very same callable.
+    rows.  ``bot_free`` marks a strict gate whose function never gives a
+    bottom on concrete inputs: the builtins, and gates built from rows
+    (``strict_lift_table`` refuses a bottom row).  Equality compares name,
+    kind, signatures and tables; a gate with neither table is only equal
+    to one wrapping the very same callable.
     Builtin constructors are memoized so that equal requests (a netlist
     round trip, say) get the same gate back.  A gate is a netlist builtin
     only when it equals what the netlist's builtin of its name builds for
@@ -83,6 +86,7 @@ class GateDef:
     fn: MonotoneFn
     kind: str
     concrete_table: dict[WireTuple, WireTuple] | None = field(default=None, repr=False)
+    bot_free: bool = field(default=False, repr=False)
 
     @property
     def dom(self) -> Signature:
@@ -188,6 +192,7 @@ def strict_lift_table(
             raise SignatureError(f"gate {name!r} has a bottom in concrete row {t!r}")
     g = strict_lift(name, dom, cod, rows.__getitem__)
     g.concrete_table = rows
+    g.bot_free = True
     return g
 
 
@@ -200,6 +205,13 @@ def table_gate(
     """Gate from a full lifted table; from_table rejects non-monotone rows."""
     f = MonotoneFn.from_table(dom, cod, rows, name)
     return GateDef(name, f, KIND_TABLE)
+
+
+def _bot_free_lift(name: str, dom: Signature, cod: Signature, g: Callable) -> GateDef:
+    """``strict_lift`` of a ``g`` that never gives a bottom, as a builtin's."""
+    gate = strict_lift(name, dom, cod, g)
+    gate.bot_free = True
+    return gate
 
 
 def _por(x: LValue, y: LValue) -> LValue:
@@ -235,32 +247,32 @@ def pand() -> GateDef:
 
 @cache
 def not_gate() -> GateDef:
-    return strict_lift("not", sig(BOOL), sig(BOOL), lambda t: (1 - t[0],))
+    return _bot_free_lift("not", sig(BOOL), sig(BOOL), lambda t: (1 - t[0],))
 
 
 @cache
 def and_gate() -> GateDef:
-    return strict_lift("and", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] & t[1],))
+    return _bot_free_lift("and", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] & t[1],))
 
 
 @cache
 def or_gate() -> GateDef:
-    return strict_lift("or", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] | t[1],))
+    return _bot_free_lift("or", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] | t[1],))
 
 
 @cache
 def xor_gate() -> GateDef:
-    return strict_lift("xor", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] ^ t[1],))
+    return _bot_free_lift("xor", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] ^ t[1],))
 
 
 @cache
 def nand_gate() -> GateDef:
-    return strict_lift("nand", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] & t[1]),))
+    return _bot_free_lift("nand", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] & t[1]),))
 
 
 @cache
 def nor_gate() -> GateDef:
-    return strict_lift("nor", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] | t[1]),))
+    return _bot_free_lift("nor", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] | t[1]),))
 
 
 def mux_gate(base: BaseType = BOOL) -> GateDef:
@@ -270,7 +282,7 @@ def mux_gate(base: BaseType = BOOL) -> GateDef:
 
 @cache
 def _mux_gate(base: BaseType, /) -> GateDef:
-    return strict_lift(
+    return _bot_free_lift(
         "mux",
         sig(BOOL, base, base),
         sig(base),
@@ -285,7 +297,7 @@ def add_gate(base: BaseType, /) -> GateDef:
         raise SignatureError(f"add needs an integer range, got {base.name!r}")
     lo = base.values[0]
     n = len(base.values)
-    return strict_lift(
+    return _bot_free_lift(
         "add",
         sig(base, base),
         sig(base),
@@ -296,7 +308,7 @@ def add_gate(base: BaseType, /) -> GateDef:
 @cache
 def eq_gate(base: BaseType, /) -> GateDef:
     """Strict equality test, boolean output."""
-    return strict_lift(
+    return _bot_free_lift(
         "eq", sig(base, base), sig(BOOL), lambda t: (1 if t[0] == t[1] else 0,)
     )
 
@@ -305,7 +317,7 @@ def eq_gate(base: BaseType, /) -> GateDef:
 def lt_gate(base: BaseType, /) -> GateDef:
     if not all(isinstance(a, int) for a in base.values):
         raise SignatureError(f"lt needs integer values, got {base.name!r}")
-    return strict_lift(
+    return _bot_free_lift(
         "lt", sig(base, base), sig(BOOL), lambda t: (1 if t[0] < t[1] else 0,)
     )
 

@@ -32,13 +32,22 @@ Laws covered:
 * dinaturality: a post-map on the looped wire can be slid around the loop;
 * simultaneous vs nested fixed points of a pair (Bekic);
 * trace axioms derived from mu: yanking, vanishing, sliding, superposing.
+
+``run_laws`` runs the eight sweeps on every usable CPU, the caller as one
+worker and forked children as the rest.  Each combo seeds its own draws
+and each budget charge is the same whatever was cached before, so the
+results, and the output made from them, are byte-identical to a serial
+run and in law order.  An injected operator runs in the caller, and with
+one usable CPU nothing is forked.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -900,15 +909,136 @@ def check_superposing(cfg: LawConfig = LawConfig()) -> SweepResult:
     return _law("superposing", cfg, "CABX", spaces, _superposing)
 
 
-def run_laws(cfg: LawConfig = LawConfig()) -> list[SweepResult]:
-    """Every law sweep in a fixed order: fixed-point laws, then trace axioms."""
+def _sweeps() -> list[Callable[[LawConfig], SweepResult]]:
+    """The law sweeps in law order: fixed-point laws, then trace axioms.
+    They are looked up at each call, so one wrapped from outside runs."""
     return [
-        check_local_fixpoint(cfg),
-        check_naturality_param(cfg),
-        check_dinaturality(cfg),
-        check_bekic(cfg),
-        check_yanking(cfg),
-        check_vanishing(cfg),
-        check_sliding(cfg),
-        check_superposing(cfg),
+        check_local_fixpoint,
+        check_naturality_param,
+        check_dinaturality,
+        check_bekic,
+        check_yanking,
+        check_vanishing,
+        check_sliding,
+        check_superposing,
     ]
+
+
+# The positions of the sweeps by falling cost, at the CLI's defaults and at
+# pair_budget=2000 alike (scripts/law_cost.py): superposing, sliding, bekic,
+# vanishing, then the light ones.  Handed out first, the heaviest do not
+# end last, alone on one worker.
+_HEAVIEST_FIRST = bytes((7, 6, 3, 5, 1, 2, 0, 4))
+
+
+def _workers(cfg: LawConfig) -> int:
+    """How many workers ``run_laws`` uses: one per usable CPU, at most one
+    per law.  The caller runs alone for an injected operator, without
+    ``os.fork``, or while other threads run: a child forked then could
+    wait forever on a lock one of them held."""
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    if cfg.mu is not local_lfp or not forkable:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(_sweeps()))
+
+
+def _take(tickets: int, sweeps: list, cfg: LawConfig, out: dict) -> None:
+    """Run the sweep of each ticket drawn from the pipe ``tickets`` until it
+    is empty; what came of it, its result or the exception it raised, goes
+    into ``out`` under the sweep's position."""
+    while ticket := os.read(tickets, 1):
+        i = ticket[0]
+        try:
+            out[i] = sweeps[i](cfg)
+        except Exception as e:
+            out[i] = e
+
+
+def _run_workers(sweeps: list, cfg: LawConfig, n: int) -> list:
+    """What came of each sweep, in order, from the caller and ``n - 1``
+    forked workers.
+
+    The tickets, one byte per sweep, wait in a pipe heaviest first
+    (``_HEAVIEST_FIRST``); each worker takes the next one left.  A child
+    sends what came of its sweeps pickled through a pipe of its own and
+    leaves by ``os._exit``, so the caller's buffers are not flushed twice.
+    A child that leaves without a result makes this raise; one that cannot
+    be forked leaves its share to the others.  Every child is stopped and
+    reaped before this returns, whether it returns or raises.
+    The caller's caches stay warm from call to call; a child's go with it.
+    """
+    # Imported here, not with the package, whose import every CLI run pays;
+    # and before forking, so that no child imports them again.
+    import pickle
+    import signal
+
+    tickets, w = os.pipe()
+    try:
+        os.write(w, _HEAVIEST_FIRST)
+    finally:
+        os.close(w)
+    out: dict = {}
+    children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
+    try:
+        for _ in range(n - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: fewer workers do it all
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    mine: dict = {}
+                    _take(tickets, sweeps, cfg, mine)
+                    with open(w, "wb") as f:
+                        f.write(pickle.dumps(mine))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        _take(tickets, sweeps, cfg, out)
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            if not data:
+                raise RuntimeError(f"law worker {pid} exited without a result")
+            out.update(pickle.loads(data))
+    finally:
+        os.close(tickets)
+        for pid, r in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)  # a no-op on one that already left
+            os.waitpid(pid, 0)
+    return [out[i] for i in range(len(sweeps))]
+
+
+def run_laws(cfg: LawConfig = LawConfig()) -> list[SweepResult]:
+    """Every law sweep, in law order (see ``_sweeps``).
+
+    The sweeps are independent, so they run on every usable CPU, up to one
+    per law: the caller is one worker and the others are forked.  Results
+    come back in law order and equal a serial run's, so the output is the
+    same byte for byte; when sweeps raise, the error of the first in law
+    order is raised, the one a serial run raises.  An injected operator
+    (``cfg.mu`` other than ``local_lfp``) is code under test whose side
+    effects belong to the caller, so then every sweep runs in the caller,
+    as they do with one usable CPU, without ``os.fork`` or while other
+    threads run (``_workers``).
+    """
+    sweeps, n = _sweeps(), _workers(cfg)
+    if n == 1:
+        return [sweep(cfg) for sweep in sweeps]
+    got = _run_workers(sweeps, cfg, n)
+    for x in got:
+        if isinstance(x, Exception):
+            raise x
+    return got

@@ -21,14 +21,24 @@ from causalcirc.comb import Propagator
 from causalcirc.domain import (
     BOOL,
     BOT,
+    MAX_ENUM_VALUES,
     MAX_ENUM_WIRES,
     CapError,
     MonotoneFn,
     SignatureError,
+    int_range,
     sig,
 )
 from causalcirc.engine import simulate
-from causalcirc.gates import KIND_STRICT, KIND_TABLE, GateDef, por, strict_lift
+from causalcirc.gates import (
+    KIND_STRICT,
+    KIND_TABLE,
+    GateDef,
+    and_gate,
+    eq_gate,
+    por,
+    strict_lift,
+)
 from causalcirc.netlist import parse_netlist
 from causalcirc.random_circuits import (
     GenConfig,
@@ -93,6 +103,25 @@ def test_a_tableless_gate_over_the_enumeration_cap_is_not_guaranteed():
         c = from_gate(GateDef("zero", f, KIND_TABLE))
         assert check_totality(c, horizon=1).total
         assert totality_guarantee(c) is (n == MAX_ENUM_WIRES)
+
+
+def test_a_strict_gate_giving_bot_on_a_concrete_row_is_not_guaranteed():
+    # A strict gate built in Python is trusted only when marked bot_free;
+    # otherwise its concrete rows are checked, as a tableless gate's are.
+    b = sig(BOOL)
+    half = strict_lift("half", b, b, lambda t: (BOT,) if t[0] == 0 else (1,))
+    c = from_gate(half)
+    assert not check_totality(c, horizon=1).total
+    assert not totality_guarantee(c)
+    ident = from_gate(strict_lift("id", b, b, lambda t: t))
+    assert check_totality(ident, horizon=1).total
+    assert totality_guarantee(ident)
+    # Over the cap the rows cannot be checked; a builtin is still trusted.
+    wide = int_range(0, MAX_ENUM_VALUES)
+    zero = strict_lift("zero", sig(wide), b, lambda t: (0,))
+    assert not totality_guarantee(from_gate(zero))
+    assert totality_guarantee(from_gate(eq_gate(wide)))
+    assert totality_guarantee(from_gate(and_gate()))
 
 
 def test_stuck_loop_is_not_total():

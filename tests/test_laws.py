@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -574,16 +576,14 @@ DEFAULT_WORK = {
 }
 
 
-def test_a_unit_sweep_first_leaves_the_default_sweep_unchanged():
-    # Loop splits are kept per signature, and point numberings and up-sets
-    # per equal signature or shape, for the life of the process.  In a fresh
-    # one, a unit-only sweep fills them first; the default sweep after it
-    # must still find exactly its pinned combos.
+def unit_sweep_then_default(mu: str) -> list[str]:
+    """In a fresh process, a unit-only sweep and then the default one, both
+    with the operator named by ``mu``: each default combo, as a line."""
     script = (
-        "from causalcirc.domain import UNIT\n"
+        "from causalcirc.domain import UNIT, local_lfp\n"
         "from causalcirc.laws import LawConfig, run_laws\n"
-        "run_laws(LawConfig(bases=(UNIT,)))\n"
-        "for r in run_laws(LawConfig()):\n"
+        f"run_laws(LawConfig(bases=(UNIT,), mu={mu}))\n"
+        f"for r in run_laws(LawConfig(mu={mu})):\n"
         "    for cr in r.combos:\n"
         "        print(r.law, cr.mode[0] + str(cr.cases), cr.counterexample)\n"
     )
@@ -598,8 +598,176 @@ def test_a_unit_sweep_first_leaves_the_default_sweep_unchanged():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    want = [f"{law} {w} None" for law, work in DEFAULT_WORK.items() for w in work.split()]
-    assert proc.stdout.splitlines() == want
+    return proc.stdout.splitlines()
+
+
+DEFAULT_LINES = [f"{law} {w} None" for law, work in DEFAULT_WORK.items() for w in work.split()]
+
+
+def test_a_unit_sweep_first_leaves_the_default_sweep_unchanged():
+    # Loop splits are kept per signature, and point numberings and up-sets
+    # per equal signature or shape, for the life of the process.  In a fresh
+    # one, a unit-only sweep fills them first; the default sweep after it
+    # must still find exactly its pinned combos.
+    assert unit_sweep_then_default("local_lfp") == DEFAULT_LINES
+
+
+def test_a_unit_sweep_first_leaves_the_in_process_sweep_unchanged():
+    # Caches a forked worker fills go with it, so on workers the test above
+    # covers only the laws the caller runs.  An injected operator keeps
+    # every sweep in the caller, where each law meets what every earlier
+    # sweep left in the caches.
+    assert unit_sweep_then_default("lambda f, s: local_lfp(f, s)") == DEFAULT_LINES
+
+
+# -- the sweeps on workers ---------------------------------------------------
+
+
+needs_workers = pytest.mark.skipif(
+    laws._workers(LawConfig()) < 2, reason="needs os.fork and 2 usable CPUs"
+)
+
+
+def in_process(cfg: LawConfig) -> LawConfig:
+    """``cfg`` with an injected operator that only calls ``local_lfp``: its
+    sweeps all run in the caller."""
+    return dataclasses.replace(cfg, mu=lambda f, split: local_lfp(f, split))
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the children forked from here on, as they are forked."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def patch_every_sweep(monkeypatch, sweep):
+    for name in (
+        "check_local_fixpoint",
+        "check_naturality_param",
+        "check_dinaturality",
+        "check_bekic",
+        "check_yanking",
+        "check_vanishing",
+        "check_sliding",
+        "check_superposing",
+    ):
+        monkeypatch.setattr(laws, name, sweep)
+
+
+def test_the_tickets_name_every_sweep_once():
+    assert sorted(laws._HEAVIEST_FIRST) == list(range(len(laws._sweeps())))
+
+
+@needs_workers
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        LawConfig(bases=(UNIT,)),
+        SMALL,
+        LawConfig(pair_budget=2000, seed=11),
+        LawConfig(pair_budget=2000, seed=424242),
+    ],
+    ids=["unit", "small", "cap2000-seed11", "cap2000-seed424242"],
+)
+def test_workers_give_what_one_process_gives(cfg, monkeypatch):
+    forks = count_forks(monkeypatch)
+    got = run_laws(cfg)
+    assert len(forks) == laws._workers(cfg) - 1
+    assert_no_child_left()
+    want = run_laws(in_process(cfg))
+    assert len(forks) == laws._workers(cfg) - 1  # none for an injected operator
+    assert got == want
+
+
+@needs_workers
+def test_workers_raise_the_error_a_serial_run_raises(monkeypatch):
+    # Bekic runs out of budget first in law order; vanishing, later in law
+    # order, runs out too, with another text, and may end first.
+    cfg = LawConfig(budget=2000, pair_budget=400, samples=5)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(CapError) as on_workers:
+        run_laws(cfg)
+    assert forks
+    assert_no_child_left()
+    with pytest.raises(CapError) as in_caller:
+        run_laws(in_process(cfg))
+    want = "budget of 2000 steps exceeded building sig(unit, bool, bool) -> sig(bool)"
+    assert str(on_workers.value) == str(in_caller.value) == want
+    with pytest.raises(CapError, match=r"-> sig\(unit, bool, bool\)$"):
+        check_vanishing(cfg)
+
+
+@needs_workers
+def test_a_failed_fork_leaves_the_sweeps_to_the_caller(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_laws(SMALL) == run_laws(in_process(SMALL))
+
+
+def test_the_caller_runs_alone_while_other_threads_run(monkeypatch):
+    forks = count_forks(monkeypatch)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert laws._workers(LawConfig()) == 1
+        run_laws(LawConfig(bases=(UNIT,)))
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and not forks
+
+
+@needs_workers
+def test_a_worker_that_leaves_without_a_result_fails_the_run(monkeypatch):
+    caller = os.getpid()
+
+    def sweep(cfg):
+        if os.getpid() != caller:
+            os._exit(3)  # a worker dies holding a ticket
+        # Hold this ticket until a worker has died, leaving it unreaped.
+        deadline = time.monotonic() + 60
+        while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        return check_yanking(cfg)
+
+    patch_every_sweep(monkeypatch, sweep)
+    with pytest.raises(RuntimeError, match="exited without a result"):
+        run_laws(LawConfig(bases=(UNIT,)))
+    assert_no_child_left()
+
+
+@needs_workers
+def test_an_interrupted_run_stops_and_reaps_its_workers(monkeypatch):
+    caller = os.getpid()
+
+    def sweep(cfg):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    patch_every_sweep(monkeypatch, sweep)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_laws(LawConfig(bases=(UNIT,)))
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
 
 
 # -- the table checks against the lambda chains through trace ------------

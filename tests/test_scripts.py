@@ -74,6 +74,33 @@ def test_check_cost_pins_the_walk_at_small_horizons():
     ]
 
 
+def test_law_cost_pins_each_laws_cases():
+    proc = run_script(
+        "scripts/law_cost.py", "--cap", "100", "--samples", "5", "--repeat", "1"
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["law", "cases", "ms"]
+    rows = [line.split() for line in lines[1:9]]
+    # The cases follow from the configuration; the times vary.
+    assert [row[:2] for row in rows] == [
+        ["fixpoint", "60"],
+        ["naturality-param", "143"],
+        ["dinaturality", "205"],
+        ["bekic", "40"],
+        ["yanking", "5"],
+        ["vanishing", "64"],
+        ["sliding", "80"],
+        ["superposing", "264"],
+    ]
+    total, run, *rest = lines[9:]
+    assert not rest and total.split()[0] == "sum" and run.split()[0] == "run_laws"
+    times = [float(row[2]) for row in rows] + [float(total.split()[1]), float(run.split()[1])]
+    assert all(t > 0 for t in times)
+    assert abs(sum(times[:8]) - times[8]) < 0.01
+    assert int(run.split()[-2]) >= 1 and run.split()[-1] == "workers"
+
+
 def test_netlist_fuzz_raises_only_netlist_errors():
     # The digests pin every mutant's diagnostics and canonical print, so a
     # front-end change that moves any of them fails here.

@@ -33,11 +33,10 @@ Laws covered:
 * simultaneous vs nested fixed points of a pair (Bekic);
 * trace axioms derived from mu: yanking, vanishing, sliding, superposing.
 
-``run_laws`` runs the eight sweeps on every usable CPU, the caller as one
-worker and forked children as the rest.  Each combo seeds its own draws
-and each budget charge is the same whatever was cached before, so the
-results, and the output made from them, are byte-identical to a serial
-run and in law order.  An injected operator runs in the caller, and with
+``run_laws`` runs the sweeps on every usable CPU, the caller among them.
+Each combo seeds its own draws and no budget charge depends on a cache,
+so results and errors are a serial run's, in law order, and the output
+is byte-identical.  An injected operator runs in the caller, and with
 one usable CPU nothing is forked.
 """
 
@@ -1024,15 +1023,14 @@ def _run_workers(sweeps: list, cfg: LawConfig, n: int) -> list:
 def run_laws(cfg: LawConfig = LawConfig()) -> list[SweepResult]:
     """Every law sweep, in law order (see ``_sweeps``).
 
-    The sweeps are independent, so they run on every usable CPU, up to one
-    per law: the caller is one worker and the others are forked.  Results
-    come back in law order and equal a serial run's, so the output is the
-    same byte for byte; when sweeps raise, the error of the first in law
-    order is raised, the one a serial run raises.  An injected operator
-    (``cfg.mu`` other than ``local_lfp``) is code under test whose side
-    effects belong to the caller, so then every sweep runs in the caller,
-    as they do with one usable CPU, without ``os.fork`` or while other
-    threads run (``_workers``).
+    The sweeps run on every usable CPU, up to one per law: the caller is
+    one worker and the others are forked.  Results come back in law order
+    and equal a serial run's, and when sweeps raise, the error of the
+    first in law order is raised, as a serial run raises it.  An injected
+    operator (``cfg.mu`` other than ``local_lfp``) is code under test whose
+    side effects belong to the caller, so it runs every sweep in the
+    caller; so do one usable CPU, a platform without ``os.fork`` and other
+    running threads (``_workers``).
     """
     sweeps, n = _sweeps(), _workers(cfg)
     if n == 1:

@@ -654,17 +654,8 @@ def assert_no_child_left():
 
 
 def patch_every_sweep(monkeypatch, sweep):
-    for name in (
-        "check_local_fixpoint",
-        "check_naturality_param",
-        "check_dinaturality",
-        "check_bekic",
-        "check_yanking",
-        "check_vanishing",
-        "check_sliding",
-        "check_superposing",
-    ):
-        monkeypatch.setattr(laws, name, sweep)
+    for law in laws._sweeps():
+        monkeypatch.setattr(laws, law.__name__, sweep)
 
 
 def test_the_tickets_name_every_sweep_once():

@@ -244,19 +244,17 @@ class _Parser:
         self.types: dict[str, BaseType] = {"bool": BOOL}
         self.gates: dict[str, GateDef | None] = {}  # None: a broken declaration
         self.errors: list[tuple[int, int, str]] = []
-        # Circuit under construction.
-        self.in_ports: list[BaseType] = []
-        self.in_names: list[str] = []
-        self.out_ports: list[BaseType] = []
-        self.out_names: dict[str, int] = {}  # slot by name, in declaration order
-        self.out_srcs: dict[int, object] = {}
-        self.loops: list[BaseType] = []
-        self.loop_names: dict[str, int] = {}
-        self.loop_srcs: dict[int, object] = {}
-        self.loop_toks: list[Token] = []
+        # Circuit under construction.  Each output and feedback wire, in
+        # declaration order, is one record [label, type, declaring token,
+        # source or None]; ``env`` holds what each readable name reads: an
+        # input, a wire, a feedback wire from its declaration on, and an
+        # output once it is assigned.
+        self.ins: dict[str, BaseType] = {}
+        self.outs: dict[str, list] = {}
+        self.loops: dict[str, list] = {}
+        self.env: dict[str, tuple[object, BaseType]] = {}
         self.nodes: list = []
         self.node_inputs: list[tuple] = []
-        self.env: dict[str, tuple[object, BaseType]] = {}
 
     # -- token plumbing --------------------------------------------------
 
@@ -279,12 +277,6 @@ class _Parser:
             raise _at(tok, f"expected {what or kind}, found {shown}")
         return self.advance()
 
-    def keyword(self, word: str) -> Token:
-        if not self.at_word(word):
-            tok = self.peek()
-            raise _at(tok, f"expected {word!r}, found {tok[1]!r}")
-        return self.advance()
-
     def at_word(self, word: str) -> bool:
         return self.peek()[:2] == ("IDENT", word)
 
@@ -305,7 +297,7 @@ class _Parser:
         name = tok[1]
         if name in RESERVED:
             raise _Sem(tok, f"{name!r} is reserved and cannot name a {what}")
-        if name in self.env or name in self.loop_names or name in self.out_names:
+        if name in self.env or name in self.outs:
             raise _Sem(tok, f"{name!r} is already in use")
         return name
 
@@ -355,7 +347,7 @@ class _Parser:
         return circuit
 
     def type_decl(self) -> None:
-        self.keyword("type")
+        self.advance()
         name_tok = self.expect("IDENT", "a type name")
         self.expect("=")
         try:
@@ -384,7 +376,7 @@ class _Parser:
             self.errors.append(e.pos)
 
     def gate_decl(self) -> None:
-        self.keyword("gate")
+        self.advance()
         name_tok = self.expect("IDENT", "a gate name")
         self.expect("(")
         params = self.comma_list(
@@ -493,7 +485,7 @@ class _Parser:
     # -- circuit body ----------------------------------------------------
 
     def circuit_decl(self) -> Circuit:
-        self.keyword("circuit")
+        self.advance()
         name_tok = self.expect("IDENT", "a circuit name")
         self.expect("{")
         while self.kind() != "}":
@@ -505,28 +497,24 @@ class _Parser:
                 if e.pos is not None:
                     self.errors.append(e.pos)
         self.expect("}")
-        for j, (_, name, line, col) in enumerate(self.loop_toks):
-            if j not in self.loop_srcs:
-                self.errors.append(
-                    (line, col, f"feedback wire {name!r} is never closed")
-                )
-        _, _, line, col = name_tok
-        for i, name in enumerate(self.out_names):
-            if i not in self.out_srcs:
-                self.errors.append((line, col, f"output {name!r} is never assigned"))
+        for label, _, tok, src in self.loops.values():
+            if src is None:
+                self.errors.append((*tok[2:], f"{label} is never closed"))
+        for label, _, _, src in self.outs.values():
+            if src is None:
+                self.errors.append((*name_tok[2:], f"{label} is never assigned"))
         if self.errors:
             raise NetlistError(self.errors)
+        outs = self.outs.values()
         return Circuit(
-            in_ports=Signature(tuple(self.in_ports)),
-            out_ports=Signature(tuple(self.out_ports)),
+            in_ports=Signature(tuple(self.ins.values())),
+            out_ports=Signature(tuple(base for _, base, _, _ in outs)),
             nodes=tuple(self.nodes),
             node_inputs=tuple(self.node_inputs),
-            outputs=tuple(self.out_srcs[i] for i in range(len(self.out_ports))),
-            loops=tuple(
-                LoopWire(b, self.loop_srcs[j]) for j, b in enumerate(self.loops)
-            ),
-            in_names=tuple(self.in_names),
-            out_names=tuple(self.out_names),
+            outputs=tuple(src for *_, src in outs),
+            loops=tuple(LoopWire(base, src) for _, base, _, src in self.loops.values()),
+            in_names=tuple(self.ins),
+            out_names=tuple(self.outs),
         )
 
     def statement(self) -> None:
@@ -540,20 +528,17 @@ class _Parser:
                 for name_tok, base in ports:
                     name = self.fresh_name(name_tok, "port")
                     if is_in:
-                        self.env[name] = (SrcIn(len(self.in_ports)), base)
-                        self.in_ports.append(base)
-                        self.in_names.append(name)
+                        self.env[name] = (SrcIn(len(self.ins)), base)
+                        self.ins[name] = base
                     else:
-                        self.out_ports.append(base)
-                        self.out_names[name] = len(self.out_names)
+                        self.outs[name] = [f"output {name!r}", base, name_tok, None]
                 return
             if tok[1] == "loop":
                 self.advance()
                 name_tok, base = self.typed_name("a wire name", self.typeref)
                 name = self.fresh_name(name_tok, "feedback wire")
-                self.loop_names[name] = len(self.loops)
-                self.loops.append(base)
-                self.loop_toks.append(name_tok)
+                self.env[name] = (SrcLoop(len(self.loops)), base)
+                self.loops[name] = [f"feedback wire {name!r}", base, name_tok, None]
                 return
         if tok[0] == "(":
             self.tuple_assignment()
@@ -613,12 +598,10 @@ class _Parser:
         if e.pos is not None:
             return
         for _, name, *_ in name_toks:
-            if name in self.loop_names:
-                self.loop_srcs.setdefault(self.loop_names[name], _REFUSED)
-                continue
-            if name in self.out_names:
-                self.out_srcs.setdefault(self.out_names[name], _REFUSED)
-            self.env.setdefault(name, _REFUSED)
+            sink = self.loops.get(name) or self.outs.get(name)
+            if sink is not None and sink[3] is None:
+                sink[3] = _REFUSED
+            self.env.setdefault(name, _REFUSED)  # a feedback wire keeps its own
 
     def bind(self, name_tok: Token, build, mismatch: str) -> None:
         """Give a name its source: close a feedback wire, assign an output
@@ -630,25 +613,20 @@ class _Parser:
         and the given type names.
         """
         name = name_tok[1]
-        if name in self.loop_names:
-            slot = self.loop_names[name]
-            srcs, want = self.loop_srcs, self.loops[slot]
-            what, again = f"feedback wire {name!r}", "closed twice"
-        elif name in self.out_names:
-            slot = self.out_names[name]
-            srcs, want = self.out_srcs, self.out_ports[slot]
-            what, again = f"output {name!r}", "assigned twice"
-        else:
+        sink = self.loops.get(name) or self.outs.get(name)
+        if sink is None:
             name = self.fresh_name(name_tok, "wire")
             self.env[name] = build(None)
             return
-        if slot in srcs:
-            raise _Sem(name_tok, f"{what} is {again}")
+        label, want, _, src = sink
+        if src is not None:
+            again = "closed twice" if name in self.loops else "assigned twice"
+            raise _Sem(name_tok, f"{label} is {again}")
         src, base = build(want)
         if base != want:
-            raise _Sem(name_tok, f"{what} " + mismatch.format(want.name, base.name))
-        srcs[slot] = src
-        if srcs is self.out_srcs:
+            raise _Sem(name_tok, f"{label} " + mismatch.format(want.name, base.name))
+        sink[3] = src
+        if name in self.outs:
             self.env[name] = (src, base)
 
     # -- expressions -----------------------------------------------------
@@ -742,15 +720,10 @@ class _Parser:
         return self.literal_source(_literal(tok, expected), expected)
 
     def lookup(self, name: str):
-        if name in self.env:
-            hit = self.env[name]
-            if hit is _REFUSED:
-                raise _Sem()
-            return hit
-        if name in self.loop_names:
-            j = self.loop_names[name]
-            return (SrcLoop(j), self.loops[j])
-        return None
+        hit = self.env.get(name)
+        if hit is _REFUSED:
+            raise _Sem()
+        return hit
 
     def add_node(self, node, srcs: tuple) -> int:
         self.nodes.append(node)

@@ -47,7 +47,9 @@ class PrefixTrace:
 
     def prefix(self, n: int) -> "PrefixTrace":
         if not 0 <= n <= len(self.rows):
-            raise SignatureError(f"no length-{n} prefix of a length-{len(self.rows)} trace")
+            raise SignatureError(
+                f"a length-{len(self.rows)} trace has no prefix of length {n}"
+            )
         return PrefixTrace(self.signature, self.rows[:n])
 
 

@@ -3,9 +3,10 @@
 A file declares base types and table gates, then a single circuit block.
 Wires are named values: inputs and outputs are declared ports, internal
 wires are bound by assignment, and a wire must be defined before it is read
-with one exception: a declared ``loop`` wire may be read anywhere and closed
-by a later assignment.  That makes every feedback path explicit in the
-source text, mirroring the IR.
+with one exception: a declared ``loop`` wire may be read anywhere after its
+declaration, before or after the one assignment that closes it (before its
+declaration it is an unknown wire).  That makes every feedback path
+explicit in the source text, mirroring the IR.
 
 ``print_netlist`` emits a canonical form: sorted type and gate declarations,
 one flat statement per node in index order, generated names for nodes and
@@ -350,30 +351,31 @@ class _Parser:
         self.advance()
         name_tok = self.expect("IDENT", "a type name")
         self.expect("=")
-        try:
-            name = name_tok[1]
-            if name in RESERVED or name == "bool":
-                raise _Sem(name_tok, f"cannot redeclare type {name!r}")
-            if name in self.types:
-                raise _Sem(name_tok, f"type {name!r} is already declared")
-            if self.at_word("int"):
-                self.advance()
-                lo_tok = self.expect("INT", "a lower bound")
-                self.expect("..")
-                hi_tok = self.expect("INT", "an upper bound")
-                lo, hi = int(lo_tok[1]), int(hi_tok[1])
-                if lo > hi:
-                    raise _Sem(lo_tok, f"empty range {lo}..{hi}")
-                self.types[name] = BaseType(name, tuple(range(lo, hi + 1)))
-                return
+        name = name_tok[1]
+        # The body is read before the name is judged, so parsing goes on
+        # after a refused declaration; a fault in the name is the one shown.
+        if self.at_word("int"):
+            self.advance()
+            lo_tok = self.expect("INT", "a lower bound")
+            self.expect("..")
+            hi_tok = self.expect("INT", "an upper bound")
+            lo, hi = int(lo_tok[1]), int(hi_tok[1])
+            values = range(lo, hi + 1)
+            fault = None if values else (lo_tok, f"empty range {lo}..{hi}")
+        else:
             self.expect("{", "'int' or '{'")
-            atoms = self.comma_list(lambda: _literal(self.advance(), None))
+            values = self.comma_list(lambda: _literal(self.advance(), None))
             self.expect("}")
-            if len(set(atoms)) != len(atoms):
-                raise _Sem(name_tok, f"type {name!r} repeats a value")
-            self.types[name] = BaseType(name, tuple(atoms))
-        except _Sem as e:
-            self.errors.append(e.pos)
+            repeats = len(set(values)) != len(values)
+            fault = (name_tok, f"type {name!r} repeats a value") if repeats else None
+        if name in RESERVED or name == "bool":
+            fault = (name_tok, f"cannot redeclare type {name!r}")
+        elif name in self.types:
+            fault = (name_tok, f"type {name!r} is already declared")
+        if fault is None:
+            self.types[name] = BaseType(name, tuple(values))
+        else:
+            self.errors.append((*fault[0][2:], fault[1]))
 
     def gate_decl(self) -> None:
         self.advance()

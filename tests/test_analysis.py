@@ -171,6 +171,14 @@ def test_random_checks_need_a_sample():
     assert check_totality(c, horizon=1, samples=0).total
 
 
+def test_checks_refuse_an_unknown_strategy():
+    c = load("circuits/por_gate.net")
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        check_totality(c, horizon=1, strategy="bogus")
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        check_equiv(c, c, horizon=1, strategy="bogus")
+
+
 def test_random_totality_is_deterministic_per_seed():
     c = load("circuits/wobble.net")
     a = check_totality(c, horizon=6, strategy="random", samples=40, seed=9)

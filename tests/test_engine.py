@@ -52,6 +52,15 @@ def test_prefix_trace_validates_rows():
         PrefixTrace(sig(BOOL), ((0, 1),))
 
 
+def test_a_prefix_longer_than_the_trace_or_negative_is_refused():
+    tr = PrefixTrace(sig(BOOL), ((0,), (1,)))
+    assert tr.prefix(0).rows == ()
+    for n in (-1, 3):
+        with pytest.raises(SignatureError) as exc:
+            tr.prefix(n)
+        assert str(exc.value) == f"a length-2 trace has no prefix of length {n}"
+
+
 def test_bot_trace():
     tr = bot_trace(sig(BOOL, BOOL), 3)
     assert tr.rows == (((BOT, BOT),) * 3)
@@ -175,6 +184,13 @@ def test_simulate_needs_enough_input():
     ins = PrefixTrace(sig(BOOL), ((1,),))
     with pytest.raises(SignatureError):
         simulate(c, ins, ticks=3)
+
+
+def test_simulate_wants_a_trace_over_the_input_ports():
+    c = load("circuits/unit_delay.net")  # one bool input
+    for s in (sig(), sig(BOOL, BOOL), sig(int_range(0, 1))):
+        with pytest.raises(SignatureError, match="does not fit"):
+            simulate(c, bot_trace(s, 2))
 
 
 def test_simulate_rejects_negative_ticks():

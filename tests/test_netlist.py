@@ -6,7 +6,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from causalcirc.circuit import Circuit, SrcIn, SrcNode, UnitDelay, VarDelay, validate
+from causalcirc.circuit import (
+    Circuit,
+    LoopWire,
+    SrcIn,
+    SrcLoop,
+    SrcNode,
+    UnitDelay,
+    VarDelay,
+    validate,
+)
 from causalcirc.domain import BOOL, BOT, BaseType, SignatureError, sig
 from causalcirc.engine import PrefixTrace, bot_trace, simulate
 from causalcirc.gates import (
@@ -287,6 +296,7 @@ def _main(stmts: str, decls: str = "") -> str:
 ENUM = "type e = { p, q }\n"
 GATE = "gate g(a: bool) -> (bool) strict {\n  (0) -> (%s)\n  (1) -> (0)\n}\n"
 NEVER = (1, 9, "output 'y' is never assigned")
+NEVER2 = (2, 9, "output 'y' is never assigned")  # after one declaration
 NEVER5 = (5, 9, "output 'y' is never assigned")  # after GATE
 REPEATED = "gate g(a: bool, a: bool) -> (bool) {\n  (0, 0) -> (1)\n}\n"
 
@@ -404,6 +414,34 @@ DIAGNOSTICS = {
     ]),
     "lt on atoms": (_main("  z = lt[e](p, q)\n  y = x", ENUM), [
         (5, 7, "lt needs integer values, got 'e'"),
+    ]),
+    "const keyword": (_main("  y = const[bool](1, k=1)"), [
+        (4, 7, "const takes no 'k' argument"), NEVER,
+    ]),
+    # a refused type name is reported, its body is read, and parsing goes on
+    "type name reserved, atoms": (_main("  y = not(zz)", "type bool = { a }\n"), [
+        (1, 6, "cannot redeclare type 'bool'"),
+        (5, 11, "unknown wire 'zz' (forward references need a loop wire)"), NEVER2,
+    ]),
+    "type name reserved, range": (_main("  y = not(zz)", "type not = int 0..3\n"), [
+        (1, 6, "cannot redeclare type 'not'"),
+        (5, 11, "unknown wire 'zz' (forward references need a loop wire)"), NEVER2,
+    ]),
+    "type declared twice": (_main("  y = not(zz)", "type t = { a }\ntype t = int 0..1\n"), [
+        (2, 6, "type 't' is already declared"),
+        (6, 11, "unknown wire 'zz' (forward references need a loop wire)"),
+        (3, 9, "output 'y' is never assigned"),
+    ]),
+    # the name's fault is the one shown
+    "type name over body": (_main("  y = x", ENUM + "type e = {a, a}\ntype bool = int 3..2\n"), [
+        (2, 6, "type 'e' is already declared"), (3, 6, "cannot redeclare type 'bool'"),
+    ]),
+    "type repeats a value": (_main("  y = x", "type t = { a, b, a }\n"), [
+        (1, 6, "type 't' repeats a value"),
+    ]),
+    "no circuit": ("type t = { a }\n", [(2, 1, "no circuit block in file")]),
+    "declaration after the circuit": (_main("  y = x") + GATE % 2, [
+        (7, 11, "2 is not a value of type 'bool'"),
     ]),
 }
 
@@ -719,3 +757,36 @@ def test_port_names_that_do_not_read_back_are_refused():
         _refused(_through(not_gate(), ins=(name,)), name)
         _refused(_through(not_gate(), outs=(name,)), name)
     _refused(_through(not_gate(), ins=("x",), outs=("x",)), "x")
+
+
+def test_two_types_or_two_gates_sharing_a_name_are_refused():
+    # Each would print as one declaration, which reads back as one of them.
+    ports = sig(BaseType("t", ("p", "q")), BaseType("t", ("p", "r")))
+    c = Circuit(ports, ports, outputs=(SrcIn(0), SrcIn(1)), in_names=("a", "b"))
+    with pytest.raises(SignatureError, match="two base types share the name 't'"):
+        print_netlist(c)
+    B = sig(BOOL)
+    same = strict_lift_table("g", B, B, {(0,): (0,), (1,): (1,)})
+    flip = strict_lift_table("g", B, B, {(0,): (1,), (1,): (0,)})
+    wiring = (same, flip), ((SrcIn(0),), (SrcNode(0, 0),)), (SrcNode(1, 0),)
+    with pytest.raises(SignatureError, match="two gates share the name 'g'"):
+        print_netlist(Circuit(B, B, *wiring))
+
+
+def test_generated_names_step_around_the_ports():
+    # Node 0 and feedback wire 0 would print as n0 and w0; each takes a "_"
+    # prefix until it no longer names a port.
+    c = Circuit(
+        sig(BOOL, BOOL),
+        sig(BOOL),
+        (por(),),
+        ((SrcIn(0), SrcLoop(0)),),
+        (SrcNode(0, 0),),
+        (LoopWire(BOOL, SrcNode(0, 0)),),
+        in_names=("n0", "_n0"),
+        out_names=("w0",),
+    )
+    text = print_netlist(c)
+    assert "  __n0 = por(n0, _w0)\n" in text
+    assert "  loop _w0: bool\n" in text
+    assert parse_netlist(text) == c

@@ -111,3 +111,15 @@ def test_netlist_fuzz_raises_only_netlist_errors():
         "sha256 ed2ff011c2e80142a73a194e9db0068829883afd510859410bd5482dbaebcb70",
         "sha256 ascii 60f8ae70db24387e005371677fc6833341262dfbd0c613b7096b824497f21ff7",
     ]
+
+
+def test_netlist_fuzz_pins_the_default_run():
+    # The default 6,000 mutants reach parser paths the 300 above do not,
+    # among them a feedback wire closed twice and skipping a bad table row.
+    proc = run_script("scripts/netlist_fuzz.py", "--count", "6000", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "6000 mutants: 47 parsed, 5953 NetlistError, 0 other",
+        "sha256 658c18158bb395923543fcd6a6e6a31251ce282d4977e625c6dca6a484964f48",
+        "sha256 ascii bc1344d6340c1cf4174ad214b0feca147eec454caf00b63a17a14d820d66dd5a",
+    ]

@@ -4,7 +4,7 @@ A file declares base types and table gates, then a single circuit block.
 Wires are named values: inputs and outputs are declared ports, internal
 wires are bound by assignment, and a wire must be defined before it is read
 with one exception: a declared ``loop`` wire may be read anywhere after its
-declaration, before or after the one assignment that closes it (before its
+declaration, even before the one assignment that closes it (before its
 declaration it is an unknown wire).  That makes every feedback path
 explicit in the source text, mirroring the IR.
 

@@ -2,7 +2,8 @@
 
 For one sweep configuration (``--cap``, ``--samples``, ``--seed``), runs
 each law's sweep in this process and prints the cases it checks (which
-are fixed by the configuration) and its median wall time, then their sum.
+are fixed by the configuration), its median wall time and that time per
+case in microseconds, then the sum of the times.
 Then it times ``run_laws``, which hands the sweeps to one worker per
 usable CPU, the caller among them, and prints its median wall time and
 the number of workers.  The heaviest sweep bounds what the workers can
@@ -44,12 +45,13 @@ def main() -> None:
         ap.error("--repeat and --samples must be at least 1 and --cap at least 0")
 
     cfg = LawConfig(pair_budget=args.cap, samples=args.samples, seed=args.seed)
-    print(f"{'law':<18} {'cases':>8} {'ms':>9}")
+    print(f"{'law':<18} {'cases':>8} {'ms':>9} {'us/case':>9}")
     total = 0.0
     for sweep in laws._sweeps():
         ms, result = median_ms(lambda: sweep(cfg), args.repeat)
         total += ms
-        print(f"{result.law:<18} {result.cases:>8} {ms:>9.3f}")
+        us = ms * 1e3 / result.cases
+        print(f"{result.law:<18} {result.cases:>8} {ms:>9.3f} {us:>9.2f}")
     print(f"{'sum':<18} {'':>8} {total:>9.3f}")
     ms, _ = median_ms(lambda: run_laws(cfg), args.repeat)
     print(f"{'run_laws':<18} {'':>8} {ms:>9.3f}  on {laws._workers(cfg)} workers")

@@ -83,6 +83,8 @@ def _json_head(rep, check: str, verdict: str) -> dict:
 
 @dataclass(frozen=True)
 class TotalityReport:
+    """A bounded totality check's verdict, how it was reached, and any witness."""
+
     total: bool
     horizon: int
     strategy: str
@@ -95,6 +97,8 @@ class TotalityReport:
 
 @dataclass(frozen=True)
 class EquivReport:
+    """A bounded equivalence check's verdict, how, and any witness with both outputs."""
+
     equivalent: bool
     horizon: int
     strategy: str

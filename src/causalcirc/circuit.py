@@ -163,6 +163,8 @@ class LoopWire:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Ports, nodes with their input sources, output sources and feedback wires."""
+
     in_ports: Signature
     out_ports: Signature
     nodes: tuple[Node, ...] = ()
@@ -205,6 +207,8 @@ def _source_base(c: Circuit, src: Source) -> BaseType | None:
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One fault found in a circuit: the part it is in and what is wrong."""
+
     where: str
     message: str
 

@@ -140,17 +140,18 @@ class Signature:
     def __add__(self, other: "Signature") -> "Signature":
         return Signature(self.wires + other.wires)
 
-    def split(self, k: int) -> tuple["Signature", tuple[BaseType, ...], WireTuple]:
-        """The first k wires, the wires after them, and the bottom tuple of
-        those; checked and built once per k, as ``local_lfp`` splits the same
-        signature at the same place over and over.  Each signature keeps
-        its own splits, so two equal signatures check theirs apart."""
+    def split(self, k: int) -> tuple["Signature", tuple[BaseType, ...], WireTuple, range]:
+        """The first k wires, the wires after them, their bottom tuple and
+        Kleene steps; checked and built once per k, as ``local_lfp`` splits
+        the same signature at the same place over and over.  Each signature
+        keeps its own splits, so two equal signatures check theirs apart."""
         got = self._splits.get(k)
         if got is None:
             if not 0 <= k <= len(self.wires):
                 raise SignatureError(f"split index {k} out of range for {self!r}")
-            loop = self.wires[k:]
-            got = self._splits[k] = (Signature(self.wires[:k]), loop, (BOT,) * len(loop))
+            loop, n = self.wires[k:], len(self.wires) - k
+            got = (Signature(self.wires[:k]), loop, (BOT,) * n, range(n + 1))
+            self._splits[k] = got
         return got
 
     @cached_property
@@ -296,7 +297,7 @@ def product_height_bound(s: Signature) -> int:
 
 
 def _kleene(
-    fn: Callable[[WireTuple], WireTuple] | None, bot: WireTuple, name: str
+    fn: Callable[[WireTuple], WireTuple] | None, bot: WireTuple, name: str, steps=None
 ):
     """The least fixed point of ``x -> fn(a + x)`` as a function of ``a``.
 
@@ -305,15 +306,14 @@ def _kleene(
     Iteration starts from ``bot`` and stops at the first repeated iterate;
     ``len(bot) + 1`` steps always suffice for a monotone ``fn`` (see
     ``kleene_bound``), so running out raises DivergenceError.  ``fn`` is
-    called directly, never through a wrapper per step, and the step range
-    is built with the closure: the law sweeps build one closure per
-    operator call and run over two million solves by default.  A solver
-    built once and run many times passes ``fn`` on each call instead:
-    ``comb`` builds one settle per compiled circuit and hands it the sweep
-    it looks up per tick.
+    called directly, never through a wrapper per step, and ``steps`` comes
+    from ``Signature.split`` or is built here: the law sweeps build one
+    closure per operator call and run over two million solves by default.  A
+    solver built once and run many times passes ``fn`` on each call
+    instead: ``comb`` builds one settle per compiled circuit and hands it
+    the sweep it looks up per tick.
     """
-    bound = len(bot) + 1
-    steps = range(bound)
+    steps = steps or range(len(bot) + 1)
 
     def solve(a: WireTuple, fn=fn) -> WireTuple:
         x = bot
@@ -324,7 +324,7 @@ def _kleene(
             x = nxt
         at = f" at context {a!r}" if a else ""
         raise DivergenceError(
-            f"no fixed point within {bound} iterations{at}; {name} is not monotone"
+            f"no fixed point within {len(steps)} iterations{at}; {name} is not monotone"
         )
 
     return solve
@@ -360,16 +360,16 @@ def local_lfp(f: MonotoneFn, split: int) -> MonotoneFn:
     the loop part, and is itself monotone.  The split is checked once per
     signature and split (``Signature.split``); a call then compares the loop
     wires with ``f.cod`` and wraps a ``_kleene`` solve, as the law sweeps
-    call this tens of thousands of times on a few signatures.
+    call this tens of thousands of times on a few unnamed functions.
     """
-    dom, cod = f.dom, f.cod
-    ctx, loop, bot = dom._splits.get(split) or dom.split(split)
+    dom, cod, name = f.dom, f.cod, f.name or "the function"
+    ctx, loop, bot, steps = dom._splits.get(split) or dom.split(split)
     if loop != cod.wires:
         raise SignatureError(
             f"loop part {dom[split:]!r} does not match codomain {cod!r}"
         )
-    solve = _kleene(f.fn, bot, f.name or "the function")
-    return MonotoneFn(ctx, cod, solve, f"mu({f.name})")
+    solve = _kleene(f.fn, bot, name, steps)
+    return MonotoneFn(ctx, cod, solve, f"mu({f.name})" if f.name else "mu()")
 
 
 Mu: TypeAlias = Callable[[MonotoneFn, int], MonotoneFn]

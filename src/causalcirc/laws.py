@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import random
 import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterator
 
 from .domain import (
@@ -65,6 +66,7 @@ from .domain import (
 )
 
 _BUDGET = 10**6  # default steps for building one function space
+_add_parts = partial(map, operator.add)  # two flat tables, point by point
 
 # -- function spaces ---------------------------------------------------------
 #
@@ -115,9 +117,7 @@ class _Points:
         self.index = {p: i for i, p in enumerate(self.points)}
 
 
-@lru_cache(maxsize=None)
-def _indexed(s: Signature) -> _Points:
-    return _Points(s)
+_indexed = lru_cache(maxsize=None)(_Points)  # one numbering per signature
 
 
 class _Budget:
@@ -155,6 +155,7 @@ def _join(comps: tuple[int, ...], i: int, up: int) -> tuple[int, ...]:
 _UPSETS: dict[tuple[int, ...], tuple] = {}
 # How to rank Mon(D, one lifted wire), by (domain shape, atoms of the wire).
 _RANKS: dict[tuple[tuple[int, ...], int], tuple] = {}
+_POINTS: dict[int, tuple[int, ...]] = {}  # each drawn component's points, by bitmask
 
 
 def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
@@ -378,11 +379,11 @@ def enumerate_monotone(
     """
     sp = space or _Space(dom, cod)
     b = _Budget(budget, dom, cod)
-    zero = (0,) * len(sp.dom.points)
     cols = [_wire_maps(sp.shape, m, stride, b) for m, stride in sp.wires]
-    for parts in _product(cols):
+    # with no codomain wire, the one function sends every point to the one point
+    for parts in _product(cols or [[(0,) * len(sp.dom.points)]]):
         b.spend()
-        flat = parts[0] if len(parts) == 1 else tuple(map(sum, zip(zero, *parts)))
+        flat = parts[0] if len(parts) == 1 else tuple(reduce(_add_parts, parts))
         yield flat if space is not None else sp.fn(flat)
 
 
@@ -394,9 +395,9 @@ def random_monotone(
     Each codomain wire is one uniform draw from its single-wire space: one
     ``randrange`` over the ranks of ``_ranks``, whose group is found by
     bisection, picks an up-set (weighted atoms^components) and one atom per
-    component, each added to the flat table at the wire's stride; the
-    components stay bitmasks, walked bit by bit.  A space not yet counted
-    is counted under the default budget; a sweep counts it under its own.
+    component, each added to the flat table at the wire's stride at the
+    points of the component (``_POINTS``).  A space not yet counted is
+    counted under the default budget; a sweep counts it under its own.
     Given ``space``, the prepared space of dom -> cod, the function comes
     out as its flat table; otherwise as a MonotoneFn.
     """
@@ -412,10 +413,11 @@ def random_monotone(
         for c in comps[u * k : u * k + k]:
             v = (digits % m + 1) * stride
             digits //= m
-            while c:
-                low = c & -c
-                flat[low.bit_length() - 1] += v
-                c ^= low
+            at = _POINTS.get(c)
+            if at is None:
+                at = _POINTS[c] = tuple(i for i in range(c.bit_length()) if c >> i & 1)
+            for i in at:
+                flat[i] += v
     return tuple(flat) if space is not None else sp.fn(flat)
 
 
@@ -428,7 +430,8 @@ class LawConfig:
     raises CapError.  ``pair_budget`` is the largest space, or product of
     two spaces for laws over pairs, that is swept exhaustively; larger
     ones are sampled ``samples`` times, which must be at least 1.  Neither
-    budget may be negative.
+    budget may be negative.  ``bases`` must hold at least one base type and
+    no base name twice, since combos are named by base names.
     """
 
     bases: tuple = (UNIT, BOOL)
@@ -439,18 +442,23 @@ class LawConfig:
     mu: Mu = local_lfp
 
     def __post_init__(self) -> None:
+        if not self.bases:
+            raise ValueError("bases must hold at least one base type")
+        names = [b.name for b in self.bases]
+        twice = {n: None for n in names if names.count(n) > 1}
+        if twice:
+            raise ValueError(f"bases repeat {', '.join(map(repr, twice))}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.budget < 0:
-            raise ValueError(f"budget must not be negative, got {self.budget}")
-        if self.pair_budget < 0:
-            raise ValueError(
-                f"pair_budget must not be negative, got {self.pair_budget}"
-            )
+        for name in ("budget", "pair_budget"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A case a law fails: the law, its combo, and what went wrong there."""
+
     law: str
     combo: str
     detail: str
@@ -461,6 +469,8 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class ComboResult:
+    """One combo of a law's sweep: how it was swept, its cases, any failure."""
+
     combo: str
     mode: str
     cases: int
@@ -473,6 +483,8 @@ class ComboResult:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A law's sweep: the result of each of its combos, in order."""
+
     law: str
     combos: tuple[ComboResult, ...]
 
@@ -485,18 +497,11 @@ class SweepResult:
         return sum(cr.cases for cr in self.combos)
 
     def first_counterexample(self) -> Counterexample | None:
-        for cr in self.combos:
-            if cr.counterexample is not None:
-                return cr.counterexample
-        return None
+        return next((cr.counterexample for cr in self.combos if cr.counterexample), None)
 
     def to_json(self) -> dict:
         head = {"law": self.law, "passed": self.passed, "cases": self.cases}
         return {**head, "combos": [cr.to_json() for cr in self.combos]}
-
-
-def _rng_for(cfg: LawConfig, law: str, combo: str) -> random.Random:
-    return random.Random(f"{cfg.seed}:{law}:{combo}")
 
 
 def _tables(spaces: list[_Space], fns) -> str:
@@ -510,15 +515,10 @@ class _OffLoop(Exception):
     """A value of the operator under test that is not a point of its loop."""
 
 
-def _run_case(check: Callable[..., str | None], spaces: list[_Space], fns) -> str | None:
-    """One case of a law; an exception raised in it, typically by the
-    operator under test, fails the case instead of ending the sweep."""
-    try:
-        return check(*fns)
-    except _OffLoop as e:
-        return f"{e} for {_tables(spaces, fns)}"
-    except Exception as e:
-        return f"raised {type(e).__name__}: {e} for {_tables(spaces, fns)}"
+def _failure(e: Exception, spaces: list[_Space], fns) -> str:
+    """What a case whose check raised ``e`` reports: it fails, the sweep goes on."""
+    said = str(e) if isinstance(e, _OffLoop) else f"raised {type(e).__name__}: {e}"
+    return f"{said} for {_tables(spaces, fns)}"
 
 
 def _sweep(
@@ -544,28 +544,31 @@ def _sweep(
             [enumerate_monotone(sp.dom.sig, sp.cod.sig, cfg.budget, sp) for sp in spaces]
         )
     else:
-        mode, rng = "sampled", _rng_for(cfg, law, combo)
-        draws = (
-            [random_monotone(sp.dom.sig, sp.cod.sig, rng, sp) for sp in spaces]
-            for _ in range(cfg.samples)
-        )
+        mode, rng = "sampled", random.Random(f"{cfg.seed}:{law}:{combo}")
+        n, k = cfg.samples, itertools.repeat  # a case draws from each space in turn
+        draws = zip(*[
+            map(random_monotone, k(sp.dom.sig, n), k(sp.cod.sig, n), k(rng, n), k(sp, n))
+            for sp in spaces
+        ])
     cases = 0
-    for fns in draws:
-        cases += 1
-        detail = _run_case(check, spaces, fns)
+    for cases, fns in enumerate(draws, 1):
+        try:
+            detail = check(*fns)
+        except Exception as e:
+            detail = _failure(e, spaces, fns)
         if detail is not None:
             return ComboResult(combo, mode, cases, Counterexample(law, combo, detail))
     return ComboResult(combo, mode, cases)
 
 
-def _combos(
+def _law(
     law: str,
     cfg: LawConfig,
     names: str,
     spaces: Callable[..., list[tuple[Signature, Signature]]],
     make: Callable[..., Callable[..., str | None]],
     suffix: str = "",
-) -> tuple[ComboResult, ...]:
+) -> SweepResult:
     """Sweep a law once per choice of a base for each named wire.
 
     Combos are named ``A=...,X=...`` plus ``suffix``, the first name varying
@@ -580,28 +583,25 @@ def _combos(
         sigs = [sig(b) for b in bases]
         sps = [_Space(d, c) for d, c in spaces(*sigs)]
         out.append(_sweep(law, combo, sps, cfg, make(cfg, sps, *sigs)))
-    return tuple(out)
+    return SweepResult(law, tuple(out))
 
 
 # -- the laws: one factory per law, run once per combo -------------------------
 #
-# A case gets the drawn functions as flat tables.  The point (a, x) of
-# A + X is numbered ia * |X| + ix, so a value j in B + X has output part
-# j // |X| and loop part j % |X|, composing two functions is indexing one
-# table by the other, and a context wire that passes by repeats a table.
-# A factory tabulates, per combo, what each number stands for on the wires
-# it needs.  Every loop is solved by ``cfg.mu`` on a MonotoneFn that reads
-# a flat table (``_tabled``); where a law feeds a value of mu back into a
-# table, ``_solve`` numbers it among the loop's points.  Both sides of a
-# case are built whole and compared by ``_differ``, unless f reads the same
-# loop values on both; only a mismatch is turned back into wire tuples.
+# The point (a, x) of A + X is numbered ia * |X| + ix, so a value j in
+# B + X has output part j // |X| and loop part j % |X|, composing two
+# functions is indexing one table by the other, and a context wire that
+# passes by repeats a table.  A factory tabulates, per combo, what each
+# number stands for on the wires it needs (see the module docstring).
 
 
-def _solve(cfg: LawConfig, f: MonotoneFn, split: int, ctx: tuple, loop: _Points):
-    """Solve the loop of ``f``, whose context is its first ``split`` wires,
-    with ``cfg.mu``: the number among ``loop``'s points of the value at
-    each point of ``ctx``.  A value that is not one of them fails the case;
-    it is solved again to be reported."""
+def _solve(cfg: LawConfig, dom: _Points, flat, split: int, ctx: tuple, loop: _Points):
+    """Solve the loop of dom -> loop with table ``flat`` (see ``_tabled``),
+    whose context is its first ``split`` wires, with ``cfg.mu``: the number
+    among ``loop``'s points of the value at each point of ``ctx``.  A value
+    that is not one of them fails the case; it is solved again to be reported."""
+    index, points = dom.index, loop.points
+    f = MonotoneFn(dom.sig, loop.sig, lambda t: points[flat[index[t]]])
     solve = cfg.mu(f, split).fn
     nums = list(map(loop.index.get, map(solve, ctx)))
     if None in nums:
@@ -635,11 +635,6 @@ def _loop_parts(whole: _Points, loop: _Points) -> tuple:
     return tuple(j % n for j in range(len(whole.points)))
 
 
-def _law(law: str, cfg: LawConfig, names: str, spaces, make) -> SweepResult:
-    """A law swept once per combo of its named wires, as ``_combos`` does."""
-    return SweepResult(law, _combos(law, cfg, names, spaces, make))
-
-
 def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
     (sp,) = spaces
     A, X = _indexed(a_sig), _indexed(x_sig)
@@ -648,7 +643,7 @@ def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
     up = [m | 1 << i for i, m in enumerate(_poset(_shape(x_sig)).above)]
 
     def case(F) -> str | None:
-        vals = _solve(cfg, _tabled(sp.dom, X, F), na, a_pts, X)
+        vals = _solve(cfg, sp.dom, F, na, a_pts, X)
         for ia, x in enumerate(vals):
             row = F[ia * nx : ia * nx + nx]
             if row[x] != x:
@@ -718,7 +713,7 @@ def _dinaturality(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
         before = [F[r + x] for r in rows for x in G]  # f . (id x g)
         mu_after = cfg.mu(_tabled(AX, X, after), na).fn
         left = list(map(mu_after, a_pts))
-        ys = _solve(cfg, _tabled(AY, Y, before), na, a_pts, Y)
+        ys = _solve(cfg, AY, before, na, a_pts, Y)
         right = list(map(x_pts.__getitem__, map(G.__getitem__, ys)))
         return _differ(a_pts, left, right, drawn=(spaces, (F, G)))
 
@@ -744,9 +739,9 @@ def _bekic(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     def case(F, G) -> str | None:
         both = _tabled(AXY, XY, [x * ny + y for x, y in zip(F, G)])
         mu_both = cfg.mu(both, na).fn
-        mg = _solve(cfg, _tabled(AXY, Y, G), nax, ax_pts, Y)
+        mg = _solve(cfg, AXY, G, nax, ax_pts, Y)
         inner = [F[t * ny + y] for t, y in enumerate(mg)]  # f after mu of g
-        xs = _solve(cfg, _tabled(AX, X, inner), na, a_pts, X)
+        xs = _solve(cfg, AX, inner, na, a_pts, X)
         nested = [xy_pts[x * ny + mg[r + x]] for r, x in zip(rows, xs)]
         left = list(map(mu_both, a_pts))
         return _differ(a_pts, left, nested, said=said, drawn=(spaces, (F, G)))
@@ -769,7 +764,7 @@ def _yanking(cfg: LawConfig, x_sig):
     show = lambda t, v: x_pts[v]
 
     def case(swap) -> str | None:
-        xs = _solve(cfg, _tabled(XX, X, loop), 1, x_pts, X)
+        xs = _solve(cfg, XX, loop, 1, x_pts, X)
         out = [swap[a * nx + x] // nx for a, x in zip(ids, xs)]
         return _differ(x_pts, out, ids, show)
 
@@ -786,7 +781,10 @@ def check_yanking(cfg: LawConfig = LawConfig()) -> SweepResult:
         n = len(x_base.lifted)
         space = _Space(x_sig + x_sig, x_sig + x_sig)
         swap = tuple(x * n + a for a in range(n) for x in range(n))
-        bad = _run_case(_yanking(cfg, x_sig), [space], (swap,))
+        try:
+            bad = _yanking(cfg, x_sig)(swap)
+        except Exception as e:
+            bad = _failure(e, [space], (swap,))
         cx = None if bad is None else Counterexample(law, combo, bad)
         combos.append(ComboResult(combo, "exhaustive", n, cx))
     return SweepResult(law, tuple(combos))
@@ -801,7 +799,7 @@ def _vanishing_zero(cfg: LawConfig, spaces, a_sig, b_sig):
     show = lambda t, v: b_pts[v]
 
     def case(F) -> str | None:
-        zs = _solve(cfg, _tabled(A, Z, loop), na, a_pts, Z)
+        zs = _solve(cfg, A, loop, na, a_pts, Z)
         traced = [F[a + z] for a, z in enumerate(zs)]  # A + Z is numbered as A
         return _differ(a_pts, traced, list(F), show)
 
@@ -823,11 +821,11 @@ def _vanishing_nested(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     show = lambda t, v: a_pts[v]
 
     def case(F) -> str | None:
-        xys = _solve(cfg, _tabled(AXY, XY, list(map(xy_part, F))), na, a_pts, XY)
-        ys = _solve(cfg, _tabled(AXY, Y, list(map(y_part, F))), nax, ax_pts, Y)
+        xys = _solve(cfg, AXY, list(map(xy_part, F)), na, a_pts, XY)
+        ys = _solve(cfg, AXY, list(map(y_part, F)), nax, ax_pts, Y)
         # f with Y traced, on A + X, its values numbered in A + X
         inner = [F[t * ny + y] // ny for t, y in enumerate(ys)]
-        xs = _solve(cfg, _tabled(AX, X, list(map(x_part, inner))), na, a_pts, X)
+        xs = _solve(cfg, AX, list(map(x_part, inner)), na, a_pts, X)
         both = [F[a * nxy + v] // nxy for a, v in enumerate(xys)]
         outer = [inner[a * nx + x] // nx for a, x in enumerate(xs)]
         return _differ(a_pts, both, outer, show)
@@ -838,10 +836,10 @@ def _vanishing_nested(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
 def check_vanishing(cfg: LawConfig = LawConfig()) -> SweepResult:
     """Tracing zero wires changes nothing; tracing two equals tracing one twice."""
     law = "vanishing"
-    zero = _combos(law, cfg, "AB", lambda a, b: [(a, b)], _vanishing_zero, ",k=0")
+    zero = _law(law, cfg, "AB", lambda a, b: [(a, b)], _vanishing_zero, ",k=0")
     spaces = lambda a, x, y: [(a + x + y, a + x + y)]
-    nested = _combos(law, cfg, "AXY", spaces, _vanishing_nested, ",nested")
-    return SweepResult(law, zero + nested)
+    nested = _law(law, cfg, "AXY", spaces, _vanishing_nested, ",nested")
+    return SweepResult(law, zero.combos + nested.combos)
 
 
 def _sliding(cfg: LawConfig, spaces, a_sig, b_sig, x_sig, y_sig):
@@ -858,8 +856,8 @@ def _sliding(cfg: LawConfig, spaces, a_sig, b_sig, x_sig, y_sig):
         # the loop parts of g after f, and of f after g on the looped input
         post = list(map(G.__getitem__, map(y_num.__getitem__, F)))
         pre = [y_num[F[r + x]] for r in rows for x in G]
-        xs = _solve(cfg, _tabled(AX, X, post), na, a_pts, X)
-        ys = _solve(cfg, _tabled(AY, Y, pre), na, a_pts, Y)
+        xs = _solve(cfg, AX, post, na, a_pts, X)
+        ys = _solve(cfg, AY, pre, na, a_pts, Y)
         if xs == list(map(G.__getitem__, ys)):
             return None  # f reads the same loop values on both sides
         # both sides as f's values, whose output parts must agree
@@ -891,8 +889,8 @@ def _superposing(cfg: LawConfig, spaces, c_sig, a_sig, b_sig, x_sig):
 
     def case(F) -> str | None:
         loop = list(map(x_num.__getitem__, F))
-        wide = _solve(cfg, _tabled(CAX, X, loop * n_c), nc + na, ca_pts, X)
-        xs = _solve(cfg, _tabled(AX, X, loop), na, a_pts, X)
+        wide = _solve(cfg, CAX, loop * n_c, nc + na, ca_pts, X)
+        xs = _solve(cfg, AX, loop, na, a_pts, X)
         if wide == xs * n_c:
             return None  # f reads the same loop values on both sides
         traced = [F[r + x] // nx for r, x in zip(rows, xs)]
@@ -923,11 +921,11 @@ def _sweeps() -> list[Callable[[LawConfig], SweepResult]]:
     ]
 
 
-# The positions of the sweeps by falling cost, at the CLI's defaults and at
-# pair_budget=2000 alike (scripts/law_cost.py): superposing, sliding, bekic,
+# The positions of the sweeps by falling cost (scripts/law_cost.py): sliding
+# and superposing (superposing is the heavier at the CLI's defaults), bekic,
 # vanishing, then the light ones.  Handed out first, the heaviest do not
 # end last, alone on one worker.
-_HEAVIEST_FIRST = bytes((7, 6, 3, 5, 1, 2, 0, 4))
+_HEAVIEST_FIRST = bytes((6, 7, 3, 5, 1, 2, 0, 4))
 
 
 def _workers(cfg: LawConfig) -> int:

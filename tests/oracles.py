@@ -19,8 +19,8 @@ from causalcirc.laws import (
     ComboResult,
     Counterexample,
     SweepResult,
-    _combos,
-    _run_case,
+    _law,
+    _failure,
     _Space,
 )
 from causalcirc.analysis import EquivReport, TotalityReport, Witness
@@ -301,16 +301,19 @@ def trace_chain_laws(cfg) -> list[SweepResult]:
         combos = ()
         for names, spaces, check, *suffix in families:
             make = partial(chain, check)
-            combos += _combos(name, cfg, names, spaces, make, *suffix)
+            combos += _law(name, cfg, names, spaces, make, *suffix).combos
         return SweepResult(name, combos)
 
     yanking = []
     for x_base in cfg.bases:
         combo, x_sig = f"X={x_base.name}", sig(x_base)
         space = _Space(x_sig + x_sig, x_sig + x_sig)
-        swapped = [space.cod.index[(t[1], t[0])] for t in space.dom.points]
+        swapped = tuple(space.cod.index[(t[1], t[0])] for t in space.dom.points)
         check = chain(_yanking, cfg, [space], x_sig)
-        bad = _run_case(check, [space], (tuple(swapped),))
+        try:
+            bad = check(swapped)
+        except Exception as e:
+            bad = _failure(e, [space], (swapped,))
         cx = None if bad is None else Counterexample("yanking", combo, bad)
         yanking.append(ComboResult(combo, "exhaustive", len(x_base.lifted), cx))
     return [
@@ -419,6 +422,51 @@ def tick_lfp(c, past: list, inputs: tuple) -> tuple:
     least = least_of(fixed)
     assert least is not None, "a monotone tick must have a least fixed point"
     return least
+
+
+def unrolled_lfp(c, rows) -> list[tuple]:
+    """Every wire of the first ``len(rows)`` ticks, as one least fixed point.
+
+    This is the stream semantics at stage H = ``len(rows)``, computed
+    directly.  The circuit is unrolled into H copies, tick k's copy reading
+    row k: a unit delay reads its input at tick k-1, or its init at tick 0,
+    and a variable delay reads its input at tick k-d, or its init before
+    tick 0 (its current input at d = 0, bottom at an undefined d).  What is
+    left has no delays, and its least fixed point is taken by iterating the
+    whole unrolled map from all-bottom: every wire of every tick is
+    recomputed from the last iterate until none changes.  No tick is
+    settled on its own and no history is committed, so this checks the
+    per-tick settle and the delays by another road than ``tick_lfp``.
+    """
+    first, types = wire_layout(c)
+    H = len(rows)
+
+    def read(k, src, x):
+        return _read(c, first, src, rows[k], x[k])
+
+    def tick(k, x):
+        out = []
+        for node, ins in zip(c.nodes, c.node_inputs):
+            if isinstance(node, UnitDelay):
+                out.append(read(k - 1, ins[0], x) if k else node.init)
+            elif isinstance(node, VarDelay):
+                d = read(k, ins[1], x)
+                if d is BOT:
+                    out.append(BOT)
+                else:
+                    out.append(read(k - d, ins[0], x) if d <= k else node.init)
+            else:
+                out.extend(node.fn.fn(tuple(read(k, s, x) for s in ins)))
+        out.extend(read(k, lw.src, x) for lw in c.loops)
+        return tuple(out)
+
+    x = [(BOT,) * len(types)] * H
+    for _ in range(H * len(types) + 1):  # each round raises a wire, or stops
+        nxt = [tick(k, x) for k in range(H)]
+        if nxt == x:
+            return x
+        x = nxt
+    raise AssertionError("the unrolled map has no least fixed point: not monotone")
 
 
 def tick_outputs(c, inputs: tuple, wires: tuple) -> tuple:

@@ -24,6 +24,7 @@ from causalcirc.circuit import (
 )
 from causalcirc.comb import denote, propagator
 from causalcirc.domain import BOOL, BOT, CapError, sig
+from causalcirc.engine import PrefixTrace, simulate
 from causalcirc.gates import strict_lift
 from causalcirc.netlist import parse_netlist, print_netlist
 
@@ -54,6 +55,30 @@ def test_step_settles_every_other_member_at_the_brute_force_fixed_point():
         checked.append(m.slice)
         oracles.assert_step_settles(m)
     assert {"walk", "delay-free", "netlist"} <= set(checked)
+
+
+def test_simulate_matches_the_unrolled_stream_semantics():
+    # The presheaf component at stage H, for H up to 4, is one least fixed
+    # point over H copies of the circuit; by causality and Bekic it must be
+    # what simulate emits tick by tick, and cutting stage H to its first
+    # H - 1 ticks must give stage H - 1.
+    checked, with_vardelays = Counter(), 0
+    for m in oracles.corpus():
+        c = m.circuit
+        if not c.has_delays():
+            continue
+        with_vardelays += any(isinstance(n, VarDelay) for n in c.nodes)
+        for rows in m.traces:
+            got = simulate(c, PrefixTrace(c.in_ports, rows[:4])).rows
+            stages = [oracles.unrolled_lfp(c, rows[:h]) for h in range(1, 5)]
+            for h, stage in enumerate(stages, 1):
+                outs = [oracles.tick_outputs(c, rows[k], w) for k, w in enumerate(stage)]
+                assert outs == list(got[:h]), (m.name, h)
+            for shorter, longer in zip(stages, stages[1:]):
+                assert longer[:-1] == shorter, m.name
+        checked[m.slice] += 1
+    assert checked == {"walk": 37, "settle": 52, "netlist": 6, "corner": 12}
+    assert with_vardelays == 58
 
 
 def _report_or_cap(check, *args, **kwargs):

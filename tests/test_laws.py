@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from causalcirc.domain import (
     BOOL,
     BOT,
+    BaseType,
     CapError,
     MonotoneFn,
     UNIT,
@@ -303,6 +304,23 @@ def test_config_rejects_negative_budgets():
         with pytest.raises(ValueError, match=f"^{field} must not be negative"):
             LawConfig(**{field: -1})
         LawConfig(**{field: 0})
+
+
+def test_config_refuses_empty_bases():
+    # With no base there is no combo, and every law would pass on 0 cases.
+    with pytest.raises(ValueError, match="^bases must hold at least one base type$"):
+        LawConfig(bases=())
+
+
+def test_config_refuses_a_repeated_base_name():
+    # Combos are named by base names, so a repeat would list each combo of
+    # it several times, under one name.
+    with pytest.raises(ValueError, match="^bases repeat 'bool'$"):
+        LawConfig(bases=(BOOL, BOOL))
+    with pytest.raises(ValueError, match="^bases repeat 'bool', 'unit'$"):
+        LawConfig(bases=(BOOL, UNIT, BaseType("bool", (0, 1, 2)), UNIT))
+    res = check_local_fixpoint(LawConfig(bases=(UNIT,)))
+    assert [cr.combo for cr in res.combos] == ["A=unit,X=unit"]
 
 
 def test_sweep_is_deterministic_for_a_seed():

@@ -80,7 +80,7 @@ def test_law_cost_pins_each_laws_cases():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["law", "cases", "ms"]
+    assert lines[0].split() == ["law", "cases", "ms", "us/case"]
     rows = [line.split() for line in lines[1:9]]
     # The cases follow from the configuration; the times vary.
     assert [row[:2] for row in rows] == [
@@ -98,6 +98,11 @@ def test_law_cost_pins_each_laws_cases():
     times = [float(row[2]) for row in rows] + [float(total.split()[1]), float(run.split()[1])]
     assert all(t > 0 for t in times)
     assert abs(sum(times[:8]) - times[8]) < 0.01
+    # the last column is each law's time per case in microseconds, up to
+    # the rounding of both printed times
+    for law, cases, ms, us in rows:
+        n = int(cases)
+        assert abs(float(us) - float(ms) * 1e3 / n) <= 0.5 / n + 0.006, law
     assert int(run.split()[-2]) >= 1 and run.split()[-1] == "workers"
 
 

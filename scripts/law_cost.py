@@ -1,9 +1,14 @@
-"""Time per law sweep, and what running the sweeps on workers gives.
+"""Time per law sweep, the operator work it pins, and what running the
+sweeps on workers gives.
 
 For one sweep configuration (``--cap``, ``--samples``, ``--seed``), runs
-each law's sweep in this process and prints the cases it checks (which
-are fixed by the configuration), its median wall time and that time per
-case in microseconds, then the sum of the times.
+each law's sweep in this process and prints the cases it checks, the
+fixed-point operator calls it makes and the solves it reads from them
+(all three fixed by the configuration, and counted in one more run
+through an operator that calls ``local_lfp``), its median wall time, and
+that time per case and per operator call in microseconds; then the sums.
+The operator work is what no bookkeeping cut may change, so the time per
+call is the cost that is left to cut around it.
 Then it times ``run_laws``, which hands the sweeps to one worker per
 usable CPU, the caller among them, and prints its median wall time and
 the number of workers.  The heaviest sweep bounds what the workers can
@@ -14,10 +19,12 @@ reach: with enough of them, ``run_laws`` takes about as long as it.
 """
 
 import argparse
+import dataclasses
 import statistics
 import time
 
 from causalcirc import laws
+from causalcirc.domain import local_lfp
 from causalcirc.laws import LawConfig, run_laws
 
 
@@ -30,6 +37,31 @@ def median_ms(run, repeat: int) -> tuple[float, object]:
         got = run()
         times.append(time.perf_counter() - t0)
     return statistics.median(times) * 1e3, got
+
+
+def operator_work(sweep, cfg: LawConfig) -> tuple[int, int]:
+    """The operator calls and solves of one run of ``sweep``."""
+    seen = [0, 0]
+
+    def counting(f, split):
+        seen[0] += 1
+        m = local_lfp(f, split)
+
+        def solve(a):
+            seen[1] += 1
+            return m.fn(a)
+
+        return dataclasses.replace(m, fn=solve)
+
+    sweep(dataclasses.replace(cfg, mu=counting))
+    return seen[0], seen[1]
+
+
+def times(work: list) -> list[str]:
+    """The time in ms of (cases, calls, solves, ms), and that time per case
+    and per operator call in µs."""
+    cases, calls, _, ms = work
+    return [f"{ms:.3f}", f"{ms * 1e3 / cases:.2f}", f"{ms * 1e3 / calls:.2f}"]
 
 
 def main() -> None:
@@ -45,16 +77,18 @@ def main() -> None:
         ap.error("--repeat and --samples must be at least 1 and --cap at least 0")
 
     cfg = LawConfig(pair_budget=args.cap, samples=args.samples, seed=args.seed)
-    print(f"{'law':<18} {'cases':>8} {'ms':>9} {'us/case':>9}")
-    total = 0.0
+    row = "{:<18} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}"
+    print(row.format("law", "cases", "calls", "solves", "ms", "us/case", "us/call"))
+    sums = [0, 0, 0, 0.0]
     for sweep in laws._sweeps():
         ms, result = median_ms(lambda: sweep(cfg), args.repeat)
-        total += ms
-        us = ms * 1e3 / result.cases
-        print(f"{result.law:<18} {result.cases:>8} {ms:>9.3f} {us:>9.2f}")
-    print(f"{'sum':<18} {'':>8} {total:>9.3f}")
+        calls, solves = operator_work(sweep, cfg)
+        work = [result.cases, calls, solves, ms]
+        sums = [s + w for s, w in zip(sums, work)]
+        print(row.format(result.law, *work[:3], *times(work)))
+    print(row.format("sum", *sums[:3], *times(sums)))
     ms, _ = median_ms(lambda: run_laws(cfg), args.repeat)
-    print(f"{'run_laws':<18} {'':>8} {ms:>9.3f}  on {laws._workers(cfg)} workers")
+    print(f"{'run_laws':<18} {'':>8} {'':>8} {'':>8} {ms:>9.3f}  on {laws._workers(cfg)} workers")
 
 
 if __name__ == "__main__":

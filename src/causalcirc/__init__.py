@@ -15,7 +15,8 @@ The package splits into a small stack:
 * ``analysis``: bounded totality and equivalence checks;
 * ``laws``: equational sweeps for the fixed-point operator;
 * ``netlist`` and ``streams``: the text formats;
-* ``random_circuits``: seeded generators for property tests.
+* ``random_circuits``: seeded generators for property tests, loaded on
+  first use of one of its names, as only tests and scripts draw circuits.
 """
 
 from .domain import (
@@ -106,12 +107,26 @@ from .laws import (
     run_laws,
 )
 from .netlist import NetlistError, parse_netlist, print_netlist
-from .random_circuits import (
-    GenConfig,
-    random_circuit,
-    random_contractive_circuit,
-    random_delay_free_circuit,
-)
 from .streams import StreamFormatError, read_stream, write_stream
 
 __version__ = "0.1.0"
+
+_LAZY = (
+    "GenConfig",
+    "random_circuit",
+    "random_contractive_circuit",
+    "random_delay_free_circuit",
+)
+
+
+def __getattr__(name: str):
+    """The names of ``random_circuits``, imported on first use (PEP 562)."""
+    if name in _LAZY:
+        from . import random_circuits
+
+        return getattr(random_circuits, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

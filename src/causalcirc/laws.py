@@ -19,10 +19,15 @@ is turned back into wire tuples for the counterexample.  Every fixed point
 still comes from ``cfg.mu``, called on a ``MonotoneFn`` over wire tuples
 built from a flat table, so a wrong operator is caught as before and does
 the same work; ``domain.trace`` is the definition the tables unfold, and
-the tests check the two against each other.  Where a law feeds a value of
-the operator back into a table, one step (``_solve``) numbers it among the
-loop's points, and a value that is not one of them fails the case with
-the value, its context and the loop's signature.
+the tests check the two against each other.  Each factory binds the
+operator once per combo to each loop a case solves: a case hands the bound
+solver a flat table, and where the law feeds the operator's values back
+into a table (``_solver``) they are numbered among the loop's points, so
+that a value that is not one of them fails the case with the value, its
+context and the loop's signature; where it only compares them
+(``_operator``), they stay as the operator gives them.  An exhaustive
+sweep of a pair runs each outer function against every inner one in turn,
+so what depends on the outer function alone is worked out once for it.
 
 Laws covered:
 
@@ -52,6 +57,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .domain import (
@@ -66,7 +72,8 @@ from .domain import (
 )
 
 _BUDGET = 10**6  # default steps for building one function space
-_add_parts = partial(map, operator.add)  # two flat tables, point by point
+# several wires' flat parts, point by point, into one table
+_add_wires = partial(reduce, partial(map, operator.add))
 
 # -- function spaces ---------------------------------------------------------
 #
@@ -314,15 +321,6 @@ def _product(cols: list[Iterator]) -> Iterator[tuple]:
     return walk(0, ()) if cols else iter([()])
 
 
-def _tabled(dom: _Points, cod: _Points, flat) -> MonotoneFn:
-    """The function dom -> cod with this flat table, over wire tuples: a
-    tuple is numbered by dom's point index and mapped to the point of cod
-    that ``flat`` numbers there.  No dict is built: the law sweeps hand the
-    operator tens of thousands of these, each called only a few times."""
-    index, points = dom.index, cod.points
-    return MonotoneFn(dom.sig, cod.sig, lambda t: points[flat[index[t]]])
-
-
 class _Space:
     """The function space dom -> cod, prepared once for many functions.
 
@@ -380,10 +378,14 @@ def enumerate_monotone(
     sp = space or _Space(dom, cod)
     b = _Budget(budget, dom, cod)
     cols = [_wire_maps(sp.shape, m, stride, b) for m, stride in sp.wires]
-    # with no codomain wire, the one function sends every point to the one point
-    for parts in _product(cols or [[(0,) * len(sp.dom.points)]]):
+    if len(cols) > 1:
+        flats = map(tuple, map(_add_wires, _product(cols)))
+    elif cols:
+        flats = cols[0]
+    else:  # with no codomain wire, the one function sends every point to the one point
+        flats = [(0,) * len(sp.dom.points)]
+    for flat in flats:
         b.spend()
-        flat = parts[0] if len(parts) == 1 else tuple(reduce(_add_parts, parts))
         yield flat if space is not None else sp.fn(flat)
 
 
@@ -392,11 +394,13 @@ def random_monotone(
 ):
     """A uniformly random monotone function dom -> cod, seeded by ``rng``.
 
-    Each codomain wire is one uniform draw from its single-wire space: one
-    ``randrange`` over the ranks of ``_ranks``, whose group is found by
-    bisection, picks an up-set (weighted atoms^components) and one atom per
-    component, each added to the flat table at the wire's stride at the
-    points of the component (``_POINTS``).  A space not yet counted is
+    Each codomain wire is one uniform draw from its single-wire space: a
+    rank below the wire's count, drawn as ``randrange`` draws it (``bits``
+    random bits, the count's bit length, again while they are past it), so
+    a seed picks the same functions; its group, found by bisection, picks
+    an up-set (weighted atoms^components) and one atom per component, each
+    added to the flat table at the wire's stride at the points of the
+    component (``_POINTS``).  A space not yet counted is
     counted under the default budget; a sweep counts it under its own.
     Given ``space``, the prepared space of dom -> cod, the function comes
     out as its flat table; otherwise as a MonotoneFn.
@@ -405,8 +409,12 @@ def random_monotone(
     if sp.ranks is None:
         sp.count(_BUDGET)
     flat = [0] * len(sp.dom.points)
+    draw = rng.getrandbits
     for count, starts, groups, m, stride in sp.ranks:
-        r = rng.randrange(count)
+        bits = count.bit_length()
+        r = draw(bits)
+        while r >= count:
+            r = draw(bits)
         g = bisect_right(starts, r) - 1
         mk, k, comps = groups[g]
         u, digits = divmod(r - starts[g], mk)
@@ -592,24 +600,40 @@ def _law(
 # B + X has output part j // |X| and loop part j % |X|, composing two
 # functions is indexing one table by the other, and a context wire that
 # passes by repeats a table.  A factory tabulates, per combo, what each
-# number stands for on the wires it needs (see the module docstring).
+# number stands for on the wires it needs (see the module docstring).  A
+# gather (``itemgetter``) always picks two entries or more, since every
+# wire has bottom and an atom, and so always returns a tuple.
 
 
-def _solve(cfg: LawConfig, dom: _Points, flat, split: int, ctx: tuple, loop: _Points):
-    """Solve the loop of dom -> loop with table ``flat`` (see ``_tabled``),
-    whose context is its first ``split`` wires, with ``cfg.mu``: the number
-    among ``loop``'s points of the value at each point of ``ctx``.  A value
-    that is not one of them fails the case; it is solved again to be reported."""
-    index, points = dom.index, loop.points
-    f = MonotoneFn(dom.sig, loop.sig, lambda t: points[flat[index[t]]])
-    solve = cfg.mu(f, split).fn
-    nums = list(map(loop.index.get, map(solve, ctx)))
-    if None in nums:
-        a = ctx[nums.index(None)]
-        raise _OffLoop(
-            f"mu value {solve(a)!r} at context {a!r} is not a value of {loop.sig!r}"
-        )
-    return nums
+def _operator(mu: Mu, dom: _Points, split: int, loop: _Points):
+    """The operator ``mu`` bound to the loop of dom -> loop whose context is
+    the first ``split`` wires: given a flat table, it calls ``mu`` on that
+    function over wire tuples, each numbered by dom's point index and sent
+    to the point of ``loop`` the table numbers there, and returns the
+    solve.  No dict is built: the law sweeps hand the operator tens of
+    thousands of these, each called only a few times."""
+    dsig, lsig, index, points = dom.sig, loop.sig, dom.index, loop.points
+    return lambda flat: mu(
+        MonotoneFn(dsig, lsig, lambda t: points[flat[index[t]]]), split
+    ).fn
+
+
+def _solver(mu: Mu, dom: _Points, split: int, ctx: tuple, loop: _Points):
+    """``_operator``, with its solve read at each point of ``ctx`` and each
+    value numbered among ``loop``'s points; it is written out again, not
+    called, as it runs once per operator call.  A value that is not one of
+    them fails the case; it is solved again to be reported."""
+    dsig, lsig, index, points, num = dom.sig, loop.sig, dom.index, loop.points, loop.index.get
+
+    def solve(flat) -> list[int]:
+        fn = mu(MonotoneFn(dsig, lsig, lambda t: points[flat[index[t]]]), split).fn
+        nums = list(map(num, map(fn, ctx)))
+        if None in nums:
+            a = ctx[nums.index(None)]
+            raise _OffLoop(f"mu value {fn(a)!r} at context {a!r} is not a value of {lsig!r}")
+        return nums
+
+    return solve
 
 
 def _differ(where, left: list, right: list, show=None, said=("", ""), drawn=None):
@@ -641,9 +665,10 @@ def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
     na, nx = len(a_sig), len(X.points)
     a_pts, x_pts = A.points, X.points
     up = [m | 1 << i for i, m in enumerate(_poset(_shape(x_sig)).above)]
+    solve = _solver(cfg.mu, sp.dom, na, a_pts, X)
 
     def case(F) -> str | None:
-        vals = _solve(cfg, sp.dom, F, na, a_pts, X)
+        vals = solve(F)
         for ia, x in enumerate(vals):
             row = F[ia * nx : ia * nx + nx]
             if row[x] != x:
@@ -681,14 +706,19 @@ def _naturality(cfg: LawConfig, spaces, a_sig, x_sig, b_sig):
     na, nb, nx = len(a_sig), len(b_sig), len(X.points)
     xs = range(nx)
     a_pts, b_pts = A.points, B.points
+    mu_bx, mu_ax = _operator(cfg.mu, BX, nb, X), _operator(cfg.mu, AX, na, X)
+    # by g: where f . (g x id) reads f, and the points g sends B to
+    at_g = lru_cache(maxsize=None)(
+        lambda G: (itemgetter(*[g * nx + x for g in G for x in xs]), itemgetter(*G)(a_pts))
+    )
 
     def case(F, G) -> str | None:
-        reindexed = [F[g * nx + x] for g in G for x in xs]  # f . (g x id)
-        lhs = cfg.mu(_tabled(BX, X, reindexed), nb).fn
-        muf = cfg.mu(_tabled(AX, X, F), na).fn
+        reads, g_pts = at_g(G)
+        lhs = mu_bx(reads(F))  # f . (g x id)
+        muf = mu_ax(F)
         # mu against mu: both sides stay as the operator gives them
         left = list(map(lhs, b_pts))
-        right = list(map(muf, map(a_pts.__getitem__, G)))
+        right = list(map(muf, g_pts))
         return _differ(b_pts, left, right, drawn=(spaces, (F, G)))
 
     return case
@@ -707,13 +737,17 @@ def _dinaturality(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     na, nx = len(a_sig), len(X.points)
     rows = range(0, len(A.points) * nx, nx)
     a_pts, x_pts = A.points, X.points
+    mu_ax, solve_y = _operator(cfg.mu, AX, na, X), _solver(cfg.mu, AY, na, a_pts, Y)
+    # by g: where f . (id x g) reads f
+    before = lru_cache(maxsize=None)(lambda G: itemgetter(*[r + x for r in rows for x in G]))
+    last = after = None  # the last f, and g . f as a gather from g
 
     def case(F, G) -> str | None:
-        after = list(map(G.__getitem__, F))  # g . f
-        before = [F[r + x] for r in rows for x in G]  # f . (id x g)
-        mu_after = cfg.mu(_tabled(AX, X, after), na).fn
-        left = list(map(mu_after, a_pts))
-        ys = _solve(cfg, AY, before, na, a_pts, Y)
+        nonlocal last, after
+        if F is not last:  # an exhaustive sweep pairs one f with every g
+            last, after = F, itemgetter(*F)
+        left = list(map(mu_ax(after(G)), a_pts))  # g . f
+        ys = solve_y(before(G)(F))  # f . (id x g)
         right = list(map(x_pts.__getitem__, map(G.__getitem__, ys)))
         return _differ(a_pts, left, right, drawn=(spaces, (F, G)))
 
@@ -735,13 +769,19 @@ def _bekic(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     rows = range(0, len(A.points) * nx, nx)
     a_pts, ax_pts, xy_pts = A.points, AX.points, XY.points
     said = ("simultaneous ", "nested ")
+    mu_xy = _operator(cfg.mu, AXY, na, XY)
+    solve_g, solve_x = _solver(cfg.mu, AXY, nax, ax_pts, Y), _solver(cfg.mu, AX, na, a_pts, X)
+    xy_rows, axy_rows = range(0, nx * ny, ny), range(0, len(ax_pts) * ny, ny)
+    last = fx = None  # the last f, and the rows of X + Y its values start
 
     def case(F, G) -> str | None:
-        both = _tabled(AXY, XY, [x * ny + y for x, y in zip(F, G)])
-        mu_both = cfg.mu(both, na).fn
-        mg = _solve(cfg, AXY, G, nax, ax_pts, Y)
-        inner = [F[t * ny + y] for t, y in enumerate(mg)]  # f after mu of g
-        xs = _solve(cfg, AX, inner, na, a_pts, X)
+        nonlocal last, fx
+        if F is not last:  # an exhaustive sweep pairs one f with every g
+            last, fx = F, itemgetter(*F)(xy_rows)
+        mu_both = mu_xy(list(map(operator.add, fx, G)))
+        mg = solve_g(G)
+        inner = itemgetter(*map(operator.add, axy_rows, mg))(F)  # f after mu of g
+        xs = solve_x(inner)
         nested = [xy_pts[x * ny + mg[r + x]] for r, x in zip(rows, xs)]
         left = list(map(mu_both, a_pts))
         return _differ(a_pts, left, nested, said=said, drawn=(spaces, (F, G)))
@@ -762,9 +802,10 @@ def _yanking(cfg: LawConfig, x_sig):
     loop = [j // nx for j in range(nx * nx)]  # the looped output of the swap
     ids = list(range(nx))
     show = lambda t, v: x_pts[v]
+    solve = _solver(cfg.mu, XX, 1, x_pts, X)
 
     def case(swap) -> str | None:
-        xs = _solve(cfg, XX, loop, 1, x_pts, X)
+        xs = solve(loop)
         out = [swap[a * nx + x] // nx for a, x in zip(ids, xs)]
         return _differ(x_pts, out, ids, show)
 
@@ -797,9 +838,10 @@ def _vanishing_zero(cfg: LawConfig, spaces, a_sig, b_sig):
     a_pts, b_pts = A.points, B.points
     loop = [0] * len(a_pts)  # no wire is looped
     show = lambda t, v: b_pts[v]
+    solve = _solver(cfg.mu, A, na, a_pts, Z)
 
     def case(F) -> str | None:
-        zs = _solve(cfg, A, loop, na, a_pts, Z)
+        zs = solve(loop)
         traced = [F[a + z] for a, z in enumerate(zs)]  # A + Z is numbered as A
         return _differ(a_pts, traced, list(F), show)
 
@@ -814,18 +856,21 @@ def _vanishing_nested(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     na, nax = len(a_sig), len(a_sig + x_sig)
     nx, ny = len(X.points), len(Y.points)
     nxy = nx * ny
-    xy_part = _loop_parts(sp.cod, XY).__getitem__
-    y_part = _loop_parts(sp.cod, Y).__getitem__
+    xy_num, y_num = _loop_parts(sp.cod, XY), _loop_parts(sp.cod, Y)
     x_part = _loop_parts(AX, X).__getitem__
     a_pts, ax_pts = A.points, AX.points
     show = lambda t, v: a_pts[v]
+    solve_xy = _solver(cfg.mu, AXY, na, a_pts, XY)
+    solve_y = _solver(cfg.mu, AXY, nax, ax_pts, Y)
+    solve_x = _solver(cfg.mu, AX, na, a_pts, X)
 
     def case(F) -> str | None:
-        xys = _solve(cfg, AXY, list(map(xy_part, F)), na, a_pts, XY)
-        ys = _solve(cfg, AXY, list(map(y_part, F)), nax, ax_pts, Y)
+        loop_parts = itemgetter(*F)
+        xys = solve_xy(loop_parts(xy_num))
+        ys = solve_y(loop_parts(y_num))
         # f with Y traced, on A + X, its values numbered in A + X
         inner = [F[t * ny + y] // ny for t, y in enumerate(ys)]
-        xs = _solve(cfg, AX, list(map(x_part, inner)), na, a_pts, X)
+        xs = solve_x(list(map(x_part, inner)))
         both = [F[a * nxy + v] // nxy for a, v in enumerate(xys)]
         outer = [inner[a * nx + x] // nx for a, x in enumerate(xs)]
         return _differ(a_pts, both, outer, show)
@@ -851,13 +896,18 @@ def _sliding(cfg: LawConfig, spaces, a_sig, b_sig, x_sig, y_sig):
     y_num = _loop_parts(f_sp.cod, Y)  # the loop part of f's values
     a_pts, b_pts = A.points, B.points
     show = lambda t, v: b_pts[v]
+    solve_x, solve_y = _solver(cfg.mu, AX, na, a_pts, X), _solver(cfg.mu, AY, na, a_pts, Y)
+    # by g: where f after g on the looped input reads f's loop parts
+    pre = lru_cache(maxsize=None)(lambda G: itemgetter(*[r + x for r in rows for x in G]))
+    last = fy = post = None  # the last f, the loop parts of its values, g after them
 
     def case(F, G) -> str | None:
-        # the loop parts of g after f, and of f after g on the looped input
-        post = list(map(G.__getitem__, map(y_num.__getitem__, F)))
-        pre = [y_num[F[r + x]] for r in rows for x in G]
-        xs = _solve(cfg, AX, post, na, a_pts, X)
-        ys = _solve(cfg, AY, pre, na, a_pts, Y)
+        nonlocal last, fy, post
+        if F is not last:  # an exhaustive sweep pairs one f with every g
+            last, fy = F, itemgetter(*F)(y_num)
+            post = itemgetter(*fy)
+        xs = solve_x(post(G))
+        ys = solve_y(pre(G)(fy))
         if xs == list(map(G.__getitem__, ys)):
             return None  # f reads the same loop values on both sides
         # both sides as f's values, whose output parts must agree
@@ -886,11 +936,13 @@ def _superposing(cfg: LawConfig, spaces, c_sig, a_sig, b_sig, x_sig):
     x_num = _loop_parts(sp.cod, X)
     a_pts, b_pts, ca_pts = A.points, B.points, CA.points
     show = lambda t, v: t[:nc] + b_pts[v]  # C passes by
+    solve_wide = _solver(cfg.mu, CAX, nc + na, ca_pts, X)
+    solve_x = _solver(cfg.mu, AX, na, a_pts, X)
 
     def case(F) -> str | None:
-        loop = list(map(x_num.__getitem__, F))
-        wide = _solve(cfg, CAX, loop * n_c, nc + na, ca_pts, X)
-        xs = _solve(cfg, AX, loop, na, a_pts, X)
+        loop = itemgetter(*F)(x_num)
+        wide = solve_wide(loop * n_c)
+        xs = solve_x(loop)
         if wide == xs * n_c:
             return None  # f reads the same loop values on both sides
         traced = [F[r + x] // nx for r, x in zip(rows, xs)]
@@ -921,11 +973,11 @@ def _sweeps() -> list[Callable[[LawConfig], SweepResult]]:
     ]
 
 
-# The positions of the sweeps by falling cost (scripts/law_cost.py): sliding
-# and superposing (superposing is the heavier at the CLI's defaults), bekic,
-# vanishing, then the light ones.  Handed out first, the heaviest do not
-# end last, alone on one worker.
-_HEAVIEST_FIRST = bytes((6, 7, 3, 5, 1, 2, 0, 4))
+# The positions of the sweeps by falling cost (scripts/law_cost.py):
+# superposing, then sliding (at the CLI's defaults and at --cap 2000 alike),
+# bekic, vanishing, then the light ones.  Handed out first, the heaviest do
+# not end last, alone on one worker.
+_HEAVIEST_FIRST = bytes((7, 6, 3, 5, 1, 2, 0, 4))
 
 
 def _workers(cfg: LawConfig) -> int:

@@ -1,7 +1,10 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,27 @@ def test_the_readme_layout_names_every_module_and_script():
     files = [p for p in MODULES if p.name != "__main__.py"]
     files += sorted((ROOT / "scripts").glob("*.py"))
     assert [p.name for p in files if p.name not in named] == []
+
+
+def test_the_package_loads_random_circuits_on_first_use():
+    script = (
+        "import sys\n"
+        "import causalcirc\n"
+        "assert 'causalcirc.random_circuits' not in sys.modules\n"
+        "from causalcirc import GenConfig, random_circuit\n"
+        "import causalcirc.random_circuits as rc\n"
+        "assert random_circuit is rc.random_circuit and GenConfig is rc.GenConfig\n"
+        "assert causalcirc.random_delay_free_circuit is rc.random_delay_free_circuit\n"
+        "assert {'random_circuit', 'random_contractive_circuit'} <= set(dir(causalcirc))\n"
+        "try:\n"
+        "    causalcirc.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    )
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'causalcirc' has no attribute 'no_such_name'\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import random
@@ -264,6 +265,33 @@ def test_random_monotone_draws_once_per_codomain_wire():
         for _ in range(3):
             shadow.randrange(129615)
     assert rng.random() == shadow.random()
+
+
+# One and three codomain wires, unit and bool bases, a 27-point domain, and
+# the one map into no wire, which draws nothing: a single wire always has at
+# least two maps, bottom and an atom everywhere.
+DRAW_SPACES = [
+    (B, B),
+    (sig(UNIT, UNIT), U),
+    (sig(BOOL, UNIT), sig(UNIT, BOOL, BOOL)),
+    (sig(BOOL, BOOL, BOOL), sig(BOOL, BOOL, BOOL)),
+    (B, sig()),
+]
+
+
+def test_random_monotone_draws_pinned_tables():
+    # Which function a seeded draw picks, not only how many numbers it uses:
+    # the flat tables of 40 draws per space, then the generator's next float.
+    rng = random.Random(26)
+    h = hashlib.sha256()
+    for dom, cod in DRAW_SPACES:
+        space = laws._Space(dom, cod)
+        for _ in range(40):
+            h.update(repr(random_monotone(dom, cod, rng, space)).encode())
+    h.update(repr(rng.random()).encode())
+    assert h.hexdigest() == (
+        "ee785d38e84647ea14388cd0fe83e2c17c391060ec8ed75d4d4b303287abdefd"
+    )
 
 
 # -- the healthy sweep ----------------------------------------------------

@@ -80,29 +80,32 @@ def test_law_cost_pins_each_laws_cases():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["law", "cases", "ms", "us/case"]
+    assert lines[0].split() == ["law", "cases", "calls", "solves", "ms", "us/case", "us/call"]
     rows = [line.split() for line in lines[1:9]]
-    # The cases follow from the configuration; the times vary.
-    assert [row[:2] for row in rows] == [
-        ["fixpoint", "60"],
-        ["naturality-param", "143"],
-        ["dinaturality", "205"],
-        ["bekic", "40"],
-        ["yanking", "5"],
-        ["vanishing", "64"],
-        ["sliding", "80"],
-        ["superposing", "264"],
+    # The cases, operator calls and solves follow from the configuration;
+    # the times vary.
+    assert [row[:4] for row in rows] == [
+        ["fixpoint", "60", "60", "139"],
+        ["naturality-param", "143", "286", "662"],
+        ["dinaturality", "205", "410", "934"],
+        ["bekic", "40", "120", "450"],
+        ["yanking", "5", "2", "5"],
+        ["vanishing", "64", "144", "514"],
+        ["sliding", "80", "160", "400"],
+        ["superposing", "264", "528", "1988"],
     ]
     total, run, *rest = lines[9:]
-    assert not rest and total.split()[0] == "sum" and run.split()[0] == "run_laws"
-    times = [float(row[2]) for row in rows] + [float(total.split()[1]), float(run.split()[1])]
+    total = total.split()
+    assert not rest and total[:4] == ["sum", "861", "1710", "5092"]
+    assert run.split()[0] == "run_laws"
+    times = [float(row[4]) for row in rows] + [float(total[4]), float(run.split()[1])]
     assert all(t > 0 for t in times)
     assert abs(sum(times[:8]) - times[8]) < 0.01
-    # the last column is each law's time per case in microseconds, up to
-    # the rounding of both printed times
-    for law, cases, ms, us in rows:
-        n = int(cases)
-        assert abs(float(us) - float(ms) * 1e3 / n) <= 0.5 / n + 0.006, law
+    # the last two columns are each law's time per case and per operator
+    # call in microseconds, up to the rounding of both printed times
+    for law, *work, ms, per_case, per_call in rows + [total]:
+        for n, us in zip(map(int, work), (per_case, per_call)):
+            assert abs(float(us) - float(ms) * 1e3 / n) <= 0.5 / n + 0.006, law
     assert int(run.split()[-2]) >= 1 and run.split()[-1] == "workers"
 
 

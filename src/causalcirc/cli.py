@@ -137,6 +137,8 @@ def cmd_laws(args) -> int:
         results = laws.run_laws(cfg)
     except CapError as e:
         raise _Usage(f"{e}; pass a larger --budget") from None
+    except RuntimeError as e:  # a law worker that died, say
+        raise _Usage(str(e)) from None
     failed = next((r for r in results if not r.passed), None)
     if args.json:
         print(json.dumps([r.to_json() for r in results], indent=2))

@@ -114,14 +114,11 @@ class GateDef:
         share one, and a builtin gate, which its constructor memoizes,
         keeps one for every circuit that uses it.  A one-input gate's table
         is keyed on the bare value, any other gate's on the tuple of its
-        values (``()`` for a gate of no inputs); a gate built from a full
-        table is looked up in that table.
+        values (``()`` for a gate of no inputs).
         """
         f, fn = self.fn, self.fn.fn
         if len(f.dom) == 1:
             return _Table(lambda x: fn((x,)), self.name, f.cod).__getitem__
-        if f.table is not None:
-            return f.table.__getitem__
         return _Table(fn, self.name, f.cod).__getitem__
 
     def __eq__(self, other) -> bool:

@@ -20,7 +20,9 @@ still comes from ``cfg.mu``, called on a ``MonotoneFn`` over wire tuples
 built from a flat table, so a wrong operator is caught as before and does
 the same work; ``domain.trace`` is the definition the tables unfold, and
 the tests check the two against each other.  Each factory binds the
-operator once per combo to each loop a case solves: a case hands the bound
+operator once per combo to each loop a case solves, named by two
+signatures, the context's and the loop's; the binding works out the
+domain, the split and the points from them.  A case hands the bound
 solver a flat table, and where the law feeds the operator's values back
 into a table (``_solver``) they are numbered among the loop's points, so
 that a value that is not one of them fails the case with the value, its
@@ -41,8 +43,8 @@ Laws covered:
 ``run_laws`` runs the sweeps on every usable CPU, the caller among them.
 Each combo seeds its own draws and no budget charge depends on a cache,
 so results and errors are a serial run's, in law order, and the output
-is byte-identical.  An injected operator runs in the caller, and with
-one usable CPU nothing is forked.
+is byte-identical.  An injected operator runs in the caller, which then,
+as with one usable CPU, runs every sweep itself and forks nothing.
 """
 
 from __future__ import annotations
@@ -605,31 +607,33 @@ def _law(
 # wire has bottom and an atom, and so always returns a tuple.
 
 
-def _operator(mu: Mu, dom: _Points, split: int, loop: _Points):
-    """The operator ``mu`` bound to the loop of dom -> loop whose context is
-    the first ``split`` wires: given a flat table, it calls ``mu`` on that
-    function over wire tuples, each numbered by dom's point index and sent
-    to the point of ``loop`` the table numbers there, and returns the
-    solve.  No dict is built: the law sweeps hand the operator tens of
-    thousands of these, each called only a few times."""
-    dsig, lsig, index, points = dom.sig, loop.sig, dom.index, loop.points
+def _operator(mu: Mu, ctx: Signature, loop: Signature):
+    """The operator ``mu`` bound to the loop of ctx + loop -> loop: given a
+    flat table, it calls ``mu`` on that function over wire tuples, each
+    numbered by the domain's point index and sent to the point of ``loop``
+    the table numbers there, and returns the solve.  No dict is built: the
+    law sweeps hand the operator tens of thousands of these, each called
+    only a few times."""
+    dom, split, lp = _indexed(ctx + loop), len(ctx), _indexed(loop)
+    dsig, lsig, index, points = dom.sig, lp.sig, dom.index, lp.points
     return lambda flat: mu(
         MonotoneFn(dsig, lsig, lambda t: points[flat[index[t]]]), split
     ).fn
 
 
-def _solver(mu: Mu, dom: _Points, split: int, ctx: tuple, loop: _Points):
+def _solver(mu: Mu, ctx: Signature, loop: Signature):
     """``_operator``, with its solve read at each point of ``ctx`` and each
     value numbered among ``loop``'s points; it is written out again, not
     called, as it runs once per operator call.  A value that is not one of
     them fails the case; it is solved again to be reported."""
-    dsig, lsig, index, points, num = dom.sig, loop.sig, dom.index, loop.points, loop.index.get
+    dom, split, lp, at = _indexed(ctx + loop), len(ctx), _indexed(loop), _indexed(ctx).points
+    dsig, lsig, index, points, num = dom.sig, lp.sig, dom.index, lp.points, lp.index.get
 
     def solve(flat) -> list[int]:
         fn = mu(MonotoneFn(dsig, lsig, lambda t: points[flat[index[t]]]), split).fn
-        nums = list(map(num, map(fn, ctx)))
+        nums = list(map(num, map(fn, at)))
         if None in nums:
-            a = ctx[nums.index(None)]
+            a = at[nums.index(None)]
             raise _OffLoop(f"mu value {fn(a)!r} at context {a!r} is not a value of {lsig!r}")
         return nums
 
@@ -660,12 +664,10 @@ def _loop_parts(whole: _Points, loop: _Points) -> tuple:
 
 
 def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
-    (sp,) = spaces
-    A, X = _indexed(a_sig), _indexed(x_sig)
-    na, nx = len(a_sig), len(X.points)
-    a_pts, x_pts = A.points, X.points
+    a_pts, x_pts = _indexed(a_sig).points, _indexed(x_sig).points
+    nx = len(x_pts)
     up = [m | 1 << i for i, m in enumerate(_poset(_shape(x_sig)).above)]
-    solve = _solver(cfg.mu, sp.dom, na, a_pts, X)
+    solve = _solver(cfg.mu, a_sig, x_sig)
 
     def case(F) -> str | None:
         vals = solve(F)
@@ -700,13 +702,10 @@ def check_local_fixpoint(cfg: LawConfig = LawConfig()) -> SweepResult:
 
 
 def _naturality(cfg: LawConfig, spaces, a_sig, x_sig, b_sig):
-    f_sp, _ = spaces
-    A, X, B = _indexed(a_sig), _indexed(x_sig), _indexed(b_sig)
-    AX, BX = f_sp.dom, _indexed(b_sig + x_sig)
-    na, nb, nx = len(a_sig), len(b_sig), len(X.points)
+    a_pts, b_pts = _indexed(a_sig).points, _indexed(b_sig).points
+    nx = len(_indexed(x_sig).points)
     xs = range(nx)
-    a_pts, b_pts = A.points, B.points
-    mu_bx, mu_ax = _operator(cfg.mu, BX, nb, X), _operator(cfg.mu, AX, na, X)
+    mu_bx, mu_ax = _operator(cfg.mu, b_sig, x_sig), _operator(cfg.mu, a_sig, x_sig)
     # by g: where f . (g x id) reads f, and the points g sends B to
     at_g = lru_cache(maxsize=None)(
         lambda G: (itemgetter(*[g * nx + x for g in G for x in xs]), itemgetter(*G)(a_pts))
@@ -731,13 +730,10 @@ def check_naturality_param(cfg: LawConfig = LawConfig()) -> SweepResult:
 
 
 def _dinaturality(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
-    f_sp, _ = spaces
-    A, X, Y = _indexed(a_sig), _indexed(x_sig), _indexed(y_sig)
-    AX, AY = f_sp.dom, _indexed(a_sig + y_sig)
-    na, nx = len(a_sig), len(X.points)
-    rows = range(0, len(A.points) * nx, nx)
-    a_pts, x_pts = A.points, X.points
-    mu_ax, solve_y = _operator(cfg.mu, AX, na, X), _solver(cfg.mu, AY, na, a_pts, Y)
+    a_pts, x_pts = _indexed(a_sig).points, _indexed(x_sig).points
+    nx = len(x_pts)
+    rows = range(0, len(a_pts) * nx, nx)
+    mu_ax, solve_y = _operator(cfg.mu, a_sig, x_sig), _solver(cfg.mu, a_sig, y_sig)
     # by g: where f . (id x g) reads f
     before = lru_cache(maxsize=None)(lambda G: itemgetter(*[r + x for r in rows for x in G]))
     last = after = None  # the last f, and g . f as a gather from g
@@ -761,17 +757,13 @@ def check_dinaturality(cfg: LawConfig = LawConfig()) -> SweepResult:
 
 
 def _bekic(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
-    f_sp, _ = spaces
-    A, X, Y = _indexed(a_sig), _indexed(x_sig), _indexed(y_sig)
-    AXY, AX, XY = f_sp.dom, _indexed(a_sig + x_sig), _indexed(x_sig + y_sig)
-    na, nax = len(a_sig), len(a_sig + x_sig)
-    nx, ny = len(X.points), len(Y.points)
-    rows = range(0, len(A.points) * nx, nx)
-    a_pts, ax_pts, xy_pts = A.points, AX.points, XY.points
+    a_pts, xy_pts = _indexed(a_sig).points, _indexed(x_sig + y_sig).points
+    nx, ny = len(_indexed(x_sig).points), len(_indexed(y_sig).points)
+    rows = range(0, len(a_pts) * nx, nx)
     said = ("simultaneous ", "nested ")
-    mu_xy = _operator(cfg.mu, AXY, na, XY)
-    solve_g, solve_x = _solver(cfg.mu, AXY, nax, ax_pts, Y), _solver(cfg.mu, AX, na, a_pts, X)
-    xy_rows, axy_rows = range(0, nx * ny, ny), range(0, len(ax_pts) * ny, ny)
+    mu_xy = _operator(cfg.mu, a_sig, x_sig + y_sig)
+    solve_g, solve_x = _solver(cfg.mu, a_sig + x_sig, y_sig), _solver(cfg.mu, a_sig, x_sig)
+    xy_rows, axy_rows = range(0, nx * ny, ny), range(0, len(a_pts) * nx * ny, ny)
     last = fx = None  # the last f, and the rows of X + Y its values start
 
     def case(F, G) -> str | None:
@@ -796,13 +788,12 @@ def check_bekic(cfg: LawConfig = LawConfig()) -> SweepResult:
 
 
 def _yanking(cfg: LawConfig, x_sig):
-    X, XX = _indexed(x_sig), _indexed(x_sig + x_sig)
-    nx = len(X.points)
-    x_pts = X.points
+    x_pts = _indexed(x_sig).points
+    nx = len(x_pts)
     loop = [j // nx for j in range(nx * nx)]  # the looped output of the swap
     ids = list(range(nx))
     show = lambda t, v: x_pts[v]
-    solve = _solver(cfg.mu, XX, 1, x_pts, X)
+    solve = _solver(cfg.mu, x_sig, x_sig)
 
     def case(swap) -> str | None:
         xs = solve(loop)
@@ -833,12 +824,10 @@ def check_yanking(cfg: LawConfig = LawConfig()) -> SweepResult:
 
 def _vanishing_zero(cfg: LawConfig, spaces, a_sig, b_sig):
     (sp,) = spaces
-    A, B, Z = sp.dom, sp.cod, _indexed(sig())
-    na = len(a_sig)
-    a_pts, b_pts = A.points, B.points
+    a_pts, b_pts = sp.dom.points, sp.cod.points
     loop = [0] * len(a_pts)  # no wire is looped
     show = lambda t, v: b_pts[v]
-    solve = _solver(cfg.mu, A, na, a_pts, Z)
+    solve = _solver(cfg.mu, a_sig, sig())
 
     def case(F) -> str | None:
         zs = solve(loop)
@@ -850,19 +839,17 @@ def _vanishing_zero(cfg: LawConfig, spaces, a_sig, b_sig):
 
 def _vanishing_nested(cfg: LawConfig, spaces, a_sig, x_sig, y_sig):
     (sp,) = spaces
-    AXY = sp.dom
     A, X, Y = _indexed(a_sig), _indexed(x_sig), _indexed(y_sig)
     AX, XY = _indexed(a_sig + x_sig), _indexed(x_sig + y_sig)
-    na, nax = len(a_sig), len(a_sig + x_sig)
     nx, ny = len(X.points), len(Y.points)
     nxy = nx * ny
     xy_num, y_num = _loop_parts(sp.cod, XY), _loop_parts(sp.cod, Y)
     x_part = _loop_parts(AX, X).__getitem__
-    a_pts, ax_pts = A.points, AX.points
+    a_pts = A.points
     show = lambda t, v: a_pts[v]
-    solve_xy = _solver(cfg.mu, AXY, na, a_pts, XY)
-    solve_y = _solver(cfg.mu, AXY, nax, ax_pts, Y)
-    solve_x = _solver(cfg.mu, AX, na, a_pts, X)
+    solve_xy = _solver(cfg.mu, a_sig, x_sig + y_sig)
+    solve_y = _solver(cfg.mu, a_sig + x_sig, y_sig)
+    solve_x = _solver(cfg.mu, a_sig, x_sig)
 
     def case(F) -> str | None:
         loop_parts = itemgetter(*F)
@@ -890,13 +877,12 @@ def check_vanishing(cfg: LawConfig = LawConfig()) -> SweepResult:
 def _sliding(cfg: LawConfig, spaces, a_sig, b_sig, x_sig, y_sig):
     f_sp, _ = spaces
     A, B, X, Y = _indexed(a_sig), _indexed(b_sig), _indexed(x_sig), _indexed(y_sig)
-    AX, AY = f_sp.dom, _indexed(a_sig + y_sig)
-    na, nx, ny = len(a_sig), len(X.points), len(Y.points)
+    nx, ny = len(X.points), len(Y.points)
     rows = range(0, len(A.points) * nx, nx)
     y_num = _loop_parts(f_sp.cod, Y)  # the loop part of f's values
     a_pts, b_pts = A.points, B.points
     show = lambda t, v: b_pts[v]
-    solve_x, solve_y = _solver(cfg.mu, AX, na, a_pts, X), _solver(cfg.mu, AY, na, a_pts, Y)
+    solve_x, solve_y = _solver(cfg.mu, a_sig, x_sig), _solver(cfg.mu, a_sig, y_sig)
     # by g: where f after g on the looped input reads f's loop parts
     pre = lru_cache(maxsize=None)(lambda G: itemgetter(*[r + x for r in rows for x in G]))
     last = fy = post = None  # the last f, the loop parts of its values, g after them
@@ -926,18 +912,16 @@ def check_sliding(cfg: LawConfig = LawConfig()) -> SweepResult:
 
 def _superposing(cfg: LawConfig, spaces, c_sig, a_sig, b_sig, x_sig):
     (sp,) = spaces
-    AX = sp.dom
-    A, B, X = _indexed(a_sig), _indexed(b_sig), _indexed(x_sig)
-    CA, CAX = _indexed(c_sig + a_sig), _indexed(c_sig + a_sig + x_sig)
-    nc, na, nx = len(c_sig), len(a_sig), len(X.points)
+    A, B, X, CA = _indexed(a_sig), _indexed(b_sig), _indexed(x_sig), _indexed(c_sig + a_sig)
+    nc, nx = len(c_sig), len(X.points)
     n_c = len(_indexed(c_sig).points)
     rows = range(0, len(A.points) * nx, nx)
     wide_rows = list(rows) * n_c  # the row of f each point of C + A reads
     x_num = _loop_parts(sp.cod, X)
-    a_pts, b_pts, ca_pts = A.points, B.points, CA.points
+    b_pts, ca_pts = B.points, CA.points
     show = lambda t, v: t[:nc] + b_pts[v]  # C passes by
-    solve_wide = _solver(cfg.mu, CAX, nc + na, ca_pts, X)
-    solve_x = _solver(cfg.mu, AX, na, a_pts, X)
+    solve_wide = _solver(cfg.mu, c_sig + a_sig, x_sig)
+    solve_x = _solver(cfg.mu, a_sig, x_sig)
 
     def case(F) -> str | None:
         loop = itemgetter(*F)(x_num)
@@ -981,10 +965,10 @@ _HEAVIEST_FIRST = bytes((7, 6, 3, 5, 1, 2, 0, 4))
 
 
 def _workers(cfg: LawConfig) -> int:
-    """How many workers ``run_laws`` uses: one per usable CPU, at most one
-    per law.  The caller runs alone for an injected operator, without
-    ``os.fork``, or while other threads run: a child forked then could
-    wait forever on a lock one of them held."""
+    """How many workers ``run_laws`` uses, the caller among them: one per
+    usable CPU, at most one per law.  The caller is the only one for an
+    injected operator, without ``os.fork``, or while other threads run: a
+    child forked then could wait forever on a lock one of them held."""
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     if cfg.mu is not local_lfp or not forkable:
         return 1
@@ -1007,24 +991,34 @@ def _take(tickets: int, sweeps: list, cfg: LawConfig, out: dict) -> None:
             out[i] = e
 
 
-def _run_workers(sweeps: list, cfg: LawConfig, n: int) -> list:
-    """What came of each sweep, in order, from the caller and ``n - 1``
-    forked workers.
+def run_laws(cfg: LawConfig = LawConfig()) -> list[SweepResult]:
+    """Every law sweep, in law order (see ``_sweeps``).
 
-    The tickets, one byte per sweep, wait in a pipe heaviest first
-    (``_HEAVIEST_FIRST``); each worker takes the next one left.  A child
-    sends what came of its sweeps pickled through a pipe of its own and
-    leaves by ``os._exit``, so the caller's buffers are not flushed twice.
-    A child that leaves without a result makes this raise; one that cannot
-    be forked leaves its share to the others.  Every child is stopped and
-    reaped before this returns, whether it returns or raises.
-    The caller's caches stay warm from call to call; a child's go with it.
+    The sweeps run on ``_workers(cfg)`` workers: the caller and forked
+    children.  The tickets, one byte per sweep, wait in a pipe heaviest
+    first (``_HEAVIEST_FIRST``), and each worker takes the next one left,
+    so with one worker the caller runs every sweep itself, heaviest first,
+    and nothing is forked.  That is so for an injected operator
+    (``cfg.mu`` other than ``local_lfp``), code under test whose side
+    effects belong to the caller, and for one usable CPU, a platform
+    without ``os.fork`` or other running threads.  Results come back in
+    law order and equal a serial run's, and when sweeps raise, the error
+    of the first in law order is raised, as a serial run raises it.
+
+    A child sends what came of its sweeps pickled through a pipe of its
+    own and leaves by ``os._exit``, so the caller's buffers are not flushed
+    twice.  A child that leaves without a result makes this raise
+    RuntimeError; one that cannot be forked leaves its share to the others.
+    Every child is stopped and reaped before this returns, whether it
+    returns or raises.  The caller's caches stay warm from call to call; a
+    child's go with it.
     """
     # Imported here, not with the package, whose import every CLI run pays;
     # and before forking, so that no child imports them again.
     import pickle
     import signal
 
+    sweeps = _sweeps()
     tickets, w = os.pipe()
     try:
         os.write(w, _HEAVIEST_FIRST)
@@ -1033,7 +1027,7 @@ def _run_workers(sweeps: list, cfg: LawConfig, n: int) -> list:
     out: dict = {}
     children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
     try:
-        for _ in range(n - 1):
+        for _ in range(_workers(cfg) - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -1067,25 +1061,7 @@ def _run_workers(sweeps: list, cfg: LawConfig, n: int) -> list:
             os.close(r)
             os.kill(pid, signal.SIGKILL)  # a no-op on one that already left
             os.waitpid(pid, 0)
-    return [out[i] for i in range(len(sweeps))]
-
-
-def run_laws(cfg: LawConfig = LawConfig()) -> list[SweepResult]:
-    """Every law sweep, in law order (see ``_sweeps``).
-
-    The sweeps run on every usable CPU, up to one per law: the caller is
-    one worker and the others are forked.  Results come back in law order
-    and equal a serial run's, and when sweeps raise, the error of the
-    first in law order is raised, as a serial run raises it.  An injected
-    operator (``cfg.mu`` other than ``local_lfp``) is code under test whose
-    side effects belong to the caller, so it runs every sweep in the
-    caller; so do one usable CPU, a platform without ``os.fork`` and other
-    running threads (``_workers``).
-    """
-    sweeps, n = _sweeps(), _workers(cfg)
-    if n == 1:
-        return [sweep(cfg) for sweep in sweeps]
-    got = _run_workers(sweeps, cfg, n)
+    got = [out[i] for i in range(len(sweeps))]
     for x in got:
         if isinstance(x, Exception):
             raise x

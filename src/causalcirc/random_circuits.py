@@ -164,11 +164,3 @@ def random_delay_free_circuit(
     return random_circuit(
         rng, replace(cfg, p_delay=0.0, p_vardelay=0.0, contractive_only=False)
     )
-
-
-__all__ = [
-    "GenConfig",
-    "random_circuit",
-    "random_contractive_circuit",
-    "random_delay_free_circuit",
-]

@@ -273,6 +273,27 @@ def test_laws_budget_too_small_for_a_space_is_a_usage_error(capsys):
     assert "sig(unit, bool) -> sig(bool)" in err and "--budget" in err
 
 
+def test_a_law_worker_that_dies_is_one_error_line_not_a_traceback(capsys, monkeypatch):
+    def dies(cfg):
+        raise RuntimeError("law worker 4242 exited without a result")
+
+    monkeypatch.setattr(laws, "run_laws", dies)
+    assert run(capsys, "laws") == (
+        2, "", "error: law worker 4242 exited without a result\n"
+    )
+    # A CapError is a RuntimeError too, and keeps its hint.
+    def runs_out(cfg):
+        raise laws.CapError("budget of 7 steps exceeded building sig() -> sig()")
+
+    monkeypatch.setattr(laws, "run_laws", runs_out)
+    assert run(capsys, "laws", "--json") == (
+        2,
+        "",
+        "error: budget of 7 steps exceeded building sig() -> sig(); "
+        "pass a larger --budget\n",
+    )
+
+
 # -- equiv ----------------------------------------------------------------
 
 

@@ -747,6 +747,42 @@ def test_workers_raise_the_error_a_serial_run_raises(monkeypatch):
         check_vanishing(cfg)
 
 
+def test_the_caller_alone_takes_every_ticket_and_raises_the_first_error_in_law_order(
+    monkeypatch,
+):
+    # With one worker the caller runs every sweep, heaviest first, and
+    # forks nothing.  Bekic and vanishing both run out of budget; bekic's
+    # error is raised, as it comes first in law order.
+    sweeps = laws._sweeps()
+    ran = []
+
+    def recorded(sweep):
+        def run(cfg):
+            try:
+                res = sweep(cfg)
+            except CapError as e:
+                ran.append((sweep.__name__, str(e)))
+                raise
+            ran.append((sweep.__name__, None))
+            return res
+
+        return run
+
+    for sweep in sweeps:
+        monkeypatch.setattr(laws, sweep.__name__, recorded(sweep))
+    forks = count_forks(monkeypatch)
+    cfg = in_process(LawConfig(budget=2000, pair_budget=400, samples=5))
+    with pytest.raises(CapError) as got:
+        run_laws(cfg)
+    assert not forks
+    want = "budget of 2000 steps exceeded building sig(unit, bool, bool) -> sig(bool)"
+    assert str(got.value) == want
+    assert [name for name, _ in ran] == [sweeps[i].__name__ for i in laws._HEAVIEST_FIRST]
+    errors = {name: e for name, e in ran if e is not None}
+    assert errors["check_bekic"] == want
+    assert errors["check_vanishing"].endswith("-> sig(unit, bool, bool)")
+
+
 @needs_workers
 def test_a_failed_fork_leaves_the_sweeps_to_the_caller(monkeypatch):
     def no_fork():

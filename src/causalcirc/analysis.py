@@ -41,6 +41,7 @@ first failing one, so a passing exhaustive check reports all bᴴ of them
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -118,21 +119,11 @@ class EquivReport:
 def _stepper(c: Circuit):
     """One tick of ``c`` as ``(histories, row) -> (next histories, outputs)``.
 
-    Memoized ``Propagator.tick`` on ``(histories, row)``, exactly what a
-    tick reads.  The memo belongs to this one circuit instance and dies
-    with the function.
+    ``Propagator.tick`` under ``functools.cache``, keyed on ``(histories,
+    row)``, exactly what a tick reads.  Each call makes a new cache, which
+    belongs to one check and one circuit instance and dies with the function.
     """
-    memo: dict = {}
-    tick = propagator(c).tick
-
-    def advance(histories, row):
-        key = (histories, row)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = tick(histories, row)
-        return hit
-
-    return advance
+    return functools.cache(propagator(c).tick)
 
 
 def _undefined_port(outs) -> int | None:

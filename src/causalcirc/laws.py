@@ -162,8 +162,6 @@ def _join(comps: tuple[int, ...], i: int, up: int) -> tuple[int, ...]:
 
 # Up-sets of each domain shape by component count, and the listing's steps.
 _UPSETS: dict[tuple[int, ...], tuple] = {}
-# How to rank Mon(D, one lifted wire), by (domain shape, atoms of the wire).
-_RANKS: dict[tuple[tuple[int, ...], int], tuple] = {}
 _POINTS: dict[int, tuple[int, ...]] = {}  # each drawn component's points, by bitmask
 
 
@@ -211,34 +209,30 @@ def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
     return got
 
 
-def _ranks(shape: tuple[int, ...], atoms: int, upsets: tuple) -> tuple:
+def _ranks(atoms: int, upsets: tuple) -> tuple:
     """|Mon(D, C)| for one lifted wire C, and how its maps are ranked.
 
     The count is the sum over up-sets U of atoms^components(U).  Maps are
     ranked by up-set, then by atoms: the up-sets with k components carry
     atoms^k maps each, so each k that has up-sets comes as a group
-    (atoms^k, k, its components from ``upsets``, the shape's ``_upsets``),
-    after the tuple of the first rank of each group.
+    (atoms^k, k, its components from ``upsets``, the domain's ``_upsets``),
+    after the tuple of the first rank of each group.  Built each time a
+    space is counted: a loop over at most a dozen groups.
     """
-    key = (shape, atoms)
-    got = _RANKS.get(key)
-    if got is None:
-        starts, groups, n = [], [], 0
-        for k, (ups, comps) in enumerate(upsets):
-            if ups:
-                starts.append(n)
-                groups.append((atoms**k, k, comps))
-                n += len(ups) * atoms**k
-        got = _RANKS[key] = (n, tuple(starts), tuple(groups))
-    return got
+    starts, groups, n = [], [], 0
+    for k, (ups, comps) in enumerate(upsets):
+        if ups:
+            starts.append(n)
+            groups.append((atoms**k, k, comps))
+            n += len(ups) * atoms**k
+    return (n, tuple(starts), tuple(groups))
 
 
 def _wire_ranks(dom: Signature, cod: Signature, budget: int) -> list[tuple]:
     """``_ranks`` of each codomain wire.  Only the domain's shape and each
     wire's atom count are read: the codomain's points are never listed."""
-    shape = _shape(dom)
-    ups = _upsets(shape, _Budget(budget, dom, cod)) if cod.wires else ()
-    return [_ranks(shape, len(base.values), ups) for base in cod.wires]
+    ups = _upsets(_shape(dom), _Budget(budget, dom, cod)) if cod.wires else ()
+    return [_ranks(len(base.values), ups) for base in cod.wires]
 
 
 def count_monotone(dom: Signature, cod: Signature, budget: int = _BUDGET) -> int:

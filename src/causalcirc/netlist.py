@@ -256,6 +256,7 @@ class _Parser:
         self.env: dict[str, tuple[object, BaseType]] = {}
         self.nodes: list = []
         self.node_inputs: list[tuple] = []
+        self.repeated: _Sem | None = None  # the first repeated keyword, see read_expr
 
     # -- token plumbing --------------------------------------------------
 
@@ -302,26 +303,19 @@ class _Parser:
             raise _Sem(tok, f"{name!r} is already in use")
         return name
 
-    def typeref(self) -> BaseType:
+    def typeref(self) -> BaseType | None:
+        """A type name; an unknown one is recorded and read as None."""
         tok = self.expect("IDENT", "a type name")
         base = self.types.get(tok[1])
         if base is None:
-            raise _Sem(tok, f"unknown type {tok[1]!r}")
+            self.errors.append((*tok[2:], f"unknown type {tok[1]!r}"))
         return base
 
-    def typeref_or_none(self) -> BaseType | None:
-        """A type name; an unknown one is recorded and read as None."""
-        try:
-            return self.typeref()
-        except _Sem as e:
-            self.errors.append(e.pos)
-            return None
-
-    def typed_name(self, what: str, typeref) -> tuple[Token, BaseType | None]:
-        """``name: type``, the type read by ``typeref``."""
+    def typed_name(self, what: str) -> tuple[Token, BaseType | None]:
+        """``name: type``; the type is None when unknown."""
         name_tok = self.expect("IDENT", what)
         self.expect(":")
-        return name_tok, typeref()
+        return name_tok, self.typeref()
 
     # -- top level -------------------------------------------------------
 
@@ -381,13 +375,11 @@ class _Parser:
         self.advance()
         name_tok = self.expect("IDENT", "a gate name")
         self.expect("(")
-        params = self.comma_list(
-            lambda: self.typed_name("a parameter name", self.typeref_or_none), ")"
-        )
+        params = self.comma_list(lambda: self.typed_name("a parameter name"), ")")
         self.expect(")")
         self.expect("->")
         self.expect("(")
-        outs = self.comma_list(self.typeref_or_none, ")")
+        outs = self.comma_list(self.typeref, ")")
         self.expect(")")
         strict = False
         if self.at_word("strict"):
@@ -524,10 +516,10 @@ class _Parser:
         if after == "IDENT" and self.kind(2) == ":":
             if tok[1] in ("in", "out"):
                 is_in = self.advance()[1] == "in"
-                ports = self.comma_list(
-                    lambda: self.typed_name("a port name", self.typeref)
-                )
+                ports = self.comma_list(lambda: self.typed_name("a port name"))
                 for name_tok, base in ports:
+                    if base is None:
+                        continue
                     name = self.fresh_name(name_tok, "port")
                     if is_in:
                         self.env[name] = (SrcIn(len(self.ins)), base)
@@ -537,7 +529,9 @@ class _Parser:
                 return
             if tok[1] == "loop":
                 self.advance()
-                name_tok, base = self.typed_name("a wire name", self.typeref)
+                name_tok, base = self.typed_name("a wire name")
+                if base is None:
+                    return
                 name = self.fresh_name(name_tok, "feedback wire")
                 self.env[name] = (SrcLoop(len(self.loops)), base)
                 self.loops[name] = [f"feedback wire {name!r}", base, name_tok, None]
@@ -549,7 +543,7 @@ class _Parser:
             if after == "=":
                 name_tok = self.advance()
                 self.advance()
-                ast = _run(self.expr_ast())
+                ast = self.read_expr()
                 try:
                     self.bind(
                         name_tok,
@@ -561,7 +555,7 @@ class _Parser:
                     raise
                 return
             if self.at_call():
-                _run(self.build_call(_run(self.expr_ast())))
+                _run(self.build_call(self.read_expr()))
                 return
         raise _at(tok, f"expected a statement, found {tok[1]!r}")
 
@@ -570,7 +564,7 @@ class _Parser:
         name_toks = self.comma_list(lambda: self.expect("IDENT", "a wire name"))
         self.expect(")")
         self.expect("=")
-        ast = _run(self.expr_ast())
+        ast = self.read_expr()
         if ast[0] != "call":
             tok = name_toks[0]
             raise _Sem(tok, "tuple assignment needs a gate call on the right")
@@ -646,6 +640,16 @@ class _Parser:
     def at_call(self) -> bool:
         return self.kind() == "IDENT" and self.kind(1) in ("(", "[")
 
+    def read_expr(self):
+        """One whole expression's AST.  A keyword argument repeated inside
+        it is raised only once the expression is read, so that the parse
+        goes on with the next statement."""
+        self.repeated = None
+        ast = _run(self.expr_ast())
+        if self.repeated is not None:
+            raise self.repeated
+        return ast
+
     def expr_ast(self):
         """One expression; each argument that is a call is yielded."""
         if not self.at_call():
@@ -669,9 +673,10 @@ class _Parser:
                 val_tok = self.advance()
                 if val_tok[0] != "BOT":
                     _literal(val_tok, None)  # any literal; typed when built
-                if kw_tok[1] in kwargs:
-                    raise _Sem(kw_tok, f"argument {kw_tok[1]!r} repeated")
-                kwargs[kw_tok[1]] = val_tok
+                if kw_tok[1] not in kwargs:
+                    kwargs[kw_tok[1]] = val_tok
+                elif self.repeated is None:
+                    self.repeated = _Sem(kw_tok, f"argument {kw_tok[1]!r} repeated")
             elif self.at_call():
                 args.append((yield self.expr_ast()))
             else:

@@ -20,11 +20,9 @@ from causalcirc.domain import (
     CapError,
     MonotoneFn,
     UNIT,
-    lfp,
     local_lfp,
     sig,
     trace,
-    tuple_leq,
 )
 from causalcirc import laws
 from causalcirc.laws import (
@@ -804,6 +802,20 @@ def test_the_caller_runs_alone_while_other_threads_run(monkeypatch):
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive() and not forks
+
+
+def test_workers_count_every_cpu_where_there_is_no_cpu_affinity(monkeypatch):
+    # Only ``_workers`` runs: the fork stand-in fails the test if called.
+    def no_fork():
+        raise AssertionError("nothing may be forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert laws._workers(LawConfig()) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert laws._workers(LawConfig()) == 3
 
 
 @needs_workers

@@ -299,6 +299,7 @@ NEVER = (1, 9, "output 'y' is never assigned")
 NEVER2 = (2, 9, "output 'y' is never assigned")  # after one declaration
 NEVER5 = (5, 9, "output 'y' is never assigned")  # after GATE
 REPEATED = "gate g(a: bool, a: bool) -> (bool) {\n  (0, 0) -> (1)\n}\n"
+UNKNOWN_ZZ = "unknown wire 'zz' (forward references need a loop wire)"
 
 DIAGNOSTICS = {
     # every site that reads a literal
@@ -442,6 +443,86 @@ DIAGNOSTICS = {
     "no circuit": ("type t = { a }\n", [(2, 1, "no circuit block in file")]),
     "declaration after the circuit": (_main("  y = x") + GATE % 2, [
         (7, 11, "2 is not a value of type 'bool'"),
+    ]),
+    # an unknown type skips only its own port
+    "unknown type, first port": (_main("  y = z").replace("x: bool", "x: foo, z: bool"), [
+        (2, 9, "unknown type 'foo'"),
+    ]),
+    "unknown type, last port": (_main("  y = a").replace("x: bool", "a: bool, b: foo"), [
+        (2, 18, "unknown type 'foo'"),
+    ]),
+    "unknown type, output": (_main("  z = x").replace("y: bool", "y: foo, z: bool"), [
+        (3, 10, "unknown type 'foo'"),
+    ]),
+    "unknown type, feedback wire": (_main("  loop w: foo\n  y = x"), [
+        (4, 11, "unknown type 'foo'"),
+    ]),
+    # a repeated keyword fails only its own statement
+    "repeated keyword": (_main("  y = delay(x, init=0, init=1)\n  q = zz"), [
+        (4, 24, "argument 'init' repeated"), (5, 7, UNKNOWN_ZZ), NEVER,
+    ]),
+    "repeated keyword, nested": (_main("  y = not(delay(x, init=0, init=1))\n  q = zz"), [
+        (4, 28, "argument 'init' repeated"), (5, 7, UNKNOWN_ZZ), NEVER,
+    ]),
+    # declarations
+    "row repeated": (_main("  y = g(x)", (GATE % 1).replace("(1) ->", "(0) ->")), [
+        (3, 3, "row repeated"),
+    ]),
+    "builtin gate name": (_main("  y = x", "gate not(a: bool) -> (bool) {\n}\n"), [
+        (1, 6, "'not' is a builtin name"),
+    ]),
+    "not a declaration": (_main("  y = x", "wire w\n"), [
+        (1, 1, "expected type, gate, or circuit, found 'wire'"),
+    ]),
+    "unknown parameter type": (_main("  y = x", "gate g(a: foo) -> (bool) {\n}\n"), [
+        (1, 11, "unknown type 'foo'"),
+    ]),
+    # calls that cannot be built
+    "tuple of a wire": (_main("  (a, b) = x\n  y = x"), [
+        (4, 4, "tuple assignment needs a gate call on the right"),
+    ]),
+    "two outputs": (_main("  y = dup(x)"), [
+        (4, 7, "'dup' has 2 outputs; use tuple assignment"), NEVER,
+    ]),
+    "unknown annotation": (_main("  y = mux[foo](x, x, x)"), [
+        (4, 11, "unknown type 'foo'"), NEVER,
+    ]),
+    "const untyped": (_main("  y = const(1)"), [
+        (4, 7, "const needs a type: const[type](value)"), NEVER,
+    ]),
+    "const empty": (_main("  y = const[bool]()"), [
+        (4, 7, "const takes exactly one literal value"), NEVER,
+    ]),
+    "const of a call": (_main("  y = const[bool](not(x))"), [
+        (4, 7, "const takes exactly one literal value"), NEVER,
+    ]),
+    "min not an integer": (_main("  y = vardelay(x, 0, min=a, max=1)"), [
+        (4, 26, "min must be an integer"), NEVER,
+    ]),
+    "delay keyword": (_main("  y = delay(x, foo=1)"), [
+        (4, 7, "delay takes no 'foo' argument"), NEVER,
+    ]),
+    "delay arity": (_main("  y = delay(x, x)"), [
+        (4, 7, "delay takes one wire argument"), NEVER,
+    ]),
+    "vardelay keyword": (_main("  y = vardelay(x, 0, min=0, max=1, foo=1)"), [
+        (4, 7, "vardelay takes no 'foo' argument"), NEVER,
+    ]),
+    "vardelay arity": (_main("  y = vardelay(x, min=0, max=1)"), [
+        (4, 7, "vardelay takes a data wire and a delay wire"), NEVER,
+    ]),
+    "vardelay range": (_main("  y = vardelay(x, 0, min=2, max=1)"), [
+        (4, 7, "bad delay range 2..1"), NEVER,
+    ]),
+    # syntax errors
+    "expression expected": (_main("  y = not(x, ,)"), [
+        (4, 14, "expected an expression, found ','"),
+    ]),
+    "unclosed circuit": ("circuit main {\n  in x: bool\n  out y: bool\n  y = x\n", [
+        (5, 1, "expected }, found end of file"),
+    ]),
+    "collected then fatal": (_main("  y = zz\n  y = )"), [
+        (4, 7, UNKNOWN_ZZ), (5, 7, "expected an expression, found ')'"),
     ]),
 }
 

@@ -128,6 +128,6 @@ def test_netlist_fuzz_pins_the_default_run():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "6000 mutants: 47 parsed, 5953 NetlistError, 0 other",
-        "sha256 658c18158bb395923543fcd6a6e6a31251ce282d4977e625c6dca6a484964f48",
-        "sha256 ascii bc1344d6340c1cf4174ad214b0feca147eec454caf00b63a17a14d820d66dd5a",
+        "sha256 8bb603f604a680878e762fef3d89ddcdb6e12f034fff43770c156766b5da6e30",
+        "sha256 ascii a34701ed8ae89525fc26704c6b0e4ab302027870855ea39911f7302e8211d928",
     ]

@@ -89,21 +89,15 @@ _add_wires = partial(reduce, partial(map, operator.add))
 # only.  What is memoized depends only on the number of atoms of each wire.
 
 
-@dataclass(frozen=True)
-class _Poset:
-    """The pointwise order of a lifted domain: bit j of ``below[i]`` is set
-    when point j lies strictly below point i, and likewise for ``above``."""
-
-    below: tuple[int, ...]
-    above: tuple[int, ...]
-
-
 def _shape(s: Signature) -> tuple[int, ...]:
     return tuple(len(b.values) for b in s.wires)
 
 
 @lru_cache(maxsize=None)
-def _poset(shape: tuple[int, ...]) -> _Poset:
+def _poset(shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pointwise order of a lifted domain, as ``(below, above)``: bit j
+    of ``below[i]`` is set when point j lies strictly below point i, and
+    likewise for ``above``."""
     points = list(itertools.product(*[range(k + 1) for k in shape]))
     below = [0] * len(points)
     above = [0] * len(points)
@@ -112,7 +106,7 @@ def _poset(shape: tuple[int, ...]) -> _Poset:
             if all(x == 0 or x == y for x, y in zip(points[j], hi)):
                 below[i] |= 1 << j
                 above[j] |= 1 << i
-    return _Poset(tuple(below), tuple(above))
+    return tuple(below), tuple(above)
 
 
 class _Points:
@@ -181,7 +175,7 @@ def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
         budget.spend(got[1])
         return got[0]
     left = budget.left
-    above = _poset(shape).above
+    above = _poset(shape)[1]
     groups: list[list[int]] = []
     parts: list[list[int]] = []
     stack = [(len(above) - 1, 0, ())]
@@ -255,7 +249,7 @@ def _wire_maps(
     lexicographic order of their rows, bottom before the atoms.  Each row is
     its value's position in the lifted wire (bottom is 0) times ``stride``.
     """
-    below = _poset(shape).below
+    below = _poset(shape)[0]
     n = len(below)
     free = tuple(range(atoms + 1))
     atom_ids = free[1:]
@@ -350,12 +344,6 @@ class _Space:
         """The function with this flat table, with its graph as ``table``."""
         table = dict(zip(self.dom.points, map(self.cod.points.__getitem__, flat)))
         return MonotoneFn(self.dom.sig, self.cod.sig, table.__getitem__, "", table)
-
-    def table_str(self, flat: tuple[int, ...]) -> str:
-        values = self.cod.points
-        return "{" + ", ".join(
-            f"{p!r}: {values[j]!r}" for p, j in zip(self.dom.points, flat)
-        ) + "}"
 
 
 def enumerate_monotone(
@@ -511,7 +499,7 @@ class SweepResult:
 def _tables(spaces: list[_Space], fns) -> str:
     """The drawn functions of a case, as a counterexample names them."""
     return ", ".join(
-        f"{n}={sp.table_str(F)}" for n, sp, F in zip("fg", spaces, fns)
+        f"{n}={sp.fn(F).table!r}" for n, sp, F in zip("fg", spaces, fns)
     )
 
 
@@ -607,7 +595,7 @@ def _operator(mu: Mu, ctx: Signature, loop: Signature):
     numbered by the domain's point index and sent to the point of ``loop``
     the table numbers there, and returns the solve.  No dict is built: the
     law sweeps hand the operator tens of thousands of these, each called
-    only a few times."""
+    only a few times; ``_solver`` builds its calls here too."""
     dom, split, lp = _indexed(ctx + loop), len(ctx), _indexed(loop)
     dsig, lsig, index, points = dom.sig, lp.sig, dom.index, lp.points
     return lambda flat: mu(
@@ -616,19 +604,18 @@ def _operator(mu: Mu, ctx: Signature, loop: Signature):
 
 
 def _solver(mu: Mu, ctx: Signature, loop: Signature):
-    """``_operator``, with its solve read at each point of ``ctx`` and each
-    value numbered among ``loop``'s points; it is written out again, not
-    called, as it runs once per operator call.  A value that is not one of
-    them fails the case; it is solved again to be reported."""
-    dom, split, lp, at = _indexed(ctx + loop), len(ctx), _indexed(loop), _indexed(ctx).points
-    dsig, lsig, index, points, num = dom.sig, lp.sig, dom.index, lp.points, lp.index.get
+    """``_operator``'s solve, read at each point of ``ctx``, with each value
+    numbered among ``loop``'s points.  A value that is not one of them
+    fails the case; it is solved again to be reported."""
+    op, lp, at = _operator(mu, ctx, loop), _indexed(loop), _indexed(ctx).points
+    num = lp.index.get
 
     def solve(flat) -> list[int]:
-        fn = mu(MonotoneFn(dsig, lsig, lambda t: points[flat[index[t]]]), split).fn
+        fn = op(flat)
         nums = list(map(num, map(fn, at)))
         if None in nums:
             a = at[nums.index(None)]
-            raise _OffLoop(f"mu value {fn(a)!r} at context {a!r} is not a value of {lsig!r}")
+            raise _OffLoop(f"mu value {fn(a)!r} at context {a!r} is not a value of {lp.sig!r}")
         return nums
 
     return solve
@@ -660,7 +647,7 @@ def _loop_parts(whole: _Points, loop: _Points) -> tuple:
 def _fixpoint(cfg: LawConfig, spaces, a_sig, x_sig):
     a_pts, x_pts = _indexed(a_sig).points, _indexed(x_sig).points
     nx = len(x_pts)
-    up = [m | 1 << i for i, m in enumerate(_poset(_shape(x_sig)).above)]
+    up = [m | 1 << i for i, m in enumerate(_poset(_shape(x_sig))[1])]
     solve = _solver(cfg.mu, a_sig, x_sig)
 
     def case(F) -> str | None:

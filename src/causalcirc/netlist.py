@@ -242,15 +242,16 @@ class _Parser:
         self.toks = tokenize(text)
         self.toks += self.toks[-1:] * 2  # EOF for every lookahead of peek
         self.pos = 0
-        self.types: dict[str, BaseType] = {"bool": BOOL}
+        self.types: dict[str, BaseType | None] = {"bool": BOOL}  # None: broken
         self.gates: dict[str, GateDef | None] = {}  # None: a broken declaration
         self.errors: list[tuple[int, int, str]] = []
         # Circuit under construction.  Each output and feedback wire, in
         # declaration order, is one record [label, type, declaring token,
         # source or None]; ``env`` holds what each readable name reads: an
         # input, a wire, a feedback wire from its declaration on, and an
-        # output once it is assigned.
-        self.ins: dict[str, BaseType] = {}
+        # output once it is assigned.  An input or feedback wire of a broken
+        # type has type None and reads ``_REFUSED``.
+        self.ins: dict[str, BaseType | None] = {}
         self.outs: dict[str, list] = {}
         self.loops: dict[str, list] = {}
         self.env: dict[str, tuple[object, BaseType]] = {}
@@ -304,15 +305,15 @@ class _Parser:
         return name
 
     def typeref(self) -> BaseType | None:
-        """A type name; an unknown one is recorded and read as None."""
+        """A type name; an unknown one is recorded and read as None, and a
+        broken one is read as None silently."""
         tok = self.expect("IDENT", "a type name")
-        base = self.types.get(tok[1])
-        if base is None:
+        if tok[1] not in self.types:
             self.errors.append((*tok[2:], f"unknown type {tok[1]!r}"))
-        return base
+        return self.types.get(tok[1])
 
     def typed_name(self, what: str) -> tuple[Token, BaseType | None]:
-        """``name: type``; the type is None when unknown."""
+        """``name: type``; the type is None when unknown or broken."""
         name_tok = self.expect("IDENT", what)
         self.expect(":")
         return name_tok, self.typeref()
@@ -369,6 +370,8 @@ class _Parser:
         if fault is None:
             self.types[name] = BaseType(name, tuple(values))
         else:
+            # declared, but broken, as a refused gate is (``bool`` stays)
+            self.types.setdefault(name, None)
             self.errors.append((*fault[0][2:], fault[1]))
 
     def gate_decl(self) -> None:
@@ -491,8 +494,8 @@ class _Parser:
                 if e.pos is not None:
                     self.errors.append(e.pos)
         self.expect("}")
-        for label, _, tok, src in self.loops.values():
-            if src is None:
+        for label, base, tok, src in self.loops.values():
+            if src is None and base is not None:
                 self.errors.append((*tok[2:], f"{label} is never closed"))
         for label, _, _, src in self.outs.values():
             if src is None:
@@ -513,29 +516,13 @@ class _Parser:
 
     def statement(self) -> None:
         tok, after = self.peek(), self.kind(1)
-        if after == "IDENT" and self.kind(2) == ":":
-            if tok[1] in ("in", "out"):
-                is_in = self.advance()[1] == "in"
-                ports = self.comma_list(lambda: self.typed_name("a port name"))
-                for name_tok, base in ports:
-                    if base is None:
-                        continue
-                    name = self.fresh_name(name_tok, "port")
-                    if is_in:
-                        self.env[name] = (SrcIn(len(self.ins)), base)
-                        self.ins[name] = base
-                    else:
-                        self.outs[name] = [f"output {name!r}", base, name_tok, None]
-                return
-            if tok[1] == "loop":
-                self.advance()
-                name_tok, base = self.typed_name("a wire name")
-                if base is None:
-                    return
-                name = self.fresh_name(name_tok, "feedback wire")
-                self.env[name] = (SrcLoop(len(self.loops)), base)
-                self.loops[name] = [f"feedback wire {name!r}", base, name_tok, None]
-                return
+        if after == "IDENT" and self.kind(2) == ":" and tok[1] in ("in", "out", "loop"):
+            kind = self.advance()[1]
+            if kind == "loop":
+                self.declare(kind)
+            else:
+                self.comma_list(lambda: self.declare(kind))
+            return
         if tok[0] == "(":
             self.tuple_assignment()
             return
@@ -558,6 +545,33 @@ class _Parser:
                 _run(self.build_call(self.read_expr()))
                 return
         raise _at(tok, f"expected a statement, found {tok[1]!r}")
+
+    def declare(self, kind: str) -> None:
+        """One ``name: type`` of an ``in``, ``out`` or ``loop`` statement.
+        The name is judged before its type is read, and a refused name
+        skips only itself.  An input or feedback wire of an unknown or
+        broken type is declared broken, so reading it fails silently."""
+        port = kind != "loop"
+        name_tok = self.expect("IDENT", "a port name" if port else "a wire name")
+        self.expect(":")
+        try:
+            name = self.fresh_name(name_tok, "port" if port else "feedback wire")
+        except _Sem as e:
+            self.errors.append(e.pos)
+            name = None
+        base = self.typeref()
+        if name is None:
+            return
+        if kind == "out":
+            if base is not None:
+                self.outs[name] = [f"output {name!r}", base, name_tok, None]
+            return
+        if kind == "in":
+            src, self.ins[name] = SrcIn(len(self.ins)), base
+        else:
+            src = SrcLoop(len(self.loops))
+            self.loops[name] = [f"feedback wire {name!r}", base, name_tok, None]
+        self.env[name] = _REFUSED if base is None else (src, base)
 
     def tuple_assignment(self) -> None:
         self.expect("(")
@@ -618,6 +632,10 @@ class _Parser:
         if src is not None:
             again = "closed twice" if name in self.loops else "assigned twice"
             raise _Sem(name_tok, f"{label} is {again}")
+        if want is None:  # a feedback wire of a broken type: check, then drop
+            sink[3] = _REFUSED
+            build(None)
+            return
         src, base = build(want)
         if base != want:
             raise _Sem(name_tok, f"{label} " + mismatch.format(want.name, base.name))
@@ -747,9 +765,11 @@ class _Parser:
         name = name_tok[1]
         ann = None
         if ann_tok is not None:
-            ann = self.types.get(ann_tok[1])
-            if ann is None:
+            if ann_tok[1] not in self.types:
                 raise _Sem(ann_tok, f"unknown type {ann_tok[1]!r}")
+            ann = self.types[ann_tok[1]]
+            if ann is None:
+                raise _Sem()  # a broken type, reported where it was declared
         if name == "delay":
             return (yield from self.build_delay(name_tok, args, kwargs))
         if name == "vardelay":

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -581,3 +582,52 @@ def test_the_exhaustive_cap_gives_one_hint(capsys, argv, space):
         f"error: {space} input traces exceed the budget of 200000; "
         "pass --samples N\n",
     )
+
+
+# -- the README's examples ------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_block(heading: str, lang: str) -> list[str]:
+    """The lines of the first ``lang`` code block after ``heading``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    after = text[text.index(f"\n{heading}\n"):]
+    start = after.index(f"```{lang}\n") + len(f"```{lang}\n")
+    return after[start:after.index("```", start)].splitlines()
+
+
+def test_readme_commands_print_what_the_readme_shows(capsys, monkeypatch):
+    # A command followed by "# " lines must print those lines first; one
+    # with no output lines (the long law sweep, the JSON dump) is not run.
+    monkeypatch.chdir(ROOT)
+    lines = _readme_block("## Command line", "sh") + [""]
+    ran = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("causalcirc "):
+            continue
+        shown = []
+        for nxt in lines[i + 1:]:
+            if not nxt.startswith("# "):
+                break
+            shown.append(nxt[2:])
+        if shown:
+            code, out, err = run(capsys, *shlex.split(line)[1:])
+            assert out.splitlines()[:len(shown)] == shown, (line, out, err)
+            ran += 1
+    assert ran == 3
+
+
+def test_readme_python_example_gives_what_its_comments_say(monkeypatch):
+    # Each "# -> X" comment is the repr of the call on its line.
+    monkeypatch.chdir(ROOT)
+    lines = _readme_block("## Python API", "python")
+    scope: dict = {}
+    exec("\n".join(lines), scope)
+    checked = 0
+    for line in lines:
+        code, sep, said = line.partition("# -> ")
+        if sep:
+            assert repr(eval(code, scope)) == said.split("  ")[0], line
+            checked += 1
+    assert checked == 2

@@ -228,7 +228,7 @@ def test_random_monotone_is_uniform_on_a_small_space():
 
 
 def _rejoin(shape, u: int) -> tuple:
-    above = _poset(shape).above
+    above = _poset(shape)[1]
     comps: tuple = ()
     for i in range(len(above) - 1, -1, -1):
         if u >> i & 1:

@@ -457,6 +457,39 @@ DIAGNOSTICS = {
     "unknown type, feedback wire": (_main("  loop w: foo\n  y = x"), [
         (4, 11, "unknown type 'foo'"),
     ]),
+    # a refused port name skips only itself, and is judged before its type
+    "reserved port name": (_main("  y = z").replace("x: bool", "not: bool, z: bool"), [
+        (2, 6, "'not' is reserved and cannot name a port"),
+    ]),
+    "repeated port name": (_main("  y = z").replace("x: bool", "x: bool, x: bool, z: bool"), [
+        (2, 15, "'x' is already in use"),
+    ]),
+    "reserved port name, unknown type": (
+        _main("  y = x").replace("x: bool", "dup: bool, x: bool, z: eq"), [
+            (2, 6, "'dup' is reserved and cannot name a port"), (2, 29, "unknown type 'eq'"),
+        ]),
+    # a refused type, or a port or feedback wire of an unknown type, is
+    # reported once, where it is declared
+    "refused type, port": (
+        _main("  y = x\n  q = id(w)", "type t = { a, a }\n").replace("x: bool", "x: bool, w: t"),
+        [(1, 6, "type 't' repeats a value")],
+    ),
+    "refused type, annotation": (_main("  y = mux[t](x, x, x)", "type t = { a, a }\n"), [
+        (1, 6, "type 't' repeats a value"),
+    ]),
+    "unknown type, port read": (_main("  y = not(z)").replace("x: bool", "x: bool, z: foo"), [
+        (2, 18, "unknown type 'foo'"),
+    ]),
+    "unknown type, feedback wire read": (_main("  loop w: foo\n  y = x\n  q = not(w)\n  w = x"), [
+        (4, 11, "unknown type 'foo'"),
+    ]),
+    "unknown type, port assigned": (
+        _main("  z = not(x)\n  y = x").replace("x: bool", "x: bool, z: foo"),
+        [(2, 18, "unknown type 'foo'"), (4, 3, "'z' is already in use")],
+    ),
+    "unknown type, feedback wire closed": (_main("  loop w: foo\n  y = x\n  w = not(zz)"), [
+        (4, 11, "unknown type 'foo'"), (6, 11, UNKNOWN_ZZ),
+    ]),
     # a repeated keyword fails only its own statement
     "repeated keyword": (_main("  y = delay(x, init=0, init=1)\n  q = zz"), [
         (4, 24, "argument 'init' repeated"), (5, 7, UNKNOWN_ZZ), NEVER,

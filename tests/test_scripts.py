@@ -116,8 +116,8 @@ def test_netlist_fuzz_raises_only_netlist_errors():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "300 mutants: 5 parsed, 295 NetlistError, 0 other",
-        "sha256 ed2ff011c2e80142a73a194e9db0068829883afd510859410bd5482dbaebcb70",
-        "sha256 ascii 60f8ae70db24387e005371677fc6833341262dfbd0c613b7096b824497f21ff7",
+        "sha256 6ed634312e26f8b361b621671cba306c54e0cf1f1fa02af6a21264372329f37f",
+        "sha256 ascii c9ea9fb51e724cbbd69554c04cfff94008d06f850de870c9d0d27df5409d828c",
     ]
 
 
@@ -128,6 +128,6 @@ def test_netlist_fuzz_pins_the_default_run():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "6000 mutants: 47 parsed, 5953 NetlistError, 0 other",
-        "sha256 8bb603f604a680878e762fef3d89ddcdb6e12f034fff43770c156766b5da6e30",
-        "sha256 ascii a34701ed8ae89525fc26704c6b0e4ab302027870855ea39911f7302e8211d928",
+        "sha256 b691ccdfdaea7fbab03ffc08cfd00ac4c2d870c32ae89983cf6bf0deb515171f",
+        "sha256 ascii d451fde0170d69b4a225ae012e81f56fbba089464c541f1bd55588759adb574c",
     ]

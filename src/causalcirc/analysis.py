@@ -43,17 +43,23 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 from .circuit import Circuit, UnitDelay, VarDelay, _value_json, is_contractive
 from .comb import propagator
-from .domain import BOT, CapError, Signature, SignatureError, check_enumerable
+from .domain import (
+    BOT,
+    CapError,
+    Record,
+    Signature,
+    SignatureError,
+    _set_field,
+    check_enumerable,
+)
 from .engine import PrefixTrace, random_rows
 from .gates import KIND_WIRING
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One failing input trace and the first bad cell it produces."""
 
     inputs: PrefixTrace
@@ -82,31 +88,51 @@ def _json_head(rep, check: str, verdict: str) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class TotalityReport:
+class TotalityReport(Record):
     """A bounded totality check's verdict, how it was reached, and any witness."""
 
     total: bool
     horizon: int
     strategy: str
     cases: int
-    witness: Witness | None = None
+    witness: Witness | None
+
+    def __init__(
+        self, total: bool, horizon: int, strategy: str, cases: int,
+        witness: Witness | None = None,
+    ) -> None:
+        _set_field(self, "total", total)
+        _set_field(self, "horizon", horizon)
+        _set_field(self, "strategy", strategy)
+        _set_field(self, "cases", cases)
+        _set_field(self, "witness", witness)
 
     def to_json(self) -> dict:
         return _json_head(self, "totality", "total")
 
 
-@dataclass(frozen=True)
-class EquivReport:
+class EquivReport(Record):
     """A bounded equivalence check's verdict, how, and any witness with both outputs."""
 
     equivalent: bool
     horizon: int
     strategy: str
     cases: int
-    witness: Witness | None = None
-    left: tuple = ()
-    right: tuple = ()
+    witness: Witness | None
+    left: tuple
+    right: tuple
+
+    def __init__(
+        self, equivalent: bool, horizon: int, strategy: str, cases: int,
+        witness: Witness | None = None, left: tuple = (), right: tuple = (),
+    ) -> None:
+        _set_field(self, "equivalent", equivalent)
+        _set_field(self, "horizon", horizon)
+        _set_field(self, "strategy", strategy)
+        _set_field(self, "cases", cases)
+        _set_field(self, "witness", witness)
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
 
     def to_json(self) -> dict:
         out = _json_head(self, "equivalence", "equivalent")

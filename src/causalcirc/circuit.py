@@ -14,40 +14,54 @@ circuits that contain delays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TypeAlias
 
-from .domain import BOT, BaseType, LValue, Signature, SignatureError, int_range
+from .domain import (
+    BOT,
+    BaseType,
+    LValue,
+    Record,
+    Signature,
+    SignatureError,
+    _set_field,
+    int_range,
+)
 from .gates import GateDef
 
 
-@dataclass(frozen=True)
-class SrcIn:
+class SrcIn(Record):
     """Value of a circuit input port."""
 
     index: int
 
+    def __init__(self, index: int) -> None:
+        _set_field(self, "index", index)
 
-@dataclass(frozen=True)
-class SrcNode:
+
+class SrcNode(Record):
     """Value of one output port of a node."""
 
     node: int
     port: int
 
+    def __init__(self, node: int, port: int) -> None:
+        _set_field(self, "node", node)
+        _set_field(self, "port", port)
 
-@dataclass(frozen=True)
-class SrcLoop:
+
+class SrcLoop(Record):
     """Value of a feedback wire."""
 
     index: int
+
+    def __init__(self, index: int) -> None:
+        _set_field(self, "index", index)
 
 
 Source: TypeAlias = "SrcIn | SrcNode | SrcLoop"
 
 
-@dataclass(frozen=True)
-class UnitDelay:
+class UnitDelay(Record):
     """One-tick delay: emits ``init`` at tick 0, then last tick's input.
 
     Like a gate it has ``dom``, ``cod`` and ``name``, and its ``depth`` is
@@ -56,13 +70,15 @@ class UnitDelay:
     """
 
     base: BaseType
-    init: LValue = BOT
+    init: LValue
 
     name = "delay"
     depth = 1
 
-    def __post_init__(self) -> None:
-        self.base.check_member(self.init)
+    def __init__(self, base: BaseType, init: LValue = BOT) -> None:
+        base.check_member(init)
+        _set_field(self, "base", base)
+        _set_field(self, "init", init)
 
     @property
     def dom(self) -> Signature:
@@ -74,8 +90,7 @@ class UnitDelay:
         return True
 
 
-@dataclass(frozen=True)
-class VarDelay:
+class VarDelay(Record):
     """Data-dependent delay: reads its input stream ``d`` ticks back.
 
     Input ports are (s, d).  A delay of 0 passes the current value through
@@ -87,24 +102,33 @@ class VarDelay:
     base: BaseType
     d_min: int
     d_max: int
-    init: LValue = BOT
-    d_base: BaseType | None = None
+    init: LValue
+    d_base: BaseType
 
     name = "vardelay"
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.d_min <= self.d_max:
+    def __init__(
+        self,
+        base: BaseType,
+        d_min: int,
+        d_max: int,
+        init: LValue = BOT,
+        d_base: BaseType | None = None,
+    ) -> None:
+        if not 0 <= d_min <= d_max:
+            raise SignatureError(f"bad delay range {d_min}..{d_max}; need 0 <= min <= max")
+        base.check_member(init)
+        if d_base is None:
+            d_base = int_range(d_min, d_max)
+        if d_base.values != tuple(range(d_min, d_max + 1)):
             raise SignatureError(
-                f"bad delay range {self.d_min}..{self.d_max}; need 0 <= min <= max"
+                f"d port type {d_base.name!r} must have values exactly {d_min}..{d_max}"
             )
-        self.base.check_member(self.init)
-        if self.d_base is None:
-            object.__setattr__(self, "d_base", int_range(self.d_min, self.d_max))
-        if self.d_base.values != tuple(range(self.d_min, self.d_max + 1)):
-            raise SignatureError(
-                f"d port type {self.d_base.name!r} must have values exactly "
-                f"{self.d_min}..{self.d_max}"
-            )
+        _set_field(self, "base", base)
+        _set_field(self, "d_min", d_min)
+        _set_field(self, "d_max", d_max)
+        _set_field(self, "init", init)
+        _set_field(self, "d_base", d_base)
 
     @property
     def dom(self) -> Signature:
@@ -153,26 +177,48 @@ def base_types(c: Circuit):
         yield from node.cod
 
 
-@dataclass(frozen=True)
-class LoopWire:
+class LoopWire(Record):
     """A feedback wire: carries ``src`` from this tick's fixed point back around."""
 
     base: BaseType
     src: Source
 
+    def __init__(self, base: BaseType, src: Source) -> None:
+        _set_field(self, "base", base)
+        _set_field(self, "src", src)
 
-@dataclass(frozen=True)
-class Circuit:
+
+class Circuit(Record):
     """Ports, nodes with their input sources, output sources and feedback wires."""
 
     in_ports: Signature
     out_ports: Signature
-    nodes: tuple[Node, ...] = ()
-    node_inputs: tuple[tuple[Source, ...], ...] = ()
-    outputs: tuple[Source, ...] = ()
-    loops: tuple[LoopWire, ...] = ()
-    in_names: tuple[str, ...] | None = None
-    out_names: tuple[str, ...] | None = None
+    nodes: tuple[Node, ...]
+    node_inputs: tuple[tuple[Source, ...], ...]
+    outputs: tuple[Source, ...]
+    loops: tuple[LoopWire, ...]
+    in_names: tuple[str, ...] | None
+    out_names: tuple[str, ...] | None
+
+    def __init__(
+        self,
+        in_ports: Signature,
+        out_ports: Signature,
+        nodes: tuple[Node, ...] = (),
+        node_inputs: tuple[tuple[Source, ...], ...] = (),
+        outputs: tuple[Source, ...] = (),
+        loops: tuple[LoopWire, ...] = (),
+        in_names: tuple[str, ...] | None = None,
+        out_names: tuple[str, ...] | None = None,
+    ) -> None:
+        _set_field(self, "in_ports", in_ports)
+        _set_field(self, "out_ports", out_ports)
+        _set_field(self, "nodes", nodes)
+        _set_field(self, "node_inputs", node_inputs)
+        _set_field(self, "outputs", outputs)
+        _set_field(self, "loops", loops)
+        _set_field(self, "in_names", in_names)
+        _set_field(self, "out_names", out_names)
 
     def has_delays(self) -> bool:
         return any(isinstance(n, (UnitDelay, VarDelay)) for n in self.nodes)
@@ -205,8 +251,7 @@ def _source_base(c: Circuit, src: Source) -> BaseType | None:
     return wires[i] if 0 <= i < len(wires) else None
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One fault found in a circuit: the part it is in and what is wrong."""
 
     where: str

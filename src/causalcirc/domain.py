@@ -12,8 +12,9 @@ stabilize within k+1 steps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterator, TypeAlias
 
 
@@ -25,11 +26,9 @@ class _Bottom:
     def __repr__(self) -> str:
         return "_"
 
-    def __copy__(self) -> "_Bottom":
-        return self
-
-    def __deepcopy__(self, memo) -> "_Bottom":
-        return self
+    def __reduce__(self) -> str:
+        # By reference: pickle, copy and deepcopy all hand back ``BOT``.
+        return "BOT"
 
 
 BOT = _Bottom()
@@ -59,12 +58,96 @@ class DivergenceError(RuntimeError):
     """
 
 
+# How a record's ``__init__`` stores a field.  A write into ``self.__dict__``
+# would be faster, but it turns the instance's inline values into a dict, on
+# which every later attribute read takes about three times as long.
+_set_field = object.__setattr__
+
+
+class Record:
+    """A frozen record that behaves as a frozen dataclass, built without
+    generating code for each class.
+
+    A subclass's fields are its own annotated class attributes, in order;
+    a field's class attribute, if it has one, is its default.  A record's
+    ``__dict__`` holds its fields in order and whatever ``cached_property``
+    or ``object.__setattr__`` stash there later, so ``vars``, pickle and
+    copy see what they saw of a dataclass.  Records are equal when they
+    are of one class with equal fields, and hash and print as a frozen
+    dataclass does; assigning or deleting an attribute raises
+    FrozenInstanceError.  The ``__init__`` here binds arguments as a
+    dataclass's does and then runs ``__post_init__``.  Records built in
+    bulk write their own, storing each field with ``_set_field``, which
+    takes about half the time.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        # The fields as a tuple, a 1-tuple too, as a dataclass compares
+        # and hashes them.
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for f, value in zip(self._fields, args):
+            _set_field(self, f, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from the arguments and defaults."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, {len(args)} given")
+        values = list(args)
+        for f in fields[len(args):]:
+            if f in kwargs:
+                values.append(kwargs.pop(f))
+            elif f in cls._defaults:
+                values.append(cls._defaults[f])
+            else:
+                raise TypeError(f"{name}() missing argument {f!r}")
+        if kwargs:
+            f = next(iter(kwargs))
+            why = "multiple values for" if f in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {why} argument {f!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        """The checks a record runs once the generic ``__init__`` has
+        stored its fields; none by default."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 # The exact types of atoms; a subclass such as bool is not one.
 _ATOM_TYPES = (int, str)
 
 
-@dataclass(frozen=True)
-class BaseType:
+class BaseType(Record):
     """A finite, ordered universe of concrete values a wire may carry."""
 
     name: str
@@ -120,11 +203,13 @@ def is_int_range(base: BaseType) -> bool:
     return all(isinstance(a, int) for a in v) and v == tuple(range(v[0], v[-1] + 1))
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """An ordered list of wire base types; the shape of a value tuple."""
 
-    wires: tuple[BaseType, ...] = ()
+    wires: tuple[BaseType, ...]
+
+    def __init__(self, wires: tuple[BaseType, ...] = ()) -> None:
+        _set_field(self, "wires", wires)
 
     def __len__(self) -> int:
         return len(self.wires)

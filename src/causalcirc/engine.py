@@ -14,21 +14,21 @@ first n input rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .circuit import Circuit
 from .comb import propagator
 from .domain import (
     BOT,
     LValue,
+    Record,
     Signature,
     SignatureError,
     WireTuple,
+    _set_field,
 )
 
 
-@dataclass(frozen=True)
-class PrefixTrace:
+class PrefixTrace(Record):
     """A finite run of wire tuples, one per tick."""
 
     signature: Signature
@@ -57,8 +57,7 @@ def bot_trace(signature: Signature, ticks: int) -> PrefixTrace:
     return PrefixTrace(signature, ((BOT,) * len(signature),) * ticks)
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(Record):
     """Committed delay history after ``t`` ticks.
 
     ``histories`` is the committed delay history, one flat tuple laid out
@@ -68,7 +67,12 @@ class SimState:
 
     circuit: Circuit
     histories: tuple[LValue, ...]
-    t: int = 0
+    t: int
+
+    def __init__(self, circuit: Circuit, histories: tuple[LValue, ...], t: int = 0) -> None:
+        _set_field(self, "circuit", circuit)
+        _set_field(self, "histories", histories)
+        _set_field(self, "t", t)
 
 
 def initial_state(c: Circuit) -> SimState:

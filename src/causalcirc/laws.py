@@ -67,6 +67,7 @@ from .domain import (
     CapError,
     MonotoneFn,
     Mu,
+    Record,
     Signature,
     UNIT,
     local_lfp,
@@ -447,8 +448,7 @@ class LawConfig:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A case a law fails: the law, its combo, and what went wrong there."""
 
     law: str
@@ -459,8 +459,7 @@ class Counterexample:
         return f"{self.law} fails at {self.combo}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ComboResult:
+class ComboResult(Record):
     """One combo of a law's sweep: how it was swept, its cases, any failure."""
 
     combo: str
@@ -473,8 +472,7 @@ class ComboResult:
         return {**vars(self), "counterexample": None if cx is None else str(cx)}
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """A law's sweep: the result of each of its combos, in order."""
 
     law: str

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -26,8 +27,10 @@ from causalcirc.domain import (
     trace,
     tuple_leq,
 )
-from causalcirc.circuit import compose, from_gate, tensor
+from causalcirc.analysis import Witness
+from causalcirc.circuit import UnitDelay, compose, from_gate, tensor
 from causalcirc.comb import denote
+from causalcirc.engine import PrefixTrace
 from causalcirc.gates import not_gate, por, table_gate
 from causalcirc.laws import enumerate_monotone, random_monotone
 from causalcirc.netlist import NetlistError, parse_netlist
@@ -45,6 +48,17 @@ def test_bot_is_a_singleton():
     assert copy.copy(BOT) is BOT
     assert copy.deepcopy(BOT) is BOT
     assert repr(BOT) == "_"
+
+
+def test_bot_survives_pickling():
+    # Pickled by reference, so what holds a bottom cell still equals itself
+    # after a trip through a law worker's pipe.
+    trace = PrefixTrace(B, ((0,), (BOT,)))
+    for x in (BOT, trace, UnitDelay(BOOL), Witness(trace, 1, 0)):
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and repr(back) == repr(x)
+    assert pickle.loads(pickle.dumps(BOT)) is BOT
+    assert pickle.loads(pickle.dumps(trace)).rows[1][0] is BOT
 
 
 def test_leq_on_lifted_bool():

@@ -109,6 +109,25 @@ def test_law_cost_pins_each_laws_cases():
     assert int(run.split()[-2]) >= 1 and run.split()[-1] == "workers"
 
 
+def test_cold_start_reports_each_command_and_module():
+    proc = run_script("scripts/cold_start.py", "--runs", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("bytecode: ")
+    assert lines[1].split() == ["command", "ms", "q1", "q3", "(2", "runs)"]
+    rows = [line.split() for line in lines[2:6]]
+    assert [row[0] for row in rows] == ["python", "setup", "sim", "check"]
+    for _, med, q1, q3 in rows:
+        assert 0 < float(q1) <= float(med) <= float(q3)
+    assert lines[6].split() == ["module", "self", "ms"]
+    # The package and the modules the benchmark's set-up imports, gates
+    # among them; cli and random_circuits are not imported.
+    layers = "analysis circuit comb domain engine gates laws netlist streams".split()
+    modules = sorted(line.split()[0] for line in lines[7:-1])
+    assert modules == ["causalcirc"] + [f"causalcirc.{m}" for m in layers]
+    assert lines[-1].split()[0] == "sum"
+
+
 def test_netlist_fuzz_raises_only_netlist_errors():
     # The digests pin every mutant's diagnostics and canonical print, so a
     # front-end change that moves any of them fails here.

@@ -46,15 +46,7 @@ import random
 
 from .circuit import Circuit, UnitDelay, VarDelay, _value_json, is_contractive
 from .comb import propagator
-from .domain import (
-    BOT,
-    CapError,
-    Record,
-    Signature,
-    SignatureError,
-    _set_field,
-    check_enumerable,
-)
+from .domain import BOT, CapError, Record, Signature, SignatureError, check_enumerable
 from .engine import PrefixTrace, random_rows
 from .gates import KIND_WIRING
 
@@ -95,17 +87,7 @@ class TotalityReport(Record):
     horizon: int
     strategy: str
     cases: int
-    witness: Witness | None
-
-    def __init__(
-        self, total: bool, horizon: int, strategy: str, cases: int,
-        witness: Witness | None = None,
-    ) -> None:
-        _set_field(self, "total", total)
-        _set_field(self, "horizon", horizon)
-        _set_field(self, "strategy", strategy)
-        _set_field(self, "cases", cases)
-        _set_field(self, "witness", witness)
+    witness: Witness | None = None
 
     def to_json(self) -> dict:
         return _json_head(self, "totality", "total")
@@ -118,21 +100,9 @@ class EquivReport(Record):
     horizon: int
     strategy: str
     cases: int
-    witness: Witness | None
-    left: tuple
-    right: tuple
-
-    def __init__(
-        self, equivalent: bool, horizon: int, strategy: str, cases: int,
-        witness: Witness | None = None, left: tuple = (), right: tuple = (),
-    ) -> None:
-        _set_field(self, "equivalent", equivalent)
-        _set_field(self, "horizon", horizon)
-        _set_field(self, "strategy", strategy)
-        _set_field(self, "cases", cases)
-        _set_field(self, "witness", witness)
-        _set_field(self, "left", left)
-        _set_field(self, "right", right)
+    witness: Witness | None = None
+    left: tuple = ()
+    right: tuple = ()
 
     def to_json(self) -> dict:
         out = _json_head(self, "equivalence", "equivalent")

@@ -16,16 +16,7 @@ from __future__ import annotations
 import json
 from typing import TypeAlias
 
-from .domain import (
-    BOT,
-    BaseType,
-    LValue,
-    Record,
-    Signature,
-    SignatureError,
-    _set_field,
-    int_range,
-)
+from .domain import BOT, BaseType, LValue, Record, Signature, SignatureError, int_range
 from .gates import GateDef
 
 
@@ -34,9 +25,6 @@ class SrcIn(Record):
 
     index: int
 
-    def __init__(self, index: int) -> None:
-        _set_field(self, "index", index)
-
 
 class SrcNode(Record):
     """Value of one output port of a node."""
@@ -44,18 +32,11 @@ class SrcNode(Record):
     node: int
     port: int
 
-    def __init__(self, node: int, port: int) -> None:
-        _set_field(self, "node", node)
-        _set_field(self, "port", port)
-
 
 class SrcLoop(Record):
     """Value of a feedback wire."""
 
     index: int
-
-    def __init__(self, index: int) -> None:
-        _set_field(self, "index", index)
 
 
 Source: TypeAlias = "SrcIn | SrcNode | SrcLoop"
@@ -70,15 +51,13 @@ class UnitDelay(Record):
     """
 
     base: BaseType
-    init: LValue
+    init: LValue = BOT
 
     name = "delay"
     depth = 1
 
-    def __init__(self, base: BaseType, init: LValue = BOT) -> None:
-        base.check_member(init)
-        _set_field(self, "base", base)
-        _set_field(self, "init", init)
+    def __post_init__(self) -> None:
+        self.base.check_member(self.init)
 
     @property
     def dom(self) -> Signature:
@@ -102,33 +81,24 @@ class VarDelay(Record):
     base: BaseType
     d_min: int
     d_max: int
-    init: LValue
-    d_base: BaseType
+    init: LValue = BOT
+    d_base: BaseType | None = None
 
     name = "vardelay"
 
-    def __init__(
-        self,
-        base: BaseType,
-        d_min: int,
-        d_max: int,
-        init: LValue = BOT,
-        d_base: BaseType | None = None,
-    ) -> None:
-        if not 0 <= d_min <= d_max:
-            raise SignatureError(f"bad delay range {d_min}..{d_max}; need 0 <= min <= max")
-        base.check_member(init)
-        if d_base is None:
-            d_base = int_range(d_min, d_max)
-        if d_base.values != tuple(range(d_min, d_max + 1)):
+    def __post_init__(self) -> None:
+        if not 0 <= self.d_min <= self.d_max:
             raise SignatureError(
-                f"d port type {d_base.name!r} must have values exactly {d_min}..{d_max}"
+                f"bad delay range {self.d_min}..{self.d_max}; need 0 <= min <= max"
             )
-        _set_field(self, "base", base)
-        _set_field(self, "d_min", d_min)
-        _set_field(self, "d_max", d_max)
-        _set_field(self, "init", init)
-        _set_field(self, "d_base", d_base)
+        self.base.check_member(self.init)
+        if self.d_base is None:
+            object.__setattr__(self, "d_base", int_range(self.d_min, self.d_max))
+        if self.d_base.values != tuple(range(self.d_min, self.d_max + 1)):
+            raise SignatureError(
+                f"d port type {self.d_base.name!r} must have values exactly "
+                f"{self.d_min}..{self.d_max}"
+            )
 
     @property
     def dom(self) -> Signature:
@@ -183,42 +153,18 @@ class LoopWire(Record):
     base: BaseType
     src: Source
 
-    def __init__(self, base: BaseType, src: Source) -> None:
-        _set_field(self, "base", base)
-        _set_field(self, "src", src)
-
 
 class Circuit(Record):
     """Ports, nodes with their input sources, output sources and feedback wires."""
 
     in_ports: Signature
     out_ports: Signature
-    nodes: tuple[Node, ...]
-    node_inputs: tuple[tuple[Source, ...], ...]
-    outputs: tuple[Source, ...]
-    loops: tuple[LoopWire, ...]
-    in_names: tuple[str, ...] | None
-    out_names: tuple[str, ...] | None
-
-    def __init__(
-        self,
-        in_ports: Signature,
-        out_ports: Signature,
-        nodes: tuple[Node, ...] = (),
-        node_inputs: tuple[tuple[Source, ...], ...] = (),
-        outputs: tuple[Source, ...] = (),
-        loops: tuple[LoopWire, ...] = (),
-        in_names: tuple[str, ...] | None = None,
-        out_names: tuple[str, ...] | None = None,
-    ) -> None:
-        _set_field(self, "in_ports", in_ports)
-        _set_field(self, "out_ports", out_ports)
-        _set_field(self, "nodes", nodes)
-        _set_field(self, "node_inputs", node_inputs)
-        _set_field(self, "outputs", outputs)
-        _set_field(self, "loops", loops)
-        _set_field(self, "in_names", in_names)
-        _set_field(self, "out_names", out_names)
+    nodes: tuple[Node, ...] = ()
+    node_inputs: tuple[tuple[Source, ...], ...] = ()
+    outputs: tuple[Source, ...] = ()
+    loops: tuple[LoopWire, ...] = ()
+    in_names: tuple[str, ...] | None = None
+    out_names: tuple[str, ...] | None = None
 
     def has_delays(self) -> bool:
         return any(isinstance(n, (UnitDelay, VarDelay)) for n in self.nodes)

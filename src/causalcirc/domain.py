@@ -58,45 +58,45 @@ class DivergenceError(RuntimeError):
     """
 
 
-# How a record's ``__init__`` stores a field.  A write into ``self.__dict__``
-# would be faster, but it turns the instance's inline values into a dict, on
-# which every later attribute read takes about three times as long.
-_set_field = object.__setattr__
-
-
 class Record:
     """A frozen record that behaves as a frozen dataclass, built without
     generating code for each class.
 
-    A subclass's fields are its own annotated class attributes, in order;
-    a field's class attribute, if it has one, is its default.  A record's
-    ``__dict__`` holds its fields in order and whatever ``cached_property``
-    or ``object.__setattr__`` stash there later, so ``vars``, pickle and
-    copy see what they saw of a dataclass.  Records are equal when they
-    are of one class with equal fields, and hash and print as a frozen
-    dataclass does; assigning or deleting an attribute raises
-    FrozenInstanceError.  The ``__init__`` here binds arguments as a
-    dataclass's does and then runs ``__post_init__``.  Records built in
-    bulk write their own, storing each field with ``_set_field``, which
-    takes about half the time.
+    A subclass's fields are its parent record's, then its own annotated
+    class attributes in order; a field's class attribute, if it has one,
+    is its default.  The ``__init__`` binds arguments as a dataclass's
+    does, stores them in order and then runs ``__post_init__``.  A
+    record's ``__dict__`` holds its fields and whatever
+    ``cached_property`` or ``object.__setattr__`` stash there later, so
+    ``vars``, pickle and copy see what they saw of a dataclass.  Records
+    are equal when they are of one class with equal fields, and hash and
+    print as a frozen dataclass does; assigning or deleting an attribute
+    raises FrozenInstanceError.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-        # The fields as a tuple, a 1-tuple too, as a dataclass compares
-        # and hashes them.
-        get = attrgetter(*cls._fields)
-        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+        # From Python 3.10 on, a class's ``__annotations__`` are its own.
+        own = tuple(cls.__annotations__)
+        if not own:
+            if not cls._fields:
+                raise TypeError(f"record {cls.__name__} declares no fields")
+            return
+        cls._fields += own
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+        # A 1-field record's key is the field itself, not a 1-tuple.
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._fields):
             args = self._bind(args, kwargs)
         for f, value in zip(self._fields, args):
-            _set_field(self, f, value)
+            # Not into ``self.__dict__``: that turns the instance's inline
+            # values into a dict, on which every attribute read is slower.
+            object.__setattr__(self, f, value)
         self.__post_init__()
 
     @classmethod
@@ -120,8 +120,7 @@ class Record:
         return values
 
     def __post_init__(self) -> None:
-        """The checks a record runs once the generic ``__init__`` has
-        stored its fields; none by default."""
+        """The checks a record runs once its fields are stored; none by default."""
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -130,7 +129,9 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        # A dataclass hashes the tuple of its fields, a 1-tuple too.
+        key = self._key(self)
+        return hash(key if len(self._fields) > 1 else (key,))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -206,10 +207,7 @@ def is_int_range(base: BaseType) -> bool:
 class Signature(Record):
     """An ordered list of wire base types; the shape of a value tuple."""
 
-    wires: tuple[BaseType, ...]
-
-    def __init__(self, wires: tuple[BaseType, ...] = ()) -> None:
-        _set_field(self, "wires", wires)
+    wires: tuple[BaseType, ...] = ()
 
     def __len__(self) -> int:
         return len(self.wires)

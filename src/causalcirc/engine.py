@@ -24,7 +24,6 @@ from .domain import (
     Signature,
     SignatureError,
     WireTuple,
-    _set_field,
 )
 
 
@@ -67,12 +66,7 @@ class SimState(Record):
 
     circuit: Circuit
     histories: tuple[LValue, ...]
-    t: int
-
-    def __init__(self, circuit: Circuit, histories: tuple[LValue, ...], t: int = 0) -> None:
-        _set_field(self, "circuit", circuit)
-        _set_field(self, "histories", histories)
-        _set_field(self, "t", t)
+    t: int = 0
 
 
 def initial_state(c: Circuit) -> SimState:

@@ -306,6 +306,17 @@ def test_a_record_fills_in_what_its_checks_derive():
     assert trace.rows == ((0,), (BOT,)) and type(trace.rows[0]) is tuple
 
 
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout; its stdout."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_only_the_records_that_need_a_dataclass_are_dataclasses():
     # In a fresh interpreter: the classes ``import causalcirc`` loads.  A
     # decorator put back on a record shows here; ``dataclasses.replace`` is
@@ -321,10 +332,28 @@ def test_only_the_records_that_need_a_dataclass_are_dataclasses():
         ")\n"
         "print(json.dumps(found))\n"
     )
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    assert json.loads(run_fresh(script)) == ["GateDef", "LawConfig", "MonotoneFn"]
+
+
+def test_a_record_subclass_inherits_and_extends_its_parents_fields():
+    # In a fresh interpreter, so no record made here joins
+    # ``Record.__subclasses__``.
+    script = (
+        "from causalcirc import circuit, domain\n"
+        "class Named(circuit.SrcIn):\n"
+        "    '''No fields of its own: those of SrcIn.'''\n"
+        "class Tagged(circuit.SrcIn):\n"
+        "    tag: str = 'x'\n"
+        "assert Named(3).index == 3 and Named(3) != circuit.SrcIn(3)\n"
+        "assert repr(Named(3)) == 'Named(index=3)'\n"
+        "t = Tagged(1)\n"
+        "assert (t.index, t.tag) == (1, 'x') and Tagged(1, tag='y') != t\n"
+        "try:\n"
+        "    class Empty(domain.Record):\n"
+        "        pass\n"
+        "except TypeError as e:\n"
+        "    assert 'declares no fields' in str(e), e\n"
+        "else:\n"
+        "    raise AssertionError('a record without fields was made')\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["GateDef", "LawConfig", "MonotoneFn"]
+    run_fresh(script)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .circuit import Circuit, UnitDelay, VarDelay, _value_json, is_contractive
+from .circuit import Circuit, UnitDelay, VarDelay, _value_json, check_valid, is_contractive
 from .comb import propagator
 from .domain import BOT, CapError, Record, Signature, SignatureError, check_enumerable
 from .engine import PrefixTrace, random_rows
@@ -327,8 +327,9 @@ def totality_guarantee(c: Circuit) -> bool:
     init to be concrete, and every gate to keep concrete inputs concrete.
     When it holds, each tick's cut graph is acyclic over defined values, so
     the fixed point fills in bottom-free outputs by induction over ticks.
+    SignatureError if ``c`` is not valid.
     """
-    for node in c.nodes:
+    for node in check_valid(c).nodes:
         if isinstance(node, (UnitDelay, VarDelay)):
             if node.init is BOT:
                 return False

@@ -222,37 +222,33 @@ def _check_sink(
     out.append(Diagnostic(where.format(*args), msg))
 
 
-def _find_cycle(edges: list[list[int]]) -> list[int] | None:
-    """A cycle of a directed graph as a closed vertex path, or None.
-
-    Depth-first from each unvisited vertex in index order, following edges
-    in list order; the first edge back into the current path closes the
-    cycle.  Iterative, so path length is not bounded by the call stack.
-    """
-    color = [0] * len(edges)  # 0 unvisited, 1 on the path, 2 done
+def _walk(edges: list[list[int]]) -> tuple[list[int], list[int] | None]:
+    """One depth-first walk of a directed graph: its vertices in the order
+    it leaves them, and the first cycle it meets as a closed vertex path,
+    or None.  Roots in index order, edges in list order; the first edge back
+    into the current path closes the cycle, and the walk goes on.  So an
+    edge's target is left before its source unless the two share a cycle.
+    Iterative, so path length is not bounded by the call stack."""
+    color = [0] * len(edges)  # 0 unvisited, 1 on the path, 2 left
+    order, cycle = [], None
     for root in range(len(edges)):
         if color[root]:
             continue
         color[root] = 1
-        path = [root]
-        nexts = [0]  # per path vertex, the next edge to follow
+        path, todo = [root], [iter(edges[root])]  # per path vertex, its edges left
         while path:
-            v = path[-1]
-            k = nexts[-1]
-            if k == len(edges[v]):
-                color[v] = 2
-                path.pop()
-                nexts.pop()
-                continue
-            nexts[-1] = k + 1
-            w = edges[v][k]
-            if color[w] == 1:
-                return path[path.index(w):] + [w]
-            if color[w] == 0:
+            w = next(todo[-1], None)
+            if w is None:
+                color[path[-1]] = 2
+                order.append(path.pop())
+                todo.pop()
+            elif color[w] == 0:
                 color[w] = 1
                 path.append(w)
-                nexts.append(0)
-    return None
+                todo.append(iter(edges[w]))
+            elif color[w] == 1 and cycle is None:
+                cycle = path[path.index(w):] + [w]
+    return order, cycle
 
 
 def _wiring_cycle(c: Circuit, cut_history: bool) -> list[str] | None:
@@ -288,7 +284,7 @@ def _wiring_cycle(c: Circuit, cut_history: bool) -> list[str] | None:
             return f"node {v} ({c.nodes[v].name})"
         return f"feedback wire {v - n}"
 
-    cyc = _find_cycle(edges)
+    cyc = _walk(edges)[1]
     return None if cyc is None else [label(v) for v in cyc]
 
 
@@ -347,7 +343,7 @@ def check_valid(c: Circuit) -> Circuit:
     """``c``, or SignatureError if ``validate`` finds fault with it.  The
     verdict is stashed on the instance, so a circuit is validated once, on
     its first compile or print, whether it was parsed or built in Python."""
-    diags = c.__dict__.get("_diags")
+    diags = getattr(c, "_diags", None)
     if diags is None:
         diags = validate(c)
         object.__setattr__(c, "_diags", diags)
@@ -472,8 +468,9 @@ def trace_loop(c: Circuit, k: int) -> Circuit:
 
 
 def delay_free_cycle(c: Circuit) -> list[str] | None:
-    """A cycle avoiding all history-reading edges, as vertex labels, or None."""
-    return _wiring_cycle(c, cut_history=True)
+    """The first cycle the walk meets that avoids all history-reading edges,
+    as vertex labels, or None; SignatureError if ``c`` is not valid."""
+    return _wiring_cycle(check_valid(c), cut_history=True)
 
 
 def is_contractive(c: Circuit) -> bool:

@@ -13,7 +13,8 @@ value at a tick is fixed by the tick before, so it is no unknown of this
 tick's fixed point.  A feedback wire is the slot of the source that its
 chain of feedback wires finally reaches, which by Bekić's lemma leaves the
 least fixed point unchanged, or the ⊥ slot when the chain only returns to
-feedback wires.  So neither is recomputed per sweep.  Each swept node's
+feedback wires; the chains are resolved in the order ``circuit``'s walk
+leaves the wires.  So neither is recomputed per sweep.  Each swept node's
 inputs, followed by its history, are gathered by one
 ``operator.itemgetter``.  One propagation step (a sweep) recomputes all
 swept wires simultaneously from the previous vector, applying each node's
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .circuit import Circuit, SrcIn, SrcLoop, UnitDelay, check_valid
+from .circuit import Circuit, SrcIn, SrcLoop, UnitDelay, _walk, check_valid
 from .domain import BOT, MonotoneFn, SignatureError, WireTuple, _kleene
 
 
@@ -68,20 +69,16 @@ class Propagator:
     def __init__(self, c: Circuit):
         k = len(c.in_ports)
         lo = k + sum(node.depth for node in c.nodes)
-        # The first source on each feedback wire's chain of feedback wires
-        # that is not one, or BOT when the chain only returns to feedback
-        # wires.  The walk is explicit, as chains can be thousands long.
-        reach: dict = {}
-        for j in range(len(c.loops)):
-            src, path = SrcLoop(j), []
-            while isinstance(src, SrcLoop) and src.index not in reach:
-                reach[src.index] = BOT  # on this walk: a cycle back ends at ⊥
-                path.append(src.index)
-                src = c.loops[src.index].src
+        # The first source on each feedback wire's chain that is not a
+        # feedback wire, or BOT: in leave order, a wire takes what the wire
+        # it reads took, or BOT when that wire is still on the walk's path.
+        reads = [[lw.src.index] if isinstance(lw.src, SrcLoop) else [] for lw in c.loops]
+        reach = [None] * len(c.loops)
+        for j in _walk(reads)[0]:
+            src = c.loops[j].src
             if isinstance(src, SrcLoop):
                 src = reach[src.index]
-            for i in path:
-                reach[i] = src
+            reach[j] = BOT if src is None else src
         w = lo
         hist, base = [], []  # per node: its history slots, its first output
         for node in c.nodes:
@@ -103,7 +100,7 @@ class Propagator:
             return base[src.node] + src.port
 
         self.n_wires = w - lo
-        has_bot = BOT in reach.values()
+        has_bot = BOT in reach
         self.bot = (BOT,) * (self.n_wires + has_bot)
         self.init = tuple(n.init for n in c.nodes for _ in range(n.depth))
         slots = [tuple(slot(s) for s in ins) for ins in c.node_inputs]
@@ -152,7 +149,7 @@ def propagator(c: Circuit) -> Propagator:
     A cache keyed on equality would hand one circuit's plan to another:
     gates built from Python callables compare equal whatever they compute.
     """
-    prop = c.__dict__.get("_plan")
+    prop = getattr(c, "_plan", None)
     if prop is None:
         prop = Propagator(check_valid(c))
         object.__setattr__(c, "_plan", prop)

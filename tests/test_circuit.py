@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from causalcirc.analysis import totality_guarantee
 from causalcirc.circuit import (
     Circuit,
     LoopWire,
@@ -11,6 +12,7 @@ from causalcirc.circuit import (
     SrcNode,
     UnitDelay,
     VarDelay,
+    _walk,
     check_valid,
     compose,
     delay_free_cycle,
@@ -215,6 +217,22 @@ def test_validate_rejects_undeclared_cycles():
         check_valid(c)
 
 
+def test_validate_names_the_first_cycle_the_walk_meets():
+    # Node 1 closes a cycle with node 0 and one with node 2.  The walk
+    # starts at node 0, follows node 1's inputs in port order, and first
+    # comes back into its path from node 2.
+    c = Circuit(
+        sig(BOOL), sig(BOOL),
+        (not_gate(), por(), not_gate()),
+        ((SrcNode(1, 0),), (SrcNode(2, 0), SrcNode(0, 0)), (SrcNode(1, 0),)),
+        (SrcNode(0, 0),),
+    )
+    assert [str(d) for d in validate(c)] == [
+        "circuit: cycle not routed through a feedback wire: "
+        "node 1 (por) -> node 2 (not) -> node 1 (por)"
+    ]
+
+
 def test_declared_loops_are_legal_cycles():
     c = trace_loop(por_circuit(), 1)
     assert validate(c) == []
@@ -303,6 +321,24 @@ def test_vardelay_d_port_never_cuts():
     assert cyc is not None
 
 
+@pytest.mark.parametrize(
+    "nodes, node_inputs",
+    [
+        ((por(),), ((SrcIn(0), SrcNode(5, 0)),)),
+        ((por(),), ((SrcIn(0), SrcLoop(3)),)),
+        ((por(), not_gate()), ((SrcIn(0), SrcIn(0)),)),
+    ],
+    ids=["node past the end", "feedback wire past the end", "input lists short"],
+)
+def test_contractivity_refuses_an_invalid_circuit(nodes, node_inputs):
+    # These once raised IndexError, or called a circuit with a node left
+    # unwired contractive and total.
+    c = Circuit(sig(BOOL), sig(BOOL), nodes, node_inputs, (SrcNode(0, 0),))
+    for check in (delay_free_cycle, is_contractive, totality_guarantee):
+        with pytest.raises(SignatureError, match="^invalid circuit: "):
+            check(c)
+
+
 def test_vardelay_validates_its_range():
     with pytest.raises(SignatureError):
         VarDelay(BOOL, 2, 1, 0)
@@ -373,3 +409,37 @@ def test_a_deep_chain_listed_against_its_dependencies_validates():
     )
     assert check_valid(c) is c
     assert is_contractive(c)
+
+
+# -- the depth-first walk -------------------------------------------------
+
+
+def _reached(edges: list[list[int]], v: int) -> set[int]:
+    """The vertices ``v`` reaches by one edge or more."""
+    seen, todo = set(), list(edges[v])
+    while todo:
+        w = todo.pop()
+        if w not in seen:
+            seen.add(w)
+            todo.extend(edges[w])
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_walk_matches_brute_force_reachability(seed):
+    rng = random.Random(seed)
+    for _ in range(500):
+        n = rng.randint(0, 8)
+        edges = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        reached = [_reached(edges, v) for v in range(n)]
+        order, cycle = _walk(edges)
+        assert sorted(order) == list(range(n))
+        left = {v: i for i, v in enumerate(order)}
+        for v in range(n):
+            for w in edges[v]:
+                assert left[w] < left[v] or v in reached[w], (edges, v, w)
+        if cycle is None:
+            assert all(v not in reached[v] for v in range(n)), edges
+        else:
+            assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+            assert all(w in edges[v] for v, w in zip(cycle, cycle[1:])), edges

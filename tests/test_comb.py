@@ -10,6 +10,7 @@ from causalcirc.circuit import (
     SrcLoop,
     SrcNode,
     UnitDelay,
+    check_valid,
     from_gate,
     trace_loop,
 )
@@ -209,7 +210,7 @@ def test_a_long_chain_of_loop_wires_compiles_and_simulates():
     # Loop wire i reads loop wire i+1: one chain ends at the input, the
     # other returns to its own start and is ⊥.  Resolving them must not
     # recurse per link.
-    n = 5000
+    n = 100_000
     loops = [SrcLoop(i + 1) for i in range(n - 1)] + [SrcIn(0)]
     loops += [SrcLoop(n + i + 1) for i in range(n - 1)] + [SrcLoop(n)]
     c = oracles.looped(
@@ -219,6 +220,59 @@ def test_a_long_chain_of_loop_wires_compiles_and_simulates():
     assert propagator(c).n_wires == 1
     tr = PrefixTrace(c.in_ports, ((1,), (BOT,), (0,)))
     assert simulate(c, tr).rows == ((1, 0, BOT), (BOT, BOT, BOT), (0, 1, BOT))
+
+
+def _followed(loops: list, j: int):
+    """Where feedback wire ``j``'s chain leaves the feedback wires, found by
+    following it at most ``len(loops)`` steps, or ⊥ if it never does."""
+    src = SrcLoop(j)
+    for _ in range(len(loops)):
+        if isinstance(src, SrcLoop):
+            src = loops[src.index]
+    return BOT if isinstance(src, SrcLoop) else src
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_feedback_wire_reads_where_its_chain_leads(seed):
+    # Each output shows one feedback wire.  Over the four input rows, the
+    # inputs, the not gate and ⊥ each give a different column of values.
+    rng = random.Random(seed)
+    leads = [SrcIn(0), SrcIn(1), SrcNode(0, 0)]
+    for _ in range(200):
+        m = rng.randint(1, 8)
+        loops = [
+            SrcLoop(rng.randrange(m)) if rng.random() < 0.7 else rng.choice(leads)
+            for _ in range(m)
+        ]
+        c = oracles.looped(
+            2, [not_gate()], [(SrcIn(0),)], [SrcLoop(j) for j in range(m)], loops
+        )
+        want = [_followed(loops, j) for j in range(m)]
+        prop = propagator(c)
+        assert len(prop.bot) == prop.n_wires + (BOT in want)
+        f = denote(c)
+        for a, b in sig(BOOL, BOOL).concrete_tuples():
+            value = {SrcIn(0): a, SrcIn(1): b, SrcNode(0, 0): 1 - a, BOT: BOT}
+            assert f.apply((a, b)) == tuple(value[src] for src in want), loops
+
+
+class _NoDict(Circuit):
+    """A circuit whose ``__dict__`` cannot be read: its stash must be read
+    with ``getattr``, which keeps the instance's values inline."""
+
+    @property
+    def __dict__(self):
+        raise AssertionError("the stash was read through __dict__")
+
+
+def test_the_stash_is_read_without_the_instance_dict():
+    rng = random.Random(5)
+    plain = random_circuit(rng, GenConfig(max_inputs=2, max_nodes=6, max_loops=2, p_delay=0.4))
+    c = _NoDict(*(getattr(plain, f) for f in Circuit._fields))
+    assert check_valid(c) is c
+    assert propagator(c) is propagator(c)
+    tr = random_trace(rng, c.in_ports, 20, p_bot=0.2)
+    assert simulate(c, tr).rows == simulate(plain, tr).rows
 
 
 # The commit and output gathers read 0, 1 or more slots; an itemgetter of

@@ -61,6 +61,37 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def dict_reads(source: str) -> list[str]:
+    """Every ``.__dict__`` attribute a module reads, by line.
+
+    Reading an instance's ``__dict__`` turns its inline attribute values
+    into a dict, on which every later attribute read is slower; a stash is
+    read with ``getattr(obj, name, None)`` instead.  The scan cannot tell an
+    instance from a class, so a class's ``__dict__`` is reported too.
+    """
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    ]
+
+
+def test_the_dict_read_finder_sees_a_stash_read():
+    source = (
+        '"""A docstring may name c.__dict__."""\n'
+        "def plan(c):\n"
+        "    # and so may a comment: c.__dict__\n"
+        "    p = getattr(c, '_plan', None)\n"
+        "    return c.__dict__.get('_plan', p)\n"
+    )
+    assert dict_reads(source) == ["line 5"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_an_instance_dict(path):
+    assert dict_reads(path.read_text(encoding="utf-8")) == []
+
+
 def test_the_readme_layout_names_every_module_and_script():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     layout = readme.split("## Layout", 1)[1].split("```")[1]

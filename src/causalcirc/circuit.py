@@ -14,7 +14,7 @@ circuits that contain delays.
 from __future__ import annotations
 
 import json
-from typing import TypeAlias
+from typing import Callable, TypeAlias
 
 from .domain import BOT, BaseType, LValue, Record, Signature, SignatureError, int_range
 from .gates import GateDef
@@ -251,8 +251,8 @@ def _walk(edges: list[list[int]]) -> tuple[list[int], list[int] | None]:
     return order, cycle
 
 
-def _wiring_cycle(c: Circuit, cut_history: bool) -> list[str] | None:
-    """A cycle of the wiring graph, as vertex labels, or None.
+def _wiring_cycle(c: Circuit, cut_history: bool) -> tuple[str, ...] | None:
+    """A cycle of the wiring graph, as a tuple of vertex labels, or None.
 
     Vertices are nodes and feedback wires; edges run from each node input
     and feedback wire to its source.  With ``cut_history`` (contractivity)
@@ -285,7 +285,7 @@ def _wiring_cycle(c: Circuit, cut_history: bool) -> list[str] | None:
         return f"feedback wire {v - n}"
 
     cyc = _walk(edges)[1]
-    return None if cyc is None else [label(v) for v in cyc]
+    return None if cyc is None else tuple(map(label, cyc))
 
 
 def validate(c: Circuit) -> list[Diagnostic]:
@@ -339,14 +339,27 @@ def validate(c: Circuit) -> list[Diagnostic]:
     return out
 
 
+_UNSET = object()  # not None: None is a fact too, as a contractive circuit's cycle
+
+
+def stash(c: Circuit, key: str, make: Callable[[Circuit], object]):
+    """``make(c)``, made on first use and kept on the instance as ``key``:
+    every fact derived from a frozen circuit is kept here, once.  Keyed on
+    the instance, never on equality, as gates built from Python callables
+    compare equal whatever they compute; read with ``getattr``, as reading
+    ``__dict__`` would slow every later read of the instance's fields."""
+    got = getattr(c, key, _UNSET)
+    if got is _UNSET:
+        got = make(c)
+        object.__setattr__(c, key, got)
+    return got
+
+
 def check_valid(c: Circuit) -> Circuit:
     """``c``, or SignatureError if ``validate`` finds fault with it.  The
-    verdict is stashed on the instance, so a circuit is validated once, on
-    its first compile or print, whether it was parsed or built in Python."""
-    diags = getattr(c, "_diags", None)
-    if diags is None:
-        diags = validate(c)
-        object.__setattr__(c, "_diags", diags)
+    verdict is stashed, so a circuit is validated once, on its first
+    compile, print or contractivity check, whether parsed or built in Python."""
+    diags = stash(c, "_diags", validate)
     if diags:
         raise SignatureError(
             "invalid circuit: " + "; ".join(str(d) for d in diags)
@@ -467,10 +480,11 @@ def trace_loop(c: Circuit, k: int) -> Circuit:
 # look only at committed history (``reads_history``).
 
 
-def delay_free_cycle(c: Circuit) -> list[str] | None:
+def delay_free_cycle(c: Circuit) -> tuple[str, ...] | None:
     """The first cycle the walk meets that avoids all history-reading edges,
-    as vertex labels, or None; SignatureError if ``c`` is not valid."""
-    return _wiring_cycle(check_valid(c), cut_history=True)
+    as vertex labels, or None; SignatureError if ``c`` is not valid.
+    Stashed, so a circuit's contractivity wiring is walked once."""
+    return stash(check_valid(c), "_cycle", lambda c: _wiring_cycle(c, cut_history=True))
 
 
 def is_contractive(c: Circuit) -> bool:
@@ -523,11 +537,27 @@ def _node_json(node: Node) -> dict:
     return out
 
 
+def _by_name(what: str, items, check=lambda x: None) -> dict:
+    """Each item by its name, SignatureError for two different items that
+    share one, as neither a dump nor a print could tell them apart;
+    ``check`` refuses an item that would not print, when first met."""
+    found: dict = {}
+    for x in items:
+        old = found.get(x.name)
+        if old is None:
+            check(x)
+            found[x.name] = x
+        elif old != x:
+            raise SignatureError(f"two {what}s share the name {x.name!r}")
+    return found
+
+
 def to_json(c: Circuit) -> dict:
-    """Deterministic structural dump; equal circuits dump equal dicts."""
-    types = {b.name: b.values for b in base_types(c)}
+    """Deterministic structural dump; equal circuits dump equal dicts, and
+    SignatureError if two different base types share a name."""
+    types = _by_name("base type", base_types(c))
     return {
-        "types": {k: list(v) for k, v in sorted(types.items())},
+        "types": {k: list(types[k].values) for k in sorted(types)},
         "in": [
             {"name": nm, "type": b.name}
             for nm, b in zip(in_port_names(c), c.in_ports)

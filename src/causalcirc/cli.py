@@ -170,6 +170,13 @@ def _bounded_check(args, check, *circuits):
         raise _Usage(str(e)) from None
 
 
+def _print_input_trace(c, w) -> None:
+    """The input trace of witness ``w`` of ``c``, if ``c`` has inputs."""
+    if len(c.in_ports):
+        print("input trace:")
+        sys.stdout.write(write_stream(w.inputs, in_port_names(c)))
+
+
 def cmd_equiv(args) -> int:
     c1 = _load_circuit(args.file1)
     c2 = _load_circuit(args.file2)
@@ -187,9 +194,7 @@ def cmd_equiv(args) -> int:
     print(f"NotEquivalent: outputs differ at tick {w.tick}, port {w.port}:")
     print(f"  left  {rep.left}")
     print(f"  right {rep.right}")
-    if len(c1.in_ports):
-        print("input trace:")
-        sys.stdout.write(write_stream(w.inputs, in_port_names(c1)))
+    _print_input_trace(c1, w)
     return 1
 
 
@@ -211,9 +216,7 @@ def cmd_totality(args) -> int:
         return 0
     w = rep.witness
     print(f"NotTotal: undefined output at tick {w.tick}, port {w.port}")
-    if len(c.in_ports):
-        print("input trace:")
-        sys.stdout.write(write_stream(w.inputs, in_port_names(c)))
+    _print_input_trace(c, w)
     if not is_contractive(c):
         print("note: the circuit is not contractive")
     return 1

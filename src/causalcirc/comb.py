@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .circuit import Circuit, SrcIn, SrcLoop, UnitDelay, _walk, check_valid
+from .circuit import Circuit, SrcIn, SrcLoop, UnitDelay, _walk, check_valid, stash
 from .domain import BOT, MonotoneFn, SignatureError, WireTuple, _kleene
 
 
@@ -143,17 +143,9 @@ class Propagator:
 
 
 def propagator(c: Circuit) -> Propagator:
-    """The validated, compiled wiring of ``c``, built once per instance.
-
-    The plan is stashed on the instance, like ``check_valid``'s verdict.
-    A cache keyed on equality would hand one circuit's plan to another:
-    gates built from Python callables compare equal whatever they compute.
-    """
-    prop = getattr(c, "_plan", None)
-    if prop is None:
-        prop = Propagator(check_valid(c))
-        object.__setattr__(c, "_plan", prop)
-    return prop
+    """The validated, compiled wiring of ``c``, built once per instance
+    and kept by ``circuit.stash``, like ``check_valid``'s verdict."""
+    return stash(c, "_plan", lambda c: Propagator(check_valid(c)))
 
 
 def denote(c: Circuit) -> MonotoneFn:

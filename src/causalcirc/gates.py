@@ -9,7 +9,6 @@ what lets a feedback loop through them settle on a non-bottom value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable
 
@@ -19,6 +18,7 @@ from .domain import (
     BaseType,
     LValue,
     MonotoneFn,
+    Record,
     Signature,
     SignatureError,
     WireTuple,
@@ -66,9 +66,9 @@ KIND_TABLE = "primitive-table"
 KIND_WIRING = "wiring"
 
 
-@dataclass(eq=False)
-class GateDef:
-    """A named, reusable monotone function with printing metadata.
+class GateDef(Record):
+    """A named, reusable monotone function with printing metadata; a frozen
+    value, built whole by its constructor.
 
     ``concrete_table`` is the bottom-free graph for strict gates built from
     rows.  ``bot_free`` marks a strict gate whose function never gives a
@@ -85,8 +85,8 @@ class GateDef:
     name: str
     fn: MonotoneFn
     kind: str
-    concrete_table: dict[WireTuple, WireTuple] | None = field(default=None, repr=False)
-    bot_free: bool = field(default=False, repr=False)
+    concrete_table: dict[WireTuple, WireTuple] | None = None
+    bot_free: bool = False
 
     @property
     def dom(self) -> Signature:
@@ -122,7 +122,7 @@ class GateDef:
         return _Table(fn, self.name, f.cod).__getitem__
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GateDef):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self is other or (
             self.name == other.name
@@ -159,6 +159,13 @@ def strict_lift(
     calls the lift at most once per argument tuple for the gate's lifetime
     and keeps the result in the gate's table (``GateDef.tick``).
     """
+    return _lift(name, dom, cod, g, bot_free=False)
+
+
+def _lift(name: str, dom: Signature, cod: Signature, g: Callable,
+          rows: dict | None = None, bot_free: bool = True) -> GateDef:
+    """``strict_lift`` of ``g`` as one finished gate: ``bot_free`` unless
+    ``g`` may give a bottom, and ``rows`` the table ``g`` looks up, if any."""
     bot_out = cod.bottom()
 
     def lifted(t: WireTuple) -> WireTuple:
@@ -166,7 +173,7 @@ def strict_lift(
             return bot_out
         return g(t)
 
-    return GateDef(name, MonotoneFn(dom, cod, lifted, name), KIND_STRICT)
+    return GateDef(name, MonotoneFn(dom, cod, lifted, name), KIND_STRICT, rows, bot_free)
 
 
 def strict_lift_table(
@@ -187,10 +194,7 @@ def strict_lift_table(
         cod.check(out)
         if any(x is BOT for x in t) or any(y is BOT for y in out):
             raise SignatureError(f"gate {name!r} has a bottom in concrete row {t!r}")
-    g = strict_lift(name, dom, cod, rows.__getitem__)
-    g.concrete_table = rows
-    g.bot_free = True
-    return g
+    return _lift(name, dom, cod, rows.__getitem__, rows)
 
 
 def table_gate(
@@ -202,13 +206,6 @@ def table_gate(
     """Gate from a full lifted table; from_table rejects non-monotone rows."""
     f = MonotoneFn.from_table(dom, cod, rows, name)
     return GateDef(name, f, KIND_TABLE)
-
-
-def _bot_free_lift(name: str, dom: Signature, cod: Signature, g: Callable) -> GateDef:
-    """``strict_lift`` of a ``g`` that never gives a bottom, as a builtin's."""
-    gate = strict_lift(name, dom, cod, g)
-    gate.bot_free = True
-    return gate
 
 
 def _por(x: LValue, y: LValue) -> LValue:
@@ -244,32 +241,32 @@ def pand() -> GateDef:
 
 @cache
 def not_gate() -> GateDef:
-    return _bot_free_lift("not", sig(BOOL), sig(BOOL), lambda t: (1 - t[0],))
+    return _lift("not", sig(BOOL), sig(BOOL), lambda t: (1 - t[0],))
 
 
 @cache
 def and_gate() -> GateDef:
-    return _bot_free_lift("and", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] & t[1],))
+    return _lift("and", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] & t[1],))
 
 
 @cache
 def or_gate() -> GateDef:
-    return _bot_free_lift("or", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] | t[1],))
+    return _lift("or", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] | t[1],))
 
 
 @cache
 def xor_gate() -> GateDef:
-    return _bot_free_lift("xor", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] ^ t[1],))
+    return _lift("xor", sig(BOOL, BOOL), sig(BOOL), lambda t: (t[0] ^ t[1],))
 
 
 @cache
 def nand_gate() -> GateDef:
-    return _bot_free_lift("nand", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] & t[1]),))
+    return _lift("nand", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] & t[1]),))
 
 
 @cache
 def nor_gate() -> GateDef:
-    return _bot_free_lift("nor", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] | t[1]),))
+    return _lift("nor", sig(BOOL, BOOL), sig(BOOL), lambda t: (1 - (t[0] | t[1]),))
 
 
 def mux_gate(base: BaseType = BOOL) -> GateDef:
@@ -279,12 +276,8 @@ def mux_gate(base: BaseType = BOOL) -> GateDef:
 
 @cache
 def _mux_gate(base: BaseType, /) -> GateDef:
-    return _bot_free_lift(
-        "mux",
-        sig(BOOL, base, base),
-        sig(base),
-        lambda t: (t[1] if t[0] == 1 else t[2],),
-    )
+    return _lift("mux", sig(BOOL, base, base), sig(base),
+                 lambda t: (t[1] if t[0] == 1 else t[2],))
 
 
 @cache
@@ -294,29 +287,20 @@ def add_gate(base: BaseType, /) -> GateDef:
         raise SignatureError(f"add needs an integer range, got {base.name!r}")
     lo = base.values[0]
     n = len(base.values)
-    return _bot_free_lift(
-        "add",
-        sig(base, base),
-        sig(base),
-        lambda t: ((t[0] + t[1] - lo) % n + lo,),
-    )
+    return _lift("add", sig(base, base), sig(base), lambda t: ((t[0] + t[1] - lo) % n + lo,))
 
 
 @cache
 def eq_gate(base: BaseType, /) -> GateDef:
     """Strict equality test, boolean output."""
-    return _bot_free_lift(
-        "eq", sig(base, base), sig(BOOL), lambda t: (1 if t[0] == t[1] else 0,)
-    )
+    return _lift("eq", sig(base, base), sig(BOOL), lambda t: (1 if t[0] == t[1] else 0,))
 
 
 @cache
 def lt_gate(base: BaseType, /) -> GateDef:
     if not all(isinstance(a, int) for a in base.values):
         raise SignatureError(f"lt needs integer values, got {base.name!r}")
-    return _bot_free_lift(
-        "lt", sig(base, base), sig(BOOL), lambda t: (1 if t[0] < t[1] else 0,)
-    )
+    return _lift("lt", sig(base, base), sig(BOOL), lambda t: (1 if t[0] < t[1] else 0,))
 
 
 @cache
@@ -363,6 +347,5 @@ def const_gate(base: BaseType, value: LValue) -> GateDef:
 @cache
 def _const_gate(base: BaseType, value: LValue, /) -> GateDef:
     label = "bot" if value is BOT else value
-    f = MonotoneFn(sig(), sig(base), lambda t: (value,), f"const:{label}")
-    f.table = {(): (value,)}
+    f = MonotoneFn.from_table(sig(), sig(base), {(): (value,)}, f"const:{label}")
     return GateDef("const", f, KIND_WIRING)

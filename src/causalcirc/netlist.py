@@ -33,6 +33,7 @@ from .circuit import (
     SrcLoop,
     UnitDelay,
     VarDelay,
+    _by_name,
     base_types,
     check_valid,
     in_port_names,
@@ -955,22 +956,6 @@ def _check_name(what: str, name: str, reserved=RESERVED) -> None:
     """Refuse a name the parser would not read back as a free name."""
     if name in reserved or not _reads_back(name):
         raise SignatureError(f"{what} name {name!r} is not a free name; cannot print")
-
-
-def _by_name(what: str, items, check) -> dict:
-    """Each item by its name, refusing two different items that share one;
-    ``check`` refuses an item that would not print, when first met."""
-    found: dict = {}
-    for x in items:
-        old = found.get(x.name)
-        if old is None:
-            check(x)
-            found[x.name] = x
-        elif old != x:
-            raise SignatureError(
-                f"two {what}s share the name {x.name!r}; cannot print"
-            )
-    return found
 
 
 def _check_type(b: BaseType) -> None:

@@ -28,7 +28,7 @@ from causalcirc.circuit import (
     validate,
 )
 from causalcirc.comb import denote
-from causalcirc.domain import BOOL, BOT, SignatureError, int_range, sig
+from causalcirc.domain import BOOL, BOT, BaseType, SignatureError, int_range, sig
 from causalcirc.engine import PrefixTrace, bot_trace, random_trace, simulate
 from causalcirc.gates import const_gate, eq_gate, not_gate, por
 from causalcirc.netlist import parse_netlist
@@ -384,6 +384,18 @@ def test_dump_distinguishes_node_order():
     f, g = denote(left), denote(right)
     for x in sig(BOOL, BOOL).tuples():
         assert f.apply(x) == g.apply(x)
+
+
+def test_dump_refuses_two_base_types_of_one_name():
+    # Each would dump as one "types" entry, so two unequal circuits
+    # would dump alike.
+    t1, t2 = BaseType("t", (0, 1)), BaseType("t", (0, 1, 2))
+    mixed = Circuit(sig(t1, t2), sig(t2), outputs=(SrcIn(1),))
+    same = Circuit(sig(t2, t2), sig(t2), outputs=(SrcIn(1),))
+    assert mixed != same
+    with pytest.raises(SignatureError, match="two base types share the name 't'"):
+        to_json(mixed)
+    assert to_json(same)["types"] == {"t": [0, 1, 2]}
 
 
 def test_bot_dumps_as_null():

@@ -435,6 +435,25 @@ def test_a_bot_constant_is_not_guaranteed_total(capsys, tmp_path):
     assert code == 1 and doc["total"] is False and doc["guaranteed"] is False
 
 
+@pytest.mark.parametrize("argv", [["check"], ["totality", "--horizon", "3"]])
+def test_a_command_walks_the_contractivity_wiring_once(capsys, monkeypatch, argv):
+    # Validation and contractivity are each kept per circuit, so ``check``
+    # and ``totality`` walk each wiring once, however often they ask.
+    import causalcirc.circuit as circuit
+
+    searches = []
+    real = circuit._wiring_cycle
+
+    def counted(c, cut_history):
+        searches.append(cut_history)
+        return real(c, cut_history)
+
+    monkeypatch.setattr(circuit, "_wiring_cycle", counted)
+    code, out, _ = run(capsys, argv[0], TOGGLE, *argv[1:])
+    assert code == 0 and "guaranteed" in out
+    assert searches == [False, True]
+
+
 def test_totality_json(capsys):
     code, out, _ = run(
         capsys, "totality", TOGGLE, "--horizon", "2", "--json"

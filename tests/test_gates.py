@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,7 +38,7 @@ from causalcirc.gates import (
     table_gate,
     xor_gate,
 )
-from causalcirc.netlist import parse_netlist
+from causalcirc.netlist import parse_netlist, print_netlist
 from causalcirc.random_circuits import GenConfig, random_circuit
 
 import oracles
@@ -366,3 +367,26 @@ def test_circuits_that_share_builtin_gates_simulate_alike_in_either_order():
     left_first = run([("left", LEFT), ("right", RIGHT)])
     right_first = run([("right", RIGHT), ("left", LEFT)])
     assert left_first == right_first
+
+
+def test_a_gate_is_a_frozen_value():
+    # A gate cannot be changed under a circuit that has compiled it: the
+    # plan kept on the circuit would run the old function while a print
+    # and parse of the circuit ran the new one.
+    c = parse_netlist(
+        "gate g(p: bool) -> (bool) strict { (0) -> (1) (1) -> (0) }\n"
+        "circuit main { in a: bool  out y: bool  y = g(a) }\n"
+    )
+    tr = PrefixTrace(c.in_ports, ((0,),))
+    assert simulate(c, tr).rows == ((1,),)
+    g = c.nodes[0]
+    with pytest.raises(FrozenInstanceError):
+        g.concrete_table = {(0,): (0,), (1,): (1,)}
+    assert g.concrete_table == {(0,): (1,), (1,): (0,)}
+    assert simulate(parse_netlist(print_netlist(c)), tr).rows == ((1,),)
+    for field in ("name", "fn", "kind", "concrete_table", "bot_free"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(not_gate(), field, getattr(not_gate(), field))
+        with pytest.raises(FrozenInstanceError):
+            delattr(not_gate(), field)
+    assert not_gate().bot_free and not_gate() == not_gate()

@@ -92,6 +92,56 @@ def test_no_module_reads_an_instance_dict(path):
     assert dict_reads(path.read_text(encoding="utf-8")) == []
 
 
+def dataclasses_declared(source: str) -> list[str]:
+    """Every class a module decorates with ``@dataclass``, called or not,
+    by name or through the ``dataclasses`` module."""
+    def is_dataclass(d) -> bool:
+        d = d.func if isinstance(d, ast.Call) else d
+        return (isinstance(d, ast.Name) and d.id == "dataclass") or (
+            isinstance(d, ast.Attribute) and d.attr == "dataclass"
+        )
+
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+    ]
+
+
+def test_the_dataclass_finder_sees_every_spelling():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Bare: x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Called: x: int\n"
+        "@dataclasses.dataclass(slots=True)\n"
+        "class Dotted: x: int\n"
+        "def f():\n"
+        "    @dataclass\n"
+        "    class Inner: x: int\n"
+        "class Plain: x: int\n"
+    )
+    assert sorted(dataclasses_declared(source)) == ["Bare", "Called", "Dotted", "Inner"]
+
+
+# Each of these has ``dataclasses.replace`` callers: ``MonotoneFn`` in the
+# benchmark's tracer and scripts/law_cost.py, ``LawConfig`` in
+# tests/test_laws.py and scripts/law_cost.py, ``GenConfig`` in its own
+# module.  Every other record is a frozen ``domain.Record``.
+DATACLASSES = ["GenConfig", "LawConfig", "MonotoneFn"]
+
+
+def test_only_the_allowed_classes_are_dataclasses():
+    found = [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name in dataclasses_declared(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(found) == DATACLASSES
+
+
 def test_the_readme_layout_names_every_module_and_script():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     layout = readme.split("## Layout", 1)[1].split("```")[1]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from causalcirc import analysis, circuit, domain, engine, laws
+from causalcirc import analysis, circuit, domain, engine, gates, laws
 from causalcirc.domain import BOOL, BOT, UNIT, SignatureError, int_range, sig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +93,21 @@ class Circuit:
 
 
 @dataclass(frozen=True)
+class GateDef:
+    name: str
+    fn: object
+    kind: str
+    concrete_table: object = None
+    bot_free: bool = False
+
+    # A gate's own equality, hash and print, which read its signatures.
+    dom, cod = gates.GateDef.dom, gates.GateDef.cod
+    __eq__ = gates.GateDef.__eq__
+    __hash__ = gates.GateDef.__hash__
+    __repr__ = gates.GateDef.__repr__
+
+
+@dataclass(frozen=True)
 class Diagnostic:
     where: str
     message: str
@@ -163,6 +178,10 @@ _C = circuit.Circuit(sig(BOOL), sig(BOOL), outputs=(circuit.SrcIn(0),))
 _TRACE = engine.PrefixTrace(sig(BOOL), ((1,), (BOT,)))
 _W = analysis.Witness(_TRACE, 1, 0)
 _CX = laws.Counterexample("bekic", "bool", "differs at _")
+# Gates whose functions are table lookups, so that they pickle.
+_B = sig(BOOL)
+_NOT = domain.MonotoneFn.from_table(_B, _B, {(BOT,): (BOT,), (0,): (1,), (1,): (0,)}, "not")
+_ID = domain.MonotoneFn.from_table(_B, _B, {(BOT,): (BOT,), (0,): (0,), (1,): (1,)}, "id")
 
 # Each record with the arguments of two unequal instances of it.
 CASES = {
@@ -179,6 +198,10 @@ CASES = {
         (sig(BOOL), sig(), (), (), (), (), ("a",), ()),
     ],
     circuit.Diagnostic: [("node 0", "bad"), ("output 1", "worse")],
+    gates.GateDef: [
+        ("not", _NOT, gates.KIND_STRICT, {(0,): (1,), (1,): (0,)}, True),
+        ("id", _ID, gates.KIND_TABLE, None, False),
+    ],
     engine.PrefixTrace: [(sig(BOOL), ((1,), (BOT,))), (sig(BOOL), ())],
     engine.SimState: [(_C, (0, 1), 0), (_C, (), 3)],
     analysis.Witness: [(_TRACE, 1, 0), (_TRACE, 0, 0)],
@@ -242,6 +265,16 @@ def test_a_record_is_frozen_as_its_dataclass(cls):
     assert vars(r) == vars(t)
 
 
+def held(r) -> dict:
+    """``vars(r)`` with a function read as what it holds: a ``MonotoneFn``
+    equals only itself, so a copy of one is compared by its parts."""
+    def part(v):
+        if isinstance(v, domain.MonotoneFn):
+            return v.dom, v.cod, v.name, v.table
+        return v
+    return {k: part(v) for k, v in vars(r).items()}
+
+
 @pytest.mark.parametrize("cls", CASES, ids=ids)
 def test_a_record_survives_pickle_and_copy(cls):
     for args in CASES[cls]:
@@ -250,7 +283,7 @@ def test_a_record_survives_pickle_and_copy(cls):
             pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)
         ):
             assert type(back) is cls and back == r and hash(back) == hash(r)
-            assert vars(back) == vars(r) and repr(back) == repr(r)
+            assert held(back) == held(r) and repr(back) == repr(r)
 
 
 @pytest.mark.parametrize("cls", CASES, ids=ids)
@@ -320,7 +353,7 @@ def run_fresh(script: str) -> str:
 def test_only_the_records_that_need_a_dataclass_are_dataclasses():
     # In a fresh interpreter: the classes ``import causalcirc`` loads.  A
     # decorator put back on a record shows here; ``dataclasses.replace`` is
-    # called on these three and ``GateDef`` is filled in after it is made.
+    # called on these two.  ``test_hygiene`` checks every module statically.
     script = (
         "import dataclasses, json, sys\n"
         "import causalcirc\n"
@@ -332,7 +365,7 @@ def test_only_the_records_that_need_a_dataclass_are_dataclasses():
         ")\n"
         "print(json.dumps(found))\n"
     )
-    assert json.loads(run_fresh(script)) == ["GateDef", "LawConfig", "MonotoneFn"]
+    assert json.loads(run_fresh(script)) == ["LawConfig", "MonotoneFn"]
 
 
 def test_a_record_subclass_inherits_and_extends_its_parents_fields():

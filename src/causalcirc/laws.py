@@ -58,7 +58,7 @@ import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -75,8 +75,6 @@ from .domain import (
 )
 
 _BUDGET = 10**6  # default steps for building one function space
-# several wires' flat parts, point by point, into one table
-_add_wires = partial(reduce, partial(map, operator.add))
 
 # -- function spaces ---------------------------------------------------------
 #
@@ -235,81 +233,10 @@ def count_monotone(dom: Signature, cod: Signature, budget: int = _BUDGET) -> int
 
     ``budget`` caps the steps spent listing the up-sets of ``dom``, which
     are charged once per call (listed once per process) unless ``cod`` has
-    no wires; past it a CapError names the space.
+    no wires; past it a CapError names the space.  Enumerating and sampling
+    the space read that listing and are charged nothing more.
     """
     return math.prod(r[0] for r in _wire_ranks(dom, cod, budget))
-
-
-def _wire_maps(
-    shape: tuple[int, ...], atoms: int, stride: int, budget: _Budget
-) -> Iterator[tuple[int, ...]]:
-    """Every monotone map from the domain into one lifted wire, as a flat part.
-
-    Rows are filled in point order, each with bottom or an atom; a row lying
-    above a row that holds an atom must hold the same atom.  Maps come out in
-    lexicographic order of their rows, bottom before the atoms.  Each row is
-    its value's position in the lifted wire (bottom is 0) times ``stride``.
-    """
-    below = _poset(shape)[0]
-    n = len(below)
-    free = tuple(range(atoms + 1))
-    atom_ids = free[1:]
-    scale = tuple(v * stride for v in free)
-    holders = [0] * (atoms + 1)  # rows holding each atom, as a bitmask
-    val = [0] * n
-    opts = [free] * n
-    pos = [0] * n
-    i = 0
-    while i >= 0:
-        if i == n:
-            yield tuple(map(scale.__getitem__, val))
-            i -= 1
-            continue
-        v = val[i]
-        if v:
-            holders[v] ^= 1 << i
-            val[i] = 0
-        k = pos[i]
-        if k == len(opts[i]):
-            i -= 1
-            continue
-        budget.spend()
-        v = val[i] = opts[i][k]
-        pos[i] = k + 1
-        if v:
-            holders[v] |= 1 << i
-        i += 1
-        if i < n:
-            bel = below[i]
-            forced = [a for a in atom_ids if holders[a] & bel]
-            # two atoms below the row leave it no value: a dead end
-            opts[i] = free if not forced else (forced[0],) if len(forced) == 1 else ()
-            pos[i] = 0
-
-
-def _product(cols: list[Iterator]) -> Iterator[tuple]:
-    """itertools.product, but each factor is pulled only as far as needed.
-
-    One generator per factor, nested as loops would be, so the last factor
-    varies fastest.  A factor after the first is recorded on its first pass
-    and replayed after it, so each factor is pulled, and one that raises
-    raises, at the same row as in nested loops.
-    """
-    fresh = [iter(c) for c in cols]  # None once a factor's first pass began
-    seen: list[list] = [[] for _ in cols]
-    last = len(cols) - 1
-
-    def walk(i: int, row: tuple) -> Iterator[tuple]:
-        it, fresh[i] = fresh[i], None
-        for x in seen[i] if it is None else it:
-            if i and it is not None:
-                seen[i].append(x)
-            if i == last:
-                yield row + (x,)
-            else:
-                yield from walk(i + 1, row + (x,))
-
-    return walk(0, ()) if cols else iter([()])
 
 
 class _Space:
@@ -323,11 +250,10 @@ class _Space:
     each wire's ``_ranks`` followed by them once the space has been counted.
     """
 
-    __slots__ = ("dom", "cod", "shape", "wires", "ranks")
+    __slots__ = ("dom", "cod", "wires", "ranks")
 
     def __init__(self, dom: Signature, cod: Signature) -> None:
         self.dom, self.cod = _indexed(dom), _indexed(cod)
-        self.shape = _shape(dom)
         wires, stride = [], 1
         for base in reversed(cod.wires):
             wires.append((len(base.values), stride))
@@ -347,30 +273,55 @@ class _Space:
         return MonotoneFn(self.dom.sig, self.cod.sig, table.__getitem__, "", table)
 
 
+def _decode(flat: list[int], r: int, wire: tuple) -> list[int]:
+    """Add the map of rank ``r`` in one codomain wire's space to ``flat``,
+    and return it.
+
+    ``wire`` is the wire's entry in ``_Space.ranks``.  The rank's group,
+    found by bisection, picks an up-set (weighted atoms^components) and one
+    atom per component, each added to the flat table at the wire's stride
+    at the points of the component (``_POINTS``).
+    """
+    _, starts, groups, m, stride = wire
+    g = bisect_right(starts, r) - 1
+    mk, k, comps = groups[g]
+    u, digits = divmod(r - starts[g], mk)
+    for c in comps[u * k : u * k + k]:
+        v = (digits % m + 1) * stride
+        digits //= m
+        at = _POINTS.get(c)
+        if at is None:
+            at = _POINTS[c] = tuple(i for i in range(c.bit_length()) if c >> i & 1)
+        for i in at:
+            flat[i] += v
+    return flat
+
+
 def enumerate_monotone(
     dom: Signature, cod: Signature, budget: int = _BUDGET, space: _Space | None = None
 ) -> Iterator:
-    """All monotone functions dom -> cod, lazily, one codomain wire at a time.
+    """All monotone functions dom -> cod, lazily, as the product of the
+    single-wire spaces with the last wire varying fastest.
 
-    The space is the product of the single-wire spaces, with the last wire
-    varying fastest; a single-wire space lists its maps in lexicographic
-    order of their rows.  Nothing is built ahead of what is consumed.
-    ``budget`` caps the work: one step per row value placed while listing a
-    wire's maps and one per function assembled; past it a CapError names
-    the space.  Given ``space``, the prepared space of dom -> cod, each
-    function comes out as its flat table; otherwise as a MonotoneFn.
+    Each wire lists all its maps, in lexicographic order of their rows,
+    before the first function is yielded; only their sums are made as they
+    are consumed.  A space not yet counted is counted under ``budget``, as
+    ``count_monotone`` counts it, and nothing is charged after the count.
+    Given ``space``, the prepared space of dom -> cod, each function comes
+    out as its flat table; otherwise as a MonotoneFn.
     """
     sp = space or _Space(dom, cod)
-    b = _Budget(budget, dom, cod)
-    cols = [_wire_maps(sp.shape, m, stride, b) for m, stride in sp.wires]
-    if len(cols) > 1:
-        flats = map(tuple, map(_add_wires, _product(cols)))
-    elif cols:
-        flats = cols[0]
-    else:  # with no codomain wire, the one function sends every point to the one point
-        flats = [(0,) * len(sp.dom.points)]
+    if sp.ranks is None:
+        sp.count(budget)
+    n = len(sp.dom.points)
+    # each wire's maps as flat parts, sorted: lexicographic order of their rows
+    wires = [sorted(tuple(_decode([0] * n, r, w)) for r in range(w[0])) for w in sp.ranks]
+    if len(wires) == 1:
+        flats = wires[0]
+    else:  # the wires' parts added point by point; with no wire, one table of 0s
+        zero = (0,) * n
+        flats = (tuple(map(sum, zip(zero, *row))) for row in itertools.product(*wires))
     for flat in flats:
-        b.spend()
         yield flat if space is not None else sp.fn(flat)
 
 
@@ -382,35 +333,24 @@ def random_monotone(
     Each codomain wire is one uniform draw from its single-wire space: a
     rank below the wire's count, drawn as ``randrange`` draws it (``bits``
     random bits, the count's bit length, again while they are past it), so
-    a seed picks the same functions; its group, found by bisection, picks
-    an up-set (weighted atoms^components) and one atom per component, each
-    added to the flat table at the wire's stride at the points of the
-    component (``_POINTS``).  A space not yet counted is
-    counted under the default budget; a sweep counts it under its own.
-    Given ``space``, the prepared space of dom -> cod, the function comes
-    out as its flat table; otherwise as a MonotoneFn.
+    a seed picks the same functions, and decoded by ``_decode``.  A space
+    not yet counted is counted under the default budget; a sweep counts it
+    under its own.  Nothing is charged after the count.  Given ``space``,
+    the prepared space of dom -> cod, the function comes out as its flat
+    table; otherwise as a MonotoneFn.
     """
     sp = space or _Space(dom, cod)
     if sp.ranks is None:
         sp.count(_BUDGET)
     flat = [0] * len(sp.dom.points)
     draw = rng.getrandbits
-    for count, starts, groups, m, stride in sp.ranks:
+    for wire in sp.ranks:
+        count = wire[0]
         bits = count.bit_length()
         r = draw(bits)
         while r >= count:
             r = draw(bits)
-        g = bisect_right(starts, r) - 1
-        mk, k, comps = groups[g]
-        u, digits = divmod(r - starts[g], mk)
-        for c in comps[u * k : u * k + k]:
-            v = (digits % m + 1) * stride
-            digits //= m
-            at = _POINTS.get(c)
-            if at is None:
-                at = _POINTS[c] = tuple(i for i in range(c.bit_length()) if c >> i & 1)
-            for i in at:
-                flat[i] += v
+        _decode(flat, r, wire)
     return tuple(flat) if space is not None else sp.fn(flat)
 
 
@@ -418,12 +358,13 @@ def random_monotone(
 class LawConfig:
     """Sweep parameters; ``mu`` is the fixed-point operator under test.
 
-    ``budget`` caps the steps spent building any one function space (see
-    ``count_monotone`` and ``enumerate_monotone``); a sweep that runs out
-    raises CapError.  ``pair_budget`` is the largest space, or product of
-    two spaces for laws over pairs, that is swept exhaustively; larger
-    ones are sampled ``samples`` times, which must be at least 1.  Neither
-    budget may be negative.  ``bases`` must hold at least one base type and
+    ``budget`` caps the steps spent building any one function space, the
+    steps that count it (see ``count_monotone``); a sweep that runs out
+    raises CapError while counting, before any case of that combo runs.
+    ``pair_budget`` is the largest space, or product of two spaces for
+    laws over pairs, that is swept exhaustively; larger ones are sampled
+    ``samples`` times, which must be at least 1.  Neither budget may be
+    negative.  ``bases`` must hold at least one base type and
     no base name twice, since combos are named by base names.
     """
 
@@ -530,9 +471,12 @@ def _sweep(
         n *= sp.count(cfg.budget)
     if n <= cfg.pair_budget:
         mode = "exhaustive"
-        draws = _product(
-            [enumerate_monotone(sp.dom.sig, sp.cod.sig, cfg.budget, sp) for sp in spaces]
-        )
+        fns = [enumerate_monotone(sp.dom.sig, sp.cod.sig, cfg.budget, sp) for sp in spaces]
+        if len(fns) == 2:  # the inner space is listed once, the outer pulled lazily
+            inner = list(fns[1])
+            draws = ((f, g) for f in fns[0] for g in inner)
+        else:
+            draws = zip(*fns)
     else:
         mode, rng = "sampled", random.Random(f"{cfg.seed}:{law}:{combo}")
         n, k = cfg.samples, itertools.repeat  # a case draws from each space in turn

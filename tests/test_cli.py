@@ -267,6 +267,17 @@ def test_a_failing_law_prints_its_first_counterexample(capsys, monkeypatch):
     assert run(capsys, "laws", "--json") == (1, json.dumps(doc, indent=2) + "\n", "")
 
 
+def test_laws_budget_names_the_first_space_whose_up_sets_exceed_it(capsys):
+    # Only listing a domain's up-sets is charged, so enumerating the
+    # 6 maps of sig(unit, unit, bool) -> sig(bool) fits in 1000 steps.
+    assert run(capsys, "laws", "--budget", "1000") == (
+        2,
+        "",
+        "error: budget of 1000 steps exceeded building sig(unit, bool, bool) -> "
+        "sig(bool); pass a larger --budget\n",
+    )
+
+
 def test_laws_budget_too_small_for_a_space_is_a_usage_error(capsys):
     code, out, err = run(capsys, "laws", "--budget", "30", "--cap", "400")
     assert code == 2

@@ -102,6 +102,54 @@ def test_enumeration_and_count_agree_with_the_backtracking_oracle(dom):
             assert sorted(got, key=repr) == sorted(want, key=repr)
 
 
+def _wire_product(dom, cod) -> list:
+    """The oracle's single-wire listings of dom -> cod, combined in
+    ``itertools.product`` order, the last wire fastest."""
+    wires = [[_rows(t) for t in oracles.backtrack_monotone(dom, sig(w))] for w in cod.wires]
+    return [
+        tuple(sum(vals, ()) for vals in zip(*parts)) for parts in itertools.product(*wires)
+    ]
+
+
+@pytest.mark.parametrize(
+    "dom, cod",
+    [(d, c) for d in SMALL_SIGS for c in SMALL_SIGS if len(c) == 2]
+    + [(B, sig(BOOL, UNIT, BOOL))],
+    ids=repr,
+)
+def test_multi_wire_spaces_list_in_product_order(dom, cod):
+    # The pinned pair sweeps depend on this order, not only on the set.
+    assert [_rows(f.table) for f in enumerate_monotone(dom, cod)] == _wire_product(dom, cod)
+
+
+def _cap_text(call):
+    """What a CapError raised by ``call()`` says, or None if it returns."""
+    try:
+        call()
+    except CapError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("dom", SMALL_SIGS, ids=repr)
+def test_enumeration_runs_out_exactly_when_the_count_does(dom):
+    # Enumeration is charged for the count's listing of the domain's
+    # up-sets and nothing after it, so it can never run out midway.
+    for cod in SMALL_SIGS:
+        budget, past = 0, 0
+        while past < 4:  # up to three steps past the smallest budget that counts
+            want = _cap_text(lambda: count_monotone(dom, cod, budget=budget))
+            got = _cap_text(lambda: list(enumerate_monotone(dom, cod, budget=budget)))
+            assert got == want, (cod, budget)
+            past += want is None
+            budget += 1
+    # no codomain wire: no up-set is listed, and the one function is free
+    assert count_monotone(dom, sig(), budget=0) == 1
+    assert [f.table for f in enumerate_monotone(dom, sig(), budget=0)] == [
+        {t: () for t in dom.tuples()}
+    ]
+
+
 def test_enumeration_agrees_with_the_brute_filter():
     listed = {
         tuple(sorted(f.table.items(), key=repr))
@@ -120,7 +168,7 @@ def test_enumeration_yields_monotone_functions_in_a_stable_order():
     second = [f.table for f in enumerate_monotone(B, B)]
     assert first == second
     for f in enumerate_monotone(BB, B):
-        pass  # the generator must not blow past its budget silently
+        pass  # the default budget covers listing the domain's up-sets
 
 
 def test_enumeration_budget_guard():
@@ -128,57 +176,6 @@ def test_enumeration_budget_guard():
     with pytest.raises(CapError):
         for _ in enumerate_monotone(big, big, budget=2000):
             pass
-
-
-def _logged(i: int, values, log: list, fail: bool = False):
-    """Factor i of a product, logging each value as it is pulled."""
-    for x in values:
-        log.append((i, x))
-        yield x
-    if fail:
-        raise CapError(f"factor {i} ran out")
-
-
-def _nested(factors, log: list, i: int = 0, row: tuple = ()) -> None:
-    """Nested for-loops over the factors, logging each value where a loop
-    first reaches it and each row as it is made."""
-    if i == len(factors):
-        log.append(("row", row))
-        return
-    for x in factors[i]:
-        if (i, x) not in log:
-            log.append((i, x))
-        _nested(factors, log, i + 1, row + (x,))
-
-
-@pytest.mark.parametrize(
-    "sizes", [(), (0,), (3,), (2, 0), (0, 2), (2, 3), (2, 0, 3), (3, 1, 2), (2, 2, 2, 2)]
-)
-def test_product_pulls_its_factors_as_nested_loops_would(sizes):
-    # _product records each factor after the first on its first pass and
-    # replays it after: its rows are itertools.product's, and each value is
-    # pulled just before the first row nested loops would reach it in.
-    factors = [[f"{i}.{j}" for j in range(n)] for i, n in enumerate(sizes)]
-    log, want = [], []
-    for row in laws._product([_logged(i, f, log) for i, f in enumerate(factors)]):
-        log.append(("row", row))
-    _nested(factors, want)
-    assert log == want
-    assert [r for tag, r in log if tag == "row"] == list(itertools.product(*factors))
-
-
-@pytest.mark.parametrize("k", range(3))
-def test_a_product_factor_that_raises_stops_at_the_row_nested_loops_would(k):
-    # Factor k raises once its first pass is done: nested loops get there
-    # after the rows whose earlier factors still hold their first values.
-    factors = [[f"{i}.{j}" for j in range(2)] for i in range(3)]
-    cols = [_logged(i, f, [], fail=i == k) for i, f in enumerate(factors)]
-    rows = []
-    with pytest.raises(CapError, match=f"^factor {k} ran out$"):
-        for row in laws._product(cols):
-            rows.append(row)
-    first = tuple(f[0] for f in factors[:k])
-    assert rows == [r for r in itertools.product(*factors) if r[:k] == first]
 
 
 def test_a_counting_budget_holds_after_the_shape_was_listed():

@@ -35,9 +35,11 @@ class _Usage(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``, without a leading byte-order mark; a bad
+    byte's offset counts from the start of the file, the mark included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except OSError as e:
         raise _Usage(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:

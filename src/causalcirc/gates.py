@@ -162,6 +162,12 @@ def strict_lift(
     return _lift(name, dom, cod, g, bot_free=False)
 
 
+def _gate(name: str, dom: Signature, cod: Signature, fn: Callable, kind: str,
+          rows: dict | None = None, bot_free: bool = False) -> GateDef:
+    """The gate ``name`` of function ``fn``, which is named after it."""
+    return GateDef(name, MonotoneFn(dom, cod, fn, name), kind, rows, bot_free)
+
+
 def _lift(name: str, dom: Signature, cod: Signature, g: Callable,
           rows: dict | None = None, bot_free: bool = True) -> GateDef:
     """``strict_lift`` of ``g`` as one finished gate: ``bot_free`` unless
@@ -173,7 +179,7 @@ def _lift(name: str, dom: Signature, cod: Signature, g: Callable,
             return bot_out
         return g(t)
 
-    return GateDef(name, MonotoneFn(dom, cod, lifted, name), KIND_STRICT, rows, bot_free)
+    return _gate(name, dom, cod, lifted, KIND_STRICT, rows, bot_free)
 
 
 def strict_lift_table(
@@ -228,15 +234,13 @@ def _pand(x: LValue, y: LValue) -> LValue:
 @cache
 def por() -> GateDef:
     """Parallel or: non-strict in either input."""
-    f = MonotoneFn(sig(BOOL, BOOL), sig(BOOL), lambda t: (_por(t[0], t[1]),), "por")
-    return GateDef("por", f, KIND_TABLE)
+    return _gate("por", sig(BOOL, BOOL), sig(BOOL), lambda t: (_por(t[0], t[1]),), KIND_TABLE)
 
 
 @cache
 def pand() -> GateDef:
     """Parallel and: non-strict dual of por."""
-    f = MonotoneFn(sig(BOOL, BOOL), sig(BOOL), lambda t: (_pand(t[0], t[1]),), "pand")
-    return GateDef("pand", f, KIND_TABLE)
+    return _gate("pand", sig(BOOL, BOOL), sig(BOOL), lambda t: (_pand(t[0], t[1]),), KIND_TABLE)
 
 
 @cache
@@ -305,36 +309,24 @@ def lt_gate(base: BaseType, /) -> GateDef:
 
 @cache
 def identity_gate(base: BaseType, /) -> GateDef:
-    return GateDef(
-        "id", MonotoneFn(sig(base), sig(base), lambda t: t, "id"), KIND_WIRING
-    )
+    return _gate("id", sig(base), sig(base), lambda t: t, KIND_WIRING)
 
 
 @cache
 def dup_gate(base: BaseType, /) -> GateDef:
     """Fanout: one wire in, the same value on two wires out."""
-    return GateDef(
-        "dup",
-        MonotoneFn(sig(base), sig(base, base), lambda t: (t[0], t[0]), "dup"),
-        KIND_WIRING,
-    )
+    return _gate("dup", sig(base), sig(base, base), lambda t: (t[0], t[0]), KIND_WIRING)
 
 
 @cache
 def sink_gate(base: BaseType, /) -> GateDef:
     """Discard: one wire in, nothing out."""
-    return GateDef(
-        "sink", MonotoneFn(sig(base), sig(), lambda t: (), "sink"), KIND_WIRING
-    )
+    return _gate("sink", sig(base), sig(), lambda t: (), KIND_WIRING)
 
 
 @cache
 def swap_gate(b1: BaseType, b2: BaseType, /) -> GateDef:
-    return GateDef(
-        "swap",
-        MonotoneFn(sig(b1, b2), sig(b2, b1), lambda t: (t[1], t[0]), "swap"),
-        KIND_WIRING,
-    )
+    return _gate("swap", sig(b1, b2), sig(b2, b1), lambda t: (t[1], t[0]), KIND_WIRING)
 
 
 def const_gate(base: BaseType, value: LValue) -> GateDef:

@@ -122,24 +122,6 @@ class _Points:
 _indexed = lru_cache(maxsize=None)(_Points)  # one numbering per signature
 
 
-class _Budget:
-    """Steps left for building one function space; running out raises CapError."""
-
-    __slots__ = ("left", "budget", "dom", "cod")
-
-    def __init__(self, budget: int, dom: Signature, cod: Signature) -> None:
-        self.left = self.budget = budget
-        self.dom, self.cod = dom, cod
-
-    def spend(self, steps: int = 1) -> None:
-        self.left -= steps
-        if self.left < 0:
-            raise CapError(
-                f"budget of {self.budget} steps exceeded building "
-                f"{self.dom!r} -> {self.cod!r}"
-            )
-
-
 def _join(comps: tuple[int, ...], i: int, up: int) -> tuple[int, ...]:
     """Components after point i joins an up-set holding every point above it."""
     merged = 1 << i
@@ -158,48 +140,49 @@ _UPSETS: dict[tuple[int, ...], tuple] = {}
 _POINTS: dict[int, tuple[int, ...]] = {}  # each drawn component's points, by bitmask
 
 
-def _upsets(shape: tuple[int, ...], budget: _Budget) -> tuple:
+def _upsets(shape: tuple[int, ...], budget: int, dom: Signature, cod: Signature) -> tuple:
     """Every up-set of the domain and its components, by component count.
 
     Entry k is a pair of flat arrays: the up-sets with k components, as
     bitmasks, and their components, k slots per up-set, so that up-set u
     owns slots ``u*k`` to ``u*k + k - 1``.  Points are decided from the top
     down, so a point may join only when all points above it already have;
-    every branch then ends in an up-set.  A shape is listed once per
-    process, but each call spends the steps its listing took, so a budget
-    has the same outcome whether the shape was listed before or not.
+    every branch then ends in an up-set.  Each decision is a step, and past
+    ``budget`` steps a CapError names the space ``dom -> cod``.  A shape is
+    listed once per process, but each call is charged the steps its
+    listing took, so a budget has the same outcome whether the shape was
+    listed before or not; a listing that runs out is not kept.
     """
     got = _UPSETS.get(shape)
-    if got is not None:
-        budget.spend(got[1])
-        return got[0]
-    left = budget.left
-    above = _poset(shape)[1]
-    groups: list[list[int]] = []
-    parts: list[list[int]] = []
-    stack = [(len(above) - 1, 0, ())]
-    while stack:
-        i, u, comps = stack.pop()
-        if i < 0:
-            k = len(comps)
-            while len(groups) <= k:
-                groups.append([])
-                parts.append([])
-            groups[k].append(u)
-            parts[k].extend(comps)
-            continue
-        budget.spend()
-        stack.append((i - 1, u, comps))
-        up = above[i]
-        if u & up == up:
-            stack.append((i - 1, u | 1 << i, _join(comps, i, up)))
-    code = "I" if len(above) <= 32 else "Q" if len(above) <= 64 else None
-    got = tuple(
-        (array(code, g), array(code, p)) if code else (tuple(g), tuple(p))
-        for g, p in zip(groups, parts)
-    )
-    _UPSETS[shape] = (got, left - budget.left)
-    return got
+    if got is None:
+        above = _poset(shape)[1]
+        groups: list[list[int]] = []
+        parts: list[list[int]] = []
+        stack, steps = [(len(above) - 1, 0, ())], 0
+        while stack and steps <= budget:
+            i, u, comps = stack.pop()
+            if i < 0:
+                k = len(comps)
+                while len(groups) <= k:
+                    groups.append([])
+                    parts.append([])
+                groups[k].append(u)
+                parts[k].extend(comps)
+                continue
+            steps += 1
+            stack.append((i - 1, u, comps))
+            up = above[i]
+            if u & up == up:
+                stack.append((i - 1, u | 1 << i, _join(comps, i, up)))
+        if steps <= budget:
+            code = "I" if len(above) <= 32 else "Q" if len(above) <= 64 else None
+            got = _UPSETS[shape] = (tuple(
+                (array(code, g), array(code, p)) if code else (tuple(g), tuple(p))
+                for g, p in zip(groups, parts)
+            ), steps)
+    if got is None or got[1] > budget:
+        raise CapError(f"budget of {budget} steps exceeded building {dom!r} -> {cod!r}")
+    return got[0]
 
 
 def _ranks(atoms: int, upsets: tuple) -> tuple:
@@ -224,7 +207,7 @@ def _ranks(atoms: int, upsets: tuple) -> tuple:
 def _wire_ranks(dom: Signature, cod: Signature, budget: int) -> list[tuple]:
     """``_ranks`` of each codomain wire.  Only the domain's shape and each
     wire's atom count are read: the codomain's points are never listed."""
-    ups = _upsets(_shape(dom), _Budget(budget, dom, cod)) if cod.wires else ()
+    ups = _upsets(_shape(dom), budget, dom, cod) if cod.wires else ()
     return [_ranks(len(base.values), ups) for base in cod.wires]
 
 

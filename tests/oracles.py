@@ -737,6 +737,81 @@ def tokenize_by_char(text: str) -> list[tuple[str, str, int, int]]:
     return toks
 
 
+# -- rewrites that move delays ---------------------------------------------
+#
+# A delay is a map like any gate, so it commutes with the gates around it:
+# each rewrite gives a circuit whose output traces equal its source's, a
+# check that needs no reference output.
+
+
+def _rewired(c: Circuit, nodes, node_inputs, at=lambda s: s, loops=()) -> Circuit:
+    """``c`` with these nodes and inputs, its outputs and feedback wires
+    reading ``at`` of what they read, and ``loops`` added after its own."""
+    return Circuit(
+        c.in_ports, c.out_ports, tuple(nodes), tuple(node_inputs),
+        tuple(map(at, c.outputs)),
+        tuple(LoopWire(lw.base, at(lw.src)) for lw in c.loops) + tuple(loops),
+        c.in_names, c.out_names,
+    )
+
+
+def chain_vardelays(c: Circuit) -> Circuit:
+    """``c`` with each vardelay whose amount is fixed at k >= 1 (min = max)
+    replaced by k chained unit delays of its init.  The vardelay's node
+    becomes the last delay of its chain, the others are appended in chain
+    order, and its amount input is left unread."""
+    nodes, ins = list(c.nodes), list(c.node_inputs)
+    for i, n in enumerate(c.nodes):
+        if isinstance(n, VarDelay) and n.d_min == n.d_max >= 1:
+            src = ins[i][0]
+            for _ in range(n.d_max - 1):
+                nodes.append(UnitDelay(n.base, n.init))
+                ins.append((src,))
+                src = SrcNode(len(nodes) - 1, 0)
+            nodes[i], ins[i] = UnitDelay(n.base, n.init), (src,)
+    return _rewired(c, nodes, ins)
+
+
+def retime_forward(c: Circuit, j: int) -> Circuit:
+    """``c`` with the unit delays on every input of gate ``j`` moved past it.
+
+    The gate reads what those delays read, and one new unit delay per gate
+    output, appended, carries it; its init is the gate's value on their
+    inits.  Whatever read the gate reads the new delays instead.  An input
+    that reached its delay through feedback wires reads its new source
+    through a new feedback wire, so every cycle still passes one."""
+    g, n, loops = c.nodes[j], len(c.nodes), []
+    moved = {SrcNode(j, p): SrcNode(n + p, 0) for p in range(len(g.cod))}
+
+    def at(s):
+        return moved.get(s, s)
+
+    inits, reads = [], []
+    for s in c.node_inputs[j]:
+        d = s
+        while isinstance(d, SrcLoop):
+            d = c.loops[d.index].src
+        assert isinstance(c.nodes[d.node], UnitDelay), f"input {s} is not delayed"
+        inits.append(c.nodes[d.node].init)
+        src = at(c.node_inputs[d.node][0])
+        if isinstance(s, SrcLoop):
+            loops.append(LoopWire(c.nodes[d.node].base, src))
+            src = SrcLoop(len(c.loops) + len(loops) - 1)
+        reads.append(src)
+    ins = [tuple(map(at, row)) for row in c.node_inputs]
+    ins[j] = tuple(reads)
+    ins += [(SrcNode(j, p),) for p in range(len(g.cod))]
+    nodes = c.nodes + tuple(UnitDelay(b, x) for b, x in zip(g.cod, g.fn.fn(tuple(inits))))
+    return _rewired(c, nodes, ins, at, loops)
+
+
+def with_init(c: Circuit, i: int, init) -> Circuit:
+    """``c`` with unit delay ``i`` given another init: a mutant of a rewrite."""
+    nodes = list(c.nodes)
+    nodes[i] = UnitDelay(nodes[i].base, init)
+    return _rewired(c, nodes, c.node_inputs)
+
+
 # -- the seeded cross-check corpus -----------------------------------------
 #
 # Every fast path is checked against its oracle on these circuits, each

@@ -64,6 +64,27 @@ def test_check_of_a_file_that_is_not_utf8(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+def test_check_reads_a_netlist_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    p = tmp_path / "bom.net"
+    p.write_bytes(BOM + Path(TOGGLE).read_bytes())
+    assert run(capsys, "check", str(p)) == run(capsys, "check", TOGGLE)
+    assert run(capsys, "canon", str(p)) == run(capsys, "canon", TOGGLE)
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_counted_from_the_file_start(
+    capsys, tmp_path
+):
+    p = tmp_path / "bom.net"
+    p.write_bytes(BOM + b"# caf\xe9\n" + Path(TOGGLE).read_bytes())
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read {p}: not UTF-8 text "
+                   "(invalid continuation byte at byte 8)\n")
+
+
 # -- sim ------------------------------------------------------------------
 
 
@@ -125,6 +146,34 @@ def test_sim_input_stream_that_is_not_utf8(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {p}: not UTF-8")
     assert err.count("\n") == 1
+
+
+def test_sim_reads_a_stream_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    plain, marked = tmp_path / "in.csv", tmp_path / "bom.csv"
+    plain.write_bytes(b"a,b\n1,_\n0,0\n_,1\n")
+    marked.write_bytes(BOM + plain.read_bytes())
+    got = run(capsys, "sim", POR_GATE, "--ticks", "3", "--in", str(marked))
+    assert got == run(capsys, "sim", POR_GATE, "--ticks", "3", "--in", str(plain))
+    assert got == (0, "y\n1\n0\n1\n", "")
+
+
+@pytest.mark.parametrize("body, out", [
+    (b"a,b\n1,_\n\n0,0\n_,1\n", "y\n1\n0\n1\n"),
+    (b"a,b\n1,_\n\n0,2\n_,1\n", None),
+], ids=["rows", "error"])
+def test_a_stream_with_crlf_line_ends_reads_as_its_lf_form(capsys, tmp_path, body, out):
+    # A blank line is skipped, and an error cites the file's own line.
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(body)
+    crlf.write_bytes(body.replace(b"\n", b"\r\n"))
+    code, got, err = run(capsys, "sim", POR_GATE, "--ticks", "3", "--in", str(crlf))
+    assert run(capsys, "sim", POR_GATE, "--ticks", "3", "--in", str(lf)) == (
+        code, got, err.replace(str(crlf), str(lf)))
+    if out is None:
+        assert (code, got) == (2, "")
+        assert err == f"error: {crlf}: line 4, column b: '2' is not a value of type 'bool'\n"
+    else:
+        assert (code, got, err) == (0, out, "")
 
 
 def test_sim_to_an_unwritable_output(capsys, tmp_path):

@@ -142,6 +142,53 @@ def test_only_the_allowed_classes_are_dataclasses():
     assert sorted(found) == DATACLASSES
 
 
+def gatedef_builders(source: str) -> list[str]:
+    """The innermost function around each ``GateDef(...)`` call in a module,
+    called by name or through a module, or ``<module>`` outside any."""
+    found: list[str] = []
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "GateDef")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "GateDef")
+        ):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_gatedef_finder_sees_every_builder():
+    source = (
+        '"""GateDef(name, fn) in a docstring is no call."""\n'
+        "from causalcirc import gates\n"
+        "g = GateDef('a', f, k)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return gates.GateDef('b', f, k)\n"
+        "    return GateDef('c', f, k), isinstance(g, GateDef)\n"
+    )
+    assert gatedef_builders(source) == ["<module>", "inner", "outer"]
+
+
+# Every builtin gate is built by ``_gate``; ``table_gate`` and
+# ``_const_gate`` build from a table that ``MonotoneFn.from_table`` checks.
+GATE_BUILDERS = ["_const_gate", "_gate", "table_gate"]
+
+
+def test_gates_are_built_only_by_the_gate_builders():
+    found = [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name in gatedef_builders(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(found) == GATE_BUILDERS
+
+
 def test_the_readme_layout_names_every_module_and_script():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     layout = readme.split("## Layout", 1)[1].split("```")[1]

@@ -39,7 +39,6 @@ from causalcirc.laws import (
     enumerate_monotone,
     random_monotone,
     run_laws,
-    _Budget,
     _join,
     _poset,
     _shape,
@@ -238,7 +237,7 @@ def test_stored_components_match_a_rejoin(dom, sample):
     # Sampling reads each up-set's components from the arrays _upsets
     # fills; they must be what joining its points from the top gives.
     shape = _shape(dom)
-    groups = _upsets(shape, _Budget(10**6, dom, U))
+    groups = _upsets(shape, 10**6, dom, U)
     for k, (ups, comps) in enumerate(groups):
         assert len(comps) == k * len(ups)
     slots = [(k, i) for k, (ups, _) in enumerate(groups) for i in range(len(ups))]
